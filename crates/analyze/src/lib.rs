@@ -17,9 +17,8 @@
 //!
 //! A finding is waived per line with `// l2r: allow(<rule>[, <rule>…]) —
 //! reason` on the offending line or in the comment block directly above
-//! it.  Frozen files ([`Config::frozen`], e.g. the pre-PR baseline
-//! `crates/bench/src/legacy.rs`) are waived wholesale.  Waivers are never
-//! silent: they are counted and listed in both reporters.
+//! it.  Waivers are never silent: they are counted and listed in both
+//! reporters.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -31,27 +30,22 @@ pub mod rules;
 
 use lexer::Line;
 
-/// What the engine scans and what it forgives.
+/// What the engine scans.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Workspace root; every reported path is relative to it.
     pub root: PathBuf,
-    /// Path suffixes of frozen files: scanned, but every finding is
-    /// pre-waived (and reported as such).
-    pub frozen: Vec<String>,
     /// Path fragments that exclude a file from the walk entirely
     /// (generated output, vendored stand-ins, the rule fixture corpus).
     pub skip: Vec<String>,
 }
 
 impl Config {
-    /// The workspace defaults: `legacy.rs` is the deliberately frozen
-    /// pre-PR-2 baseline; `target/`, `vendor/` (offline stand-ins for
+    /// The workspace defaults: `target/`, `vendor/` (offline stand-ins for
     /// crates.io, not first-party code) and fixture corpora are skipped.
     pub fn for_root(root: impl Into<PathBuf>) -> Config {
         Config {
             root: root.into(),
-            frozen: vec!["crates/bench/src/legacy.rs".to_string()],
             skip: vec![
                 "/target/".to_string(),
                 "/vendor/".to_string(),
@@ -60,15 +54,6 @@ impl Config {
             ],
         }
     }
-}
-
-/// How a recorded finding was waived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Waiver {
-    /// An inline `l2r: allow(rule)` on or directly above the line.
-    Inline,
-    /// The whole file is on the frozen allowlist.
-    FrozenFile,
 }
 
 /// One rule violation, with its span.
@@ -84,8 +69,9 @@ pub struct Finding {
     pub message: String,
     /// The offending line's code, trimmed.
     pub snippet: String,
-    /// `None` while unresolved / unallowed; set by the engine.
-    pub allowed: Option<Waiver>,
+    /// Whether an inline `l2r: allow(rule)` on or directly above the line
+    /// waives the finding; set by the engine.
+    pub allowed: bool,
 }
 
 /// The result of one engine run.
@@ -94,7 +80,7 @@ pub struct Report {
     /// Unallowed findings — non-empty fails `check`, `reproduce` and the
     /// tier-1 test.
     pub findings: Vec<Finding>,
-    /// Findings waived inline or by the frozen-file allowlist.
+    /// Findings waived by an inline allow.
     pub waived: Vec<Finding>,
     pub files_scanned: usize,
     /// `(name, description)` of every rule that ran.
@@ -195,8 +181,7 @@ fn parse_allows(comment: &str) -> Vec<String> {
 }
 
 /// Runs every rule over one in-memory file (the test seam: fixtures call
-/// this directly).  Findings come back resolved against inline allows but
-/// not against any frozen-file config.
+/// this directly).  Findings come back resolved against inline allows.
 pub fn analyze_source(rel: &str, src: &str) -> Vec<Finding> {
     let file = SourceFile::new(rel, src);
     let mut out = Vec::new();
@@ -207,9 +192,7 @@ pub fn analyze_source(rel: &str, src: &str) -> Vec<Finding> {
         let mut raw = Vec::new();
         rule.check(&file, &mut raw);
         for mut f in raw {
-            if file.is_allowed(f.line - 1, &f.rule) {
-                f.allowed = Some(Waiver::Inline);
-            }
+            f.allowed = file.is_allowed(f.line - 1, &f.rule);
             out.push(f);
         }
     }
@@ -228,7 +211,6 @@ pub fn run(config: &Config) -> io::Result<Report> {
     for path in &files {
         let rel = rel_path(&config.root, path);
         let src = std::fs::read_to_string(path)?;
-        let frozen = config.frozen.iter().any(|f| rel.ends_with(f));
         let file = SourceFile::new(rel, &src);
         for rule in &rule_set {
             if !rule.applies_to(&file.rel) {
@@ -237,12 +219,8 @@ pub fn run(config: &Config) -> io::Result<Report> {
             let mut raw = Vec::new();
             rule.check(&file, &mut raw);
             for mut f in raw {
-                if file.is_allowed(f.line - 1, &f.rule) {
-                    f.allowed = Some(Waiver::Inline);
-                } else if frozen {
-                    f.allowed = Some(Waiver::FrozenFile);
-                }
-                if f.allowed.is_some() {
+                f.allowed = file.is_allowed(f.line - 1, &f.rule);
+                if f.allowed {
                     waived.push(f);
                 } else {
                     findings.push(f);

@@ -7,7 +7,7 @@
 //! diff-tools can track across commits — no serde in a dependency-free
 //! workspace.
 
-use crate::{Report, Waiver};
+use crate::Report;
 
 /// Renders the report for terminals: findings grouped by rule with
 /// clickable `path:line:col` spans, then a one-line waiver summary.
@@ -28,20 +28,12 @@ pub fn human(report: &Report) -> String {
             ));
         }
     }
-    let inline = report
-        .waived
-        .iter()
-        .filter(|f| f.allowed == Some(Waiver::Inline))
-        .count();
-    let frozen = report.waived.len() - inline;
     out.push_str(&format!(
-        "{} file(s) scanned, {} rule(s): {} violation(s), {} waived ({} inline allow, {} frozen-file)\n",
+        "{} file(s) scanned, {} rule(s): {} violation(s), {} waived by inline allow\n",
         report.files_scanned,
         report.rules.len(),
         report.findings.len(),
         report.waived.len(),
-        inline,
-        frozen,
     ));
     out
 }
@@ -82,12 +74,8 @@ pub fn json(report: &Report) -> String {
     }
     out.push_str("  ],\n  \"waivers\": [\n");
     for (i, f) in report.waived.iter().enumerate() {
-        let via = match f.allowed {
-            Some(Waiver::FrozenFile) => "frozen-file",
-            _ => "inline-allow",
-        };
         out.push_str(&format!(
-            "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"via\": \"{via}\"}}{}\n",
+            "    {{\"rule\": {}, \"path\": {}, \"line\": {}}}{}\n",
             escape(&f.rule),
             escape(&f.path),
             f.line,

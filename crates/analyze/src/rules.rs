@@ -11,7 +11,7 @@
 //!
 //! on the offending line or in the comment block directly above it; the
 //! engine (not the rule) resolves allows, so every waiver is still counted
-//! and reported.  Frozen files (`Config::frozen`) are waived wholesale.
+//! and reported.
 
 use crate::{Finding, SourceFile};
 
@@ -76,7 +76,7 @@ fn finding(
         column: col + 1,
         message,
         snippet: file.lines[line].code.trim().to_string(),
-        allowed: None,
+        allowed: false,
     }
 }
 
@@ -88,8 +88,7 @@ fn finding(
 /// `partial_cmp` — a NaN reaching `partial_cmp(..).unwrap_or(Equal)` makes
 /// heaps and sorts silently non-deterministic.  The three `PartialOrd`
 /// shims that delegate to a total order carry explicit allows (their
-/// audit trail), and the frozen pre-PR baseline `crates/bench/src/legacy.rs`
-/// is waived by config.
+/// audit trail).
 pub struct FloatTotalCmp;
 
 impl Rule for FloatTotalCmp {

@@ -2,15 +2,12 @@
 //! respect `l2r: allow(...)`, and stay silent on the look-alikes (strings,
 //! comments, test modules).
 
-use l2r_analyze::{analyze_source, Finding, Waiver};
+use l2r_analyze::{analyze_source, Finding};
 
 /// `(unallowed, inline-waived)` finding counts for one rule.
 fn counts(findings: &[Finding], rule: &str) -> (usize, usize) {
     let of_rule: Vec<&Finding> = findings.iter().filter(|f| f.rule == rule).collect();
-    let waived = of_rule
-        .iter()
-        .filter(|f| f.allowed == Some(Waiver::Inline))
-        .count();
+    let waived = of_rule.iter().filter(|f| f.allowed).count();
     (of_rule.len() - waived, waived)
 }
 
@@ -136,5 +133,5 @@ unsafe { x.partial_cmp(&y) }
 ";
     let findings = analyze_source("crates/x/src/lib.rs", src);
     assert!(findings.len() >= 2);
-    assert!(findings.iter().all(|f| f.allowed == Some(Waiver::Inline)));
+    assert!(findings.iter().all(|f| f.allowed));
 }

@@ -148,11 +148,11 @@ impl BaselineRouter for Trip {
         destination: VertexId,
         driver: DriverId,
     ) -> Option<Path> {
-        if source == destination {
-            return Some(Path::single(source));
-        }
         if source.idx() >= net.num_vertices() || destination.idx() >= net.num_vertices() {
             return None;
+        }
+        if source == destination {
+            return Some(Path::single(source));
         }
         let profile = self.profile(driver);
         dijkstra(net, source, Some(destination), |e| {

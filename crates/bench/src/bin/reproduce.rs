@@ -350,7 +350,7 @@ fn main() {
             .collect();
         if !broken.is_empty() {
             eprintln!(
-                "ERROR: prepared/free/pre-PR answers diverged on {} — \
+                "ERROR: prepared/free answers diverged on {} — \
                  the online report is invalid",
                 broken.join(", ")
             );
@@ -692,14 +692,6 @@ fn run_online(ds: &Dataset, rounds: usize, snapshot_base: Option<&str>) -> Onlin
         );
     }
     println!(
-        "pre-PR baseline: mean {:8.1} µs  p50 {:8.1}  p95 {:8.1}  p99 {:8.1}  ({:.0} qps)",
-        entry.baseline.mean_us,
-        entry.baseline.p50_us,
-        entry.baseline.p95_us,
-        entry.baseline.p99_us,
-        entry.baseline.qps
-    );
-    println!(
         "free route:      mean {:8.1} µs  p50 {:8.1}  p95 {:8.1}  p99 {:8.1}  ({:.0} qps)",
         entry.free.mean_us, entry.free.p50_us, entry.free.p95_us, entry.free.p99_us, entry.free.qps
     );
@@ -712,8 +704,8 @@ fn run_online(ds: &Dataset, rounds: usize, snapshot_base: Option<&str>) -> Onlin
         entry.prepared.qps
     );
     println!(
-        "speedup {:.2}x vs pre-PR baseline, {:.2}x vs current free route (equivalent: {})",
-        entry.speedup_mean, entry.speedup_vs_free, entry.equivalent,
+        "speedup {:.2}x vs free route (equivalent: {})",
+        entry.speedup_vs_free, entry.equivalent,
     );
     println!(
         "route_many batch: {:.1} ms, {:.0} qps over {} threads",
@@ -724,13 +716,8 @@ fn run_online(ds: &Dataset, rounds: usize, snapshot_base: Option<&str>) -> Onlin
     for row in &entry.coverage {
         if row.count > 0 {
             println!(
-                "  {:<12} {:5} queries  baseline {:8.1} µs  free {:8.1} µs  prepared {:8.1} µs  ({:.2}x)",
-                row.label,
-                row.count,
-                row.baseline_mean_us,
-                row.free_mean_us,
-                row.prepared_mean_us,
-                row.speedup
+                "  {:<12} {:5} queries  free {:8.1} µs  prepared {:8.1} µs  ({:.2}x)",
+                row.label, row.count, row.free_mean_us, row.prepared_mean_us, row.speedup
             );
         }
     }

@@ -13,11 +13,9 @@
 
 #![warn(missing_docs)]
 
-pub mod legacy;
 pub mod scaling;
 pub mod serving;
 
-pub use legacy::legacy_route;
 pub use scaling::{
     compile_bench_for, decode_bench_for, fit_determinism_check, peak_rss_bytes,
     transfer_sim_bench_for, CompileBench, DecodeBench, FitDeterminism, TransferSimBench,
@@ -259,20 +257,18 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Per-bucket latency of the three serving paths.
+/// Per-bucket latency of the two serving paths.
 #[derive(Debug, Clone)]
 pub struct OnlineCoverageRow {
     /// Coverage label (`InRegion` / `InOutRegion` / `OutRegion`).
     pub label: &'static str,
     /// Number of queries in the bucket.
     pub count: usize,
-    /// Mean pre-PR baseline latency (µs).
-    pub baseline_mean_us: f64,
-    /// Mean current free-`route` latency (µs).
+    /// Mean free-`route` latency (µs).
     pub free_mean_us: f64,
     /// Mean `Engine` latency (µs).
     pub prepared_mean_us: f64,
-    /// `baseline_mean_us / prepared_mean_us` (0 when the bucket is empty).
+    /// `free_mean_us / prepared_mean_us` (0 when the bucket is empty).
     pub speedup: f64,
 }
 
@@ -300,29 +296,21 @@ pub struct OnlineBenchDataset {
     pub queries: usize,
     /// Timed rounds over the workload (samples = queries × rounds).
     pub rounds: usize,
-    /// Whether every prepared answer was bit-identical to both the current
-    /// free answer and the frozen pre-PR baseline answer.
+    /// Whether every prepared answer was bit-identical to the free answer.
     pub equivalent: bool,
     /// One-time `Engine` compilation cost in milliseconds.
     pub prepare_ms: f64,
     /// Set when the prepared router was built from a model loaded off disk
     /// (`reproduce -- online --snapshot <path>`): snapshot size + load time.
     pub snapshot: Option<OnlineSnapshotInfo>,
-    /// Latency of the frozen pre-PR `route` implementation
-    /// ([`legacy_route`]): full settle-order materialisation, per-call
-    /// allocations, candidate re-scans, `concat` stitching.
-    pub baseline: OnlineLatencyStats,
-    /// Latency of the current free `route` function (early-exit anchors,
+    /// Latency of the free `route` function (early-exit anchors,
     /// thread-local scratch reuse, borrowed transfer centers — but still
     /// per-query scans and `concat`).
     pub free: OnlineLatencyStats,
     /// Latency of `Engine::route` through one reused scratch.
     pub prepared: OnlineLatencyStats,
-    /// `baseline.mean_us / prepared.mean_us` — the headline acceptance
-    /// number: compiled serving vs the pre-PR query path, same run.
-    pub speedup_mean: f64,
-    /// `free.mean_us / prepared.mean_us` — what compiling adds on top of the
-    /// satellite fixes that already landed in the free path.
+    /// `free.mean_us / prepared.mean_us` — what compiling buys over the
+    /// free path, same queries, same run.
     pub speedup_vs_free: f64,
     /// Wall time of one `route_many` batch over the whole workload.
     pub batch_ms: f64,
@@ -411,15 +399,13 @@ pub fn online_bench_for(
     let mut scratch = QueryScratch::new();
 
     // Warm-up pass: populates thread-local and scratch buffers, checks
-    // baseline/free/prepared equivalence and records the strategy mix.
-    let net_graph = model.region_graph();
+    // free/prepared equivalence and records the strategy mix.
     let mut equivalent = true;
     let mut strategy_counts = vec![0usize; RouteStrategy::ALL.len()];
     for q in &queries {
-        let baseline = legacy_route(net, net_graph, q.source, q.destination);
         let free = model.route(q.source, q.destination);
         let fast = prepared.route(&mut scratch, q.source, q.destination);
-        if free != fast || baseline != fast {
+        if free != fast {
             equivalent = false;
         }
         if let Some(r) = &fast {
@@ -431,14 +417,13 @@ pub fn online_bench_for(
         }
     }
 
-    // Timed rounds: identical query order on all three paths, each
+    // Timed rounds: identical query order on both paths, each
     // implementation measured in its own full pass over the workload so no
-    // path runs on caches warmed by another implementation answering the
-    // same query an instant earlier.
-    let mut baseline_samples: Vec<f64> = Vec::with_capacity(queries.len() * rounds);
+    // path runs on caches warmed by the other answering the same query an
+    // instant earlier.
     let mut free_samples: Vec<f64> = Vec::with_capacity(queries.len() * rounds);
     let mut prepared_samples: Vec<f64> = Vec::with_capacity(queries.len() * rounds);
-    let mut cov_acc = vec![(0usize, 0.0f64, 0.0f64, 0.0f64); COVERAGE_CATEGORIES.len()];
+    let mut cov_acc = vec![(0usize, 0.0f64, 0.0f64); COVERAGE_CATEGORIES.len()];
     let bucket_of = |q: &TestQuery| {
         COVERAGE_CATEGORIES
             .iter()
@@ -446,12 +431,7 @@ pub fn online_bench_for(
             .unwrap_or(0)
     };
     for _ in 0..rounds {
-        let round_base = baseline_samples.len();
-        for q in &queries {
-            let t0 = Instant::now();
-            let _ = legacy_route(net, net_graph, q.source, q.destination);
-            baseline_samples.push(t0.elapsed().as_secs_f64() * 1e6);
-        }
+        let round_base = free_samples.len();
         for q in &queries {
             let t0 = Instant::now();
             let _ = model.route(q.source, q.destination);
@@ -465,9 +445,8 @@ pub fn online_bench_for(
         for (i, q) in queries.iter().enumerate() {
             let cb = bucket_of(q);
             cov_acc[cb].0 += 1;
-            cov_acc[cb].1 += baseline_samples[round_base + i];
-            cov_acc[cb].2 += free_samples[round_base + i];
-            cov_acc[cb].3 += prepared_samples[round_base + i];
+            cov_acc[cb].1 += free_samples[round_base + i];
+            cov_acc[cb].2 += prepared_samples[round_base + i];
         }
     }
 
@@ -479,7 +458,6 @@ pub fn online_bench_for(
     let batch_s = t0.elapsed().as_secs_f64();
     debug_assert_eq!(batch.len(), pairs.len());
 
-    let baseline = OnlineLatencyStats::from_samples(&mut baseline_samples);
     let free = OnlineLatencyStats::from_samples(&mut free_samples);
     let prepared_stats = OnlineLatencyStats::from_samples(&mut prepared_samples);
     OnlineBenchDataset {
@@ -489,17 +467,11 @@ pub fn online_bench_for(
         equivalent,
         prepare_ms,
         snapshot: snapshot_info,
-        speedup_mean: if prepared_stats.mean_us > 0.0 {
-            baseline.mean_us / prepared_stats.mean_us
-        } else {
-            0.0
-        },
         speedup_vs_free: if prepared_stats.mean_us > 0.0 {
             free.mean_us / prepared_stats.mean_us
         } else {
             0.0
         },
-        baseline,
         free,
         prepared: prepared_stats,
         batch_ms: batch_s * 1000.0,
@@ -516,9 +488,8 @@ pub fn online_bench_for(
         coverage: COVERAGE_CATEGORIES
             .iter()
             .zip(cov_acc)
-            .map(|(c, (samples, baseline_us, free_us, prepared_us))| {
+            .map(|(c, (samples, free_us, prepared_us))| {
                 let n = samples.max(1) as f64;
-                let baseline_mean = baseline_us / n;
                 let free_mean = free_us / n;
                 let prepared_mean = prepared_us / n;
                 // `samples` counts every timed round; report distinct queries
@@ -527,11 +498,10 @@ pub fn online_bench_for(
                 OnlineCoverageRow {
                     label: coverage_label(*c),
                     count,
-                    baseline_mean_us: baseline_mean,
                     free_mean_us: free_mean,
                     prepared_mean_us: prepared_mean,
                     speedup: if count > 0 && prepared_mean > 0.0 {
-                        baseline_mean / prepared_mean
+                        free_mean / prepared_mean
                     } else {
                         0.0
                     },
@@ -603,13 +573,8 @@ pub fn online_bench_json(report: &OnlineBenchReport) -> String {
                 snap.load_ms
             ));
         }
-        stats(&mut out, "baseline_route_pre_pr", &ds.baseline, true);
         stats(&mut out, "free_route", &ds.free, true);
         stats(&mut out, "prepared", &ds.prepared, true);
-        out.push_str(&format!(
-            "      \"speedup_mean\": {:.2},\n",
-            ds.speedup_mean
-        ));
         out.push_str(&format!(
             "      \"speedup_vs_free\": {:.2},\n",
             ds.speedup_vs_free
@@ -631,10 +596,9 @@ pub fn online_bench_json(report: &OnlineBenchReport) -> String {
         out.push_str("      \"coverage\": [\n");
         for (j, row) in ds.coverage.iter().enumerate() {
             out.push_str(&format!(
-                "        {{ \"label\": \"{}\", \"count\": {}, \"baseline_mean_us\": {:.3}, \"free_mean_us\": {:.3}, \"prepared_mean_us\": {:.3}, \"speedup\": {:.2} }}{}\n",
+                "        {{ \"label\": \"{}\", \"count\": {}, \"free_mean_us\": {:.3}, \"prepared_mean_us\": {:.3}, \"speedup\": {:.2} }}{}\n",
                 row.label,
                 row.count,
-                row.baseline_mean_us,
                 row.free_mean_us,
                 row.prepared_mean_us,
                 row.speedup,
@@ -880,9 +844,8 @@ mod tests {
         assert!(entry.queries > 0);
         assert!(
             entry.equivalent,
-            "prepared answers must be bit-identical to the free and pre-PR routes"
+            "prepared answers must be bit-identical to the free route"
         );
-        assert!(entry.baseline.mean_us > 0.0);
         assert!(entry.free.mean_us > 0.0);
         assert!(entry.prepared.mean_us > 0.0);
         assert!(entry.prepared.p50_us <= entry.prepared.p99_us);
@@ -909,10 +872,9 @@ mod tests {
         assert!(json.contains("\"bench\": \"online_serving\""));
         assert!(json.contains("\"engine_compile\""));
         assert!(json.contains("\"snapshot_decode\""));
-        assert!(json.contains("\"baseline_route_pre_pr\""));
         assert!(json.contains("\"free_route\""));
         assert!(json.contains("\"prepared\""));
-        assert!(json.contains("\"speedup_mean\""));
+        assert!(json.contains("\"speedup_vs_free\""));
         assert!(json.contains("\"InnerRegionTrajectory\""));
         assert!(json.contains("\"InRegion\""));
         assert!(

@@ -263,6 +263,10 @@ impl Engine {
         source: VertexId,
         destination: VertexId,
     ) -> Option<RouteResult> {
+        let n = self.network().num_vertices();
+        if source.idx() >= n || destination.idx() >= n {
+            return None;
+        }
         if source == destination {
             return Some(RouteResult {
                 path: Path::single(source),
@@ -397,15 +401,13 @@ impl Engine {
 
     /// Finds the first region vertex settled by a fastest-path search from
     /// `from` towards `towards` (early-exit settle hook, scratch space).
+    /// Both vertices must be in range; [`Engine::route`] checks them.
     fn find_anchor(
         &self,
         scratch: &mut QueryScratch,
         from: VertexId,
         towards: VertexId,
     ) -> Option<VertexId> {
-        if from.idx() >= self.network().num_vertices() {
-            return None;
-        }
         find_anchor_in(
             &mut scratch.space,
             self.network(),
@@ -802,14 +804,11 @@ mod tests {
         let engine = Engine::from_graphs(&net, &rg);
         let mut scratch = QueryScratch::new();
         let big = VertexId(net.num_vertices() as u32 + 17);
-        assert_eq!(
-            engine.route(&mut scratch, VertexId(0), big),
-            route(&net, &rg, VertexId(0), big)
-        );
-        assert_eq!(
-            engine.route(&mut scratch, big, VertexId(0)),
-            route(&net, &rg, big, VertexId(0))
-        );
+        for (s, d) in [(VertexId(0), big), (big, VertexId(0)), (big, big)] {
+            let free = route(&net, &rg, s, d);
+            assert_eq!(free, None, "query {s:?} -> {d:?}");
+            assert_eq!(engine.route(&mut scratch, s, d), free);
+        }
     }
 
     #[test]

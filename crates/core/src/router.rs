@@ -94,14 +94,17 @@ pub fn region_coverage(
 
 /// Routes from `source` to `destination` using the region graph.
 ///
-/// Returns `None` only when the destination is unreachable in the road
-/// network.
+/// Returns `None` only when an endpoint is not a vertex of the network or
+/// the destination is unreachable.
 pub fn route(
     net: &RoadNetwork,
     rg: &RegionGraph,
     source: VertexId,
     destination: VertexId,
 ) -> Option<RouteResult> {
+    if source.idx() >= net.num_vertices() || destination.idx() >= net.num_vertices() {
+        return None;
+    }
     if source == destination {
         return Some(RouteResult {
             path: Path::single(source),
@@ -196,19 +199,15 @@ fn route_case2(
 ///
 /// Runs through the calling thread's shared search space with an early-exit
 /// settle hook: the search aborts the moment the first in-region vertex
-/// settles instead of settling everything up to `towards` and materialising
-/// the full settle order.  (The search still stops once `towards` settles,
-/// so an anchor is only reported when a region vertex settles no later than
-/// the target — exactly the historical scan-the-settle-order semantics.)
+/// settles.  (The search still stops once `towards` settles, so an anchor is
+/// only reported when a region vertex settles no later than the target.)
+/// Both vertices must be in range; [`route`] checks them.
 fn find_anchor(
     net: &RoadNetwork,
     rg: &RegionGraph,
     from: VertexId,
     towards: VertexId,
 ) -> Option<VertexId> {
-    if from.idx() >= net.num_vertices() {
-        return None;
-    }
     SearchSpace::with_thread_local(|space| find_anchor_in(space, net, rg, from, towards))
 }
 

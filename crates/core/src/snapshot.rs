@@ -20,7 +20,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"L2RSNAP\0"
-//!      8     1  format version (currently 2)
+//!      8     1  format version (currently 3)
 //!      9     8  payload length in bytes (u64)
 //!     17     4  CRC-32 (IEEE) of the payload (u32)
 //!     21     n  payload: dataset name, network, region graph, learned
@@ -34,11 +34,13 @@
 //! **canary probes**: deterministic route queries whose answer digests are
 //! recorded at save time ([`compute_canaries`]) and replayed against the
 //! freshly compiled engine before a hot-swap commits
-//! ([`crate::ModelRegistry`]'s validation stage).
+//! ([`crate::ModelRegistry`]'s validation stage).  Version 3 dropped the
+//! solver byte from the transfer configuration: conjugate gradient is the
+//! only solver.  A loader accepts exactly the current version.
 //!
 //! Loading performs a single file read, decodes into preallocated vectors
 //! (the fixed-stride network tables decode in parallel chunks across
-//! `L2R_THREADS` workers, bit-identically to a serial decode), and
+//! `L2R_THREADS` workers), and
 //! validates every embedded id against the counts stored in the same
 //! payload — a corrupt or truncated file produces a [`SnapshotError`],
 //! never a panic.  Encoding is deterministic (hash maps are written in
@@ -51,9 +53,7 @@ use std::path::{Path, PathBuf};
 
 use l2r_preference::{LearnedPreference, Preference};
 use l2r_region_graph::{decode_region_graph, RegionEdgeId, RegionGraph};
-use l2r_road_network::{
-    decode_network_parallel, CodecError, Decode, Encode, Reader, VertexId, Writer,
-};
+use l2r_road_network::{CodecError, Decode, Encode, Reader, RoadNetwork, VertexId, Writer};
 
 use crate::config::L2rConfig;
 use crate::pipeline::{L2r, OfflineStats};
@@ -63,9 +63,10 @@ use crate::router::RouteResult;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"L2RSNAP\0";
 
 /// Current snapshot format version.  Bumped on any wire-format change;
-/// loaders reject versions they do not know.  Version 2 added the dataset
-/// name and canary probes to the payload.
-pub const SNAPSHOT_VERSION: u8 = 2;
+/// loaders reject every other version.  Version 2 added the dataset name
+/// and canary probes to the payload; version 3 removed the solver byte
+/// from the transfer configuration.
+pub const SNAPSHOT_VERSION: u8 = 3;
 
 /// Size of the fixed header preceding the payload.
 const HEADER_LEN: usize = 8 + 1 + 8 + 4;
@@ -93,7 +94,8 @@ pub enum SnapshotError {
     },
     /// The file does not start with [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The file was written by a newer (or unknown) format version.
+    /// The file was written by any format version other than
+    /// [`SNAPSHOT_VERSION`], older or newer.
     UnsupportedVersion(u8),
     /// The file has the snapshot magic but ends inside the fixed header.
     TruncatedHeader {
@@ -140,7 +142,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot format version {v} (this build reads up to {SNAPSHOT_VERSION})"
+                    "unsupported snapshot format version {v} (this build reads only version {SNAPSHOT_VERSION})"
                 )
             }
             SnapshotError::TruncatedHeader { len } => {
@@ -393,9 +395,8 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
     let dataset = r.str("dataset name", MAX_DATASET_NAME)?.to_string();
     // The network tables dominate the payload at country scale; their
     // fixed-stride wire format lets the decode fan out across `L2R_THREADS`
-    // workers with bit-identical results (and identical errors — truncated
-    // tables fall back to the serial decoder).
-    let net = decode_network_parallel(&mut r)?;
+    // workers.
+    let net = RoadNetwork::decode(&mut r)?;
     let region_graph: RegionGraph = decode_region_graph(&mut r, &net)?;
     let num_edges = region_graph.num_edges();
 

@@ -105,6 +105,24 @@ fn reload_from_a_stale_format_version_keeps_the_old_engine() {
 }
 
 #[test]
+fn reload_from_a_previous_format_version_keeps_the_old_engine() {
+    let (registry, served, mut bytes) = registry_with_model();
+    bytes[8] = l2r_core::SNAPSHOT_VERSION - 1;
+    let path = temp_path("previous-version.l2r");
+    std::fs::write(&path, &bytes).unwrap();
+    let err = registry.reload("city", &path).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(
+            err,
+            RegistryError::Snapshot(SnapshotError::UnsupportedVersion(2))
+        ),
+        "{err}"
+    );
+    assert_still_serving(&registry, &served);
+}
+
+#[test]
 fn reload_from_corrupt_payloads_keeps_the_old_engine() {
     let (registry, served, bytes) = registry_with_model();
     let path = temp_path("corrupt.l2r");

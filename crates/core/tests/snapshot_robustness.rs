@@ -3,7 +3,10 @@
 //! must surface as a [`SnapshotError`], never a panic, and the save → load
 //! file round-trip must reproduce the model bit-exactly.
 
-use l2r_core::{decode_model, encode_model, load_model, save_model, L2r, L2rConfig, SnapshotError};
+use l2r_core::{
+    decode_model, decode_snapshot, encode_model, load_model, save_model, L2r, L2rConfig,
+    SnapshotError,
+};
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
 use l2r_road_network::CodecError;
 
@@ -71,6 +74,23 @@ fn future_format_versions_are_rejected() {
         decode_model(&bytes),
         Err(SnapshotError::UnsupportedVersion(v)) if v == l2r_core::SNAPSHOT_VERSION + 1
     ));
+}
+
+#[test]
+fn previous_format_versions_are_rejected() {
+    // Every snapshot written before the solver byte was dropped carries
+    // version 2; the loader reads exactly one version, not "up to" one.
+    let mut bytes = encode_model(&fitted());
+    bytes[8] = l2r_core::SNAPSHOT_VERSION - 1;
+    let err = decode_snapshot(&bytes).unwrap_err();
+    assert!(matches!(err, SnapshotError::UnsupportedVersion(2)), "{err}");
+    assert!(
+        err.to_string().contains(&format!(
+            "reads only version {}",
+            l2r_core::SNAPSHOT_VERSION
+        )),
+        "{err}"
+    );
 }
 
 #[test]

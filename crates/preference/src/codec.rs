@@ -6,7 +6,6 @@ use l2r_road_network::{CodecError, CostType, Decode, Encode, Reader, RoadTypeSet
 
 use crate::learning::{LearnConfig, LearnedPreference};
 use crate::model::Preference;
-use crate::solver::SolverKind;
 use crate::transfer::TransferConfig;
 
 impl Encode for Preference {
@@ -68,31 +67,11 @@ impl Decode for LearnConfig {
     }
 }
 
-impl Encode for SolverKind {
-    fn encode(&self, w: &mut Writer) {
-        w.u8(match self {
-            SolverKind::ConjugateGradient => 0,
-            SolverKind::Jacobi => 1,
-        });
-    }
-}
-
-impl Decode for SolverKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8("solver kind")? {
-            0 => Ok(SolverKind::ConjugateGradient),
-            1 => Ok(SolverKind::Jacobi),
-            _ => Err(CodecError::Invalid("unknown solver kind")),
-        }
-    }
-}
-
 impl Encode for TransferConfig {
     fn encode(&self, w: &mut Writer) {
         w.f64(self.amr);
         w.f64(self.mu1);
         w.f64(self.mu2);
-        self.solver.encode(w);
         w.f64(self.tolerance);
         w.length(self.max_iterations);
         w.f64(self.slave_threshold);
@@ -105,7 +84,6 @@ impl Decode for TransferConfig {
             amr: r.f64("amr")?,
             mu1: r.f64("mu1")?,
             mu2: r.f64("mu2")?,
-            solver: SolverKind::decode(r)?,
             tolerance: r.f64("solver tolerance")?,
             max_iterations: r.u64("solver iteration budget")? as usize,
             slave_threshold: r.f64("slave threshold")?,
@@ -164,21 +142,16 @@ mod tests {
         assert_eq!(back.min_improvement.to_bits(), lc.min_improvement.to_bits());
         assert_eq!(back.max_paths, lc.max_paths);
 
-        for solver in [SolverKind::ConjugateGradient, SolverKind::Jacobi] {
-            let tc = TransferConfig {
-                solver,
-                ..TransferConfig::default()
-            };
-            let back = roundtrip(&tc);
-            assert_eq!(back.amr.to_bits(), tc.amr.to_bits());
-            assert_eq!(back.solver, tc.solver);
-            assert_eq!(back.max_iterations, tc.max_iterations);
-        }
+        let tc = TransferConfig::default();
+        let back = roundtrip(&tc);
+        assert_eq!(back.amr.to_bits(), tc.amr.to_bits());
+        assert_eq!(back.tolerance.to_bits(), tc.tolerance.to_bits());
+        assert_eq!(back.max_iterations, tc.max_iterations);
+        assert_eq!(back.slave_threshold.to_bits(), tc.slave_threshold.to_bits());
     }
 
     #[test]
     fn bad_tags_error() {
-        assert!(SolverKind::decode(&mut Reader::new(&[9])).is_err());
         // Preference with a bad master tag.
         assert!(Preference::decode(&mut Reader::new(&[8, 0])).is_err());
         // Preference with a bad slave flag.

@@ -8,9 +8,9 @@
 //!   embedding;
 //! * [`learning`] — the coordinate-descent preference learner for T-edges;
 //! * [`re_sim`] — region-edge descriptors and the `reSim` similarity;
-//! * [`sparse`] / [`solver`] — the sparse matrix and the Jacobi /
-//!   conjugate-gradient solvers behind Equation 3 (substituting the Junto
-//!   library used by the paper);
+//! * [`sparse`] / [`solver`] — the sparse matrix and the conjugate-gradient
+//!   solver behind Equation 3 (substituting the Junto library used by the
+//!   paper);
 //! * [`transfer`] — the transduction step that assigns preferences to
 //!   B-edges (or to held-out T-edges for the Figure 9 accuracy experiments).
 
@@ -30,7 +30,7 @@ pub use learning::{
 };
 pub use model::{Preference, NUM_FEATURES};
 pub use re_sim::{build_descriptors, RegionEdgeDescriptor};
-pub use solver::{conjugate_gradient, jacobi, solve, SolveResult, SolverKind};
+pub use solver::{conjugate_gradient, SolveResult};
 pub use sparse::SparseMatrix;
 pub use transfer::{
     build_similarity_rows, build_similarity_rows_naive, transfer_preferences, TransferConfig,

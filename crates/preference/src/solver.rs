@@ -1,22 +1,12 @@
-//! Iterative linear solvers for the transduction system
+//! The conjugate-gradient solver for the transduction system
 //! `(S + μ₁L + μ₂I) · ŷ = S · y` (Equation 3 of the paper).
 //!
 //! The system matrix is symmetric positive definite (S and I are diagonal
-//! with non-negative entries, L is a graph Laplacian, μ₂ > 0), so both the
-//! Jacobi iteration and the conjugate-gradient method apply.  The paper
-//! mentions both; CG is the default because it converges much faster on
-//! poorly conditioned similarity graphs.
+//! with non-negative entries, L is a graph Laplacian, μ₂ > 0), which is what
+//! CG needs; it converges quickly even on poorly conditioned similarity
+//! graphs.
 
 use crate::sparse::SparseMatrix;
-
-/// Which iterative solver to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
-    /// Conjugate gradient (default).
-    ConjugateGradient,
-    /// Jacobi iteration.
-    Jacobi,
-}
 
 /// Outcome of a solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,66 +83,6 @@ pub fn conjugate_gradient(a: &SparseMatrix, b: &[f64], tol: f64, max_iter: usize
     }
 }
 
-/// Solves `A·x = b` with the Jacobi iteration (requires non-zero diagonal).
-pub fn jacobi(a: &SparseMatrix, b: &[f64], tol: f64, max_iter: usize) -> SolveResult {
-    let n = a.dim();
-    assert_eq!(b.len(), n, "dimension mismatch");
-    let mut x = vec![0.0; n];
-    let mut next = vec![0.0; n];
-    let b_norm = norm(b).max(1e-30);
-    let mut iterations = 0;
-    for _ in 0..max_iter {
-        iterations += 1;
-        for i in 0..n {
-            let mut sum = 0.0;
-            let mut diag = 0.0;
-            for (j, v) in a.row(i) {
-                if *j == i {
-                    diag = *v;
-                } else {
-                    sum += v * x[*j];
-                }
-            }
-            next[i] = if diag.abs() > 1e-300 {
-                (b[i] - sum) / diag
-            } else {
-                0.0
-            };
-        }
-        std::mem::swap(&mut x, &mut next);
-        let residual = norm(&sub(b, &a.matvec(&x)));
-        if residual / b_norm <= tol {
-            return SolveResult {
-                x,
-                iterations,
-                residual,
-                converged: true,
-            };
-        }
-    }
-    let residual = norm(&sub(b, &a.matvec(&x)));
-    SolveResult {
-        x,
-        iterations,
-        residual,
-        converged: residual / b_norm <= tol,
-    }
-}
-
-/// Dispatches to the chosen solver.
-pub fn solve(
-    kind: SolverKind,
-    a: &SparseMatrix,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-) -> SolveResult {
-    match kind {
-        SolverKind::ConjugateGradient => conjugate_gradient(a, b, tol, max_iter),
-        SolverKind::Jacobi => jacobi(a, b, tol, max_iter),
-    }
-}
-
 fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
@@ -189,26 +119,6 @@ mod tests {
             res.iterations <= 3 + 1,
             "CG converges in at most n iterations"
         );
-    }
-
-    #[test]
-    fn jacobi_solves_diagonally_dominant_system() {
-        let (a, b, x_true) = spd_system();
-        let res = jacobi(&a, &b, 1e-10, 500);
-        assert!(res.converged);
-        for (xi, ti) in res.x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn solver_dispatch_produces_same_answer() {
-        let (a, b, _) = spd_system();
-        let cg = solve(SolverKind::ConjugateGradient, &a, &b, 1e-10, 200);
-        let ja = solve(SolverKind::Jacobi, &a, &b, 1e-10, 500);
-        for (x, y) in cg.x.iter().zip(&ja.x) {
-            assert!((x - y).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The systems solved during preference transfer are small (one row per
 //! region edge) but sparse; a row-major adjacency-list representation with a
-//! mat-vec product is all the conjugate-gradient and Jacobi solvers need.
+//! mat-vec product is all the conjugate-gradient solver needs.
 
 /// A square sparse matrix stored as per-row `(column, value)` lists.
 #[derive(Debug, Clone)]

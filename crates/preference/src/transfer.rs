@@ -17,7 +17,7 @@ use l2r_region_graph::{RegionEdgeId, RegionGraph};
 
 use crate::model::{Preference, NUM_FEATURES};
 use crate::re_sim::RegionEdgeDescriptor;
-use crate::solver::{solve, SolveResult, SolverKind};
+use crate::solver::{conjugate_gradient, SolveResult};
 use crate::sparse::SparseMatrix;
 
 /// Configuration of the transfer step.
@@ -30,8 +30,6 @@ pub struct TransferConfig {
     pub mu1: f64,
     /// Weight of the L2 regularisation term.
     pub mu2: f64,
-    /// Which linear solver to use.
-    pub solver: SolverKind,
     /// Relative residual tolerance of the solver.
     pub tolerance: f64,
     /// Iteration budget of the solver.
@@ -47,7 +45,6 @@ impl Default for TransferConfig {
             amr: 0.7,
             mu1: 1.0,
             mu2: 0.01,
-            solver: SolverKind::ConjugateGradient,
             tolerance: 1e-8,
             max_iterations: 500,
             slave_threshold: 0.05,
@@ -256,8 +253,7 @@ pub fn transfer_preferences(
         if !any {
             return None;
         }
-        Some(solve(
-            config.solver,
+        Some(conjugate_gradient(
             &a,
             &b,
             config.tolerance,
@@ -451,36 +447,5 @@ mod tests {
             transfer_preferences(&rg, &HashMap::new(), &targets, &TransferConfig::default());
         assert_eq!(result.null_rate, 1.0);
         assert!(result.preferences.values().all(|p| p.is_none()));
-    }
-
-    #[test]
-    fn jacobi_and_cg_agree_on_transferred_masters() {
-        let rg = build_region_graph();
-        let labeled = label_all_t_edges(&rg);
-        let targets: Vec<RegionEdgeId> = rg.b_edges().map(|e| e.id).collect();
-        let cg = transfer_preferences(&rg, &labeled, &targets, &TransferConfig::default());
-        let ja = transfer_preferences(
-            &rg,
-            &labeled,
-            &targets,
-            &TransferConfig {
-                solver: SolverKind::Jacobi,
-                max_iterations: 2000,
-                ..TransferConfig::default()
-            },
-        );
-        let mut agreements = 0usize;
-        let mut comparable = 0usize;
-        for (id, p) in &cg.preferences {
-            if let (Some(a), Some(b)) = (p, ja.preferences.get(id).copied().flatten()) {
-                comparable += 1;
-                if a.master == b.master {
-                    agreements += 1;
-                }
-            }
-        }
-        if comparable > 0 {
-            assert!(agreements as f64 / comparable as f64 > 0.8);
-        }
     }
 }

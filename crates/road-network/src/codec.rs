@@ -505,61 +505,35 @@ impl Encode for RoadNetwork {
     }
 }
 
-impl Decode for RoadNetwork {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let num_vertices = r.length("vertex count", 16)?;
-        let mut vertices = Vec::with_capacity(num_vertices);
-        for i in 0..num_vertices {
-            vertices.push(Vertex {
-                id: VertexId(i as u32),
-                point: Point::decode(r)?,
-            });
-        }
-        let num_edges = r.length("edge count", 33)?;
-        let mut edges = Vec::with_capacity(num_edges);
-        for i in 0..num_edges {
-            let from = decode_vertex(r, num_vertices)?;
-            let to = decode_vertex(r, num_vertices)?;
-            let weights = EdgeWeights::decode(r)?;
-            let road_type = RoadType::decode(r)?;
-            if from == to {
-                return Err(CodecError::Invalid("self-loop edge"));
-            }
-            edges.push(Edge {
-                id: EdgeId(i as u32),
-                from,
-                to,
-                weights,
-                road_type,
-            });
-        }
-        Ok(RoadNetwork::from_parts(vertices, edges))
-    }
+/// Records per decode chunk of a `len`-record table: four chunks per
+/// [`l2r_par`] worker, but never fewer than 8,192 records, below which the
+/// spawn overhead outweighs the decode work.
+fn chunk_len(len: usize) -> usize {
+    len.div_ceil(l2r_par::max_threads().max(1) * 4).max(8_192)
 }
 
-/// Splits `0..len` into contiguous chunks sized for [`l2r_par`] workers.
-fn decode_chunks(len: usize) -> Vec<(usize, usize)> {
-    // Below this many elements the spawn overhead outweighs the decode work.
-    const MIN_CHUNK: usize = 8_192;
-    let pieces = l2r_par::max_threads() * 4;
-    let chunk = len.div_ceil(pieces.max(1)).max(MIN_CHUNK);
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start < len {
-        let n = chunk.min(len - start);
-        out.push((start, n));
-        start += n;
-    }
-    out
-}
-
-/// Merges per-chunk decode results in chunk order, so on malformed input the
-/// error of the lowest-indexed failing chunk is reported — deterministic
-/// regardless of thread scheduling.
-fn merge_chunks<T>(
-    len: usize,
-    chunks: Vec<Result<Vec<T>, CodecError>>,
-) -> Result<Vec<T>, CodecError> {
+/// Decodes a fixed-stride table of `table.len() / stride` records, fanning
+/// contiguous chunks across [`l2r_par`] workers.  `record(r, i)` decodes
+/// record `i` from a reader positioned at its first byte.  Chunks are merged
+/// in order, so on malformed input the error of the lowest-indexed failing
+/// record is reported, whatever the thread count or scheduling.
+fn decode_table<T, F>(table: &[u8], stride: usize, record: F) -> Result<Vec<T>, CodecError>
+where
+    T: Send,
+    F: Fn(&mut Reader<'_>, usize) -> Result<T, CodecError> + Sync,
+{
+    let len = table.len() / stride;
+    let chunk = chunk_len(len);
+    let starts: Vec<usize> = (0..len).step_by(chunk).collect();
+    let chunks = l2r_par::par_map(&starts, |_, &start| {
+        let end = (start + chunk).min(len);
+        let mut r = Reader::new(&table[start * stride..end * stride]);
+        let mut out = Vec::with_capacity(end - start);
+        for i in start..end {
+            out.push(record(&mut r, i)?);
+        }
+        Ok(out)
+    });
     let mut out = Vec::with_capacity(len);
     for chunk in chunks {
         out.extend(chunk?);
@@ -567,84 +541,42 @@ fn merge_chunks<T>(
     Ok(out)
 }
 
-/// Decodes a road network from the exact wire form of
-/// [`RoadNetwork::decode`], fanning the fixed-stride vertex and edge tables
-/// across [`l2r_par`] workers.
-///
-/// Vertex records are 16 bytes and edge records 33 bytes on the wire, so the
-/// tables can be sliced into independent chunks without a format change; the
-/// per-record validation is byte-for-byte the same as the serial decoder and
-/// the decoded network is identical (ids are positional).  Small tables fall
-/// back to the serial path, as does a table that is truncated (so the serial
-/// decoder's precise error surfaces).  The reader is left positioned exactly
-/// where the serial decoder would leave it.
-pub fn decode_network_parallel(r: &mut Reader<'_>) -> Result<RoadNetwork, CodecError> {
-    // Peek the counts without consuming: on any shortfall, replay serially
-    // from the saved position for identical error reporting.
-    let table_start = r.pos;
-    let num_vertices = r.length("vertex count", VERTEX_WIRE_BYTES)?;
-    let vertex_bytes = num_vertices * VERTEX_WIRE_BYTES;
-    if r.remaining() < vertex_bytes {
-        r.pos = table_start;
-        return RoadNetwork::decode(r);
-    }
-    let vertex_table = &r.buf[r.pos..r.pos + vertex_bytes];
-    r.pos += vertex_bytes;
-    let num_edges = r.length("edge count", EDGE_WIRE_BYTES)?;
-    let edge_bytes = num_edges * EDGE_WIRE_BYTES;
-    if r.remaining() < edge_bytes {
-        r.pos = table_start;
-        return RoadNetwork::decode(r);
-    }
-    let edge_table = &r.buf[r.pos..r.pos + edge_bytes];
-    r.pos += edge_bytes;
+impl Decode for RoadNetwork {
+    /// Vertex records are 16 bytes and edge records 33 bytes on the wire, so
+    /// both tables decode in parallel chunks (see [`l2r_par`]).  Ids are
+    /// positional, so the network does not depend on the chunking.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        // `length` bounds each count by the bytes left, so the whole table
+        // is always there to take.
+        let num_vertices = r.length("vertex count", VERTEX_WIRE_BYTES)?;
+        let vertex_table = r.take(num_vertices * VERTEX_WIRE_BYTES, "vertex table")?;
+        let num_edges = r.length("edge count", EDGE_WIRE_BYTES)?;
+        let edge_table = r.take(num_edges * EDGE_WIRE_BYTES, "edge table")?;
 
-    let vertex_chunks = decode_chunks(num_vertices);
-    let vertices = merge_chunks(
-        num_vertices,
-        l2r_par::par_map(&vertex_chunks, |_, &(start, len)| {
-            let mut rr = Reader::new(
-                &vertex_table[start * VERTEX_WIRE_BYTES..(start + len) * VERTEX_WIRE_BYTES],
-            );
-            let mut out = Vec::with_capacity(len);
-            for i in 0..len {
-                out.push(Vertex {
-                    id: VertexId((start + i) as u32),
-                    point: Point::decode(&mut rr)?,
-                });
+        let vertices = decode_table(vertex_table, VERTEX_WIRE_BYTES, |r, i| {
+            Ok(Vertex {
+                id: VertexId(i as u32),
+                point: Point::decode(r)?,
+            })
+        })?;
+        let edges = decode_table(edge_table, EDGE_WIRE_BYTES, |r, i| {
+            let from = decode_vertex(r, num_vertices)?;
+            let to = decode_vertex(r, num_vertices)?;
+            let weights = EdgeWeights::decode(r)?;
+            let road_type = RoadType::decode(r)?;
+            if from == to {
+                return Err(CodecError::Invalid("self-loop edge"));
             }
-            Ok(out)
-        }),
-    )?;
-
-    let edge_chunks = decode_chunks(num_edges);
-    let edges = merge_chunks(
-        num_edges,
-        l2r_par::par_map(&edge_chunks, |_, &(start, len)| {
-            let mut rr =
-                Reader::new(&edge_table[start * EDGE_WIRE_BYTES..(start + len) * EDGE_WIRE_BYTES]);
-            let mut out = Vec::with_capacity(len);
-            for i in 0..len {
-                let from = decode_vertex(&mut rr, num_vertices)?;
-                let to = decode_vertex(&mut rr, num_vertices)?;
-                let weights = EdgeWeights::decode(&mut rr)?;
-                let road_type = RoadType::decode(&mut rr)?;
-                if from == to {
-                    return Err(CodecError::Invalid("self-loop edge"));
-                }
-                out.push(Edge {
-                    id: EdgeId((start + i) as u32),
-                    from,
-                    to,
-                    weights,
-                    road_type,
-                });
-            }
-            Ok(out)
-        }),
-    )?;
-
-    Ok(RoadNetwork::from_parts(vertices, edges))
+            Ok(Edge {
+                id: EdgeId(i as u32),
+                from,
+                to,
+                weights,
+                road_type,
+            })
+        })?;
+        Ok(RoadNetwork::from_parts(vertices, edges))
+    }
 }
 
 #[cfg(test)]
@@ -817,12 +749,36 @@ mod tests {
         assert_eq!(w2.into_vec(), bytes);
     }
 
+    /// Decodes `bytes` and checks the decoder's contract: an error, or a
+    /// network that re-encodes to exactly the bytes it consumed — never a
+    /// panic.  Returns whether the decode succeeded; `case` names the input
+    /// in failure messages.
+    fn assert_decode_is_total(bytes: &[u8], case: &str) -> bool {
+        let outcome = std::panic::catch_unwind(|| {
+            let mut r = Reader::new(bytes);
+            RoadNetwork::decode(&mut r).map(|net| (net, bytes.len() - r.remaining()))
+        });
+        let Ok(decoded) = outcome else {
+            panic!("{case}: decode panicked");
+        };
+        let Ok((net, consumed)) = decoded else {
+            return false;
+        };
+        let mut w = Writer::new();
+        net.encode(&mut w);
+        assert!(
+            w.as_slice() == &bytes[..consumed],
+            "{case}: re-encoding differs from the {consumed} bytes consumed"
+        );
+        true
+    }
+
     #[test]
-    fn parallel_network_decode_matches_serial_bit_for_bit() {
-        // Large enough that the chunked path actually splits the tables
-        // when more than one worker is available.
+    fn network_decode_is_total_across_chunk_splits() {
+        // 12,100 vertices and ~48k directed edges: both tables span more
+        // than one decode chunk.
         let mut b = RoadNetworkBuilder::new();
-        let side = 110usize; // 12,100 vertices, ~48k directed edges
+        let side = 110usize;
         for y in 0..side {
             for x in 0..side {
                 b.add_vertex(Point::new(x as f64 * 90.0, y as f64 * 90.0));
@@ -842,32 +798,72 @@ mod tests {
             }
         }
         let net = b.build();
+        let (nv, ne) = (net.num_vertices(), net.num_edges());
+        assert!(
+            nv > chunk_len(nv) && ne > chunk_len(ne),
+            "tables must split"
+        );
         let mut w = Writer::new();
         net.encode(&mut w);
+        let network_len = w.len();
         w.u64(0xFEED_FACE); // trailing data the decoder must not consume
         let bytes = w.into_vec();
 
-        let mut serial_r = Reader::new(&bytes);
-        let serial = RoadNetwork::decode(&mut serial_r).unwrap();
-        let mut parallel_r = Reader::new(&bytes);
-        let parallel = decode_network_parallel(&mut parallel_r).unwrap();
+        // The intact buffer decodes, stops before the trailer and
+        // reproduces the original network.
+        let mut r = Reader::new(&bytes);
+        let decoded = RoadNetwork::decode(&mut r).unwrap();
+        assert_eq!(r.remaining(), 8);
+        assert_eq!(r.u64("trailer").unwrap(), 0xFEED_FACE);
+        assert_eq!(decoded.vertices(), net.vertices());
+        assert_eq!(decoded.edges(), net.edges());
+        assert!(assert_decode_is_total(&bytes, "intact"));
 
-        // Both decoders consume exactly the same bytes.
-        assert_eq!(serial_r.remaining(), parallel_r.remaining());
-        assert_eq!(parallel_r.u64("trailer").unwrap(), 0xFEED_FACE);
+        // A truncation decodes iff it keeps the whole network.
+        let check_cut = |cut: usize| {
+            let ok = assert_decode_is_total(&bytes[..cut], &format!("cut at {cut}"));
+            assert_eq!(ok, cut >= network_len, "cut at {cut}");
+        };
 
-        assert_eq!(serial.num_vertices(), parallel.num_vertices());
-        assert_eq!(serial.num_edges(), parallel.num_edges());
-        for (a, b) in serial.vertices().iter().zip(parallel.vertices()) {
-            assert_eq!(a, b);
+        // Truncations at every record boundary ±1 near the table edges and
+        // the chunk splits.
+        let edge_table = 8 + nv * VERTEX_WIRE_BYTES + 8;
+        let mut boundaries = vec![0, 8, edge_table - 8, network_len, bytes.len()];
+        for (table, len, stride) in [
+            (8, nv, VERTEX_WIRE_BYTES),
+            (edge_table, ne, EDGE_WIRE_BYTES),
+        ] {
+            for split in (0..=len).step_by(chunk_len(len)).chain([len]) {
+                for record in split.saturating_sub(2)..=(split + 2).min(len) {
+                    boundaries.push(table + record * stride);
+                }
+            }
         }
-        for (a, b) in serial.edges().iter().zip(parallel.edges()) {
-            assert_eq!(a, b);
+        for boundary in boundaries {
+            for cut in boundary.saturating_sub(1)..=(boundary + 1).min(bytes.len()) {
+                check_cut(cut);
+            }
         }
-        // Re-encoding reproduces the original bytes (minus the trailer).
-        let mut w2 = Writer::new();
-        parallel.encode(&mut w2);
-        assert_eq!(w2.as_slice(), &bytes[..bytes.len() - 8]);
+
+        // Seeded cut points and single-byte flips anywhere in the buffer.
+        let mut state = 0x1234_5678_9ABC_DEF0u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..2_000 {
+            check_cut((next() % (bytes.len() as u64 + 1)) as usize);
+        }
+        let mut flipped = bytes.clone();
+        for _ in 0..2_000 {
+            let at = (next() % bytes.len() as u64) as usize;
+            let mask = (next() % 255 + 1) as u8;
+            flipped[at] ^= mask;
+            assert_decode_is_total(&flipped, &format!("byte {at} ^ {mask:#04x}"));
+            flipped[at] ^= mask;
+        }
     }
 
     #[test]
@@ -876,28 +872,12 @@ mod tests {
         let mut w = Writer::new();
         net.encode(&mut w);
         let bytes = w.into_vec();
-        // Truncations fall back to the serial decoder and must error.
         for cut in [0, 3, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                decode_network_parallel(&mut Reader::new(&bytes[..cut])).is_err(),
+                RoadNetwork::decode(&mut Reader::new(&bytes[..cut])).is_err(),
                 "truncation at {cut} must error"
             );
         }
-        // An out-of-range endpoint is rejected just like the serial path.
-        let mut w = Writer::new();
-        w.length(2);
-        Point::new(0.0, 0.0).encode(&mut w);
-        Point::new(10.0, 0.0).encode(&mut w);
-        w.length(1);
-        w.u32(5); // from: out of range
-        w.u32(1);
-        EdgeWeights::derive(10.0, RoadType::Primary).encode(&mut w);
-        RoadType::Primary.encode(&mut w);
-        let bytes = w.into_vec();
-        assert!(matches!(
-            decode_network_parallel(&mut Reader::new(&bytes)),
-            Err(CodecError::IndexOutOfRange { .. })
-        ));
     }
 
     #[test]

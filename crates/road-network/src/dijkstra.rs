@@ -1,7 +1,5 @@
 //! Single-objective shortest-path search (Dijkstra's algorithm) and variants
-//! used throughout the paper: shortest, fastest and fuel-optimal paths, plus
-//! a search that reports the settle order (used by L2R routing Case 2 to find
-//! candidate regions along the fastest path).
+//! used throughout the paper: shortest, fastest and fuel-optimal paths.
 //!
 //! The functions here are thin compatibility wrappers over the reusable
 //! [`SearchSpace`] of [`crate::search_space`]: each call borrows the calling
@@ -21,8 +19,6 @@ pub struct SearchResult {
     source: VertexId,
     dist: Vec<f64>,
     parent: Vec<Option<VertexId>>,
-    /// Vertices in the order they were settled (popped with final distance).
-    pub settle_order: Vec<VertexId>,
 }
 
 impl SearchResult {
@@ -74,7 +70,6 @@ impl SearchResult {
             source: space.source(),
             dist,
             parent,
-            settle_order: space.settle_order().to_vec(),
         }
     }
 }
@@ -122,23 +117,6 @@ pub fn fastest_path(net: &RoadNetwork, source: VertexId, target: VertexId) -> Op
 /// Fuel-optimal path.
 pub fn most_economic_path(net: &RoadNetwork, source: VertexId, target: VertexId) -> Option<Path> {
     lowest_cost_path(net, source, target, CostType::Fuel)
-}
-
-/// Fastest path together with the order in which vertices were settled by the
-/// search.  L2R routing Case 2 scans the settle order to find candidate
-/// regions near the source/destination (Section VI).
-pub fn fastest_path_with_settle_order(
-    net: &RoadNetwork,
-    source: VertexId,
-    target: VertexId,
-) -> (Option<Path>, Vec<VertexId>) {
-    if source.idx() >= net.num_vertices() || target.idx() >= net.num_vertices() {
-        return (None, Vec::new());
-    }
-    SearchSpace::with_thread_local(|space| {
-        space.dijkstra(net, source, Some(target), |e| e.cost(CostType::TravelTime));
-        (space.path_to(target), space.settle_order().to_vec())
-    })
 }
 
 /// One-to-all search under a cost type (no early termination).
@@ -231,15 +209,6 @@ mod tests {
         assert!(shortest_path(&net, VertexId(0), VertexId(1)).is_none());
         // Out-of-range vertices are handled gracefully.
         assert!(shortest_path(&net, VertexId(0), VertexId(99)).is_none());
-    }
-
-    #[test]
-    fn settle_order_starts_at_source_and_reaches_target() {
-        let net = two_route_network();
-        let (path, order) = fastest_path_with_settle_order(&net, VertexId(0), VertexId(3));
-        assert!(path.is_some());
-        assert_eq!(order.first(), Some(&VertexId(0)));
-        assert_eq!(order.last(), Some(&VertexId(3)));
     }
 
     #[test]

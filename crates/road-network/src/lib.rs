@@ -39,13 +39,13 @@ pub mod spatial;
 pub mod weights;
 
 pub use codec::{
-    decode_network_parallel, decode_path, decode_vertex, CodecError, Decode, Encode, Reader,
-    Writer, EDGE_WIRE_BYTES, VERTEX_WIRE_BYTES,
+    decode_path, decode_vertex, CodecError, Decode, Encode, Reader, Writer, EDGE_WIRE_BYTES,
+    VERTEX_WIRE_BYTES,
 };
 pub use constrained::preference_constrained_path;
 pub use dijkstra::{
-    dijkstra, fastest_path, fastest_path_with_settle_order, lowest_cost_path, most_economic_path,
-    one_to_all, shortest_path, weighted_path, SearchResult,
+    dijkstra, fastest_path, lowest_cost_path, most_economic_path, one_to_all, shortest_path,
+    weighted_path, SearchResult,
 };
 pub use error::NetworkError;
 pub use graph::{Edge, EdgeId, RoadNetwork, RoadNetworkBuilder, Vertex, VertexId};

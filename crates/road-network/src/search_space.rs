@@ -83,7 +83,7 @@ impl PartialOrd for QueueEntry {
 /// `SearchSpace` perform no per-query allocation (beyond growing the arrays
 /// the first time a larger network is seen); results are read back through
 /// [`SearchSpace::cost_to`], [`SearchSpace::path_to`] and
-/// [`SearchSpace::settle_order`] until the next search overwrites them.
+/// [`SearchSpace::is_settled`] until the next search overwrites them.
 ///
 /// A `SearchSpace` is intentionally `!Sync`: use one instance per thread
 /// (e.g. one per worker of `l2r_par::par_map_init`).
@@ -100,7 +100,6 @@ pub struct SearchSpace {
     /// Stamp marking the target set of a one-to-many search.
     target_stamp: Vec<u32>,
     heap: BinaryHeap<QueueEntry>,
-    settle_order: Vec<VertexId>,
     source: VertexId,
 }
 
@@ -127,7 +126,6 @@ impl SearchSpace {
             settled: Vec::new(),
             target_stamp: Vec::new(),
             heap: BinaryHeap::new(),
-            settle_order: Vec::new(),
             source: VertexId(0),
         }
     }
@@ -161,7 +159,6 @@ impl SearchSpace {
         }
         self.generation += 1;
         self.heap.clear();
-        self.settle_order.clear();
         self.source = source;
         SEARCHES.fetch_add(1, AtomicOrdering::Relaxed);
     }
@@ -216,7 +213,6 @@ impl SearchSpace {
                 continue;
             }
             self.settled[vi] = generation;
-            self.settle_order.push(vertex);
             if let Some(hook) = on_settle.as_deref_mut() {
                 if hook(vertex) {
                     break;
@@ -293,10 +289,8 @@ impl SearchSpace {
     /// search immediately.  The search also stops once `target` (when given)
     /// is settled, exactly like [`SearchSpace::dijkstra`].
     ///
-    /// This replaces the "run a full search, then scan the materialised
-    /// settle order" pattern: L2R's Case-2 anchor search stops at the *first*
-    /// settled region vertex instead of settling everything up to the target
-    /// and copying the whole settle order into a fresh `Vec`.
+    /// L2R's Case-2 anchor search uses it to stop at the *first* settled
+    /// region vertex instead of settling everything up to the target.
     pub fn dijkstra_with_settle<F, C>(
         &mut self,
         net: &RoadNetwork,
@@ -468,11 +462,6 @@ impl SearchSpace {
         vertices.reverse();
         Path::new(vertices).ok()
     }
-
-    /// Vertices in the order they were settled by the most recent search.
-    pub fn settle_order(&self) -> &[VertexId] {
-        &self.settle_order
-    }
 }
 
 #[cfg(test)]
@@ -587,11 +576,17 @@ mod tests {
         assert!(searches_performed() > before);
     }
 
+    /// Vertices of `net` the most recent search on `space` settled.
+    fn settled_count(space: &SearchSpace, net: &RoadNetwork) -> usize {
+        (0..net.num_vertices() as u32)
+            .filter(|&v| space.is_settled(VertexId(v)))
+            .count()
+    }
+
     #[test]
-    fn settle_hook_sees_settle_order_and_can_stop_early() {
+    fn settle_hook_sees_source_first_and_non_decreasing_costs() {
         let net = two_route_network();
         let mut space = SearchSpace::new();
-        // Without early exit the hook observes the full settle order.
         let mut observed = Vec::new();
         space.dijkstra_with_settle(
             &net,
@@ -603,11 +598,25 @@ mod tests {
                 false
             },
         );
-        assert_eq!(observed, space.settle_order());
         assert_eq!(observed.first(), Some(&VertexId(0)));
-        assert_eq!(observed.last(), Some(&VertexId(3)));
+        assert_eq!(observed.last(), Some(&VertexId(3)), "stops at the target");
+        // Every settled vertex is observed exactly once, in cost order.
+        assert_eq!(observed.len(), settled_count(&space, &net));
+        let costs: Vec<f64> = observed
+            .iter()
+            .map(|&v| space.cost_to(v).unwrap())
+            .collect();
+        assert!(
+            costs.windows(2).all(|w| w[0] <= w[1]),
+            "settle costs must never decrease: {costs:?}"
+        );
+    }
 
-        // Early exit: stop at the first settled vertex other than the source.
+    #[test]
+    fn settle_hook_stops_the_search_early() {
+        let net = two_route_network();
+        let mut space = SearchSpace::new();
+        // Stop at the first settled vertex other than the source.
         let mut count = 0usize;
         space.dijkstra_with_settle(
             &net,
@@ -620,7 +629,7 @@ mod tests {
             },
         );
         assert_eq!(count, 2, "source + the first non-source settle");
-        assert_eq!(space.settle_order().len(), 2);
+        assert_eq!(settled_count(&space, &net), 2);
     }
 
     #[test]

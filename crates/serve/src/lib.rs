@@ -1047,6 +1047,18 @@ mod tests {
     }
 
     #[test]
+    fn protocol_answers_noroute_for_out_of_range_vertices() {
+        let state = state_with("D1");
+        let mut scratch = QueryScratch::new();
+        for line in ["route D1 4000000000 4000000000", "route D1 0 4000000000"] {
+            let (resp, _) = respond_line(&state, &mut scratch, line);
+            assert_eq!(resp, "NOROUTE", "{line}");
+        }
+        assert_eq!(state.stats().queries(), 2);
+        assert_eq!(state.stats().answered(), 0);
+    }
+
+    #[test]
     fn protocol_batch_counts_and_items_line_up() {
         let state = state_with("D1");
         let mut scratch = QueryScratch::new();
