@@ -348,6 +348,7 @@ impl Rule for AtomicOrderingJustified {
 const HOT_PATH_FILES: &[&str] = &[
     "crates/serve/src/reactor.rs",
     "crates/serve/src/frame.rs",
+    "crates/serve/src/request.rs",
     "crates/serve/src/queue.rs",
 ];
 
@@ -369,7 +370,7 @@ impl Rule for NoPanicHotPath {
         "no-panic-hot-path"
     }
     fn description(&self) -> &'static str {
-        "unwrap/expect/panic!/unreachable! banned in the serving request path (reactor/frame/queue)"
+        "unwrap/expect/panic!/unreachable! banned in the serving request path (reactor/frame/request/queue)"
     }
     fn applies_to(&self, rel: &str) -> bool {
         HOT_PATH_FILES.iter().any(|f| rel.ends_with(f))

@@ -44,7 +44,9 @@ use l2r_core::{
     StoreOptions,
 };
 use l2r_eval::{build_test_queries, Dataset, TestQuery};
-use l2r_serve::{Client, FaultConfig, FaultPlan, LoadConfig, Protocol, Server, ServerConfig};
+use l2r_serve::{
+    Client, Counter, FaultConfig, FaultPlan, LoadConfig, Protocol, Server, ServerConfig,
+};
 
 /// One thread-count measurement of the sweep.
 #[derive(Debug, Clone)]
@@ -557,10 +559,10 @@ pub fn serving_bench_for(
         let counters = plan.counters();
         let stats = chaos_state.stats();
         let mut violations = Vec::new();
-        if stats.panics_caught() != counters.panics_injected {
+        if stats.get(Counter::PanicsCaught) != counters.panics_injected {
             violations.push(format!(
                 "panics_caught {} != panics_injected {}",
-                stats.panics_caught(),
+                stats.get(Counter::PanicsCaught),
                 counters.panics_injected
             ));
         }
@@ -570,10 +572,10 @@ pub fn serving_bench_for(
                 load.internal_errors, counters.panics_injected
             ));
         }
-        if stats.workers_respawned() != 0 {
+        if stats.get(Counter::WorkersRespawned) != 0 {
             violations.push(format!(
                 "{} worker(s) died under isolated handler panics",
-                stats.workers_respawned()
+                stats.get(Counter::WorkersRespawned)
             ));
         }
         if load.errors != 0 {
@@ -602,10 +604,10 @@ pub fn serving_bench_for(
             p50_us: load.p50_us,
             p99_us: load.p99_us,
             panics_injected: counters.panics_injected,
-            panics_caught: stats.panics_caught(),
-            workers_respawned: stats.workers_respawned(),
-            idle_reaped: stats.idle_reaped(),
-            write_stalls: stats.write_stalls(),
+            panics_caught: stats.get(Counter::PanicsCaught),
+            workers_respawned: stats.get(Counter::WorkersRespawned),
+            idle_reaped: stats.get(Counter::IdleReaped),
+            write_stalls: stats.get(Counter::WriteStalls),
             open_connections_after: chaos_state.open_connections(),
             invariant_violations: violations,
         }

@@ -23,7 +23,7 @@
 //! |---|---|
 //! | `ping` | `OK pong` |
 //! | `route <dataset> <src> <dst> [<deadline_ms>]` | `OK <strategy> <n> <v0> … <vn-1>` \| `NOROUTE` \| `BUSY` \| `ERR deadline …` \| `ERR internal …` \| `ERR …` |
-//! | `route_batch <dataset> <s,d> [<s,d> …]` | `OK <total> <answered> <item> …` (item = `<strategy>:<n>` or `-`) |
+//! | `route_batch <dataset> <s,d> [<s,d> …]` | `OK <total> <answered> <item> …` (item = `<strategy>:<n>` or `-`) \| `BUSY` \| `ERR deadline exceeded` \| `ERR internal …` \| `ERR …` |
 //! | `info <dataset>` | `OK dataset=… vertices=… edges=… regions=… connectors=… generation=…` |
 //! | `stats` | `OK uptime_ms=… connections=… queries=… answered=… errors=… reloads=… shed=… batches=… deadline_exceeded=… panics_caught=… idle_reaped=… write_stalls=… rejected=… respawned=… validation_failures=… rollbacks=… generations=… datasets=…` |
 //! | `reload <dataset> <path> [latest\|<gen>]` | `OK dataset=… generation=…` \| `ERR reload failed: …` |
@@ -52,6 +52,13 @@
 //! [`frame::Status::Err`] whose message starts with `internal` — in every
 //! case request-scoped: the connection keeps serving.
 //!
+//! Both protocols parse into one request type and run through one
+//! executor, so every verb behaves identically on either wire: a
+//! `route_batch` is admitted (or shed `BUSY`) as a whole, honours its
+//! deadline and isolates panics exactly like single routes do.  A `route`
+//! line with a token after its optional deadline is malformed
+//! (`ERR usage: …`).
+//!
 //! ## Operational behaviour
 //!
 //! The server is self-healing by construction (see [`ServerConfig`] for
@@ -59,10 +66,9 @@
 //! operator view):
 //!
 //! * **deadlines** — every route carries a budget (client-supplied or
-//!   [`ServerConfig::default_deadline`]), enforced at admission, at
-//!   batch-coalesce time (a batch never waits past its earliest member's
-//!   budget) and again before execution;
-//! * **panic isolation** — route execution runs under `catch_unwind`; a
+//!   [`ServerConfig::default_deadline`]), enforced at admission and again
+//!   before and after execution;
+//! * **panic isolation** — every request runs under `catch_unwind`; a
 //!   panicking handler costs one request, never a worker thread, and a
 //!   watchdog respawns any event loop that dies anyway;
 //! * **connection hygiene** — idle connections are reaped, write-stalled
@@ -80,11 +86,11 @@
 //!
 //! `workers` poll(2) event loops share the non-blocking listener;
 //! each owns its accepted connections outright.  Admitted `route` queries
-//! from all of a loop's connections coalesce into latency-budget-aware
-//! batches executed through one reusable [`l2r_core::QueryScratch`] per
-//! loop (from the shared [`l2r_core::ScratchPool`]) or, for large
-//! batches, [`l2r_core::Engine::route_many`] — so steady-state serving
-//! does not allocate search state per query.  Engines are handed out as
+//! from all of a loop's connections coalesce into batches of whatever
+//! arrived during one poll round, executed through one reusable
+//! [`l2r_core::QueryScratch`] per loop (from the shared
+//! [`l2r_core::ScratchPool`]) — so steady-state serving does not allocate
+//! search state per query.  Engines are handed out as
 //! `Arc<Engine>` per request: a concurrent hot-swap can never expose a
 //! half-swapped model.
 //!
@@ -102,8 +108,10 @@ pub mod queue;
 mod client;
 mod load;
 mod reactor;
+mod request;
 mod smoke;
 
+use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -111,8 +119,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use l2r_core::{ModelRegistry, ModelStore, QueryScratch, RegistryError, RouteResult, ScratchPool};
-use l2r_road_network::VertexId;
+use l2r_core::{ModelRegistry, ModelStore, RegistryError, ScratchPool};
 
 pub use client::{
     route_reply_to_line, BatchItemReply, BinClient, Client, DatasetInfo, RetryPolicy,
@@ -122,14 +129,11 @@ pub use faults::{FaultConfig, FaultCounters, FaultPlan};
 pub use health::{DatasetHealth, HealthMap};
 pub use load::{run_load, LoadConfig, LoadReport, Protocol};
 pub use queue::{DatasetQueue, DEFAULT_QUEUE_CAPACITY};
-pub use reactor::PARALLEL_BATCH_MIN;
+pub use request::format_route_response;
 pub use smoke::{registry_from_specs, run_smoke, run_smoke_with};
 
 /// Default event-loop thread count of a server.
 pub const DEFAULT_WORKERS: usize = 4;
-
-/// Default flush threshold of the per-loop route batch.
-pub const DEFAULT_BATCH_MAX: usize = 64;
 
 /// Default per-request deadline granted to routes that carry none.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(5);
@@ -155,17 +159,9 @@ pub struct ServerConfig {
     /// Bound on admitted-but-unanswered `route` queries per dataset;
     /// overflow is answered `BUSY` (see [`queue`]).
     pub queue_capacity: usize,
-    /// Route batches flush at this size even mid-read, so admission depth
-    /// stays bounded by it under pipelined floods.
-    pub batch_max: usize,
-    /// How long a loop may hold a non-full batch hoping to coalesce more
-    /// queries.  Zero (the default) flushes every poll iteration: batches
-    /// then form naturally from whatever arrived while the previous batch
-    /// executed, adding no latency.
-    pub batch_budget: Duration,
     /// Deadline granted to route requests that do not carry their own.
-    /// Enforced at admission, at batch-coalesce time and before execution;
-    /// an expired request answers `DeadlineExceeded` / `ERR deadline`.
+    /// Enforced at admission and again before and after execution; an
+    /// expired request answers `DeadlineExceeded` / `ERR deadline`.
     pub default_deadline: Duration,
     /// Connections idle (no admitted work, nothing buffered in or out)
     /// longer than this are reaped.  `Duration::ZERO` disables reaping.
@@ -200,8 +196,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: DEFAULT_WORKERS,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            batch_max: DEFAULT_BATCH_MAX,
-            batch_budget: Duration::ZERO,
             default_deadline: DEFAULT_DEADLINE,
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
             write_stall_timeout: Duration::from_secs(5),
@@ -219,129 +213,96 @@ impl Default for ServerConfig {
 // Server state
 // ---------------------------------------------------------------------------
 
+/// One monotonic serving counter of [`ServerStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Connections accepted.
+    Connections,
+    /// Route queries executed (batch items count individually).
+    Queries,
+    /// Executed queries that produced a route.
+    Answered,
+    /// Requests rejected with `ERR` (malformed, unknown dataset, failed
+    /// reload or rollback, framing violations).
+    Errors,
+    /// Successful hot-reloads.
+    Reloads,
+    /// Route queries answered `BUSY` by load-shedding.
+    Shed,
+    /// Route batches executed by the event loops.
+    Batches,
+    /// Route requests that expired before they could be answered
+    /// (`DeadlineExceeded` / `ERR deadline`).
+    DeadlineExceeded,
+    /// Handler panics converted into request-scoped `ERR internal`
+    /// replies by panic isolation.
+    PanicsCaught,
+    /// Connections reaped for exceeding the idle timeout.
+    IdleReaped,
+    /// Connections disconnected by write-stall (slow-loris) detection.
+    WriteStalls,
+    /// Connections shed at accept time by the connection cap.
+    ConnsRejected,
+    /// Event-loop threads respawned by the watchdog after dying to a
+    /// panic that escaped request-scoped isolation.
+    WorkersRespawned,
+    /// Reload attempts rejected by snapshot validation (wrong dataset
+    /// stamp or canary digest mismatch) — each one kept the old engine
+    /// serving.
+    ValidationFailures,
+    /// Rollbacks performed — explicit `rollback` commands plus automatic
+    /// post-swap probation triggers.
+    Rollbacks,
+}
+
+/// Every counter with its `stats` key, in rendering order: the one table
+/// both the ASCII line and the binary field list are rendered from.
+const COUNTERS: [(Counter, &str); 15] = [
+    (Counter::Connections, "connections"),
+    (Counter::Queries, "queries"),
+    (Counter::Answered, "answered"),
+    (Counter::Errors, "errors"),
+    (Counter::Reloads, "reloads"),
+    (Counter::Shed, "shed"),
+    (Counter::Batches, "batches"),
+    (Counter::DeadlineExceeded, "deadline_exceeded"),
+    (Counter::PanicsCaught, "panics_caught"),
+    (Counter::IdleReaped, "idle_reaped"),
+    (Counter::WriteStalls, "write_stalls"),
+    (Counter::ConnsRejected, "rejected"),
+    (Counter::WorkersRespawned, "respawned"),
+    (Counter::ValidationFailures, "validation_failures"),
+    (Counter::Rollbacks, "rollbacks"),
+];
+
 /// Monotonic serving counters, shared by all event loops (all atomics —
 /// they are hammered concurrently from every loop thread).
 #[derive(Debug)]
 pub struct ServerStats {
-    pub(crate) started: Instant,
-    pub(crate) connections: AtomicU64,
-    pub(crate) queries: AtomicU64,
-    pub(crate) answered: AtomicU64,
-    pub(crate) errors: AtomicU64,
-    pub(crate) reloads: AtomicU64,
-    pub(crate) shed: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) deadline_exceeded: AtomicU64,
-    pub(crate) panics_caught: AtomicU64,
-    pub(crate) idle_reaped: AtomicU64,
-    pub(crate) write_stalls: AtomicU64,
-    pub(crate) conns_rejected: AtomicU64,
-    pub(crate) workers_respawned: AtomicU64,
-    pub(crate) validation_failures: AtomicU64,
-    pub(crate) rollbacks: AtomicU64,
+    started: Instant,
+    values: [AtomicU64; COUNTERS.len()],
 }
 
 impl ServerStats {
     fn new() -> ServerStats {
         ServerStats {
             started: Instant::now(),
-            connections: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            answered: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            reloads: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            panics_caught: AtomicU64::new(0),
-            idle_reaped: AtomicU64::new(0),
-            write_stalls: AtomicU64::new(0),
-            conns_rejected: AtomicU64::new(0),
-            workers_respawned: AtomicU64::new(0),
-            validation_failures: AtomicU64::new(0),
-            rollbacks: AtomicU64::new(0),
+            values: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
-    /// Total route queries served (batch items count individually).
-    pub fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
+    /// The current value of `counter`.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.values[counter as usize].load(Ordering::Relaxed)
     }
 
-    /// Queries that produced a route.
-    pub fn answered(&self) -> u64 {
-        self.answered.load(Ordering::Relaxed)
+    /// Adds `n` to `counter`.
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.values[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Requests rejected with `ERR`.
-    pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    /// Successful hot-reloads performed.
-    pub fn reloads(&self) -> u64 {
-        self.reloads.load(Ordering::Relaxed)
-    }
-
-    /// Connections accepted.
-    pub fn connections(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
-    }
-
-    /// Route queries answered `BUSY` by load-shedding.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Route batches executed by the event loops.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Route requests that expired before they could be answered
-    /// (`DeadlineExceeded` / `ERR deadline`).
-    pub fn deadline_exceeded(&self) -> u64 {
-        self.deadline_exceeded.load(Ordering::Relaxed)
-    }
-
-    /// Handler panics converted into request-scoped `ERR internal`
-    /// replies by panic isolation.
-    pub fn panics_caught(&self) -> u64 {
-        self.panics_caught.load(Ordering::Relaxed)
-    }
-
-    /// Connections reaped for exceeding the idle timeout.
-    pub fn idle_reaped(&self) -> u64 {
-        self.idle_reaped.load(Ordering::Relaxed)
-    }
-
-    /// Connections disconnected by write-stall (slow-loris) detection.
-    pub fn write_stalls(&self) -> u64 {
-        self.write_stalls.load(Ordering::Relaxed)
-    }
-
-    /// Connections shed at accept time by the connection cap.
-    pub fn conns_rejected(&self) -> u64 {
-        self.conns_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Event-loop threads respawned by the watchdog after dying to a
-    /// panic that escaped request-scoped isolation.
-    pub fn workers_respawned(&self) -> u64 {
-        self.workers_respawned.load(Ordering::Relaxed)
-    }
-
-    /// Reload attempts rejected by snapshot validation (wrong dataset
-    /// stamp or canary digest mismatch) — each one kept the old engine
-    /// serving.
-    pub fn validation_failures(&self) -> u64 {
-        self.validation_failures.load(Ordering::Relaxed)
-    }
-
-    /// Rollbacks performed — explicit `rollback` commands plus automatic
-    /// post-swap probation triggers.
-    pub fn rollbacks(&self) -> u64 {
-        self.rollbacks.load(Ordering::Relaxed)
+    fn uptime_ms(&self) -> u64 {
+        self.started.elapsed().as_millis() as u64
     }
 }
 
@@ -432,49 +393,23 @@ impl ServerState {
     /// The `stats` body shared by both protocols (everything after the
     /// ASCII response's `OK ` prefix).
     pub fn stats_line(&self) -> String {
-        let names = self.registry.names();
-        let datasets = if names.is_empty() {
-            "-".to_string()
-        } else {
-            names.join(",")
-        };
-        let generations = self.generations_field();
-        format!(
-            "uptime_ms={} connections={} queries={} answered={} errors={} reloads={} shed={} \
-             batches={} deadline_exceeded={} panics_caught={} idle_reaped={} write_stalls={} \
-             rejected={} respawned={} validation_failures={} rollbacks={} \
-             generations={generations} datasets={datasets}",
-            self.stats.started.elapsed().as_millis(),
-            self.stats.connections(),
-            self.stats.queries(),
-            self.stats.answered(),
-            self.stats.errors(),
-            self.stats.reloads(),
-            self.stats.shed(),
-            self.stats.batches(),
-            self.stats.deadline_exceeded(),
-            self.stats.panics_caught(),
-            self.stats.idle_reaped(),
-            self.stats.write_stalls(),
-            self.stats.conns_rejected(),
-            self.stats.workers_respawned(),
-            self.stats.validation_failures(),
-            self.stats.rollbacks(),
-        )
-    }
-
-    /// The `generations=` field of the stats line: `name:gen` per dataset,
-    /// comma-joined in sorted name order, or `-` with no datasets.
-    fn generations_field(&self) -> String {
-        let generations = self.registry.generations();
-        if generations.is_empty() {
-            return "-".to_string();
+        let mut line = format!("uptime_ms={}", self.stats.uptime_ms());
+        for (counter, key) in COUNTERS {
+            let _ = write!(line, " {key}={}", self.stats.get(counter));
         }
-        generations
+        let generations: Vec<String> = self
+            .registry
+            .generations()
             .iter()
             .map(|(name, generation)| format!("{name}:{generation}"))
-            .collect::<Vec<_>>()
-            .join(",")
+            .collect();
+        let _ = write!(
+            line,
+            " generations={} datasets={}",
+            or_dash(generations),
+            or_dash(self.registry.names()),
+        );
+        line
     }
 
     /// Every server counter as machine-readable `(key, value)` pairs — the
@@ -483,30 +418,10 @@ impl ServerState {
     /// the two are read at different instants).  Active registry
     /// generations ride along as `generation.<dataset>` keys.
     pub fn stats_fields(&self) -> Vec<(String, u64)> {
-        let mut fields: Vec<(String, u64)> = vec![
-            (
-                "uptime_ms".into(),
-                self.stats.started.elapsed().as_millis() as u64,
-            ),
-            ("connections".into(), self.stats.connections()),
-            ("queries".into(), self.stats.queries()),
-            ("answered".into(), self.stats.answered()),
-            ("errors".into(), self.stats.errors()),
-            ("reloads".into(), self.stats.reloads()),
-            ("shed".into(), self.stats.shed()),
-            ("batches".into(), self.stats.batches()),
-            ("deadline_exceeded".into(), self.stats.deadline_exceeded()),
-            ("panics_caught".into(), self.stats.panics_caught()),
-            ("idle_reaped".into(), self.stats.idle_reaped()),
-            ("write_stalls".into(), self.stats.write_stalls()),
-            ("rejected".into(), self.stats.conns_rejected()),
-            ("respawned".into(), self.stats.workers_respawned()),
-            (
-                "validation_failures".into(),
-                self.stats.validation_failures(),
-            ),
-            ("rollbacks".into(), self.stats.rollbacks()),
-        ];
+        let mut fields = vec![("uptime_ms".to_string(), self.stats.uptime_ms())];
+        for (counter, key) in COUNTERS {
+            fields.push((key.to_string(), self.stats.get(counter)));
+        }
         for (name, generation) in self.registry.generations() {
             fields.push((format!("generation.{name}"), generation));
         }
@@ -519,7 +434,7 @@ impl ServerState {
     pub fn rollback(&self, dataset: &str) -> Result<u64, String> {
         match self.registry.rollback(dataset) {
             Ok((_, generation)) => {
-                self.stats.rollbacks.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(Counter::Rollbacks, 1);
                 self.health.disarm(dataset);
                 Ok(generation)
             }
@@ -532,8 +447,17 @@ impl ServerState {
     /// the dataset is already back on the old engine.
     pub(crate) fn trigger_auto_rollback(&self, health: &DatasetHealth) {
         if self.registry.rollback(health.name()).is_ok() {
-            self.stats.rollbacks.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Counter::Rollbacks, 1);
         }
+    }
+}
+
+/// Comma-joins `items`, or `-` when there are none.
+fn or_dash(items: Vec<String>) -> String {
+    if items.is_empty() {
+        "-".to_string()
+    } else {
+        items.join(",")
     }
 }
 
@@ -576,7 +500,7 @@ pub(crate) fn do_reload(
     };
     match outcome {
         Ok(()) => {
-            state.stats.reloads.fetch_add(1, Ordering::Relaxed);
+            state.stats.add(Counter::Reloads, 1);
             if state.registry.has_previous(dataset) {
                 state.health.arm(dataset);
             }
@@ -587,10 +511,7 @@ pub(crate) fn do_reload(
                 e,
                 RegistryError::DatasetMismatch { .. } | RegistryError::CanaryMismatch { .. }
             ) {
-                state
-                    .stats
-                    .validation_failures
-                    .fetch_add(1, Ordering::Relaxed);
+                state.stats.add(Counter::ValidationFailures, 1);
             }
             Err(format!("reload failed: {e}"))
         }
@@ -640,7 +561,6 @@ impl Server {
         let addr = listener.local_addr()?;
         let cfg = ServerConfig {
             workers: cfg.workers.max(1),
-            batch_max: cfg.batch_max.max(1),
             ..cfg
         };
         let state = Arc::new(ServerState::with_config(registry, &cfg));
@@ -691,10 +611,7 @@ impl Server {
                     // A clean return means the loop saw the shutdown flag
                     // and drained; a join error means it panicked.
                     if worker.join().is_err() && !state.shutdown_requested() {
-                        state
-                            .stats
-                            .workers_respawned
-                            .fetch_add(1, Ordering::Relaxed);
+                        state.stats.add(Counter::WorkersRespawned, 1);
                         let clone = listener.try_clone()?;
                         alive.push(scope.spawn(move || reactor::event_loop(clone, state, cfg)));
                     }
@@ -760,238 +677,16 @@ fn wake_workers(addr: SocketAddr, n: usize) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// ASCII protocol handlers
-// ---------------------------------------------------------------------------
-
-/// Formats a route answer exactly as the ASCII server sends it (`OK
-/// <strategy> <n> <v0> …` / `NOROUTE`).  Public so clients and tests can
-/// compare server responses against a locally computed
-/// [`l2r_core::Engine::route`] answer for end-to-end bit-equivalence.
-pub fn format_route_response(result: &Option<RouteResult>) -> String {
-    match result {
-        Some(r) => {
-            let vertices = r.path.vertices();
-            let mut out = String::with_capacity(16 + vertices.len() * 7);
-            out.push_str("OK ");
-            out.push_str(r.strategy.label());
-            out.push(' ');
-            out.push_str(&vertices.len().to_string());
-            for v in vertices {
-                out.push(' ');
-                out.push_str(&v.0.to_string());
-            }
-            out
-        }
-        None => "NOROUTE".to_string(),
-    }
-}
-
-/// Answers one protocol line using the caller's reusable scratch.  Returns
-/// the response line (without trailing newline) and whether the server
-/// should shut down.  Exposed for protocol unit tests; the event loop
-/// routes well-formed `route` requests through admission + batching
-/// instead, and everything else through this.
-pub fn respond_line(
-    state: &ServerState,
-    scratch: &mut QueryScratch,
-    request: &str,
-) -> (String, bool) {
-    let mut parts = request.split_whitespace();
-    let command = parts.next().unwrap_or("");
-    let response = match command {
-        "ping" => "OK pong".to_string(),
-        "route" => cmd_route(state, scratch, &mut parts),
-        "route_batch" => cmd_route_batch(state, scratch, &mut parts),
-        "info" => cmd_info(state, &mut parts),
-        "stats" => format!("OK {}", state.stats_line()),
-        "reload" => cmd_reload(state, &mut parts),
-        "rollback" => cmd_rollback(state, &mut parts),
-        "shutdown" => return ("OK bye".to_string(), true),
-        other => {
-            state.stats.errors.fetch_add(1, Ordering::Relaxed);
-            format!(
-                "ERR unknown command `{other}` \
-                 (expected ping|route|route_batch|info|stats|reload|rollback|shutdown)"
-            )
-        }
-    };
-    (response, false)
-}
-
-fn err(state: &ServerState, message: String) -> String {
-    state.stats.errors.fetch_add(1, Ordering::Relaxed);
-    format!("ERR {message}")
-}
-
-fn parse_vertex(field: Option<&str>, what: &str) -> Result<VertexId, String> {
-    match field {
-        Some(s) => s
-            .parse::<u32>()
-            .map(VertexId)
-            .map_err(|_| format!("{what} `{s}` is not a vertex id")),
-        None => Err(format!("missing {what}")),
-    }
-}
-
-fn cmd_route<'a>(
-    state: &ServerState,
-    scratch: &mut QueryScratch,
-    parts: &mut impl Iterator<Item = &'a str>,
-) -> String {
-    let Some(dataset) = parts.next() else {
-        return err(
-            state,
-            "usage: route <dataset> <src> <dst> [<deadline_ms>]".to_string(),
-        );
-    };
-    let (s, d) = match (
-        parse_vertex(parts.next(), "source"),
-        parse_vertex(parts.next(), "destination"),
-    ) {
-        (Ok(s), Ok(d)) => (s, d),
-        (Err(e), _) | (_, Err(e)) => return err(state, e),
-    };
-    let deadline_ms = match parts.next() {
-        None => None,
-        Some(raw) => match raw.parse::<u32>() {
-            Ok(ms) => Some(ms),
-            Err(_) => {
-                return err(
-                    state,
-                    format!("deadline `{raw}` is not a millisecond count"),
-                )
-            }
-        },
-    };
-    let Some(engine) = state.registry.get(dataset) else {
-        return err(state, format!("unknown dataset `{dataset}`"));
-    };
-    // The inline path executes immediately, so only an already-spent
-    // budget can expire here; the reactor's admission/batch path does the
-    // full three-point enforcement.
-    if deadline_ms == Some(0) {
-        state
-            .stats
-            .deadline_exceeded
-            .fetch_add(1, Ordering::Relaxed);
-        return "ERR deadline exceeded".to_string();
-    }
-    let result = engine.route(scratch, s, d);
-    state.stats.queries.fetch_add(1, Ordering::Relaxed);
-    if result.is_some() {
-        state.stats.answered.fetch_add(1, Ordering::Relaxed);
-    }
-    format_route_response(&result)
-}
-
-fn cmd_route_batch<'a>(
-    state: &ServerState,
-    scratch: &mut QueryScratch,
-    parts: &mut impl Iterator<Item = &'a str>,
-) -> String {
-    let Some(dataset) = parts.next() else {
-        return err(
-            state,
-            "usage: route_batch <dataset> <src,dst> [<src,dst> ...]".to_string(),
-        );
-    };
-    let Some(engine) = state.registry.get(dataset) else {
-        return err(state, format!("unknown dataset `{dataset}`"));
-    };
-    let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-    for item in parts {
-        let Some((s, d)) = item.split_once(',') else {
-            return err(state, format!("malformed pair `{item}` (want src,dst)"));
-        };
-        match (
-            parse_vertex(Some(s), "source"),
-            parse_vertex(Some(d), "destination"),
-        ) {
-            (Ok(s), Ok(d)) => pairs.push((s, d)),
-            (Err(e), _) | (_, Err(e)) => return err(state, e),
-        }
-    }
-    if pairs.is_empty() {
-        return err(
-            state,
-            "route_batch needs at least one src,dst pair".to_string(),
-        );
-    }
-    let mut out = String::new();
-    let mut answered = 0u64;
-    for &(s, d) in &pairs {
-        let result = engine.route(scratch, s, d);
-        out.push(' ');
-        match &result {
-            Some(r) => {
-                answered += 1;
-                out.push_str(r.strategy.label());
-                out.push(':');
-                out.push_str(&r.path.vertices().len().to_string());
-            }
-            None => out.push('-'),
-        }
-    }
-    state
-        .stats
-        .queries
-        .fetch_add(pairs.len() as u64, Ordering::Relaxed);
-    state.stats.answered.fetch_add(answered, Ordering::Relaxed);
-    format!("OK {} {}{}", pairs.len(), answered, out)
-}
-
-fn cmd_info<'a>(state: &ServerState, parts: &mut impl Iterator<Item = &'a str>) -> String {
-    let Some(dataset) = parts.next() else {
-        return err(state, "usage: info <dataset>".to_string());
-    };
-    let Some(engine) = state.registry.get(dataset) else {
-        return err(state, format!("unknown dataset `{dataset}`"));
-    };
-    let generation = state.registry.generation(dataset).unwrap_or(0);
-    format!(
-        "OK dataset={dataset} vertices={} edges={} regions={} connectors={} generation={generation}",
-        engine.network().num_vertices(),
-        engine.network().num_edges(),
-        engine.region_graph().num_regions(),
-        engine.num_connectors(),
-    )
-}
-
-fn cmd_reload<'a>(state: &ServerState, parts: &mut impl Iterator<Item = &'a str>) -> String {
-    let (Some(dataset), Some(path)) = (parts.next(), parts.next()) else {
-        return err(
-            state,
-            "usage: reload <dataset> <path> [latest|<generation>]".to_string(),
-        );
-    };
-    let spec = parts.next();
-    match do_reload(state, dataset, path, spec) {
-        Ok(generation) => format!("OK dataset={dataset} generation={generation}"),
-        // The registry kept the previous engine; tell the operator why the
-        // swap did not happen.
-        Err(message) => err(state, message),
-    }
-}
-
-fn cmd_rollback<'a>(state: &ServerState, parts: &mut impl Iterator<Item = &'a str>) -> String {
-    let Some(dataset) = parts.next() else {
-        return err(state, "usage: rollback <dataset>".to_string());
-    };
-    match state.rollback(dataset) {
-        Ok(generation) => format!("OK dataset={dataset} generation={generation}"),
-        Err(message) => err(state, message),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{decode_request, parse_line, Request};
     use l2r_core::{apply_preferences_to_b_edges, save_model, Engine, L2r, L2rConfig};
     use l2r_datagen::{
         generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig,
     };
     use l2r_region_graph::{bottom_up_clustering, RegionGraph, TrajectoryGraph};
+    use l2r_road_network::VertexId;
 
     fn tiny_engine() -> Engine {
         let syn = generate_network(&SyntheticNetworkConfig::tiny());
@@ -1003,131 +698,176 @@ mod tests {
         Engine::from_graphs(&syn.net, &rg)
     }
 
-    fn state_with(name: &str) -> ServerState {
+    /// Serves the tiny engine as `D1` on an ephemeral loopback port, with
+    /// one line-protocol client connected.
+    fn serve_d1() -> (ServerHandle, Arc<ServerState>, Client) {
         let registry = ModelRegistry::new();
-        registry.insert(name, tiny_engine());
-        ServerState::new(registry)
+        registry.insert("D1", tiny_engine());
+        let handle = Server::bind("127.0.0.1:0", 2, registry).unwrap().start();
+        let state = handle.state();
+        let client = Client::connect(handle.addr()).unwrap();
+        (handle, state, client)
     }
 
     #[test]
     fn protocol_answers_ping_stats_info() {
-        let state = state_with("D1");
-        let mut scratch = QueryScratch::new();
-        assert_eq!(respond_line(&state, &mut scratch, "ping").0, "OK pong");
-        let (stats, _) = respond_line(&state, &mut scratch, "stats");
+        let (handle, _state, mut client) = serve_d1();
+        assert_eq!(client.request("ping").unwrap(), "OK pong");
+        let stats = client.request("stats").unwrap();
         assert!(stats.starts_with("OK uptime_ms="), "{stats}");
         assert!(stats.contains("shed=0"), "{stats}");
         assert!(stats.contains("batches=0"), "{stats}");
         assert!(stats.contains("datasets=D1"), "{stats}");
-        let (info, _) = respond_line(&state, &mut scratch, "info D1");
+        let info = client.request("info D1").unwrap();
         assert!(
             info.contains("vertices=") && info.contains("generation=1"),
             "{info}"
         );
+        handle.shutdown().unwrap();
     }
 
     #[test]
     fn protocol_routes_bit_identically_to_the_engine() {
-        let state = state_with("D1");
+        let (handle, state, mut client) = serve_d1();
         let engine = state.registry().get("D1").unwrap();
         let mut scratch = l2r_core::QueryScratch::new();
-        let mut proto_scratch = QueryScratch::new();
         let n = engine.network().num_vertices() as u32;
         let mut compared = 0usize;
         for i in (0..n).step_by(7) {
             let (s, d) = (i, (i * 13 + 5) % n);
             let expected =
                 format_route_response(&engine.route(&mut scratch, VertexId(s), VertexId(d)));
-            let (got, _) = respond_line(&state, &mut proto_scratch, &format!("route D1 {s} {d}"));
+            let got = client.request(&format!("route D1 {s} {d}")).unwrap();
             assert_eq!(got, expected, "query {s} -> {d}");
             compared += 1;
         }
         assert!(compared > 10);
-        assert_eq!(state.stats().queries(), compared as u64);
+        assert_eq!(state.stats().get(Counter::Queries), compared as u64);
+        handle.shutdown().unwrap();
     }
 
     #[test]
     fn protocol_answers_noroute_for_out_of_range_vertices() {
-        let state = state_with("D1");
-        let mut scratch = QueryScratch::new();
+        let (handle, state, mut client) = serve_d1();
         for line in ["route D1 4000000000 4000000000", "route D1 0 4000000000"] {
-            let (resp, _) = respond_line(&state, &mut scratch, line);
-            assert_eq!(resp, "NOROUTE", "{line}");
+            assert_eq!(client.request(line).unwrap(), "NOROUTE", "{line}");
         }
-        assert_eq!(state.stats().queries(), 2);
-        assert_eq!(state.stats().answered(), 0);
+        assert_eq!(state.stats().get(Counter::Queries), 2);
+        assert_eq!(state.stats().get(Counter::Answered), 0);
+        handle.shutdown().unwrap();
     }
 
     #[test]
     fn protocol_batch_counts_and_items_line_up() {
-        let state = state_with("D1");
-        let mut scratch = QueryScratch::new();
-        let (resp, _) = respond_line(&state, &mut scratch, "route_batch D1 0,1 1,2 2,3");
+        let (handle, state, mut client) = serve_d1();
+        let resp = client.request("route_batch D1 0,1 1,2 2,3").unwrap();
         assert!(resp.starts_with("OK 3 "), "{resp}");
         let items: Vec<&str> = resp.split_whitespace().skip(3).collect();
         assert_eq!(items.len(), 3, "{resp}");
-        assert_eq!(state.stats().queries(), 3);
+        assert_eq!(state.stats().get(Counter::Queries), 3);
+        handle.shutdown().unwrap();
     }
 
     #[test]
     fn protocol_rejects_malformed_requests() {
-        let state = state_with("D1");
-        let mut scratch = QueryScratch::new();
-        for bad in [
+        let malformed = [
             "route",
             "route D1",
             "route D1 0",
             "route D1 zero one",
-            "route nosuch 0 1",
+            "route D1 0 1 5 junk",
             "route_batch D1",
             "route_batch D1 0:1",
-            "info nosuch",
             "reload D1",
             "rollback",
-            "rollback nosuch",
             "frobnicate",
-        ] {
-            let (resp, shutdown) = respond_line(&state, &mut scratch, bad);
-            assert!(resp.starts_with("ERR"), "`{bad}` -> {resp}");
-            assert!(!shutdown);
+        ];
+        for bad in malformed {
+            assert!(parse_line(bad).is_err(), "`{bad}` parsed");
         }
-        assert_eq!(state.stats().errors(), 12);
-        assert_eq!(state.stats().queries(), 0);
+        // Well-formed, but naming what is not there: fails at execution.
+        let missing = ["route nosuch 0 1", "info nosuch", "rollback nosuch"];
+        for line in missing {
+            assert!(parse_line(line).is_ok(), "`{line}` rejected by the parser");
+        }
+        // Binary payloads that cannot decode fail the request, not the
+        // connection.
+        let mut truncated_batch = l2r_road_network::codec::Writer::new();
+        truncated_batch.str("D1");
+        truncated_batch.u32(2);
+        truncated_batch.u32(0);
+        assert_eq!(
+            decode_request(0x7F, &[]),
+            Err("unknown opcode 0x7f".to_string())
+        );
+        for (opcode, payload) in [
+            (frame::Opcode::Route, &[0xDE, 0xAD][..]),
+            (frame::Opcode::RouteBatch, truncated_batch.as_slice()),
+            (frame::Opcode::Info, &[]),
+            (frame::Opcode::Reload, &[]),
+            (frame::Opcode::Rollback, &[]),
+        ] {
+            let err = decode_request(opcode as u8, payload).unwrap_err();
+            assert!(err.starts_with("bad "), "{opcode:?}: {err}");
+        }
+
+        let (handle, state, mut client) = serve_d1();
+        for bad in malformed.iter().chain(&missing) {
+            let resp = client.request(bad).unwrap();
+            assert!(resp.starts_with("ERR"), "`{bad}` -> {resp}");
+        }
+        assert!(!state.shutdown_requested());
+        assert_eq!(client.request("ping").unwrap(), "OK pong");
+        assert_eq!(state.stats().get(Counter::Errors), 13);
+        assert_eq!(state.stats().get(Counter::Queries), 0);
+        handle.shutdown().unwrap();
     }
 
     #[test]
     fn protocol_shutdown_flags_the_server() {
-        let state = state_with("D1");
-        let mut scratch = QueryScratch::new();
-        let (resp, shutdown) = respond_line(&state, &mut scratch, "shutdown");
-        assert_eq!(resp, "OK bye");
-        assert!(shutdown);
+        assert_eq!(parse_line("shutdown"), Ok(Request::Shutdown));
+        assert_eq!(
+            decode_request(frame::Opcode::Shutdown as u8, &[]),
+            Ok(Request::Shutdown)
+        );
+        let (handle, state, mut client) = serve_d1();
+        assert_eq!(client.request("shutdown").unwrap(), "OK bye");
+        assert!(state.shutdown_requested());
+        handle.shutdown().unwrap();
     }
 
     #[test]
     fn stats_counters_are_safe_under_concurrent_hammering() {
         // The shared counters are updated from every event-loop thread;
-        // hammer them through the protocol layer from many threads and
-        // assert nothing is lost.
-        let state = state_with("D1");
+        // hammer them over the wire from many clients and assert nothing
+        // is lost.
+        let (handle, state, _client) = serve_d1();
         let threads = 8;
         let per_thread = 200;
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let state = &state;
+                let addr = handle.addr();
                 scope.spawn(move || {
-                    let mut scratch = QueryScratch::new();
+                    let mut client = Client::connect(addr).unwrap();
                     for i in 0..per_thread {
                         let q = (t * per_thread + i) as u32;
-                        respond_line(state, &mut scratch, &format!("route D1 {q} {}", q + 1));
-                        respond_line(state, &mut scratch, "frobnicate");
+                        client.request(&format!("route D1 {q} {}", q + 1)).unwrap();
+                        client.request("frobnicate").unwrap();
                     }
                 });
             }
         });
         let total = (threads * per_thread) as u64;
-        assert_eq!(state.stats().queries(), total);
-        assert_eq!(state.stats().errors(), total);
+        assert_eq!(state.stats().get(Counter::Queries), total);
+        assert_eq!(state.stats().get(Counter::Errors), total);
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn counter_table_lists_every_counter_once_in_declaration_order() {
+        for (i, (counter, _)) in COUNTERS.iter().enumerate() {
+            assert_eq!(*counter as usize, i);
+        }
     }
 
     #[test]
@@ -1182,7 +922,7 @@ mod tests {
         assert_eq!(client.request("shutdown").unwrap(), "OK bye");
         handle.shutdown().unwrap();
         std::fs::remove_file(&path).ok();
-        assert!(state.stats().queries() >= 101);
+        assert!(state.stats().get(Counter::Queries) >= 101);
         assert!(
             state.scratches_created() <= 2,
             "2 workers must never need more than 2 scratches, created {}",

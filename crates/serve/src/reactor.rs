@@ -14,6 +14,14 @@
 //! binary frame magic starts with `0xB1` (not valid ASCII), anything else
 //! is the legacy line protocol.
 //!
+//! ## One request path
+//!
+//! Both protocols parse into the same [`Request`] ([`parse_line`] /
+//! [`decode_request`]) and run through one handler: a `route` joins the
+//! loop's shared batch, every other verb (including a client-side
+//! `route_batch`) executes inline under `catch_unwind` and builds one
+//! [`Reply`], encoded for the connection's protocol.
+//!
 //! ## Pipelining and response ordering
 //!
 //! Clients may pipeline: each parsed request claims the next *slot* in the
@@ -26,22 +34,20 @@
 //! ## Batching and load-shedding
 //!
 //! Admitted `route` queries from *all* connections of a loop coalesce into
-//! one batch, flushed when it reaches [`crate::ServerConfig::batch_max`],
-//! when the oldest entry has waited [`crate::ServerConfig::batch_budget`],
-//! or at the end of a poll iteration (whichever is first) — the natural
-//! batch is therefore "whatever arrived while the previous batch was
-//! executing", which adapts to load with zero added latency when the
-//! budget is zero.  Batches at or above [`PARALLEL_BATCH_MIN`] execute via
-//! [`Engine::route_many`]; smaller ones run serially on the loop's single
-//! pooled scratch, so a server never creates more scratches than workers.
-//! Queries that cannot win a slot in their dataset's bounded admission
-//! queue are answered `BUSY` immediately (see [`crate::queue`]).
+//! one batch, flushed when it reaches [`BATCH_MAX`] or at the end of a poll
+//! iteration, whichever is first — the natural batch is therefore
+//! "whatever arrived while the previous batch was executing", which adapts
+//! to load without holding any request back.  Batches run serially on the
+//! loop's single pooled scratch, so a server never creates more scratches
+//! than workers.  Queries that cannot win a slot in their dataset's
+//! bounded admission queue are answered `BUSY` immediately (see
+//! [`crate::queue`]).
 
 // A request-path file: panics here are outages, not control flow (see the
 // `no-panic-hot-path` rule of l2r-analyze).  The clippy pair of that gate:
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -50,23 +56,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use l2r_core::{Engine, QueryScratch, RouteResult, RouteStrategy};
-use l2r_road_network::codec::Reader;
-use l2r_road_network::codec::Writer;
+use l2r_core::{Engine, QueryScratch, RouteResult};
 use l2r_road_network::VertexId;
 
 use crate::faults::FaultPlan;
-use crate::frame::{self, FrameParse, Opcode, Status, MAX_BATCH_PAIRS, MAX_NAME, MAX_PATH};
+use crate::frame::{self, FrameParse};
 use crate::health::DatasetHealth;
 use crate::queue::DatasetQueue;
-use crate::{
-    do_reload, format_route_response, panic_message, respond_line, ServerConfig, ServerState,
-};
+use crate::request::{decode_request, parse_line, Reply, Request, Wire};
+use crate::{do_reload, panic_message, Counter, ServerConfig, ServerState};
 
-/// Batches at or above this size execute through [`Engine::route_many`]
-/// (parallel fan-out); smaller ones run serially on the loop's pooled
-/// scratch, which is faster below the fan-out overhead.
-pub const PARALLEL_BATCH_MIN: usize = 256;
+/// A loop's shared route batch flushes at this size even mid-read, so
+/// admission depth stays bounded by it under pipelined floods.
+const BATCH_MAX: usize = 64;
 
 /// Per-connection cap on unanswered pipelined requests; beyond it the loop
 /// stops reading from the connection until responses drain (backpressure).
@@ -79,13 +81,9 @@ const RBUF_SOFT_MAX: usize = 2 * (1 << 20);
 /// Longest ASCII request line accepted, as in the PR 5 server.
 const MAX_REQUEST_LINE: usize = 64 * 1024;
 
-/// Poll timeout while idle; bounds how stale the shutdown-flag check and
-/// the batch-budget clock can get.
+/// Poll timeout while idle; bounds how stale the shutdown-flag check can
+/// get.
 const IDLE_POLL_MS: i32 = 50;
-
-/// A coalescing batch flushes once its earliest member's deadline is this
-/// close, so batching never pushes a request past its budget.
-const DEADLINE_FLUSH_SLACK: Duration = Duration::from_millis(5);
 
 // ---------------------------------------------------------------------------
 // poll(2) FFI (the workspace is dependency-free, so no libc crate)
@@ -182,24 +180,14 @@ fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
 // Connections
 // ---------------------------------------------------------------------------
 
-/// What a connection speaks; fixed by its first byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Protocol {
-    /// No byte received yet.
-    Detecting,
-    /// Legacy `\n`-terminated line protocol.
-    Ascii,
-    /// Length-prefixed binary frames ([`crate::frame`]).
-    Binary,
-}
-
 /// One multiplexed connection.
 struct Conn {
     stream: TcpStream,
     /// Generation tag: batch items verify it before filling a slot, so a
     /// reused connection index can never receive a dead client's response.
     id: u64,
-    protocol: Protocol,
+    /// What the connection speaks; `None` until its first byte arrives.
+    wire: Option<Wire>,
     /// Received-but-unparsed bytes; `rpos` is the consumed prefix.
     rbuf: Vec<u8>,
     rpos: usize,
@@ -225,7 +213,7 @@ impl Conn {
         Conn {
             stream,
             id,
-            protocol: Protocol::Detecting,
+            wire: None,
             rbuf: Vec::new(),
             rpos: 0,
             wbuf: Vec::new(),
@@ -353,6 +341,7 @@ struct BatchItem {
     conn: usize,
     conn_id: u64,
     seq: u64,
+    wire: Wire,
     engine: Arc<Engine>,
     queue: Arc<DatasetQueue>,
     src: VertexId,
@@ -366,28 +355,6 @@ struct BatchItem {
     health: Option<Arc<DatasetHealth>>,
 }
 
-/// The loop-wide batch of admitted route queries.
-struct Batch {
-    items: Vec<BatchItem>,
-    /// When the oldest item was enqueued (drives the latency budget).
-    since: Option<Instant>,
-    /// The earliest member deadline: coalescing never waits past it.
-    earliest_deadline: Option<Instant>,
-}
-
-impl Batch {
-    fn push(&mut self, item: BatchItem) {
-        if self.items.is_empty() {
-            self.since = Some(Instant::now());
-        }
-        self.earliest_deadline = Some(match self.earliest_deadline {
-            Some(d) => d.min(item.deadline),
-            None => item.deadline,
-        });
-        self.items.push(item);
-    }
-}
-
 /// The absolute deadline of a request given its optional wire budget.
 fn request_deadline(cfg: &ServerConfig, deadline_ms: Option<u32>) -> Instant {
     let budget = deadline_ms
@@ -396,102 +363,14 @@ fn request_deadline(cfg: &ServerConfig, deadline_ms: Option<u32>) -> Instant {
     Instant::now() + budget
 }
 
-/// Encodes a route answer for the connection's protocol.
-fn encode_route_result(protocol: Protocol, result: &Option<RouteResult>) -> Vec<u8> {
-    match protocol {
-        Protocol::Binary => {
-            let mut out = Vec::new();
-            match result {
-                Some(r) => {
-                    #[allow(clippy::expect_used)]
-                    let strategy = RouteStrategy::ALL
-                        .iter()
-                        .position(|s| *s == r.strategy)
-                        // l2r: allow(no-panic-hot-path) — `ALL` enumerates
-                        // every RouteStrategy variant, so the position
-                        // lookup cannot fail.
-                        .expect("every strategy is in ALL")
-                        as u8;
-                    let mut w = Writer::new();
-                    w.u8(strategy);
-                    let vertices = r.path.vertices();
-                    w.length(vertices.len());
-                    for v in vertices {
-                        w.u32(v.0);
-                    }
-                    frame::write_frame(&mut out, Status::Ok as u8, w.as_slice());
-                }
-                None => frame::write_frame(&mut out, Status::NoRoute as u8, &[]),
-            }
-            out
-        }
-        _ => {
-            let mut line = format_route_response(result).into_bytes();
-            line.push(b'\n');
-            line
-        }
-    }
+/// A protocol error: counted in `errors`, answered `ERR <message>`.
+fn fail(state: &ServerState, message: String) -> Reply {
+    state.stats.add(Counter::Errors, 1);
+    Reply::Err(message)
 }
 
-/// The retriable overload reply for the connection's protocol.
-fn encode_busy(protocol: Protocol) -> Vec<u8> {
-    match protocol {
-        Protocol::Binary => {
-            let mut out = Vec::new();
-            frame::write_frame(&mut out, Status::Busy as u8, &[]);
-            out
-        }
-        _ => b"BUSY\n".to_vec(),
-    }
-}
-
-/// The expired-budget reply for the connection's protocol (both sides of
-/// the taxonomy table: `DeadlineExceeded` frame / `ERR deadline` line).
-fn encode_deadline_exceeded(protocol: Protocol) -> Vec<u8> {
-    match protocol {
-        Protocol::Binary => binary_frame(Status::DeadlineExceeded, &[]),
-        _ => b"ERR deadline exceeded\n".to_vec(),
-    }
-}
-
-/// The request-scoped internal-failure reply (`Err` frame whose message
-/// starts with `internal` / `ERR internal …` line).
-fn encode_route_error(protocol: Protocol, message: &str) -> Vec<u8> {
-    match protocol {
-        Protocol::Binary => binary_err(message),
-        _ => format!("ERR {message}\n").into_bytes(),
-    }
-}
-
-/// A binary response frame carrying just a status and a payload.
-fn binary_frame(status: Status, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    frame::write_frame(&mut out, status as u8, payload);
-    out
-}
-
-/// A binary `ERR` frame with a message payload.
-fn binary_err(message: &str) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.str(message);
-    binary_frame(Status::Err, w.as_slice())
-}
-
-/// Fills a batch item's response slot if its connection is still the one
-/// that issued the request (the generation tag defeats index reuse).
-fn fill_outcome(
-    conns: &mut [Option<Conn>],
-    item: &BatchItem,
-    encode: impl FnOnce(Protocol) -> Vec<u8>,
-) {
-    let live = conns
-        .get_mut(item.conn)
-        .and_then(|slot| slot.as_mut())
-        .filter(|c| c.id == item.conn_id);
-    if let Some(conn) = live {
-        let bytes = encode(conn.protocol);
-        conn.fill_slot(item.seq, bytes);
-    }
+fn unknown_dataset(state: &ServerState, dataset: &str) -> Reply {
+    fail(state, format!("unknown dataset `{dataset}`"))
 }
 
 /// Records one route outcome against a dataset's armed probation (if any)
@@ -518,7 +397,7 @@ fn isolated_route(
     src: VertexId,
     dst: VertexId,
 ) -> Result<Option<RouteResult>, String> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    isolated(state, scratch, |scratch| {
         if let Some(f) = faults {
             if let Some(latency) = f.inject_handler_latency() {
                 std::thread::sleep(latency);
@@ -530,169 +409,79 @@ fn isolated_route(
             }
         }
         engine.route(scratch, src, dst)
-    }));
-    match outcome {
-        Ok(result) => Ok(result),
-        Err(payload) => {
-            // Mid-search state is unusable after an unwind; start fresh
-            // (a plain swap, so the pool's created count stays put).
-            *scratch = QueryScratch::new();
-            state.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
-            Err(format!(
-                "internal: handler panicked: {}",
-                panic_message(&payload)
-            ))
-        }
-    }
+    })
+}
+
+/// Runs `f` under `catch_unwind`.  A panic is counted in `panics_caught`,
+/// replaces the (possibly mid-search) scratch with a fresh one — a plain
+/// swap, so the pool's created count stays put — and becomes the
+/// request-scoped `internal` error message.
+fn isolated<T>(
+    state: &ServerState,
+    scratch: &mut QueryScratch,
+    f: impl FnOnce(&mut QueryScratch) -> T,
+) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(|| f(scratch))).map_err(|payload| {
+        *scratch = QueryScratch::new();
+        state.stats.add(Counter::PanicsCaught, 1);
+        format!("internal: handler panicked: {}", panic_message(&payload))
+    })
 }
 
 /// Executes and answers every queued route query, releasing admissions.
-/// Deadlines are enforced per item before *and* after execution; handler
-/// panics are confined to the item (serial path) or the engine group
-/// (parallel path) that raised them.
+/// Deadlines are enforced per item before *and* after execution; a
+/// handler panic is confined to the item that raised it.
 fn flush_batch(
     state: &ServerState,
     faults: Option<&FaultPlan>,
-    batch: &mut Batch,
+    batch: &mut Vec<BatchItem>,
     conns: &mut [Option<Conn>],
     scratch: &mut QueryScratch,
 ) {
-    if batch.items.is_empty() {
-        batch.since = None;
-        batch.earliest_deadline = None;
+    if batch.is_empty() {
         return;
     }
-    let items = std::mem::take(&mut batch.items);
-    batch.since = None;
-    batch.earliest_deadline = None;
-    state.stats.batches.fetch_add(1, Ordering::Relaxed);
-
+    state.stats.add(Counter::Batches, 1);
     let mut executed = 0u64;
     let mut answered = 0u64;
     let mut expired = 0u64;
-
-    if items.len() < PARALLEL_BATCH_MIN {
-        // Small batch: serial on the loop's pooled scratch — no per-batch
-        // allocation, no fan-out overhead.
-        for item in &items {
-            let alive = conns
-                .get(item.conn)
-                .and_then(|slot| slot.as_ref())
-                .is_some_and(|c| c.id == item.conn_id);
-            if alive {
-                if Instant::now() >= item.deadline {
-                    expired += 1;
-                    fill_outcome(conns, item, encode_deadline_exceeded);
-                } else {
-                    match isolated_route(state, faults, &item.engine, scratch, item.src, item.dst) {
-                        Ok(result) => {
-                            executed += 1;
-                            record_health(state, &item.health, false);
-                            if Instant::now() >= item.deadline {
-                                expired += 1;
-                                fill_outcome(conns, item, encode_deadline_exceeded);
-                            } else {
-                                if result.is_some() {
-                                    answered += 1;
-                                }
-                                fill_outcome(conns, item, |p| encode_route_result(p, &result));
-                            }
-                        }
-                        Err(message) => {
-                            record_health(state, &item.health, true);
-                            fill_outcome(conns, item, |p| encode_route_error(p, &message));
-                        }
-                    }
-                }
-            }
-            item.queue.release(1);
-        }
-    } else {
-        // Large batch: resolve expiry and injected faults per item first,
-        // then group the survivors by engine and fan out through
-        // `route_many`.  (Injected faults are drawn per query here too, so
-        // `panics_caught` accounting matches the serial path exactly; a
-        // *real* panic inside the fan-out fails its whole engine group —
-        // the price of sharing one parallel execution.)
-        let now = Instant::now();
-        let mut runnable = vec![true; items.len()];
-        for (i, item) in items.iter().enumerate() {
-            let alive = conns
-                .get(item.conn)
-                .and_then(|slot| slot.as_ref())
-                .is_some_and(|c| c.id == item.conn_id);
-            if !alive {
-                runnable[i] = false;
-            } else if now >= item.deadline {
-                runnable[i] = false;
+    for item in batch.drain(..) {
+        // The generation tag defeats connection-index reuse: a closed
+        // client's query is dropped, never answered to its successor.
+        let live = conns
+            .get_mut(item.conn)
+            .and_then(|slot| slot.as_mut())
+            .filter(|c| c.id == item.conn_id);
+        if let Some(conn) = live {
+            let reply = if Instant::now() >= item.deadline {
                 expired += 1;
-                fill_outcome(conns, item, encode_deadline_exceeded);
-            } else if let Some(f) = faults {
-                if let Some(latency) = f.inject_handler_latency() {
-                    std::thread::sleep(latency);
-                }
-                if f.inject_handler_panic() {
-                    runnable[i] = false;
-                    state.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
-                    record_health(state, &item.health, true);
-                    fill_outcome(conns, item, |p| {
-                        encode_route_error(p, "internal: handler panicked: injected handler fault")
-                    });
-                }
-            }
-        }
-        let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (i, item) in items.iter().enumerate() {
-            if runnable[i] {
-                groups
-                    .entry(Arc::as_ptr(&item.engine) as usize)
-                    .or_default()
-                    .push(i);
-            }
-        }
-        for indices in groups.values() {
-            let engine = &items[indices[0]].engine;
-            let pairs: Vec<(VertexId, VertexId)> = indices
-                .iter()
-                .map(|&i| (items[i].src, items[i].dst))
-                .collect();
-            match catch_unwind(AssertUnwindSafe(|| engine.route_many(&pairs))) {
-                Ok(results) => {
-                    executed += pairs.len() as u64;
-                    for (&i, result) in indices.iter().zip(results.iter()) {
-                        record_health(state, &items[i].health, false);
-                        if Instant::now() >= items[i].deadline {
+                Reply::DeadlineExceeded
+            } else {
+                match isolated_route(state, faults, &item.engine, scratch, item.src, item.dst) {
+                    Ok(result) => {
+                        executed += 1;
+                        record_health(state, &item.health, false);
+                        if Instant::now() >= item.deadline {
                             expired += 1;
-                            fill_outcome(conns, &items[i], encode_deadline_exceeded);
+                            Reply::DeadlineExceeded
                         } else {
-                            if result.is_some() {
-                                answered += 1;
-                            }
-                            fill_outcome(conns, &items[i], |p| encode_route_result(p, result));
+                            answered += u64::from(result.is_some());
+                            Reply::Route(result)
                         }
                     }
-                }
-                Err(payload) => {
-                    state.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
-                    let message =
-                        format!("internal: handler panicked: {}", panic_message(&payload));
-                    for &i in indices {
-                        record_health(state, &items[i].health, true);
-                        fill_outcome(conns, &items[i], |p| encode_route_error(p, &message));
+                    Err(message) => {
+                        record_health(state, &item.health, true);
+                        Reply::Err(message)
                     }
                 }
-            }
+            };
+            conn.fill_slot(item.seq, reply.encode(item.wire));
         }
-        for item in &items {
-            item.queue.release(1);
-        }
+        item.queue.release(1);
     }
-    state.stats.queries.fetch_add(executed, Ordering::Relaxed);
-    state.stats.answered.fetch_add(answered, Ordering::Relaxed);
-    state
-        .stats
-        .deadline_exceeded
-        .fetch_add(expired, Ordering::Relaxed);
+    state.stats.add(Counter::Queries, executed);
+    state.stats.add(Counter::Answered, answered);
+    state.stats.add(Counter::DeadlineExceeded, expired);
 }
 
 // ---------------------------------------------------------------------------
@@ -704,378 +493,200 @@ fn flush_batch(
 enum Progress {
     /// Parsed everything currently parseable.
     Done,
-    /// Stopped because the batch hit `batch_max`; flush and call again.
+    /// Stopped because the batch hit [`BATCH_MAX`]; flush and call again.
     BatchFull,
 }
 
-/// Admits one route query into the batch (or answers `BUSY`; an already
-/// expired deadline answers `DeadlineExceeded` without costing a queue
-/// slot — admission-time enforcement).
+/// Admits one route query into the batch, claiming its response slot.
+/// Returns the immediate reply instead when the query cannot be admitted:
+/// `DeadlineExceeded` for an already expired budget (admission-time
+/// enforcement, no queue slot taken) or `BUSY` for a full queue.
 #[allow(clippy::too_many_arguments)]
 fn enqueue_route(
     state: &ServerState,
-    batch: &mut Batch,
+    batch: &mut Vec<BatchItem>,
     conn: &mut Conn,
     ci: usize,
+    wire: Wire,
     dataset: &str,
     engine: Arc<Engine>,
     src: VertexId,
     dst: VertexId,
     deadline: Instant,
-) {
+) -> Option<Reply> {
     if Instant::now() >= deadline {
-        state
-            .stats
-            .deadline_exceeded
-            .fetch_add(1, Ordering::Relaxed);
-        let reply = encode_deadline_exceeded(conn.protocol);
-        conn.push_response(reply);
-        return;
+        state.stats.add(Counter::DeadlineExceeded, 1);
+        return Some(Reply::DeadlineExceeded);
     }
     let queue = state.queues.get(dataset);
     if !queue.try_admit(1) {
-        state.stats.shed.fetch_add(1, Ordering::Relaxed);
-        let busy = encode_busy(conn.protocol);
-        conn.push_response(busy);
-        return;
+        state.stats.add(Counter::Shed, 1);
+        return Some(Reply::Busy);
     }
-    let seq = conn.claim_slot();
-    let health = state.health.watch(dataset);
     batch.push(BatchItem {
         conn: ci,
         conn_id: conn.id,
-        seq,
+        seq: conn.claim_slot(),
+        wire,
         engine,
         queue,
         src,
         dst,
         deadline,
-        health,
+        health: state.health.watch(dataset),
     });
+    None
 }
 
-/// Handles one ASCII request line.  Returns `true` if it was `shutdown`.
-#[allow(clippy::too_many_arguments)]
-fn handle_ascii_line(
-    state: &ServerState,
-    cfg: &ServerConfig,
-    batch: &mut Batch,
-    conn: &mut Conn,
-    ci: usize,
-    scratch: &mut QueryScratch,
-    line: &str,
-) -> bool {
-    let request = line.trim();
-    if request.is_empty() {
-        return false;
-    }
-    // Fast path: a well-formed `route` on a known dataset goes through
-    // admission + batching; everything else (including malformed routes,
-    // which need the protocol's exact ERR lines) runs inline.
-    'fast: {
-        let mut parts = request.split_whitespace();
-        if parts.next() != Some("route") {
-            break 'fast;
-        }
-        let (Some(dataset), Some(s), Some(d)) = (parts.next(), parts.next(), parts.next()) else {
-            break 'fast;
-        };
-        let deadline_tok = parts.next();
-        if parts.next().is_some() {
-            break 'fast;
-        }
-        let (Ok(s), Ok(d)) = (s.parse::<u32>(), d.parse::<u32>()) else {
-            break 'fast;
-        };
-        let deadline_ms = match deadline_tok {
-            None => None,
-            Some(raw) => match raw.parse::<u32>() {
-                Ok(ms) => Some(ms),
-                Err(_) => break 'fast,
-            },
-        };
-        let Some(engine) = state.registry.get(dataset) else {
-            break 'fast;
-        };
-        let deadline = request_deadline(cfg, deadline_ms);
-        enqueue_route(
-            state,
-            batch,
-            conn,
-            ci,
-            dataset,
-            engine,
-            VertexId(s),
-            VertexId(d),
-            deadline,
-        );
-        return false;
-    }
-    // Inline commands run under the same panic isolation as batched
-    // routes: a panicking handler answers `ERR internal …` and the
-    // connection (and loop) live on.
-    let outcome = catch_unwind(AssertUnwindSafe(|| respond_line(state, scratch, request)));
-    let (response, shutdown) = match outcome {
-        Ok(pair) => pair,
-        Err(payload) => {
-            *scratch = QueryScratch::new();
-            state.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
-            (
-                format!(
-                    "ERR internal: handler panicked: {}",
-                    panic_message(&payload)
-                ),
-                false,
-            )
-        }
-    };
-    let mut bytes = response.into_bytes();
-    bytes.push(b'\n');
-    conn.push_response(bytes);
-    shutdown
-}
-
-/// Handles one well-framed binary request.  Returns `true` on `shutdown`.
-#[allow(clippy::too_many_arguments)]
-fn handle_frame(
+/// Executes a client-side `route_batch` inline as one unit: the batch is
+/// expired or shed as a whole, and must win admission for all its queries.
+/// The reply format has no per-item error slot, so the first handler panic
+/// fails the whole request (request-scoped).
+fn route_batch(
     state: &ServerState,
     cfg: &ServerConfig,
     faults: Option<&FaultPlan>,
-    batch: &mut Batch,
+    scratch: &mut QueryScratch,
+    dataset: &str,
+    pairs: &[(VertexId, VertexId)],
+    deadline_ms: Option<u32>,
+) -> Reply {
+    let Some(engine) = state.registry.get(dataset) else {
+        return unknown_dataset(state, dataset);
+    };
+    let n = pairs.len() as u64;
+    if Instant::now() >= request_deadline(cfg, deadline_ms) {
+        state.stats.add(Counter::DeadlineExceeded, n);
+        return Reply::DeadlineExceeded;
+    }
+    let queue = state.queues.get(dataset);
+    if !queue.try_admit(pairs.len()) {
+        state.stats.add(Counter::Shed, n);
+        return Reply::Busy;
+    }
+    let health = state.health.watch(dataset);
+    let mut items = Vec::with_capacity(pairs.len());
+    let mut internal = None;
+    for &(src, dst) in pairs {
+        let outcome = isolated_route(state, faults, &engine, scratch, src, dst);
+        record_health(state, &health, outcome.is_err());
+        match outcome {
+            Ok(result) => {
+                items.push(result.map(|r| (r.strategy, r.path.vertices().len() as u32)));
+            }
+            Err(message) => {
+                internal = Some(message);
+                break;
+            }
+        }
+    }
+    queue.release(pairs.len());
+    state.stats.add(Counter::Queries, items.len() as u64);
+    state
+        .stats
+        .add(Counter::Answered, items.iter().flatten().count() as u64);
+    match internal {
+        Some(message) => Reply::Err(message),
+        None => Reply::Batch(items),
+    }
+}
+
+/// Runs one parsed (or unparseable) request of either protocol and queues
+/// its reply.  A `route` joins the loop's shared batch; every other verb
+/// answers inline under panic isolation: a panicking handler answers
+/// `ERR internal …` and the connection (and loop) live on.  Returns `true`
+/// if the request was `shutdown`.
+#[allow(clippy::too_many_arguments)]
+fn run_request(
+    state: &ServerState,
+    cfg: &ServerConfig,
+    faults: Option<&FaultPlan>,
+    batch: &mut Vec<BatchItem>,
     conn: &mut Conn,
     ci: usize,
     scratch: &mut QueryScratch,
-    kind: u8,
-    payload: &[u8],
+    wire: Wire,
+    request: Result<Request<'_>, String>,
 ) -> bool {
-    // A malformed *payload* inside a well-formed frame only fails this
-    // request; the stream stays synchronised and the connection serves on.
-    let fail = |conn: &mut Conn, message: String| {
-        state.stats.errors.fetch_add(1, Ordering::Relaxed);
-        conn.push_response(binary_err(&message));
+    let request = match request {
+        Ok(request) => request,
+        Err(message) => {
+            conn.push_response(fail(state, message).encode(wire));
+            return false;
+        }
     };
-    let Some(opcode) = Opcode::from_u8(kind) else {
-        fail(conn, format!("unknown opcode {kind:#04x}"));
-        return false;
-    };
-    let mut r = Reader::new(payload);
-    match opcode {
-        Opcode::Ping => conn.push_response(binary_frame(Status::Ok, &[])),
-        Opcode::Route => {
-            let decoded = (|| {
-                let dataset = r.str("route dataset", MAX_NAME)?;
-                let src = r.u32("route source")?;
-                let dst = r.u32("route destination")?;
-                let deadline_ms = if r.is_exhausted() {
-                    None
-                } else {
-                    Some(r.u32("route deadline")?)
-                };
-                Ok::<_, l2r_road_network::codec::CodecError>((dataset, src, dst, deadline_ms))
-            })();
-            match decoded {
-                Ok((dataset, src, dst, deadline_ms)) => match state.registry.get(dataset) {
-                    Some(engine) => {
-                        let deadline = request_deadline(cfg, deadline_ms);
-                        enqueue_route(
-                            state,
-                            batch,
-                            conn,
-                            ci,
-                            dataset,
-                            engine,
-                            VertexId(src),
-                            VertexId(dst),
-                            deadline,
-                        );
-                    }
-                    None => fail(conn, format!("unknown dataset `{dataset}`")),
-                },
-                Err(e) => fail(conn, format!("bad route payload: {e}")),
+    let shutdown = matches!(request, Request::Shutdown);
+    let reply = isolated(state, scratch, |scratch| match request {
+        Request::Route {
+            dataset,
+            src,
+            dst,
+            deadline_ms,
+        } => match state.registry.get(dataset) {
+            Some(engine) => {
+                let deadline = request_deadline(cfg, deadline_ms);
+                enqueue_route(
+                    state, batch, conn, ci, wire, dataset, engine, src, dst, deadline,
+                )
             }
-        }
-        Opcode::RouteBatch => {
-            let decoded = (|| {
-                let dataset = r.str("batch dataset", MAX_NAME)?.to_string();
-                let n = r.u32("batch size")? as usize;
-                if n == 0 || n > MAX_BATCH_PAIRS || n > r.remaining() / 8 {
-                    return Err(l2r_road_network::codec::CodecError::ImplausibleLength {
-                        what: "batch size",
-                        len: n as u64,
-                    });
-                }
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pairs.push((r.u32("batch source")?, r.u32("batch destination")?));
-                }
-                let deadline_ms = if r.is_exhausted() {
-                    None
-                } else {
-                    Some(r.u32("batch deadline")?)
-                };
-                Ok((dataset, pairs, deadline_ms))
-            })();
-            let (dataset, pairs, deadline_ms) = match decoded {
-                Ok(v) => v,
-                Err(e) => {
-                    fail(conn, format!("bad route_batch payload: {e}"));
-                    return false;
-                }
-            };
-            let Some(engine) = state.registry.get(&dataset) else {
-                fail(conn, format!("unknown dataset `{dataset}`"));
-                return false;
-            };
-            // The shared budget is enforced for the batch as a whole: if
-            // it is already spent, every pair is expired (no queue slots).
-            let deadline = request_deadline(cfg, deadline_ms);
-            if Instant::now() >= deadline {
-                state
-                    .stats
-                    .deadline_exceeded
-                    .fetch_add(pairs.len() as u64, Ordering::Relaxed);
-                conn.push_response(encode_deadline_exceeded(conn.protocol));
-                return false;
-            }
-            // A client-side batch executes inline as one unit: it must win
-            // admission for all its queries or be shed as a whole.
-            let queue = state.queues.get(&dataset);
-            if !queue.try_admit(pairs.len()) {
-                state
-                    .stats
-                    .shed
-                    .fetch_add(pairs.len() as u64, Ordering::Relaxed);
-                conn.push_response(encode_busy(conn.protocol));
-                return false;
-            }
-            let mut w = Writer::new();
-            w.u32(pairs.len() as u32);
-            let mut answered = 0u32;
-            let mut executed = 0u64;
-            let mut body = Writer::new();
-            let mut internal: Option<String> = None;
-            let health = state.health.watch(&dataset);
-            for &(s, d) in &pairs {
-                let outcome =
-                    isolated_route(state, faults, &engine, scratch, VertexId(s), VertexId(d));
-                record_health(state, &health, outcome.is_err());
-                match outcome {
-                    Ok(Some(result)) => {
-                        executed += 1;
-                        answered += 1;
-                        #[allow(clippy::expect_used)]
-                        let strategy = RouteStrategy::ALL
-                            .iter()
-                            .position(|st| *st == result.strategy)
-                            // l2r: allow(no-panic-hot-path) — `ALL`
-                            // enumerates every RouteStrategy variant, so
-                            // the position lookup cannot fail.
-                            .expect("every strategy is in ALL")
-                            as u8;
-                        body.u8(strategy);
-                        body.u32(result.path.vertices().len() as u32);
-                    }
-                    Ok(None) => {
-                        executed += 1;
-                        body.u8(u8::MAX);
-                        body.u32(0);
-                    }
-                    // The batch reply format has no per-item error slot, so
-                    // the first panic fails the whole batch request-scoped.
-                    Err(message) => {
-                        internal = Some(message);
-                        break;
-                    }
-                }
-            }
-            queue.release(pairs.len());
-            state.stats.queries.fetch_add(executed, Ordering::Relaxed);
-            state
-                .stats
-                .answered
-                .fetch_add(answered as u64, Ordering::Relaxed);
-            match internal {
-                Some(message) => conn.push_response(binary_err(&message)),
-                None => {
-                    w.u32(answered);
-                    let mut payload = w.into_vec();
-                    payload.extend_from_slice(body.as_slice());
-                    conn.push_response(binary_frame(Status::Ok, &payload));
-                }
-            }
-        }
-        Opcode::Info => match r.str("info dataset", MAX_NAME) {
-            Ok(dataset) => match state.registry.get(dataset) {
-                Some(engine) => {
-                    let mut w = Writer::new();
-                    w.u64(engine.network().num_vertices() as u64);
-                    w.u64(engine.network().num_edges() as u64);
-                    w.u64(engine.region_graph().num_regions() as u64);
-                    w.u64(engine.num_connectors() as u64);
-                    w.u64(state.registry.generation(dataset).unwrap_or(0));
-                    w.str(dataset);
-                    conn.push_response(binary_frame(Status::Ok, w.as_slice()));
-                }
-                None => fail(conn, format!("unknown dataset `{dataset}`")),
-            },
-            Err(e) => fail(conn, format!("bad info payload: {e}")),
+            None => Some(unknown_dataset(state, dataset)),
         },
-        Opcode::Stats => {
-            // The human-readable line first (back-compat), then the same
-            // counters as machine-readable pairs appended after it — old
-            // clients stop at the string, new ones read the pairs.
-            let mut w = Writer::new();
-            w.str(&state.stats_line());
-            let fields = state.stats_fields();
-            w.u32(fields.len() as u32);
-            for (key, value) in &fields {
-                w.str(key);
-                w.u64(*value);
-            }
-            conn.push_response(binary_frame(Status::Ok, w.as_slice()));
-        }
-        Opcode::Reload => {
-            let decoded = (|| {
-                let dataset = r.str("reload dataset", MAX_NAME)?.to_string();
-                let path = r.str("reload path", MAX_PATH)?.to_string();
-                let spec = if r.is_exhausted() {
-                    None
-                } else {
-                    Some(r.str("reload spec", MAX_NAME)?.to_string())
-                };
-                Ok::<_, l2r_road_network::codec::CodecError>((dataset, path, spec))
-            })();
-            match decoded {
-                Ok((dataset, path, spec)) => {
-                    match do_reload(state, &dataset, &path, spec.as_deref()) {
-                        Ok(generation) => {
-                            let mut w = Writer::new();
-                            w.u64(generation);
-                            conn.push_response(binary_frame(Status::Ok, w.as_slice()));
-                        }
-                        Err(message) => fail(conn, message),
-                    }
-                }
-                Err(e) => fail(conn, format!("bad reload payload: {e}")),
-            }
-        }
-        Opcode::Rollback => match r.str("rollback dataset", MAX_NAME) {
-            Ok(dataset) => match state.rollback(dataset) {
-                Ok(generation) => {
-                    let mut w = Writer::new();
-                    w.u64(generation);
-                    conn.push_response(binary_frame(Status::Ok, w.as_slice()));
-                }
-                Err(message) => fail(conn, message),
+        Request::RouteBatch {
+            dataset,
+            pairs,
+            deadline_ms,
+        } => Some(route_batch(
+            state,
+            cfg,
+            faults,
+            scratch,
+            dataset,
+            &pairs,
+            deadline_ms,
+        )),
+        Request::Ping => Some(Reply::Ack("pong")),
+        Request::Info { dataset } => Some(match state.registry.get(dataset) {
+            Some(engine) => Reply::Info {
+                dataset: dataset.to_string(),
+                vertices: engine.network().num_vertices() as u64,
+                edges: engine.network().num_edges() as u64,
+                regions: engine.region_graph().num_regions() as u64,
+                connectors: engine.num_connectors() as u64,
+                generation: state.registry.generation(dataset).unwrap_or(0),
             },
-            Err(e) => fail(conn, format!("bad rollback payload: {e}")),
-        },
-        Opcode::Shutdown => {
-            conn.push_response(binary_frame(Status::Ok, &[]));
-            return true;
-        }
+            None => unknown_dataset(state, dataset),
+        }),
+        Request::Stats => Some(Reply::Stats {
+            line: state.stats_line(),
+            fields: state.stats_fields(),
+        }),
+        Request::Reload {
+            dataset,
+            path,
+            spec,
+        } => Some(match do_reload(state, dataset, path, spec) {
+            Ok(generation) => Reply::Generation {
+                dataset: dataset.to_string(),
+                generation,
+            },
+            // The registry kept the previous engine; tell the operator
+            // why the swap did not happen.
+            Err(message) => fail(state, message),
+        }),
+        Request::Rollback { dataset } => Some(match state.rollback(dataset) {
+            Ok(generation) => Reply::Generation {
+                dataset: dataset.to_string(),
+                generation,
+            },
+            Err(message) => fail(state, message),
+        }),
+        Request::Shutdown => Some(Reply::Ack("bye")),
+    })
+    .unwrap_or_else(|message| Some(Reply::Err(message)));
+    if let Some(reply) = reply {
+        conn.push_response(reply.encode(wire));
     }
-    false
+    shutdown
 }
 
 /// Parses and handles every complete request in `conn`'s input buffer,
@@ -1085,41 +696,42 @@ fn process_conn(
     state: &ServerState,
     cfg: &ServerConfig,
     faults: Option<&FaultPlan>,
-    batch: &mut Batch,
+    batch: &mut Vec<BatchItem>,
     conn: &mut Conn,
     ci: usize,
     scratch: &mut QueryScratch,
 ) -> Progress {
     while !conn.closing && conn.unparsed() > 0 {
-        if batch.items.len() >= cfg.batch_max {
+        if batch.len() >= BATCH_MAX {
             return Progress::BatchFull;
         }
-        if conn.protocol == Protocol::Detecting {
-            conn.protocol = if conn.rbuf[conn.rpos] == frame::FRAME_MAGIC[0] {
-                Protocol::Binary
-            } else {
-                Protocol::Ascii
-            };
-        }
-        match conn.protocol {
-            Protocol::Ascii => {
+        let first = conn.rbuf[conn.rpos];
+        let wire = *conn.wire.get_or_insert(if first == frame::FRAME_MAGIC[0] {
+            Wire::Binary
+        } else {
+            Wire::Ascii
+        });
+        let shutdown = match wire {
+            Wire::Ascii => {
                 let buf = &conn.rbuf[conn.rpos..];
                 let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
                     if buf.len() > MAX_REQUEST_LINE {
-                        state.stats.errors.fetch_add(1, Ordering::Relaxed);
-                        conn.push_response(b"ERR request line exceeds the size limit\n".to_vec());
+                        let reply = fail(state, "request line exceeds the size limit".into());
+                        conn.push_response(reply.encode(wire));
                         conn.closing = true;
                     }
                     break;
                 };
                 let line = String::from_utf8_lossy(&buf[..nl]).into_owned();
                 conn.rpos += nl + 1;
-                if handle_ascii_line(state, cfg, batch, conn, ci, scratch, &line) {
-                    conn.closing = true;
-                    state.request_shutdown();
+                let line = line.trim();
+                if line.is_empty() {
+                    continue;
                 }
+                let request = parse_line(line);
+                run_request(state, cfg, faults, batch, conn, ci, scratch, wire, request)
             }
-            Protocol::Binary => match frame::parse_frame(&conn.rbuf[conn.rpos..]) {
+            Wire::Binary => match frame::parse_frame(&conn.rbuf[conn.rpos..]) {
                 FrameParse::Incomplete => break,
                 FrameParse::Frame {
                     kind,
@@ -1131,24 +743,21 @@ fn process_conn(
                     // small; responses dominate traffic).
                     let payload = payload.to_vec();
                     conn.rpos += consumed;
-                    if handle_frame(state, cfg, faults, batch, conn, ci, scratch, kind, &payload) {
-                        conn.closing = true;
-                        state.request_shutdown();
-                    }
+                    let request = decode_request(kind, &payload);
+                    run_request(state, cfg, faults, batch, conn, ci, scratch, wire, request)
                 }
                 FrameParse::Bad(e) => {
                     // Framing violations are connection-fatal: one final
                     // ERR frame, then close (the stream cannot resync).
-                    state.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    conn.push_response(binary_err(&e.to_string()));
+                    conn.push_response(fail(state, e.to_string()).encode(wire));
                     conn.closing = true;
                     break;
                 }
             },
-            // l2r: allow(no-panic-hot-path) — `detect_protocol` ran before
-            // this match and never leaves `Detecting` when bytes exist;
-            // even if violated, the per-request catch_unwind contains it.
-            Protocol::Detecting => unreachable!("protocol detected above"),
+        };
+        if shutdown {
+            conn.closing = true;
+            state.request_shutdown();
         }
     }
     conn.compact();
@@ -1220,11 +829,7 @@ pub(crate) fn event_loop(listener: TcpListener, state: &ServerState, cfg: &Serve
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut open = OpenConns::new(&state.open_conns);
-    let mut batch = Batch {
-        items: Vec::new(),
-        since: None,
-        earliest_deadline: None,
-    };
+    let mut batch: Vec<BatchItem> = Vec::new();
     let mut pollfds: Vec<PollFd> = Vec::new();
     let mut poll_conns: Vec<usize> = Vec::new();
     let mut chunk = vec![0u8; 64 * 1024];
@@ -1236,9 +841,12 @@ pub(crate) fn event_loop(listener: TcpListener, state: &ServerState, cfg: &Serve
         if shutting_down {
             let deadline =
                 *drain_deadline.get_or_insert_with(|| Instant::now() + cfg.drain_deadline);
-            let all_idle = conns.iter().flatten().all(|c| c.wbuf.is_empty())
-                && batch.items.is_empty()
-                && conns.iter().flatten().all(|c| c.pending.is_empty());
+            // The batch is always flushed by the end of an iteration, so
+            // idle connections mean nothing is left to answer.
+            let all_idle = conns
+                .iter()
+                .flatten()
+                .all(|c| c.wbuf.is_empty() && c.pending.is_empty());
             if all_idle || Instant::now() >= deadline {
                 break;
             }
@@ -1270,25 +878,7 @@ pub(crate) fn event_loop(listener: TcpListener, state: &ServerState, cfg: &Serve
             });
             poll_conns.push(ci);
         }
-        let timeout_ms = if shutting_down {
-            5
-        } else if !batch.items.is_empty() {
-            // A held batch caps the wait at its remaining latency budget —
-            // and never waits past its earliest member's deadline.
-            let elapsed = batch.since.map(|t| t.elapsed()).unwrap_or_default();
-            let budget_left = cfg.batch_budget.saturating_sub(elapsed);
-            let deadline_left = batch
-                .earliest_deadline
-                .map(|d| {
-                    d.saturating_duration_since(Instant::now())
-                        .saturating_sub(DEADLINE_FLUSH_SLACK)
-                })
-                .unwrap_or(budget_left);
-            let left = budget_left.min(deadline_left);
-            (left.as_millis() as i32).clamp(1, IDLE_POLL_MS)
-        } else {
-            IDLE_POLL_MS
-        };
+        let timeout_ms = if shutting_down { 5 } else { IDLE_POLL_MS };
         if poll_fds(&mut pollfds, timeout_ms).is_err() {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1323,13 +913,13 @@ pub(crate) fn event_loop(listener: TcpListener, state: &ServerState, cfg: &Serve
                         if !open.try_add(cfg.max_connections) {
                             // Accept-time shedding: over the cap, close
                             // immediately rather than queue unbounded fds.
-                            state.stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
+                            state.stats.add(Counter::ConnsRejected, 1);
                             drop(stream);
                             continue;
                         }
                         let _ = stream.set_nonblocking(true);
                         let _ = stream.set_nodelay(true);
-                        state.stats.connections.fetch_add(1, Ordering::Relaxed);
+                        state.stats.add(Counter::Connections, 1);
                         let conn = Conn::new(stream, next_id);
                         next_id += 1;
                         match free.pop() {
@@ -1346,7 +936,7 @@ pub(crate) fn event_loop(listener: TcpListener, state: &ServerState, cfg: &Serve
         // 3. Read + parse connections with fresh bytes *or* a backlog of
         //    unparsed input (a previously throttled pipeline must resume
         //    without waiting for new bytes); flush the batch whenever it
-        //    fills so queue depth stays bounded by `batch_max`.
+        //    fills so queue depth stays bounded by `BATCH_MAX`.
         for (pi, &ci) in poll_conns.iter().enumerate() {
             let revents = pollfds[pi + 1].revents;
             let readable = revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0;
@@ -1387,23 +977,8 @@ pub(crate) fn event_loop(listener: TcpListener, state: &ServerState, cfg: &Serve
             }
         }
 
-        // 4. Flush the batch: immediately with a zero budget, otherwise
-        //    when the oldest entry has waited out the budget, when the
-        //    earliest member deadline is about to land (coalescing never
-        //    pushes a request past its budget), or when we are shutting
-        //    down and must answer everything now.
-        let budget_spent = batch
-            .since
-            .map(|t| t.elapsed() >= cfg.batch_budget)
-            .unwrap_or(false);
-        let deadline_pressure = batch
-            .earliest_deadline
-            .is_some_and(|d| Instant::now() + DEADLINE_FLUSH_SLACK >= d);
-        if !batch.items.is_empty()
-            && (cfg.batch_budget.is_zero() || budget_spent || deadline_pressure || shutting_down)
-        {
-            flush_batch(state, faults, &mut batch, &mut conns, &mut scratch);
-        }
+        // 4. Answer whatever this round admitted.
+        flush_batch(state, faults, &mut batch, &mut conns, &mut scratch);
 
         // 5. Connection hygiene: disconnect write-stalled (slow-loris)
         //    peers whose outbound backlog has sat above the cap for too
@@ -1417,7 +992,7 @@ pub(crate) fn event_loop(listener: TcpListener, state: &ServerState, cfg: &Serve
             if outstanding > cfg.write_stall_cap {
                 let stalled_since = *conn.wstall_since.get_or_insert(now);
                 if now.duration_since(stalled_since) >= cfg.write_stall_timeout {
-                    state.stats.write_stalls.fetch_add(1, Ordering::Relaxed);
+                    state.stats.add(Counter::WriteStalls, 1);
                     *slot = None;
                     open.remove();
                     free.push(ci);
@@ -1434,7 +1009,7 @@ pub(crate) fn event_loop(listener: TcpListener, state: &ServerState, cfg: &Serve
                 && conn.unparsed() == 0
                 && now.duration_since(conn.last_activity) >= cfg.idle_timeout
             {
-                state.stats.idle_reaped.fetch_add(1, Ordering::Relaxed);
+                state.stats.add(Counter::IdleReaped, 1);
                 *slot = None;
                 open.remove();
                 free.push(ci);

@@ -14,7 +14,7 @@ use l2r_road_network::VertexId;
 
 use crate::client::{route_reply_to_line, BinClient, Client};
 use crate::load::{run_load, LoadConfig, Protocol};
-use crate::{format_route_response, Server};
+use crate::{format_route_response, Counter, Server};
 
 /// Builds a registry by loading each `name=path` model spec.  A path that
 /// is a directory is opened as a model store and its newest durable
@@ -289,7 +289,7 @@ pub fn run_smoke_with(
     }
     note(format!(
         "clean shutdown after {} queries ({} scratches for 2 workers)",
-        state.stats().queries(),
+        state.stats().get(Counter::Queries),
         state.scratches_created()
     ));
     Ok(transcript)

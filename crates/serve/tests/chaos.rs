@@ -15,7 +15,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use l2r_serve::frame::{self, RouteReply};
-use l2r_serve::{route_reply_to_line, BinClient, Client, FaultConfig, FaultPlan, ServerConfig};
+use l2r_serve::{
+    route_reply_to_line, BinClient, Client, Counter, FaultConfig, FaultPlan, ServerConfig,
+};
 
 /// The fault-schedule seed of this run (`L2R_CHAOS_SEED` overrides).
 fn chaos_seed() -> u64 {
@@ -104,14 +106,53 @@ fn injected_handler_panics_cost_one_request_never_a_worker() {
     let injected = plan.counters().panics_injected;
     assert!(injected > 0, "400 draws at 10% must inject something");
     assert_eq!(internal_errors, injected);
-    assert_eq!(state.stats().panics_caught(), injected);
-    assert_eq!(state.stats().workers_respawned(), 0);
-    assert_eq!(state.stats().errors(), 0, "panics are not protocol errors");
+    assert_eq!(state.stats().get(Counter::PanicsCaught), injected);
+    assert_eq!(state.stats().get(Counter::WorkersRespawned), 0);
+    assert_eq!(
+        state.stats().get(Counter::Errors),
+        0,
+        "panics are not protocol errors"
+    );
 
     handle.shutdown().unwrap();
     ref_handle.shutdown().unwrap();
     assert_eq!(state.open_connections(), 0);
     assert_eq!(ref_state.open_connections(), 0);
+}
+
+#[test]
+fn ascii_route_batch_panics_are_request_scoped() {
+    quiet_injected_panics();
+    let plan = Arc::new(FaultPlan::new(FaultConfig {
+        seed: chaos_seed(),
+        handler_panic_per_mille: 1000,
+        ..FaultConfig::default()
+    }));
+    let (handle, addr, state) = common::start_server(ServerConfig {
+        workers: 1,
+        faults: Some(plan.clone()),
+        ..ServerConfig::default()
+    });
+
+    // The first pair panics; the batch reply has no per-item error slot,
+    // so the whole request answers `ERR internal` — and only it.
+    let mut client = Client::connect(addr).unwrap();
+    let reply = client
+        .request(&format!("route_batch {} 0,1 1,2 2,3", common::DATASET))
+        .unwrap();
+    assert!(reply.starts_with("ERR internal: "), "{reply}");
+    assert_eq!(client.request("ping").unwrap(), "OK pong");
+    drop(client);
+
+    assert_eq!(plan.counters().panics_injected, 1);
+    assert_eq!(state.stats().get(Counter::PanicsCaught), 1);
+    assert_eq!(state.stats().get(Counter::Errors), 0);
+    assert_eq!(state.stats().get(Counter::Queries), 0);
+    let queue = state.dataset_queue(common::DATASET).expect("queue exists");
+    assert_eq!(queue.depth(), 0, "the batch's admission must be released");
+
+    handle.shutdown().unwrap();
+    assert_eq!(state.open_connections(), 0);
 }
 
 #[test]
@@ -156,8 +197,8 @@ fn short_reads_and_writes_keep_replies_bit_exact() {
         counters.short_reads > 0 && counters.short_writes > 0,
         "the schedule must actually have fragmented some IO: {counters:?}"
     );
-    assert_eq!(state.stats().errors(), 0);
-    assert_eq!(state.stats().panics_caught(), 0);
+    assert_eq!(state.stats().get(Counter::Errors), 0);
+    assert_eq!(state.stats().get(Counter::PanicsCaught), 0);
 
     handle.shutdown().unwrap();
     ref_handle.shutdown().unwrap();
@@ -183,11 +224,11 @@ fn killed_workers_are_respawned_and_service_continues() {
     // down with it; the watchdog must bring a replacement up.  Keep
     // connecting until both kills have fired and been repaired.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while state.stats().workers_respawned() < 2 {
+    while state.stats().get(Counter::WorkersRespawned) < 2 {
         assert!(
             Instant::now() < deadline,
             "watchdog did not respawn 2 workers in time: respawned={} killed={}",
-            state.stats().workers_respawned(),
+            state.stats().get(Counter::WorkersRespawned),
             plan.counters().worker_kills_injected,
         );
         // The sacrificial connection may die at any point; ignore how.
@@ -209,7 +250,7 @@ fn killed_workers_are_respawned_and_service_continues() {
     drop(c);
 
     handle.shutdown().unwrap();
-    assert_eq!(state.stats().workers_respawned(), 2);
+    assert_eq!(state.stats().get(Counter::WorkersRespawned), 2);
     assert_eq!(state.open_connections(), 0);
 }
 
@@ -244,9 +285,13 @@ fn zero_deadline_requests_are_answered_deadline_exceeded_exactly() {
     assert_eq!(line, "ERR deadline exceeded");
     drop(a);
 
-    assert_eq!(state.stats().deadline_exceeded(), 21);
-    assert_eq!(state.stats().queries(), 0, "expired requests never execute");
-    assert_eq!(state.stats().errors(), 0);
+    assert_eq!(state.stats().get(Counter::DeadlineExceeded), 21);
+    assert_eq!(
+        state.stats().get(Counter::Queries),
+        0,
+        "expired requests never execute"
+    );
+    assert_eq!(state.stats().get(Counter::Errors), 0);
 
     handle.shutdown().unwrap();
     assert_eq!(state.open_connections(), 0);
@@ -283,14 +328,14 @@ fn write_stalled_connections_are_disconnected() {
     let _ = s.write_all(&out);
 
     let deadline = Instant::now() + Duration::from_secs(10);
-    while state.stats().write_stalls() == 0 {
+    while state.stats().get(Counter::WriteStalls) == 0 {
         assert!(
             Instant::now() < deadline,
             "write-stall detection did not trip"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(state.stats().write_stalls(), 1);
+    assert_eq!(state.stats().get(Counter::WriteStalls), 1);
 
     // The dropped connection is observable client-side as EOF/reset.
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -320,11 +365,11 @@ fn idle_connections_are_reaped() {
     // Go quiet past the idle budget: the server must reap us (EOF), not
     // hold the socket forever.
     let reaped_by = Instant::now() + Duration::from_secs(10);
-    while state.stats().idle_reaped() == 0 {
+    while state.stats().get(Counter::IdleReaped) == 0 {
         assert!(Instant::now() < reaped_by, "idle connection was not reaped");
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert_eq!(state.stats().idle_reaped(), 1);
+    assert_eq!(state.stats().get(Counter::IdleReaped), 1);
     assert!(
         c.ping().is_err(),
         "a reaped connection cannot serve further requests"
@@ -351,7 +396,7 @@ fn connection_cap_sheds_excess_accepts() {
 
     // The third connection is accepted then immediately shed.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while state.stats().conns_rejected() == 0 {
+    while state.stats().get(Counter::ConnsRejected) == 0 {
         assert!(Instant::now() < deadline, "over-cap accept was not shed");
         let mut c = BinClient::connect_with(addr, Some(Duration::from_millis(250))).unwrap();
         let _ = c.ping();

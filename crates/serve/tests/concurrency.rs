@@ -11,7 +11,9 @@ use std::time::{Duration, Instant};
 use l2r_core::QueryScratch;
 use l2r_road_network::VertexId;
 use l2r_serve::frame::{self, parse_frame, FrameParse, Status};
-use l2r_serve::{format_route_response, route_reply_to_line, BinClient, Client, ServerConfig};
+use l2r_serve::{
+    format_route_response, route_reply_to_line, BinClient, Client, Counter, ServerConfig,
+};
 
 const DEADLINE: Duration = Duration::from_secs(30);
 
@@ -73,7 +75,7 @@ fn idle_connections_do_not_starve_active_ones() {
     assert_eq!(late.request("ping").unwrap(), "OK pong");
 
     handle.shutdown().unwrap();
-    assert!(state.stats().queries() >= answered as u64);
+    assert!(state.stats().get(Counter::Queries) >= answered as u64);
 }
 
 #[test]

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use l2r_serve::frame::{self, RouteReply};
-use l2r_serve::{route_reply_to_line, BinClient, FaultConfig, FaultPlan, ServerConfig};
+use l2r_serve::{route_reply_to_line, BinClient, Counter, FaultConfig, FaultPlan, ServerConfig};
 
 /// Deterministic queries shared by the drained server and the reference.
 fn query_plan(n: usize) -> Vec<(u32, u32)> {
@@ -100,7 +100,7 @@ fn drain_answers_the_admitted_pipeline_then_exits() {
 
     assert!(handle.shutdown().is_ok());
     assert_eq!(state.open_connections(), 0);
-    assert_eq!(state.stats().shed(), 0);
+    assert_eq!(state.stats().get(Counter::Shed), 0);
 
     ref_handle.shutdown().unwrap();
     assert_eq!(ref_state.open_connections(), 0);

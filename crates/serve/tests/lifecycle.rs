@@ -20,7 +20,7 @@ use l2r_core::{
     compute_canaries, encode_snapshot_with, L2r, L2rConfig, ModelStore, QueryScratch, StoreOptions,
 };
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
-use l2r_serve::{BinClient, Client, FaultConfig, FaultPlan, ServerConfig};
+use l2r_serve::{BinClient, Client, Counter, FaultConfig, FaultPlan, ServerConfig};
 
 fn fitted() -> L2r {
     let syn = generate_network(&SyntheticNetworkConfig::tiny());
@@ -191,9 +191,9 @@ fn store_reload_and_rollback_over_tcp() {
     let err = bin.rollback(DATASET).unwrap_err();
     assert!(err.to_string().contains("rollback failed"), "{err}");
 
-    assert_eq!(state.stats().reloads(), 3);
-    assert_eq!(state.stats().rollbacks(), 2);
-    assert_eq!(state.stats().validation_failures(), 0);
+    assert_eq!(state.stats().get(Counter::Reloads), 3);
+    assert_eq!(state.stats().get(Counter::Rollbacks), 2);
+    assert_eq!(state.stats().get(Counter::ValidationFailures), 0);
     assert_eq!(state.registry().generation(DATASET), Some(6));
 
     drop(bin);
@@ -247,7 +247,7 @@ fn poisoned_snapshots_are_rejected_and_counted() {
         rejected.starts_with("ERR reload failed") && rejected.contains("canary"),
         "{rejected}"
     );
-    assert_eq!(state.stats().validation_failures(), 1);
+    assert_eq!(state.stats().get(Counter::ValidationFailures), 1);
 
     let mismatched = ascii
         .request(&format!("reload {DATASET} {}", foreign.display()))
@@ -256,10 +256,10 @@ fn poisoned_snapshots_are_rejected_and_counted() {
         mismatched.starts_with("ERR reload failed") && mismatched.contains("somewhere-else"),
         "{mismatched}"
     );
-    assert_eq!(state.stats().validation_failures(), 2);
+    assert_eq!(state.stats().get(Counter::ValidationFailures), 2);
 
     // Neither rejection swapped anything.
-    assert_eq!(state.stats().reloads(), 0);
+    assert_eq!(state.stats().get(Counter::Reloads), 0);
     assert_eq!(state.registry().generation(DATASET), Some(1));
     assert_eq!(
         ascii.request(&format!("route {DATASET} 0 1")).unwrap(),
@@ -310,11 +310,11 @@ fn error_spike_in_probation_triggers_automatic_rollback() {
     // The trigger runs on the event-loop thread right after the deciding
     // response is filled; give it a moment under load.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while state.stats().rollbacks() == 0 && Instant::now() < deadline {
+    while state.stats().get(Counter::Rollbacks) == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(
-        state.stats().rollbacks(),
+        state.stats().get(Counter::Rollbacks),
         1,
         "probation must roll back once"
     );
@@ -353,7 +353,7 @@ fn clean_probation_window_passes_without_rollback() {
             .unwrap();
         assert!(!response.starts_with("ERR"), "{response}");
     }
-    assert_eq!(state.stats().rollbacks(), 0);
+    assert_eq!(state.stats().get(Counter::Rollbacks), 0);
     assert_eq!(state.registry().generation(DATASET), Some(2));
     // The retained engine is still there for a *manual* rollback.
     assert!(state.registry().has_previous(DATASET));

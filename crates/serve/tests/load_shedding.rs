@@ -9,17 +9,16 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use l2r_serve::frame::{self, parse_frame, FrameParse, Status};
-use l2r_serve::{BinClient, Client, ServerConfig};
+use l2r_serve::{BinClient, Client, Counter, ServerConfig};
 
-/// A server whose admission queue overflows after 2 in-flight routes and
-/// whose batches are held for a while, so pipelined floods reliably find
-/// the queue full.
+/// A server whose admission queue overflows after 2 in-flight routes.  A
+/// burst written in one call arrives in one read, and the loop parses all
+/// of it before the round's batch executes, so the burst finds the queue
+/// full after its first two routes.
 fn shedding_config() -> ServerConfig {
     ServerConfig {
         workers: 1,
         queue_capacity: 2,
-        batch_max: 1024,
-        batch_budget: Duration::from_millis(150),
         ..ServerConfig::default()
     }
 }
@@ -68,7 +67,7 @@ fn binary_overflow_gets_busy_and_connection_survives() {
     assert_eq!(queue.depth(), 0, "queue must drain after the flush");
     assert_eq!(queue.served(), 2);
     assert_eq!(queue.shed(), 6);
-    assert_eq!(state.stats().shed(), 6);
+    assert_eq!(state.stats().get(Counter::Shed), 6);
 
     // BUSY is retriable: the same connection keeps working, and with the
     // flood gone a retried request is admitted and answered.
@@ -112,7 +111,16 @@ fn ascii_overflow_gets_busy_lines() {
     assert_eq!(client.request("ping").unwrap(), "OK pong");
     let queue = state.dataset_queue(common::DATASET).unwrap();
     assert_eq!(queue.depth(), 0);
-    assert_eq!(state.stats().shed(), 6);
+    assert_eq!(state.stats().get(Counter::Shed), 6);
+
+    // A route_batch is admitted as a whole: 3 pairs never fit a queue of
+    // 2, so the batch is shed and every pair counts.
+    let reply = client
+        .request(&format!("route_batch {} 0,1 1,2 2,3", common::DATASET))
+        .unwrap();
+    assert_eq!(reply, "BUSY");
+    assert_eq!(state.stats().get(Counter::Shed), 9);
+    assert_eq!(queue.depth(), 0);
 
     handle.shutdown().unwrap();
 }

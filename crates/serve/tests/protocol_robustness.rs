@@ -13,7 +13,7 @@ use std::time::Duration;
 use l2r_serve::frame::{
     self, parse_frame, write_frame, FrameParse, Opcode, Status, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
 };
-use l2r_serve::{BinClient, Client, ServerConfig};
+use l2r_serve::{BinClient, Client, Counter, ServerConfig};
 
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -111,7 +111,7 @@ fn malformed_binary_frames_get_clean_errors_or_disconnects() {
     bin.ping().expect("server must survive malformed peers");
     bin.shutdown_server().unwrap();
     handle.shutdown().unwrap();
-    assert!(state.stats().errors() >= 3);
+    assert!(state.stats().get(Counter::Errors) >= 3);
 }
 
 #[test]
@@ -226,5 +226,5 @@ fn garbage_ascii_lines_get_err_replies_not_disconnects() {
     assert!(text.starts_with("ERR"), "over-long line got: {text}");
 
     handle.shutdown().unwrap();
-    assert!(state.stats().errors() >= 7);
+    assert!(state.stats().get(Counter::Errors) >= 7);
 }
