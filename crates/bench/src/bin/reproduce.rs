@@ -302,12 +302,13 @@ fn main() {
         let first = &sets[0];
         let compile = compile_bench_for(first);
         println!(
-            "## Engine compile ({}) — serial {:.1} ms vs {:.1} ms on {} thread(s) ({:.2}x)\n",
+            "## Engine compile ({}) — serial {:.1} ms vs {:.1} ms on {} thread(s) ({:.2}x), identical: {}\n",
             first.spec.name,
             compile.serial_ms,
             compile.parallel_ms,
             compile.threads,
-            compile.speedup
+            compile.speedup,
+            compile.identical
         );
         let decode = decode_bench_for(first);
         println!(
@@ -355,6 +356,18 @@ fn main() {
                 broken.join(", ")
             );
             std::process::exit(1);
+        }
+        // An engine whose answers depend on the compile's thread count has
+        // lost determinism, whatever the scale or core count.
+        if let Some(c) = &report.compile {
+            if !c.identical {
+                eprintln!(
+                    "ERROR: engines compiled on 1 vs {} worker threads disagree \
+                     (connector count or routes)",
+                    c.threads
+                );
+                std::process::exit(1);
+            }
         }
         // A parallel decode that does not round-trip to the exact snapshot
         // bytes is corruption, whatever the scale or core count.

@@ -545,8 +545,8 @@ pub fn online_bench_json(report: &OnlineBenchReport) -> String {
     }
     if let Some(c) = &report.compile {
         out.push_str(&format!(
-            "  \"engine_compile\": {{ \"threads\": {}, \"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, \"speedup\": {:.2} }},\n",
-            c.threads, c.serial_ms, c.parallel_ms, c.speedup
+            "  \"engine_compile\": {{ \"threads\": {}, \"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, \"speedup\": {:.2}, \"identical\": {} }},\n",
+            c.threads, c.serial_ms, c.parallel_ms, c.speedup, c.identical
         ));
     }
     if let Some(d) = &report.decode {

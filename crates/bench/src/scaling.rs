@@ -10,6 +10,9 @@ use std::time::Instant;
 
 use l2r_eval::Dataset;
 use l2r_preference::{build_descriptors, build_similarity_rows, build_similarity_rows_naive};
+use l2r_road_network::VertexId;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Peak resident set size of this process in bytes, read from the `VmHWM`
 /// line of `/proc/self/status`.  Dependency-free and Linux-only; returns
@@ -107,6 +110,9 @@ pub fn fit_determinism_check(ds: &Dataset) -> FitDeterminism {
     }
 }
 
+/// Seeded query pairs [`compile_bench_for`] routes through both engines.
+const COMPILE_CHECK_PAIRS: usize = 500;
+
 /// Serial vs parallel `Engine` compilation of the same fitted model.
 #[derive(Debug, Clone)]
 pub struct CompileBench {
@@ -118,10 +124,14 @@ pub struct CompileBench {
     pub parallel_ms: f64,
     /// `serial_ms / parallel_ms`.
     pub speedup: f64,
+    /// Whether both engines hold the same number of connectors and answer a
+    /// seeded sample of vertex pairs identically.
+    pub identical: bool,
 }
 
 /// Compiles `ds`'s model twice — single-threaded and at the ambient thread
-/// count — and reports both wall times.  The ambient override is restored.
+/// count — reports both wall times and checks the two engines agree.  The
+/// ambient override is restored.
 pub fn compile_bench_for(ds: &Dataset) -> CompileBench {
     let threads = l2r_par::max_threads();
     let saved = l2r_par::thread_override();
@@ -130,13 +140,18 @@ pub fn compile_bench_for(ds: &Dataset) -> CompileBench {
     let t0 = Instant::now();
     let serial_engine = serial_model.into_engine();
     let serial_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    drop(serial_engine);
     l2r_par::set_thread_override(saved);
     let parallel_model = ds.model.clone();
     let t0 = Instant::now();
     let parallel_engine = parallel_model.into_engine();
     let parallel_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    drop(parallel_engine);
+    let n = ds.model.network().num_vertices() as u32;
+    let mut rng = StdRng::seed_from_u64(0xC0_4D11E);
+    let pairs: Vec<(VertexId, VertexId)> = (0..COMPILE_CHECK_PAIRS)
+        .map(|_| (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n))))
+        .collect();
+    let identical = serial_engine.num_connectors() == parallel_engine.num_connectors()
+        && serial_engine.route_many(&pairs) == parallel_engine.route_many(&pairs);
     CompileBench {
         threads,
         serial_ms,
@@ -146,6 +161,7 @@ pub fn compile_bench_for(ds: &Dataset) -> CompileBench {
         } else {
             0.0
         },
+        identical,
     }
 }
 
@@ -224,6 +240,7 @@ mod tests {
 
         let compile = compile_bench_for(ds);
         assert!(compile.serial_ms > 0.0 && compile.parallel_ms > 0.0);
+        assert!(compile.identical, "serial and parallel engines must agree");
 
         let decode = decode_bench_for(ds);
         assert!(decode.bytes > 0);

@@ -18,10 +18,11 @@
 //!   query source → attached-path entry, attached-path exit → query
 //!   destination, anchor → next-hop entry — always start or end at a region
 //!   vertex, so they are precomputed with one bounded one-to-many search per
-//!   region vertex.  Extracting a path from a search that ran longer is
-//!   bit-identical to the early-stopped per-query search (settled parents
-//!   never change), so cached connectors answer exactly like live Dijkstra —
-//!   without running one.
+//!   distinct source (a region vertex that is also an entry anchor searches
+//!   once, towards both target sets).  Extracting a path from a search that
+//!   ran longer is bit-identical to the early-stopped per-query search
+//!   (settled parents never change), so cached connectors answer exactly
+//!   like live Dijkstra — without running one.
 //!
 //! Unlike the historical `PreparedRouter<'a>` (which borrowed the network
 //! and region graph it compiled), an `Engine` **owns** its model behind an
@@ -178,7 +179,7 @@ impl Engine {
     /// model data.
     ///
     /// The three compile stages — oriented-path resolution per region edge,
-    /// inner-path indexing per region, connector searches per region — are
+    /// inner-path indexing per region, one connector search per source — are
     /// each embarrassingly parallel and fan out across `L2R_THREADS` workers;
     /// results are merged in index order, so the compiled engine is identical
     /// to a single-threaded build.
@@ -627,11 +628,18 @@ impl L2r {
 ///   fallback center of `r`) → any vertex of `r` (the query destination, or
 ///   the entry of the next leg).
 ///
-/// One `dijkstra_to_many` per source covers all of its targets; extracting
-/// `path_to(t)` from that search is bit-identical to the early-stopped
-/// per-query search the free router runs, because a settled vertex's parent
-/// never changes after it settles.  Cache size and prepare cost stay linear
-/// in `Σ |region| × (adjacent edges)` — no all-pairs blowup.
+/// Every entry anchor of a region is usually also one of its vertices, so
+/// the searches run once per distinct `(region, source)`: one
+/// `dijkstra_to_many` towards the union of the source's head targets and,
+/// for an anchor, the region's vertices.  Extracting `path_to(t)` from that
+/// search is bit-identical to the early-stopped per-query search the free
+/// router runs, because a settled vertex's parent never changes after it
+/// settles.  For the same reason two searches from one source agree on every
+/// target they share, so the per-search results merge in any order.  The
+/// searches are scheduled one by one across workers, so a region whose
+/// searches span the whole network does not pin them to one thread.  Cache
+/// size and prepare cost stay linear in `Σ |region| × (adjacent edges)` — no
+/// all-pairs blowup.
 fn resolve_connectors(
     net: &RoadNetwork,
     rg: &RegionGraph,
@@ -673,62 +681,74 @@ fn resolve_connectors(
         entry_anchors[r].dedup();
     }
 
-    // The searches for different regions are independent (every connector key
-    // starts at a vertex of its region, and regions partition the vertices),
-    // so they fan out across workers — one reusable `SearchSpace` per worker.
-    // Each region returns its head inserts and tail inserts separately; the
-    // serial merge below replays them in region order with the exact
-    // `insert` / `or_insert` semantics of a single-threaded build, so the
-    // resulting map is identical.
+    // One job per distinct (region, source), flagged with the roles it plays.
     let n = net.num_vertices();
-    type ConnectorEntry = ((VertexId, VertexId), Option<Path>);
-    let per_region: Vec<(Vec<ConnectorEntry>, Vec<ConnectorEntry>)> =
-        l2r_par::par_map_init(rg.regions(), SearchSpace::new, |space, _, region| {
-            let r = region.id.idx();
-            let mut heads: Vec<ConnectorEntry> = Vec::new();
-            let mut tails: Vec<ConnectorEntry> = Vec::new();
-            // Head connectors: every region vertex reaches every out-target.
-            if !out_targets[r].is_empty() {
-                for &v in &region.vertices {
-                    if v.idx() >= n {
-                        continue;
-                    }
-                    space.dijkstra_to_many(net, v, &out_targets[r], |e| {
-                        e.cost(CostType::TravelTime)
-                    });
-                    for &t in &out_targets[r] {
-                        if t != v {
-                            heads.push(((v, t), space.path_to(t)));
-                        }
-                    }
-                }
-            }
-            // Tail / next-hop connectors: every entry anchor reaches every
-            // region vertex.
-            for &a in &entry_anchors[r] {
-                if a.idx() >= n {
-                    continue;
-                }
-                space.dijkstra_to_many(net, a, &region.vertices, |e| e.cost(CostType::TravelTime));
-                for &t in &region.vertices {
-                    if t != a {
-                        tails.push(((a, t), space.path_to(t)));
-                    }
-                }
-            }
-            (heads, tails)
-        });
-
-    let mut connectors: HashMap<(VertexId, VertexId), Option<Path>> = HashMap::new();
-    for (heads, tails) in per_region {
-        for (key, path) in heads {
-            connectors.insert(key, path);
+    let mut jobs: Vec<ConnectorSource> = Vec::new();
+    let mut roles: Vec<(VertexId, bool)> = Vec::new();
+    for region in rg.regions() {
+        let r = region.id;
+        roles.clear();
+        if !out_targets[r.idx()].is_empty() {
+            roles.extend(region.vertices.iter().map(|&v| (v, false)));
         }
-        for (key, path) in tails {
-            connectors.entry(key).or_insert(path);
+        roles.extend(entry_anchors[r.idx()].iter().map(|&a| (a, true)));
+        roles.retain(|(v, _)| v.idx() < n);
+        roles.sort_unstable();
+        for &(source, anchor) in &roles {
+            match jobs.last_mut() {
+                Some(job) if job.region == r && job.source == source => {
+                    job.head |= !anchor;
+                    job.tail |= anchor;
+                }
+                _ => jobs.push(ConnectorSource {
+                    region: r,
+                    source,
+                    head: !anchor,
+                    tail: anchor,
+                }),
+            }
         }
     }
+
+    type ConnectorEntry = ((VertexId, VertexId), Option<Path>);
+    let per_source: Vec<Vec<ConnectorEntry>> = l2r_par::par_map_init(
+        &jobs,
+        || (SearchSpace::new(), Vec::new()),
+        |(space, targets), _, job| {
+            targets.clear();
+            if job.head {
+                targets.extend_from_slice(&out_targets[job.region.idx()]);
+            }
+            if job.tail {
+                targets.extend_from_slice(&rg.region(job.region).vertices);
+            }
+            targets.sort_unstable();
+            targets.dedup();
+            space.dijkstra_to_many(net, job.source, targets, |e| e.cost(CostType::TravelTime));
+            targets
+                .iter()
+                .filter(|&&t| t != job.source)
+                .map(|&t| ((job.source, t), space.path_to(t)))
+                .collect()
+        },
+    );
+
+    // Equal keys carry equal values, so the merge order cannot change the map.
+    let mut connectors = HashMap::with_capacity(per_source.iter().map(Vec::len).sum());
+    for entries in per_source {
+        connectors.extend(entries);
+    }
     connectors
+}
+
+/// One connector search: `source` reaches the out-targets of `region` when
+/// `head` is set (it is a region vertex) and every vertex of `region` when
+/// `tail` is set (it is an entry anchor).
+struct ConnectorSource {
+    region: RegionId,
+    source: VertexId,
+    head: bool,
+    tail: bool,
 }
 
 #[cfg(test)]
@@ -742,12 +762,20 @@ mod tests {
     use l2r_region_graph::{bottom_up_clustering, TrajectoryGraph};
 
     fn build() -> (RoadNetwork, RegionGraph) {
+        build_graphs(true)
+    }
+
+    /// The tiny fixture; without the apply step its B-edges carry no paths,
+    /// so both of their orientations fall back to a transfer center.
+    fn build_graphs(apply_b_edges: bool) -> (RoadNetwork, RegionGraph) {
         let syn = generate_network(&SyntheticNetworkConfig::tiny());
         let wl = generate_workload(&syn, &WorkloadConfig::tiny(250));
         let tg = TrajectoryGraph::build(&syn.net, &wl.trajectories);
         let clusters = bottom_up_clustering(&tg);
         let mut rg = RegionGraph::build(&syn.net, &clusters, &wl.trajectories, 2);
-        apply_preferences_to_b_edges(&syn.net, &mut rg, &std::collections::HashMap::new(), 2);
+        if apply_b_edges {
+            apply_preferences_to_b_edges(&syn.net, &mut rg, &std::collections::HashMap::new(), 2);
+        }
         (syn.net.clone(), rg)
     }
 
@@ -811,15 +839,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_connectors_match_live_fastest_paths() {
-        let (net, rg) = build();
-        let engine = Engine::from_graphs(&net, &rg);
-        assert!(engine.num_connectors() > 0);
-        for ((from, to), cached) in engine.connectors.iter().take(500) {
-            let live = l2r_road_network::fastest_path(&net, *from, *to);
-            assert_eq!(cached, &live, "connector {from:?} -> {to:?}");
+    /// The connector keys enumerated straight from the region graph: per
+    /// orientation `from → to`, every vertex of `from` reaches the head target
+    /// (the attached path's entry, or `to`'s fallback transfer center), and
+    /// the anchor (the path's exit, or that same center) reaches every vertex
+    /// of `to`.  Also returns how many head targets lie outside `from`.
+    fn expected_connector_keys(
+        rg: &RegionGraph,
+        engine: &Engine,
+    ) -> (std::collections::HashSet<(VertexId, VertexId)>, usize) {
+        let mut expected = std::collections::HashSet::new();
+        let mut heads_outside_from = 0usize;
+        for edge in rg.edges() {
+            let o = &engine.oriented[edge.id.idx()];
+            for (from, to, seg) in [
+                (edge.a, edge.b, o.forward.as_ref()),
+                (edge.b, edge.a, o.backward.as_ref()),
+            ] {
+                let (head, anchor) = match seg {
+                    Some(p) => (p.source(), p.destination()),
+                    None => match rg.transfer_centers_or_default(to).first() {
+                        Some(&c) => (c, c),
+                        None => continue,
+                    },
+                };
+                if rg.region_of(head) != Some(from) {
+                    heads_outside_from += 1;
+                }
+                for &v in &rg.region(from).vertices {
+                    if v != head {
+                        expected.insert((v, head));
+                    }
+                }
+                for &t in &rg.region(to).vertices {
+                    if t != anchor {
+                        expected.insert((anchor, t));
+                    }
+                }
+            }
         }
+        (expected, heads_outside_from)
+    }
+
+    #[test]
+    fn connector_table_is_exactly_the_head_and_tail_stubs() {
+        let mut heads_outside_from = 0usize;
+        for apply_b_edges in [true, false] {
+            let (net, rg) = build_graphs(apply_b_edges);
+            let engine = Engine::from_graphs(&net, &rg);
+            let (expected, outside) = expected_connector_keys(&rg, &engine);
+            heads_outside_from += outside;
+            let actual: std::collections::HashSet<(VertexId, VertexId)> =
+                engine.connectors.keys().copied().collect();
+            assert!(!expected.is_empty());
+            assert_eq!(actual, expected, "connector keys (apply={apply_b_edges})");
+            for ((from, to), cached) in &engine.connectors {
+                let live = l2r_road_network::fastest_path(&net, *from, *to);
+                assert_eq!(cached, &live, "connector {from:?} -> {to:?}");
+            }
+        }
+        assert!(
+            heads_outside_from > 0,
+            "a fixture needs an orientation whose head target lies outside its region"
+        );
     }
 
     #[test]

@@ -1,17 +1,29 @@
 //! The parallel offline pipeline must be bit-identical to a serial run:
 //! `L2r::fit` with `L2R_THREADS=1` and `L2R_THREADS=4` has to produce the
 //! same learned preferences, the same transferred preferences and the same
-//! B-edge paths.
+//! B-edge paths, and an `Engine` compiled at any thread count has to hold
+//! the same connector cache and answer every query the same way.
 //!
-//! This file intentionally contains a single `#[test]` so the process-global
-//! `L2R_THREADS` variable is not raced by other tests in the same binary.
+//! Every test here changes the process-global thread count, so each one
+//! holds [`THREAD_COUNT`] for its whole run: no test observes another's pin,
+//! and no `getenv` races the `L2R_THREADS` mutation.
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use l2r_core::{L2r, L2rConfig};
+use l2r_core::{Engine, L2r, L2rConfig};
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
 use l2r_preference::{LearnedPreference, Preference};
 use l2r_region_graph::{RegionEdgeId, SupportedPath};
+use l2r_road_network::VertexId;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+static THREAD_COUNT: Mutex<()> = Mutex::new(());
+
+fn lock_thread_count() -> MutexGuard<'static, ()> {
+    THREAD_COUNT.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn fit() -> L2r {
     let syn = generate_network(&SyntheticNetworkConfig::tiny());
@@ -20,8 +32,60 @@ fn fit() -> L2r {
     L2r::fit(&syn.net, &train, L2rConfig::fast()).expect("fit")
 }
 
+/// Compiles `model` at each thread count (pinned with `set_thread_override`,
+/// released afterwards), returning the engines in the same order.
+fn compile_at(model: &Arc<L2r>, threads: &[usize]) -> Vec<Engine> {
+    let engines = threads
+        .iter()
+        .map(|&t| {
+            l2r_par::set_thread_override(Some(t));
+            Engine::from_shared(Arc::clone(model))
+        })
+        .collect();
+    l2r_par::set_thread_override(None);
+    engines
+}
+
+/// Asserts every engine matches the first: same connector count, same
+/// route for every query.
+fn assert_engines_agree(engines: &[Engine], threads: &[usize], queries: &[(VertexId, VertexId)]) {
+    let reference = engines[0].route_many(queries);
+    assert!(
+        reference.iter().any(Option::is_some),
+        "the query sample must produce routes"
+    );
+    for (engine, t) in engines.iter().zip(threads).skip(1) {
+        assert_eq!(
+            engine.num_connectors(),
+            engines[0].num_connectors(),
+            "connector count at {t} threads"
+        );
+        assert_eq!(
+            engine.route_many(queries),
+            reference,
+            "routes of the engine compiled at {t} threads"
+        );
+    }
+}
+
+#[test]
+fn engine_compile_is_identical_across_1_2_and_8_threads() {
+    let _pin = lock_thread_count();
+    let model = Arc::new(fit());
+    let threads = [1usize, 2, 8];
+    let engines = compile_at(&model, &threads);
+    assert!(engines[0].num_connectors() > 0);
+    let n = model.network().num_vertices() as u32;
+    let queries: Vec<(VertexId, VertexId)> = (0..n)
+        .step_by(3)
+        .flat_map(|s| (1..n).step_by(7).map(move |d| (VertexId(s), VertexId(d))))
+        .collect();
+    assert_engines_agree(&engines, &threads, &queries);
+}
+
 #[test]
 fn parallel_fit_is_bit_identical_to_serial_fit() {
+    let _pin = lock_thread_count();
     std::env::set_var(l2r_par::THREADS_ENV, "1");
     let serial = fit();
     std::env::set_var(l2r_par::THREADS_ENV, "4");
@@ -78,21 +142,24 @@ fn parallel_fit_is_bit_identical_to_serial_fit() {
 /// Country-scale determinism smoke: the same fit on the XL-smoke network at
 /// 1, 4 and 8 worker threads must encode to bit-identical structural
 /// snapshots (per-stage wall times excluded — they are timing provenance,
-/// not model state).  Ignored by default because it fits a multi-district
-/// network three times; the CI `xl-smoke` job runs it with `--ignored`.
-/// Uses `set_thread_override` (an atomic) rather than `L2R_THREADS` so it
-/// cannot race the env mutation of the test above if both are selected.
+/// not model state), and engines compiled from it at 1 and 4 threads must
+/// answer 2,000 seeded queries identically.  Ignored by default because it
+/// fits a multi-district network three times; the CI `xl-smoke` job runs it
+/// with `--ignored`.
 #[test]
 #[ignore = "country-scale smoke; run explicitly with --ignored (CI xl-smoke job)"]
 fn xl_fit_is_bit_identical_across_1_4_and_8_threads() {
+    let _pin = lock_thread_count();
     let syn = generate_network(&SyntheticNetworkConfig::xl_smoke());
     let wl = generate_workload(&syn, &WorkloadConfig::xl_like(400));
     let (train, _) = wl.temporal_split(0.8);
     let mut encodings: Vec<(usize, Vec<u8>)> = Vec::new();
+    let mut serial_model = None;
     for threads in [1usize, 4, 8] {
         l2r_par::set_thread_override(Some(threads));
         let model = L2r::fit(&syn.net, &train, L2rConfig::default()).expect("fit");
         encodings.push((threads, l2r_core::encode_model_structural(&model)));
+        serial_model.get_or_insert(model);
     }
     l2r_par::set_thread_override(None);
     assert!(
@@ -106,4 +173,14 @@ fn xl_fit_is_bit_identical_across_1_4_and_8_threads() {
             "fit at {threads} threads diverged from the single-threaded fit"
         );
     }
+
+    let model = Arc::new(serial_model.expect("the loop fits at least once"));
+    let threads = [1usize, 4];
+    let engines = compile_at(&model, &threads);
+    let n = model.network().num_vertices() as u32;
+    let mut rng = StdRng::seed_from_u64(2018);
+    let queries: Vec<(VertexId, VertexId)> = (0..2000)
+        .map(|_| (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n))))
+        .collect();
+    assert_engines_agree(&engines, &threads, &queries);
 }

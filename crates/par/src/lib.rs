@@ -13,7 +13,8 @@
 //!   scratch state (e.g. a reusable Dijkstra search space), created once per
 //!   thread rather than once per item.
 //! * **Chunked work stealing** — workers grab fixed-size chunks of the index
-//!   range from a shared atomic cursor, so uneven item costs still balance.
+//!   range from a shared atomic cursor, about 64 chunks per thread, so a few
+//!   expensive items next to each other still land on different workers.
 //! * **`L2R_THREADS` override** — the thread count defaults to the available
 //!   hardware parallelism and can be pinned with the `L2R_THREADS`
 //!   environment variable (`L2R_THREADS=1` forces a fully serial run on the
@@ -130,9 +131,10 @@ where
             .collect();
     }
 
-    // Chunked work stealing: 4 chunks per thread balances stealing overhead
-    // against tail latency from uneven item costs.
-    let chunk = items.len().div_ceil(threads * 4).max(1);
+    // Chunked work stealing: 64 chunks per thread keeps the cursor traffic to
+    // a few hundred `fetch_add`s while splitting runs of expensive neighbours
+    // (e.g. the connector searches of one country-spanning region).
+    let chunk = items.len().div_ceil(threads * 64).max(1);
     let cursor = AtomicUsize::new(0);
     let mut collected: Vec<(usize, R)> = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
@@ -224,6 +226,40 @@ mod tests {
         let serial: Vec<u64> = items.iter().map(work).collect();
         let parallel = par_map_with(5, &items, || (), |(), _, v| work(v));
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn neighbouring_items_run_on_different_workers() {
+        // Item 0 waits for item 1 to start.  That only happens if the two
+        // land in different chunks, i.e. the grain is fine enough to split
+        // adjacent expensive items across workers.
+        let started = (std::sync::Mutex::new(false), std::sync::Condvar::new());
+        let items: Vec<u32> = (0..128).collect();
+        let out = par_map_with(
+            2,
+            &items,
+            || (),
+            |(), i, _| {
+                let (flag, signal) = &started;
+                let mut flag = flag.lock().expect("no test thread panics holding it");
+                match i {
+                    0 => {
+                        let timeout = std::time::Duration::from_secs(5);
+                        let (flag, _) = signal
+                            .wait_timeout_while(flag, timeout, |started| !*started)
+                            .expect("no test thread panics holding it");
+                        *flag
+                    }
+                    1 => {
+                        *flag = true;
+                        signal.notify_all();
+                        true
+                    }
+                    _ => true,
+                }
+            },
+        );
+        assert!(out[0], "item 1 never started while item 0 was running");
     }
 
     #[test]
