@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use l2r_road_network::{
-    dijkstra, path_to_waypoints, CostType, Path, Point, RoadNetwork, RoadType, VertexId,
+    path_to_waypoints, CostType, Edge, Path, Point, RoadNetwork, RoadType, SearchSpace, VertexId,
 };
 use l2r_trajectory::DriverId;
 
@@ -68,7 +68,6 @@ impl ExternalRouter {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let edge_multiplier = net
             .edges()
-            .iter()
             .map(|e| {
                 let noise = 1.0 + (rng.gen::<f64>() * 2.0 - 1.0) * config.perturbation;
                 let bias = match e.road_type {
@@ -104,10 +103,15 @@ impl ExternalRouter {
         if source == destination {
             return Some(Path::single(source));
         }
-        dijkstra(net, source, Some(destination), |e| {
-            e.cost(CostType::TravelTime) * self.edge_multiplier[e.id.idx()]
+        SearchSpace::with_thread_local(|space| {
+            space.dijkstra(net, source, Some(destination), |e| self.edge_cost(e));
+            space.path_to(destination)
         })
-        .path_to(destination)
+    }
+
+    /// The service's private travel-time estimate of `e`.
+    fn edge_cost(&self, e: &Edge) -> f64 {
+        e.cost(CostType::TravelTime) * self.edge_multiplier[e.id.idx()]
     }
 
     /// The way-point polyline returned to the client (what the evaluation
@@ -204,6 +208,26 @@ mod tests {
             differs,
             "the external service should not coincide with Fastest everywhere"
         );
+    }
+
+    #[test]
+    fn routes_match_the_free_dijkstra_reference() {
+        let syn = generate_network(&SyntheticNetworkConfig::tiny());
+        let ext = ExternalRouter::with_defaults(&syn.net);
+        for a in &syn.districts {
+            for b in &syn.districts {
+                let (s, d) = (a.center, b.center);
+                let reference = if s == d {
+                    Some(Path::single(s))
+                } else {
+                    l2r_road_network::dijkstra(&syn.net, s, Some(d), |e| {
+                        e.cost(CostType::TravelTime) * ext.edge_multiplier[e.id.idx()]
+                    })
+                    .path_to(d)
+                };
+                assert_eq!(ext.route_path(&syn.net, s, d), reference, "{s:?} -> {d:?}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 
 use std::collections::HashMap;
 
-use l2r_road_network::{dijkstra, fastest_path, CostType, Path, RoadNetwork, RoadType, VertexId};
+use l2r_road_network::{
+    fastest_path, CostType, Edge, Path, RoadNetwork, RoadType, SearchSpace, VertexId,
+};
 use l2r_trajectory::{DriverId, MatchedTrajectory};
 
 use crate::BaselineRouter;
@@ -25,6 +27,13 @@ pub struct TripProfile {
     pub multipliers: [f64; RoadType::COUNT],
     /// Number of trajectories the profile was learned from.
     pub support: usize,
+}
+
+impl TripProfile {
+    /// The driver's personalized travel time of `e`.
+    fn edge_cost(&self, e: &Edge) -> f64 {
+        e.cost(CostType::TravelTime) * self.multipliers[e.road_type.index()]
+    }
 }
 
 impl Default for TripProfile {
@@ -155,10 +164,10 @@ impl BaselineRouter for Trip {
             return Some(Path::single(source));
         }
         let profile = self.profile(driver);
-        dijkstra(net, source, Some(destination), |e| {
-            e.cost(CostType::TravelTime) * profile.multipliers[e.road_type.index()]
+        SearchSpace::with_thread_local(|space| {
+            space.dijkstra(net, source, Some(destination), |e| profile.edge_cost(e));
+            space.path_to(destination)
         })
-        .path_to(destination)
     }
 }
 
@@ -209,6 +218,30 @@ mod tests {
                 .expect("TRIP should find a path");
             assert!(p.validate(&syn.net).is_ok());
         }
+    }
+
+    #[test]
+    fn routes_match_the_free_dijkstra_reference() {
+        let syn = generate_network(&SyntheticNetworkConfig::tiny());
+        let wl = generate_workload(&syn, &WorkloadConfig::tiny(150));
+        let (train, test) = wl.temporal_split(0.7);
+        let trip = Trip::train(&syn.net, &train);
+        let mut compared = 0;
+        for t in &test {
+            let (s, d) = (t.source(), t.destination());
+            let p = trip.profile(t.driver);
+            let reference = if s == d {
+                Some(Path::single(s))
+            } else {
+                l2r_road_network::dijkstra(&syn.net, s, Some(d), |e| {
+                    e.cost(CostType::TravelTime) * p.multipliers[e.road_type.index()]
+                })
+                .path_to(d)
+            };
+            assert_eq!(trip.route(&syn.net, s, d, t.driver), reference);
+            compared += 1;
+        }
+        assert!(compared > 20, "only {compared} queries compared");
     }
 
     #[test]

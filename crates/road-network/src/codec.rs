@@ -19,7 +19,9 @@
 //!   against the counts embedded in the same payload (see
 //!   [`Reader::index`]); malformed input surfaces as a [`CodecError`].
 
-use crate::graph::{Edge, EdgeId, RoadNetwork, Vertex, VertexId};
+use std::mem::take;
+
+use crate::graph::{EdgeColumns, RoadNetwork, Vertex, VertexId};
 use crate::path::Path;
 use crate::road_type::{RoadType, RoadTypeSet};
 use crate::spatial::Point;
@@ -513,38 +515,54 @@ fn chunk_len(len: usize) -> usize {
 }
 
 /// Decodes a fixed-stride table of `table.len() / stride` records, fanning
-/// contiguous chunks across [`l2r_par`] workers.  `record(r, i)` decodes
-/// record `i` from a reader positioned at its first byte.  Chunks are merged
-/// in order, so on malformed input the error of the lowest-indexed failing
+/// contiguous chunks across [`l2r_par`] workers.  Each chunk starts as
+/// `with_capacity(records)`, and `record(r, i, chunk)` decodes record `i`
+/// from a reader positioned at its first byte into it.  Chunks come back in
+/// order, so on malformed input the error of the lowest-indexed failing
 /// record is reported, whatever the thread count or scheduling.
-fn decode_table<T, F>(table: &[u8], stride: usize, record: F) -> Result<Vec<T>, CodecError>
+fn decode_chunks<C, N, F>(
+    table: &[u8],
+    stride: usize,
+    with_capacity: N,
+    record: F,
+) -> Result<Vec<C>, CodecError>
 where
-    T: Send,
-    F: Fn(&mut Reader<'_>, usize) -> Result<T, CodecError> + Sync,
+    C: Send,
+    N: Fn(usize) -> C + Sync,
+    F: Fn(&mut Reader<'_>, usize, &mut C) -> Result<(), CodecError> + Sync,
 {
     let len = table.len() / stride;
     let chunk = chunk_len(len);
     let starts: Vec<usize> = (0..len).step_by(chunk).collect();
-    let chunks = l2r_par::par_map(&starts, |_, &start| {
+    l2r_par::par_map(&starts, |_, &start| {
         let end = (start + chunk).min(len);
         let mut r = Reader::new(&table[start * stride..end * stride]);
-        let mut out = Vec::with_capacity(end - start);
+        let mut out = with_capacity(end - start);
         for i in start..end {
-            out.push(record(&mut r, i)?);
+            record(&mut r, i, &mut out)?;
         }
         Ok(out)
-    });
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Joins the per-chunk pieces of one column in order, releasing each piece
+/// once it is copied.
+fn concat<T: Copy>(len: usize, pieces: impl Iterator<Item = Vec<T>>) -> Vec<T> {
     let mut out = Vec::with_capacity(len);
-    for chunk in chunks {
-        out.extend(chunk?);
+    for piece in pieces {
+        out.extend_from_slice(&piece);
     }
-    Ok(out)
+    out
 }
 
 impl Decode for RoadNetwork {
     /// Vertex records are 16 bytes and edge records 33 bytes on the wire, so
     /// both tables decode in parallel chunks (see [`l2r_par`]).  Ids are
-    /// positional, so the network does not depend on the chunking.
+    /// positional, so the network does not depend on the chunking.  Edges
+    /// decode into id-ordered columns joined one column at a time, so the
+    /// edge table is never held twice.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         // `length` bounds each count by the bytes left, so the whole table
         // is always there to take.
@@ -553,28 +571,43 @@ impl Decode for RoadNetwork {
         let num_edges = r.length("edge count", EDGE_WIRE_BYTES)?;
         let edge_table = r.take(num_edges * EDGE_WIRE_BYTES, "edge table")?;
 
-        let vertices = decode_table(vertex_table, VERTEX_WIRE_BYTES, |r, i| {
-            Ok(Vertex {
-                id: VertexId(i as u32),
-                point: Point::decode(r)?,
-            })
-        })?;
-        let edges = decode_table(edge_table, EDGE_WIRE_BYTES, |r, i| {
-            let from = decode_vertex(r, num_vertices)?;
-            let to = decode_vertex(r, num_vertices)?;
-            let weights = EdgeWeights::decode(r)?;
-            let road_type = RoadType::decode(r)?;
-            if from == to {
-                return Err(CodecError::Invalid("self-loop edge"));
-            }
-            Ok(Edge {
-                id: EdgeId(i as u32),
-                from,
-                to,
-                weights,
-                road_type,
-            })
-        })?;
+        let vertices = decode_chunks(
+            vertex_table,
+            VERTEX_WIRE_BYTES,
+            Vec::with_capacity,
+            |r, i, out| {
+                out.push(Vertex {
+                    id: VertexId(i as u32),
+                    point: Point::decode(r)?,
+                });
+                Ok(())
+            },
+        )?;
+        let vertices = concat(num_vertices, vertices.into_iter());
+        let mut chunks = decode_chunks(
+            edge_table,
+            EDGE_WIRE_BYTES,
+            EdgeColumns::with_capacity,
+            |r, _, out| {
+                let from = decode_vertex(r, num_vertices)?;
+                let to = decode_vertex(r, num_vertices)?;
+                let weights = EdgeWeights::decode(r)?;
+                let road_type = RoadType::decode(r)?;
+                if from == to {
+                    return Err(CodecError::Invalid("self-loop edge"));
+                }
+                out.push(from, to, weights, road_type);
+                Ok(())
+            },
+        )?;
+        let edges = EdgeColumns {
+            from: concat(num_edges, chunks.iter_mut().map(|c| take(&mut c.from))),
+            to: concat(num_edges, chunks.iter_mut().map(|c| take(&mut c.to))),
+            cost: std::array::from_fn(|i| {
+                concat(num_edges, chunks.iter_mut().map(|c| take(&mut c.cost[i])))
+            }),
+            road_type: concat(num_edges, chunks.iter_mut().map(|c| take(&mut c.road_type))),
+        };
         Ok(RoadNetwork::from_parts(vertices, edges))
     }
 }
@@ -733,7 +766,7 @@ mod tests {
         for (a, b) in net.vertices().iter().zip(decoded.vertices()) {
             assert_eq!(a, b);
         }
-        for (a, b) in net.edges().iter().zip(decoded.edges()) {
+        for (a, b) in net.edges().zip(decoded.edges()) {
             assert_eq!(a, b);
         }
         // CSR rebuild gives identical adjacency and derived state.
@@ -816,7 +849,7 @@ mod tests {
         assert_eq!(r.remaining(), 8);
         assert_eq!(r.u64("trailer").unwrap(), 0xFEED_FACE);
         assert_eq!(decoded.vertices(), net.vertices());
-        assert_eq!(decoded.edges(), net.edges());
+        assert!(decoded.edges().eq(net.edges()));
         assert!(assert_decode_is_total(&bytes, "intact"));
 
         // A truncation decodes iff it keeps the whole network.

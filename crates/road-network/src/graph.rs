@@ -3,9 +3,29 @@
 //! Vertices are road intersections with planar coordinates; directed edges are
 //! road segments annotated with distance, travel time, fuel consumption and
 //! road type.  The graph is built once through [`RoadNetworkBuilder`] and is
-//! immutable afterwards; adjacency is stored in a compact CSR layout so the
-//! many graph searches performed by the routing algorithms stay cache
-//! friendly.
+//! immutable afterwards.
+//!
+//! # Edge layout
+//!
+//! Every Dijkstra in the workspace spends its time relaxing arcs, so the edge
+//! table is laid out for that loop.  Each edge is stored exactly once, at its
+//! *CSR position*: edges are grouped by tail vertex (`out_offsets[v] ..
+//! out_offsets[v + 1]` is the group of `v`) and sorted by `(head, id)` within
+//! each group.  The fields live in parallel columns indexed by position —
+//! `id`, then `from` (tail), `to` (head), one `f64` column per [`CostType`]
+//! and `road_type` — so relaxing the arcs of one vertex under one cost type
+//! reads a contiguous run of the `to` column and of one cost column (12
+//! bytes per arc) instead of following ids into a table of 40-byte records.
+//! `slot` maps an edge id to its position and the in-adjacency stores
+//! positions, grouped by head vertex in id order.
+//!
+//! The layout is invisible to callers: [`Edge`] values are rebuilt from the
+//! columns on demand ([`RoadNetwork::edge`], [`RoadNetwork::out_edges`], …),
+//! and the position order is exactly the adjacency order the network always
+//! had, so searches relax arcs in the same order, read the same weights and
+//! break ties the same way.
+
+use std::ops::Range;
 
 use crate::error::NetworkError;
 use crate::road_type::RoadType;
@@ -70,24 +90,58 @@ impl Edge {
     }
 }
 
-/// Immutable road-network graph with CSR adjacency.
+/// Immutable road-network graph with column-wise CSR edge storage (see the
+/// [module docs](self) for the layout).
 #[derive(Debug, Clone)]
 pub struct RoadNetwork {
     vertices: Vec<Vertex>,
-    edges: Vec<Edge>,
-    /// CSR offsets into `out_edges`, length `num_vertices + 1`.
+    /// CSR offsets into the edge columns, length `num_vertices + 1`.
     out_offsets: Vec<u32>,
-    /// Outgoing edge ids, grouped by tail vertex and sorted by
-    /// `(head vertex, edge id)` within each group, so
-    /// [`RoadNetwork::edge_between`] is a binary search over the group
-    /// instead of a separate hash map.
-    out_edges: Vec<EdgeId>,
-    /// CSR offsets into `in_edges`, length `num_vertices + 1`.
+    /// Edge id at each position.
+    id: Vec<EdgeId>,
+    /// The other edge fields, indexed by position.  `from` is
+    /// non-decreasing and `to` is sorted within each tail group, so
+    /// [`RoadNetwork::edge_between`] is a binary search over the group.
+    columns: EdgeColumns,
+    /// Position of each edge id.
+    slot: Vec<u32>,
+    /// CSR offsets into `in_slots`, length `num_vertices + 1`.
     in_offsets: Vec<u32>,
-    /// Incoming edge ids, grouped by head vertex.
-    in_edges: Vec<EdgeId>,
+    /// Positions of the incoming edges, grouped by head vertex, in id order.
+    in_slots: Vec<u32>,
     /// Bounding box of all vertex positions.
     bbox: BoundingBox,
+}
+
+/// The edge columns of one contiguous range of positions.  Every slice has
+/// the same length, so once a run is cut the per-arc reads need no further
+/// bounds checks and the loads of fields a caller never reads are dropped.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    id: &'a [EdgeId],
+    from: &'a [VertexId],
+    to: &'a [VertexId],
+    distance: &'a [f64],
+    travel_time: &'a [f64],
+    fuel: &'a [f64],
+    road_type: &'a [RoadType],
+}
+
+impl Run<'_> {
+    #[inline(always)]
+    fn edge(&self, i: usize) -> Edge {
+        Edge {
+            id: self.id[i],
+            from: self.from[i],
+            to: self.to[i],
+            weights: EdgeWeights {
+                distance_m: self.distance[i],
+                travel_time_s: self.travel_time[i],
+                fuel_ml: self.fuel[i],
+            },
+            road_type: self.road_type[i],
+        }
+    }
 }
 
 impl RoadNetwork {
@@ -98,7 +152,7 @@ impl RoadNetwork {
 
     /// Number of directed edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.id.len()
     }
 
     /// All vertices.
@@ -106,9 +160,10 @@ impl RoadNetwork {
         &self.vertices
     }
 
-    /// All edges.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
+    /// All edges, in id order.
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = Edge> + '_ {
+        let all = self.run(0..self.num_edges());
+        self.slot.iter().map(move |&pos| all.edge(pos as usize))
     }
 
     /// The vertex with the given id.
@@ -121,8 +176,14 @@ impl RoadNetwork {
     }
 
     /// The edge with the given id.
-    pub fn edge(&self, id: EdgeId) -> &Edge {
-        &self.edges[id.idx()]
+    ///
+    /// # Panics
+    /// Panics if the id is out of range; ids produced by this network are
+    /// always valid.
+    #[inline]
+    pub fn edge(&self, id: EdgeId) -> Edge {
+        let pos = self.slot[id.idx()] as usize;
+        self.run(pos..pos + 1).edge(0)
     }
 
     /// Checked vertex lookup.
@@ -133,53 +194,80 @@ impl RoadNetwork {
     }
 
     /// Checked edge lookup.
-    pub fn try_edge(&self, id: EdgeId) -> Result<&Edge, NetworkError> {
-        self.edges
-            .get(id.idx())
-            .ok_or(NetworkError::UnknownEdge(id))
+    pub fn try_edge(&self, id: EdgeId) -> Result<Edge, NetworkError> {
+        if id.idx() < self.num_edges() {
+            Ok(self.edge(id))
+        } else {
+            Err(NetworkError::UnknownEdge(id))
+        }
     }
 
-    /// Outgoing edges of `v`.
-    pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = &Edge> + '_ {
-        let start = self.out_offsets[v.idx()] as usize;
-        let end = self.out_offsets[v.idx() + 1] as usize;
-        self.out_edges[start..end]
-            .iter()
-            .map(move |e| self.edge(*e))
+    /// The columns of the positions in `range`.
+    #[inline(always)]
+    fn run(&self, range: Range<usize>) -> Run<'_> {
+        let EdgeColumns {
+            from,
+            to,
+            cost: [distance, travel_time, fuel],
+            road_type,
+        } = &self.columns;
+        Run {
+            id: &self.id[range.clone()],
+            from: &from[range.clone()],
+            to: &to[range.clone()],
+            distance: &distance[range.clone()],
+            travel_time: &travel_time[range.clone()],
+            fuel: &fuel[range.clone()],
+            road_type: &road_type[range],
+        }
     }
 
-    /// Incoming edges of `v`.
-    pub fn in_edges(&self, v: VertexId) -> impl Iterator<Item = &Edge> + '_ {
+    /// Positions of the out-edge group of `v`.
+    #[inline(always)]
+    fn out_range(&self, v: VertexId) -> Range<usize> {
+        self.out_offsets[v.idx()] as usize..self.out_offsets[v.idx() + 1] as usize
+    }
+
+    /// Outgoing edges of `v`, sorted by `(head, id)`.
+    #[inline(always)]
+    pub fn out_edges(&self, v: VertexId) -> impl ExactSizeIterator<Item = Edge> + Clone + '_ {
+        let range = self.out_range(v);
+        let run = self.run(range.clone());
+        (0..range.len()).map(move |i| run.edge(i))
+    }
+
+    /// Incoming edges of `v`, in id order.
+    pub fn in_edges(&self, v: VertexId) -> impl ExactSizeIterator<Item = Edge> + Clone + '_ {
         let start = self.in_offsets[v.idx()] as usize;
         let end = self.in_offsets[v.idx() + 1] as usize;
-        self.in_edges[start..end].iter().map(move |e| self.edge(*e))
+        let all = self.run(0..self.num_edges());
+        self.in_slots[start..end]
+            .iter()
+            .map(move |&pos| all.edge(pos as usize))
     }
 
     /// Out-degree of `v`.
     pub fn out_degree(&self, v: VertexId) -> usize {
-        (self.out_offsets[v.idx() + 1] - self.out_offsets[v.idx()]) as usize
+        self.out_range(v).len()
     }
 
     /// The directed edge from `from` to `to`, if it exists — an O(log deg)
-    /// binary search over `from`'s sorted out-edge group.  With parallel
-    /// edges between the same pair, the lowest edge id is returned.
+    /// binary search over the `to` column of `from`'s out-edge group.
+    /// With parallel edges between the same pair, the lowest edge id is
+    /// returned.
     pub fn edge_between(&self, from: VertexId, to: VertexId) -> Option<EdgeId> {
         if from.idx() >= self.vertices.len() {
             return None;
         }
-        let start = self.out_offsets[from.idx()] as usize;
-        let end = self.out_offsets[from.idx() + 1] as usize;
-        let group = &self.out_edges[start..end];
-        let pos = group.partition_point(|eid| self.edges[eid.idx()].to < to);
-        group
-            .get(pos)
-            .copied()
-            .filter(|eid| self.edges[eid.idx()].to == to)
+        let range = self.out_range(from);
+        let heads = &self.columns.to[range.clone()];
+        let pos = heads.partition_point(|&h| h < to);
+        (heads.get(pos) == Some(&to)).then(|| self.id[range.start + pos])
     }
 
     /// Neighbours reachable by one outgoing edge.
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.out_edges(v).map(|e| e.to)
+        self.columns.to[self.out_range(v)].iter().copied()
     }
 
     /// Bounding box of all vertex positions.
@@ -211,11 +299,7 @@ impl RoadNetwork {
     /// edge ids.
     pub fn edge_index(&self, cell_size_m: f64) -> GridIndex {
         let mut grid = GridIndex::new(self.bbox, cell_size_m);
-        for e in &self.edges {
-            let a = self.vertex(e.from).point;
-            let b = self.vertex(e.to).point;
-            grid.insert_segment(e.id.0, &a, &b);
-        }
+        self.insert_edge_segments(&mut grid);
         grid
     }
 
@@ -237,12 +321,17 @@ impl RoadNetwork {
     pub fn edge_index_auto(&self, target_per_cell: f64) -> GridIndex {
         let mut grid =
             GridIndex::with_target_occupancy(self.bbox, self.num_edges(), target_per_cell);
-        for e in &self.edges {
+        self.insert_edge_segments(&mut grid);
+        grid
+    }
+
+    /// Registers every edge's segment in `grid`, in id order.
+    fn insert_edge_segments(&self, grid: &mut GridIndex) {
+        for e in self.edges() {
             let a = self.vertex(e.from).point;
             let b = self.vertex(e.to).point;
             grid.insert_segment(e.id.0, &a, &b);
         }
-        grid
     }
 
     /// Straight-line distance between two vertices, in metres.
@@ -251,11 +340,54 @@ impl RoadNetwork {
     }
 }
 
+/// Edge fields, one column each.  The builder and the snapshot decoder
+/// collect them in id order; [`RoadNetwork::from_parts`] rearranges them into
+/// CSR position order, one column at a time.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EdgeColumns {
+    pub(crate) from: Vec<VertexId>,
+    pub(crate) to: Vec<VertexId>,
+    /// One weight column per cost type, indexed by [`CostType::index`].
+    pub(crate) cost: [Vec<f64>; CostType::COUNT],
+    pub(crate) road_type: Vec<RoadType>,
+}
+
+impl EdgeColumns {
+    pub(crate) fn with_capacity(edges: usize) -> EdgeColumns {
+        EdgeColumns {
+            from: Vec::with_capacity(edges),
+            to: Vec::with_capacity(edges),
+            cost: [(); CostType::COUNT].map(|_| Vec::with_capacity(edges)),
+            road_type: Vec::with_capacity(edges),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.from.len()
+    }
+
+    /// Appends the edge with the next id.
+    pub(crate) fn push(
+        &mut self,
+        from: VertexId,
+        to: VertexId,
+        weights: EdgeWeights,
+        road_type: RoadType,
+    ) {
+        self.from.push(from);
+        self.to.push(to);
+        for c in CostType::ALL {
+            self.cost[c.index()].push(weights.get(c));
+        }
+        self.road_type.push(road_type);
+    }
+}
+
 /// Incremental builder for [`RoadNetwork`].
 #[derive(Debug, Default)]
 pub struct RoadNetworkBuilder {
     vertices: Vec<Vertex>,
-    edges: Vec<Edge>,
+    edges: EdgeColumns,
 }
 
 impl RoadNetworkBuilder {
@@ -268,7 +400,7 @@ impl RoadNetworkBuilder {
     pub fn with_capacity(vertices: usize, edges: usize) -> Self {
         RoadNetworkBuilder {
             vertices: Vec::with_capacity(vertices),
-            edges: Vec::with_capacity(edges),
+            edges: EdgeColumns::with_capacity(edges),
         }
     }
 
@@ -310,13 +442,12 @@ impl RoadNetworkBuilder {
             return Err(NetworkError::InvalidWeight("distance", distance_m));
         }
         let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge {
-            id,
+        self.edges.push(
             from,
             to,
-            weights: EdgeWeights::derive(distance_m, road_type),
+            EdgeWeights::derive(distance_m, road_type),
             road_type,
-        });
+        );
         Ok(id)
     }
 
@@ -360,50 +491,85 @@ impl RoadNetworkBuilder {
 }
 
 impl RoadNetwork {
-    /// Assembles a network from vertex and edge tables whose ids equal their
-    /// indexes, rebuilding the CSR adjacency and bounding box.  Shared by
+    /// Assembles a network from a vertex table whose ids equal their indexes
+    /// and the edge fields in id order, laying the edges out in CSR position
+    /// order and rebuilding the adjacency and bounding box.  Shared by
     /// [`RoadNetworkBuilder::build`] and snapshot decoding, so a decoded
-    /// network is structurally identical to a freshly built one.
-    pub(crate) fn from_parts(vertices: Vec<Vertex>, edges: Vec<Edge>) -> RoadNetwork {
+    /// network is structurally identical to a freshly built one.  Each input
+    /// column is released as soon as its permuted copy exists, so the edge
+    /// table is never held twice.
+    pub(crate) fn from_parts(vertices: Vec<Vertex>, edges: EdgeColumns) -> RoadNetwork {
         let n = vertices.len();
-        let mut out_counts = vec![0u32; n + 1];
-        let mut in_counts = vec![0u32; n + 1];
-        for e in &edges {
-            out_counts[e.from.idx() + 1] += 1;
-            in_counts[e.to.idx() + 1] += 1;
+        let m = edges.len();
+        let EdgeColumns {
+            from,
+            to,
+            cost,
+            road_type,
+        } = edges;
+        let mut out_offsets = vec![0u32; n + 1];
+        let mut in_offsets = vec![0u32; n + 1];
+        for (f, t) in from.iter().zip(&to) {
+            out_offsets[f.idx() + 1] += 1;
+            in_offsets[t.idx() + 1] += 1;
         }
         for i in 0..n {
-            out_counts[i + 1] += out_counts[i];
-            in_counts[i + 1] += in_counts[i];
+            out_offsets[i + 1] += out_offsets[i];
+            in_offsets[i + 1] += in_offsets[i];
         }
-        let mut out_edges = vec![EdgeId(0); edges.len()];
-        let mut in_edges = vec![EdgeId(0); edges.len()];
-        let mut out_cursor = out_counts.clone();
-        let mut in_cursor = in_counts.clone();
-        for e in &edges {
-            out_edges[out_cursor[e.from.idx()] as usize] = e.id;
-            out_cursor[e.from.idx()] += 1;
-            in_edges[in_cursor[e.to.idx()] as usize] = e.id;
-            in_cursor[e.to.idx()] += 1;
+        // Position order: grouped by tail, then sorted by (head, id) within
+        // each group, so edge lookups are binary searches and neighbour
+        // iteration order is deterministic.
+        let mut id = vec![EdgeId(0); m];
+        let mut cursor = out_offsets.clone();
+        for (e, f) in from.iter().enumerate() {
+            id[cursor[f.idx()] as usize] = EdgeId(e as u32);
+            cursor[f.idx()] += 1;
         }
-        // Sort each out-edge group by (head, id) so edge lookups are binary
-        // searches and neighbour iteration order is deterministic.
+        drop(cursor);
         for v in 0..n {
-            let start = out_counts[v] as usize;
-            let end = out_counts[v + 1] as usize;
-            out_edges[start..end].sort_unstable_by_key(|eid| (edges[eid.idx()].to, *eid));
+            let group = &mut id[out_offsets[v] as usize..out_offsets[v + 1] as usize];
+            group.sort_unstable_by_key(|&e| (to[e.idx()], e));
         }
+        // The widest columns move first, while the fewest others exist, so
+        // the peak stays about one narrow column above the finished network.
+        let cost = cost.map(|column| permute(&id, column));
+        let road_type = permute(&id, road_type);
+        let mut slot = vec![0u32; m];
+        for (pos, e) in id.iter().enumerate() {
+            slot[e.idx()] = pos as u32;
+        }
+        let mut in_slots = vec![0u32; m];
+        let mut cursor = in_offsets.clone();
+        for (e, t) in to.iter().enumerate() {
+            in_slots[cursor[t.idx()] as usize] = slot[e];
+            cursor[t.idx()] += 1;
+        }
+        drop(cursor);
+        let columns = EdgeColumns {
+            from: permute(&id, from),
+            to: permute(&id, to),
+            cost,
+            road_type,
+        };
         let bbox = BoundingBox::from_points(vertices.iter().map(|v| &v.point));
         RoadNetwork {
             vertices,
-            edges,
-            out_offsets: out_counts,
-            out_edges,
-            in_offsets: in_counts,
-            in_edges,
+            out_offsets,
+            id,
+            columns,
+            slot,
+            in_offsets,
+            in_slots,
             bbox,
         }
     }
+}
+
+/// `column` (indexed by edge id) rearranged into position order; the input
+/// is released on return.
+fn permute<T: Copy>(id: &[EdgeId], column: Vec<T>) -> Vec<T> {
+    id.iter().map(|e| column[e.idx()]).collect()
 }
 
 #[cfg(test)]
@@ -449,7 +615,7 @@ mod tests {
         let neigh: Vec<VertexId> = net.neighbors(VertexId(0)).collect();
         assert_eq!(neigh.len(), 2);
         assert!(neigh.contains(&VertexId(1)) && neigh.contains(&VertexId(2)));
-        let in_edges: Vec<&Edge> = net.in_edges(VertexId(3)).collect();
+        let in_edges: Vec<Edge> = net.in_edges(VertexId(3)).collect();
         assert_eq!(in_edges.len(), 2);
         for e in in_edges {
             assert_eq!(e.to, VertexId(3));

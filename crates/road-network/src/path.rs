@@ -112,7 +112,10 @@ impl Path {
     /// Total cost of the path under `cost`; zero for a trivial path.
     pub fn cost(&self, net: &RoadNetwork, cost: CostType) -> Result<f64, NetworkError> {
         let mut total = 0.0;
-        for e in self.edge_ids(net)? {
+        for w in self.vertices.windows(2) {
+            let e = net
+                .edge_between(w[0], w[1])
+                .ok_or(NetworkError::Disconnected(w[0], w[1]))?;
             total += net.edge(e).cost(cost);
         }
         Ok(total)
@@ -217,6 +220,25 @@ mod tests {
 
         let unknown = Path::new(vec![VertexId(99)]).unwrap();
         assert!(unknown.validate(&net).is_err());
+    }
+
+    #[test]
+    fn cost_sums_the_edges_in_path_order() {
+        let net = line_network(5);
+        let p = Path::new((0..5).map(VertexId).collect()).unwrap();
+        for c in CostType::ALL {
+            let by_ids = p
+                .edge_ids(&net)
+                .unwrap()
+                .iter()
+                .fold(0.0, |total, e| total + net.edge(*e).cost(c));
+            assert_eq!(p.cost(&net, c).unwrap().to_bits(), by_ids.to_bits());
+        }
+        // The first missing link is reported, as `edge_ids` reports it.
+        let broken = Path::new(vec![VertexId(0), VertexId(1), VertexId(3), VertexId(9)]).unwrap();
+        let expected = Err(NetworkError::Disconnected(VertexId(1), VertexId(3)));
+        assert_eq!(broken.cost(&net, CostType::Distance), expected);
+        assert_eq!(broken.edge_ids(&net).map(|_| 0.0), expected);
     }
 
     #[test]

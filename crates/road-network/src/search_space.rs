@@ -15,6 +15,19 @@
 //! until a whole set of targets is settled, replacing `|targets|` independent
 //! searches — and the preference-constrained search of Algorithm 2
 //! ([`SearchSpace::preference_constrained_path`]).
+//!
+//! # Memory traffic per arc
+//!
+//! The search relaxes the out-edges of a settled vertex straight off the
+//! network's column-wise CSR edge storage (see [`crate::graph`]): the
+//! vertex's arcs are one contiguous run of positions, and the [`Edge`]
+//! handed to the edge-cost closure is rebuilt from the columns at that
+//! position.  The closure is inlined into the loop, so only the columns it
+//! actually reads are loaded — a travel-time search touches the `head`
+//! column and the travel-time column, 12 bytes per arc, read sequentially.
+//! Arcs are relaxed in the same `(head, id)` order with the same weights and
+//! the frontier breaks ties on `(cost, vertex id)`, so every cost, parent and
+//! settle order is bit-identical to what an id-indexed edge table produced.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -59,6 +72,7 @@ struct QueueEntry {
 impl Eq for QueueEntry {}
 
 impl Ord for QueueEntry {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // `total_cmp` keeps the heap ordering a strict total order even if a
         // NaN cost ever slips in (an inconsistent comparator corrupts a
@@ -71,6 +85,7 @@ impl Ord for QueueEntry {
 }
 
 impl PartialOrd for QueueEntry {
+    #[inline]
     // l2r: allow(float-total-cmp) — trait-mandated shim; delegates to the
     // total_cmp-based Ord above, so no NaN-unsafe comparison happens here.
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
@@ -240,7 +255,7 @@ impl SearchSpace {
                         continue;
                     }
                 }
-                let w = edge_cost(edge);
+                let w = edge_cost(&edge);
                 if !w.is_finite() || w < 0.0 {
                     continue;
                 }

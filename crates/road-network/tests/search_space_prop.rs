@@ -1,14 +1,25 @@
-//! Property tests for the reusable [`SearchSpace`]: on random networks, a
-//! search space reused across many queries must return exactly the same
-//! costs and paths as a freshly allocated space per query (the generation
-//! stamping must never leak state between searches), and the one-to-many
-//! search must agree with individual single-target searches.
+//! Property tests for the reusable [`SearchSpace`] and the edge layout it
+//! reads.  On random networks:
+//!
+//! * a search space reused across many queries returns exactly the same
+//!   costs and paths as a freshly allocated space per query (the generation
+//!   stamping must never leak state between searches), and the one-to-many
+//!   search agrees with individual single-target searches;
+//! * every search agrees bit for bit — costs and parents, so tie-breaks
+//!   included — with a reference Dijkstra written here over the builder's
+//!   edge list, on lattice networks full of equal-length edges and parallel
+//!   edges;
+//! * the network hands back exactly the edges it was built from, in the
+//!   documented orders.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 
 use l2r_road_network::{
-    CostType, Path, Point, RoadNetwork, RoadNetworkBuilder, RoadType, RoadTypeSet, SearchSpace,
-    VertexId,
+    CostType, Edge, EdgeId, EdgeWeights, Path, Point, RoadNetwork, RoadNetworkBuilder, RoadType,
+    RoadTypeSet, SearchSpace, VertexId,
 };
 
 const ROAD_TYPES: [RoadType; 4] = [
@@ -123,5 +134,190 @@ proptest! {
             );
             prop_assert_eq!(got, expected);
         }
+    }
+}
+
+/// Side of the unit lattice the tie-test networks live on (100 m spacing).
+const SIDE: u32 = 6;
+
+/// Lattice steps an edge may take: the four axis neighbours (100 m) and the
+/// four diagonals (141 m).
+const STEPS: [(i32, i32, f64); 8] = [
+    (1, 0, 100.0),
+    (-1, 0, 100.0),
+    (0, 1, 100.0),
+    (0, -1, 100.0),
+    (1, 1, 141.0),
+    (-1, -1, 141.0),
+    (1, -1, 141.0),
+    (-1, 1, 141.0),
+];
+
+/// Builds a network on a `SIDE × SIDE` lattice from raw `(vertex, step, road
+/// type, copies)` tuples: each adds `copies` parallel one-way edges from the
+/// vertex to its lattice neighbour (steps leaving the lattice are skipped).
+/// Lengths are 100 or 141 m and only two road types occur, so equal path
+/// costs are everywhere.  Returns the network and the builder's edge list in
+/// id order.
+fn build_lattice(raw: &[(u32, usize, usize, usize)]) -> (RoadNetwork, Vec<Edge>) {
+    let mut b = RoadNetworkBuilder::new();
+    for i in 0..SIDE * SIDE {
+        b.add_vertex(Point::new(
+            f64::from(i % SIDE) * 100.0,
+            f64::from(i / SIDE) * 100.0,
+        ));
+    }
+    let mut input = Vec::new();
+    for &(v, step, rt, copies) in raw {
+        let v = v % (SIDE * SIDE);
+        let (dx, dy, distance_m) = STEPS[step % STEPS.len()];
+        let (x, y) = ((v % SIDE) as i32 + dx, (v / SIDE) as i32 + dy);
+        if !(0..SIDE as i32).contains(&x) || !(0..SIDE as i32).contains(&y) {
+            continue;
+        }
+        let (from, to) = (VertexId(v), VertexId(y as u32 * SIDE + x as u32));
+        let road_type = [RoadType::Primary, RoadType::Residential][rt % 2];
+        for _ in 0..copies {
+            let id = b
+                .add_edge_with_distance(from, to, distance_m, road_type)
+                .expect("in-range, non-loop edge");
+            input.push(Edge {
+                id,
+                from,
+                to,
+                weights: EdgeWeights::derive(distance_m, road_type),
+                road_type,
+            });
+        }
+    }
+    (b.build(), input)
+}
+
+/// Reference one-to-all Dijkstra over an edge list: each vertex relaxes its
+/// out-edges in `(head, id)` order, the frontier pops the smallest `(cost,
+/// vertex)` first, and a distance only improves on a strictly smaller cost.
+/// With a slave set, a vertex that has at least one out-edge of a slave road
+/// type relaxes only those (Algorithm 2).  Returns per-vertex cost bits and
+/// parents.
+fn reference_search(
+    num_vertices: usize,
+    edges: &[Edge],
+    source: VertexId,
+    cost: CostType,
+    slave: Option<RoadTypeSet>,
+) -> (Vec<Option<u64>>, Vec<Option<VertexId>>) {
+    let mut adjacency: Vec<Vec<&Edge>> = vec![Vec::new(); num_vertices];
+    for e in edges {
+        adjacency[e.from.idx()].push(e);
+    }
+    for group in &mut adjacency {
+        group.sort_by_key(|e| (e.to, e.id));
+    }
+    let mut dist: Vec<Option<f64>> = vec![None; num_vertices];
+    let mut parent: Vec<Option<VertexId>> = vec![None; num_vertices];
+    let mut settled = vec![false; num_vertices];
+    // Costs are non-negative, so their bit patterns order like the values.
+    let mut heap = BinaryHeap::new();
+    dist[source.idx()] = Some(0.0);
+    heap.push(Reverse((0.0f64.to_bits(), source.0)));
+    while let Some(Reverse((bits, v))) = heap.pop() {
+        let v = v as usize;
+        if settled[v] {
+            continue;
+        }
+        settled[v] = true;
+        let restrict = slave.filter(|s| adjacency[v].iter().any(|e| s.contains(e.road_type)));
+        for e in &adjacency[v] {
+            if restrict.is_some_and(|s| !s.contains(e.road_type)) {
+                continue;
+            }
+            let next = f64::from_bits(bits) + e.cost(cost);
+            if dist[e.to.idx()].is_none_or(|d| next < d) {
+                dist[e.to.idx()] = Some(next);
+                parent[e.to.idx()] = Some(VertexId(v as u32));
+                heap.push(Reverse((next.to_bits(), e.to.0)));
+            }
+        }
+    }
+    (
+        dist.into_iter().map(|d| d.map(f64::to_bits)).collect(),
+        parent,
+    )
+}
+
+/// Per-vertex cost bits and parents of the most recent search on `space`.
+fn search_tree(space: &SearchSpace, n: usize) -> (Vec<Option<u64>>, Vec<Option<VertexId>>) {
+    let vertices = (0..n as u32).map(VertexId);
+    (
+        vertices
+            .clone()
+            .map(|v| space.cost_to(v).map(f64::to_bits))
+            .collect(),
+        vertices.map(|v| space.parent_of(v)).collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every one-to-all search — under each cost type, and one
+    /// slave-constrained — matches the reference Dijkstra bit for bit,
+    /// parents included, so ties break exactly as the reference does.
+    #[test]
+    fn searches_match_the_reference_dijkstra_bit_for_bit(
+        raw in proptest::collection::vec((0u32..36, 0usize..8, 0usize..2, 1usize..3), 20..160),
+        source in 0u32..36,
+        slave_rt in 0usize..2,
+    ) {
+        let (net, input) = build_lattice(&raw);
+        let n = net.num_vertices();
+        let source = VertexId(source);
+        let mut space = SearchSpace::new();
+        for cost in CostType::ALL {
+            space.dijkstra(&net, source, None, |e| e.cost(cost));
+            let got = search_tree(&space, n);
+            let expected = reference_search(n, &input, source, cost, None);
+            prop_assert!(got == expected, "{cost}: {got:?} != {expected:?}");
+        }
+        let slave = RoadTypeSet::single([RoadType::Primary, RoadType::Residential][slave_rt]);
+        space.constrained_to_many(&net, source, &[], CostType::Distance, Some(slave));
+        let got = search_tree(&space, n);
+        let expected = reference_search(n, &input, source, CostType::Distance, Some(slave));
+        prop_assert!(got == expected, "slave-constrained: {got:?} != {expected:?}");
+    }
+
+    /// The network returns exactly the builder's edges: `edge`/`try_edge`
+    /// by id, `edges()` in id order, `out_edges` grouped by tail and sorted
+    /// by `(head, id)`, `in_edges` in id order, and `edge_between` the
+    /// lowest id of a parallel group.
+    #[test]
+    fn edges_come_back_exactly_as_built(
+        raw in proptest::collection::vec((0u32..36, 0usize..8, 0usize..2, 1usize..3), 0..160),
+    ) {
+        let (net, input) = build_lattice(&raw);
+        prop_assert_eq!(net.num_edges(), input.len());
+        for e in &input {
+            prop_assert_eq!(net.edge(e.id), *e);
+            prop_assert_eq!(net.try_edge(e.id), Ok(*e));
+        }
+        prop_assert!(net.try_edge(EdgeId(input.len() as u32)).is_err());
+        prop_assert_eq!(net.edges().collect::<Vec<_>>(), input.clone());
+        let mut out_total = 0;
+        for v in (0..net.num_vertices() as u32).map(VertexId) {
+            let mut expected_out: Vec<Edge> = input.iter().filter(|e| e.from == v).copied().collect();
+            expected_out.sort_by_key(|e| (e.to, e.id));
+            let out: Vec<Edge> = net.out_edges(v).collect();
+            prop_assert_eq!(net.out_degree(v), out.len());
+            prop_assert_eq!(net.neighbors(v).collect::<Vec<_>>(), out.iter().map(|e| e.to).collect::<Vec<_>>());
+            out_total += out.len();
+            prop_assert_eq!(out, expected_out);
+            let expected_in: Vec<Edge> = input.iter().filter(|e| e.to == v).copied().collect();
+            prop_assert_eq!(net.in_edges(v).collect::<Vec<_>>(), expected_in);
+            for w in (0..net.num_vertices() as u32).map(VertexId) {
+                let lowest = input.iter().find(|e| e.from == v && e.to == w).map(|e| e.id);
+                prop_assert_eq!(net.edge_between(v, w), lowest);
+            }
+        }
+        prop_assert_eq!(out_total, input.len());
     }
 }
