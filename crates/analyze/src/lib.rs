@@ -5,11 +5,10 @@
 //! `unsafe`, FFI contained to one audited region, justified atomic
 //! orderings, panic-free serving hot paths, and deterministic iteration in
 //! the offline fit.  This crate turns each into a structural check that
-//! runs three ways, so it cannot be skipped:
+//! runs two ways, so it cannot be skipped:
 //!
 //! * `cargo run -p l2r-analyze -- check` — the CI job (`--json` for the
-//!   machine-readable report uploaded next to the BENCH artifacts);
-//! * `reproduce -- analyze` — a violations section in the bench harness;
+//!   machine-readable report it uploads);
 //! * `tests/static_analysis.rs` — a tier-1 test that walks the workspace
 //!   and asserts zero unallowed findings, making `cargo test -q` the gate.
 //!

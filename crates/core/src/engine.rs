@@ -24,13 +24,13 @@
 //!   (settled parents never change), so cached connectors answer exactly
 //!   like live Dijkstra — without running one.
 //!
-//! Unlike the historical `PreparedRouter<'a>` (which borrowed the network
-//! and region graph it compiled), an `Engine` **owns** its model behind an
-//! [`Arc<L2r>`]: model and indexes travel as one `Send + Sync` unit, so a
-//! long-lived server can build it straight off a snapshot file
-//! ([`Engine::load`]), share it across threads behind an `Arc<Engine>`, and
-//! atomically swap in a freshly fitted replacement via
-//! [`crate::registry::ModelRegistry`] without tearing anything down.
+//! An `Engine` **owns** its model behind an [`Arc<L2r>`] instead of
+//! borrowing the network and region graph it compiles: model and indexes
+//! travel as one `Send + Sync` unit, so a long-lived server can build it
+//! straight off a snapshot file ([`Engine::load`]), share it across threads
+//! behind an `Arc<Engine>`, and atomically swap in a freshly fitted
+//! replacement via [`crate::registry::ModelRegistry`] without tearing
+//! anything down.
 //!
 //! Every query runs through a caller-owned [`QueryScratch`] — one reusable
 //! road-network `SearchSpace`, one `RegionSearchSpace` and one `PathBuilder`

@@ -1,14 +1,18 @@
 //! Hot-swap under load: worker threads hammer a shared [`ModelRegistry`]
 //! while the main thread repeatedly swaps the entry between two *different*
-//! fitted models.  Every single answer must be bit-identical to one of the
-//! two models' serial answers — an answer matching neither would mean a
-//! query observed a half-swapped model (mixed indexes, or a model torn down
-//! mid-request), which the `Arc`-handout design makes impossible.
+//! fitted models, by snapshot reloads or by store reloads and rollbacks.
+//! Every single answer must be bit-identical to one of the two models'
+//! serial answers — an answer matching neither would mean a query observed
+//! a half-swapped model (mixed indexes, or a model torn down mid-request),
+//! which the `Arc`-handout design makes impossible.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use l2r_core::{save_model, L2r, L2rConfig, ModelRegistry, QueryScratch, RouteResult};
+use l2r_core::{
+    save_model, Engine, L2r, L2rConfig, ModelRegistry, ModelStore, QueryScratch, RouteResult,
+    StoreOptions,
+};
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
 use l2r_road_network::VertexId;
 
@@ -29,85 +33,140 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("l2r-hotswap-test-{}-{name}", std::process::id()))
 }
 
+/// Serial reference answers of both models over one fixed query list.
+struct Reference {
+    queries: Vec<(VertexId, VertexId)>,
+    answers_a: Vec<Option<RouteResult>>,
+    answers_b: Vec<Option<RouteResult>>,
+}
+
+impl Reference {
+    fn new(engine_a: &Engine, engine_b: &Engine) -> Reference {
+        let n = engine_a.network().num_vertices() as u32;
+        let queries: Vec<(VertexId, VertexId)> = (0..n)
+            .flat_map(|i| {
+                (1..n)
+                    .step_by(9)
+                    .map(move |j| (VertexId(i), VertexId((j * 7 + i) % n)))
+            })
+            .filter(|(s, d)| s != d)
+            .take(120)
+            .collect();
+        let mut scratch = QueryScratch::new();
+        let mut answers = |engine: &Engine| -> Vec<Option<RouteResult>> {
+            queries
+                .iter()
+                .map(|(s, d)| engine.route(&mut scratch, *s, *d))
+                .collect()
+        };
+        let answers_a = answers(engine_a);
+        let answers_b = answers(engine_b);
+        Reference {
+            queries,
+            answers_a,
+            answers_b,
+        }
+    }
+
+    /// Routes the query list through `registry.get("city")` on `THREADS`
+    /// workers until `swap` (run on the calling thread) returns, then checks
+    /// the invariant under test: every answer is bit-identical to model A's
+    /// or model B's, never to neither.
+    fn hammer(&self, registry: &ModelRegistry, swap: impl FnOnce()) {
+        const THREADS: usize = 4;
+        let stop = AtomicBool::new(false);
+        // (matched A, matched B, matched neither) per worker.
+        let outcomes: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let stop = &stop;
+                    scope.spawn(move || {
+                        let mut scratch = QueryScratch::new();
+                        let (mut from_a, mut from_b, mut torn) = (0u64, 0u64, 0u64);
+                        'outer: loop {
+                            for (i, (s, d)) in self.queries.iter().enumerate() {
+                                // ordering: Relaxed — the flag carries no data;
+                                // workers stop eventually and join() synchronises.
+                                if stop.load(Ordering::Relaxed) {
+                                    break 'outer;
+                                }
+                                let engine = registry.get("city").expect("entry never removed");
+                                let r = engine.route(&mut scratch, *s, *d);
+                                if r == self.answers_a[i] {
+                                    from_a += 1;
+                                } else if r == self.answers_b[i] {
+                                    from_b += 1;
+                                } else {
+                                    torn += 1;
+                                }
+                            }
+                        }
+                        (from_a, from_b, torn)
+                    })
+                })
+                .collect();
+            // A failed check inside `swap` must still stop the workers, or
+            // the scope would wait on them forever.
+            let swapped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(swap));
+            // ordering: Relaxed — see the worker-side load; join() synchronises.
+            stop.store(true, Ordering::Relaxed);
+            if let Err(panic) = swapped {
+                std::panic::resume_unwind(panic);
+            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker"))
+                .collect()
+        });
+        let (total_a, total_b, total_torn) = outcomes
+            .iter()
+            .fold((0u64, 0u64, 0u64), |(a, b, t), (xa, xb, xt)| {
+                (a + xa, b + xb, t + xt)
+            });
+        assert_eq!(
+            total_torn, 0,
+            "every answer must be bit-identical to model A's or model B's"
+        );
+        assert!(total_a + total_b > 0, "workers must have routed queries");
+        // With differing answers and repeated swaps, both models should have
+        // been observed (soft check: only meaningful when the models
+        // disagree).
+        let differing = self
+            .answers_a
+            .iter()
+            .zip(&self.answers_b)
+            .filter(|(a, b)| a != b)
+            .count();
+        if differing > 0 {
+            assert!(
+                total_b > 0,
+                "some queries should have hit the swapped-in model \
+                 ({differing}/{} answers differ between models)",
+                self.queries.len()
+            );
+        }
+    }
+}
+
 #[test]
 fn queries_during_hot_swaps_always_see_exactly_one_model() {
     let (model_a, model_b) = two_models();
-    let n = model_a.network().num_vertices() as u32;
     let path_a = temp_path("a.l2r");
     let path_b = temp_path("b.l2r");
     save_model(&model_a, &path_a).unwrap();
     save_model(&model_b, &path_b).unwrap();
 
     let engine_a = Arc::new(model_a.into_engine());
-    let engine_b = Arc::new(model_b.into_engine());
-
-    // Serial reference answers of both models.
-    let queries: Vec<(VertexId, VertexId)> = (0..n)
-        .flat_map(|i| {
-            (1..n)
-                .step_by(9)
-                .map(move |j| (VertexId(i), VertexId((j * 7 + i) % n)))
-        })
-        .filter(|(s, d)| s != d)
-        .take(120)
-        .collect();
-    let mut scratch = QueryScratch::new();
-    let answers_a: Vec<Option<RouteResult>> = queries
-        .iter()
-        .map(|(s, d)| engine_a.route(&mut scratch, *s, *d))
-        .collect();
-    let answers_b: Vec<Option<RouteResult>> = queries
-        .iter()
-        .map(|(s, d)| engine_b.route(&mut scratch, *s, *d))
-        .collect();
-    let differing = answers_a
-        .iter()
-        .zip(&answers_b)
-        .filter(|(a, b)| a != b)
-        .count();
+    let engine_b = model_b.into_engine();
+    let reference = Reference::new(&engine_a, &engine_b);
 
     let registry = ModelRegistry::new();
     registry.insert_shared("city", Arc::clone(&engine_a));
 
-    const THREADS: usize = 4;
     const SWAPS: usize = 12;
-    let stop = AtomicBool::new(false);
-    // (matched A, matched B, matched neither) per worker.
-    let outcomes: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let registry = &registry;
-                let stop = &stop;
-                let queries = &queries;
-                let answers_a = &answers_a;
-                let answers_b = &answers_b;
-                scope.spawn(move || {
-                    let mut scratch = QueryScratch::new();
-                    let (mut from_a, mut from_b, mut torn) = (0u64, 0u64, 0u64);
-                    'outer: loop {
-                        for (i, (s, d)) in queries.iter().enumerate() {
-                            // ordering: Relaxed — the flag carries no data;
-                            // workers stop eventually and join() synchronises.
-                            if stop.load(Ordering::Relaxed) {
-                                break 'outer;
-                            }
-                            let engine = registry.get("city").expect("entry never removed");
-                            let r = engine.route(&mut scratch, *s, *d);
-                            if r == answers_a[i] {
-                                from_a += 1;
-                            } else if r == answers_b[i] {
-                                from_b += 1;
-                            } else {
-                                torn += 1;
-                            }
-                        }
-                    }
-                    (from_a, from_b, torn)
-                })
-            })
-            .collect();
-        // Main thread: alternate hot-reloads from the two snapshot files
-        // while the workers run.
+    reference.hammer(&registry, || {
+        // Alternate hot-reloads from the two snapshot files while the
+        // workers run.
         for swap in 0..SWAPS {
             let path = if swap % 2 == 0 { &path_b } else { &path_a };
             registry
@@ -115,38 +174,51 @@ fn queries_during_hot_swaps_always_see_exactly_one_model() {
                 .expect("valid snapshot reloads");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        // ordering: Relaxed — see the worker-side load; join() synchronises.
-        stop.store(true, Ordering::Relaxed);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
     });
     std::fs::remove_file(&path_a).ok();
     std::fs::remove_file(&path_b).ok();
 
     assert_eq!(registry.generation("city"), Some(1 + SWAPS as u64));
-    let (total_a, total_b, total_torn) = outcomes
-        .iter()
-        .fold((0u64, 0u64, 0u64), |(a, b, t), (xa, xb, xt)| {
-            (a + xa, b + xb, t + xt)
-        });
-    // The invariant under test: never an answer that matches neither model.
-    assert_eq!(
-        total_torn, 0,
-        "every answer must be bit-identical to model A's or model B's"
-    );
-    assert!(total_a + total_b > 0, "workers must have routed queries");
-    // With differing answers and 12 swaps, both models should have been
-    // observed (soft check: only meaningful when the models disagree).
-    if differing > 0 {
-        assert!(
-            total_b > 0,
-            "after {SWAPS} swaps some queries should have hit the swapped-in model \
-             ({differing}/{} answers differ between models)",
-            queries.len()
-        );
-    }
+}
+
+/// Store reloads and rollbacks applied while workers route: the same
+/// exactly-one-model invariant must hold for both kinds of swap, and every
+/// rollback must restore the very engine that served before the reload.
+#[test]
+fn queries_during_store_reloads_and_rollbacks_always_see_exactly_one_model() {
+    let (model_a, model_b) = two_models();
+    let dir = temp_path("store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = ModelStore::create(&dir, "city", StoreOptions::default()).unwrap();
+    store.publish(&model_b).unwrap();
+
+    let engine_a = Arc::new(model_a.into_engine());
+    let engine_b = model_b.into_engine();
+    let reference = Reference::new(&engine_a, &engine_b);
+
+    let registry = ModelRegistry::new();
+    registry.insert_shared("city", Arc::clone(&engine_a));
+
+    const ROUNDS: usize = 6;
+    reference.hammer(&registry, || {
+        for _ in 0..ROUNDS {
+            let (_, generation) = registry
+                .reload_from_store("city", &store, None)
+                .expect("the store's newest generation validates and swaps in");
+            assert_eq!(generation, 1);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let (restored, _) = registry
+                .rollback("city")
+                .expect("a reload leaves a rollback target");
+            assert!(Arc::ptr_eq(&restored, &engine_a));
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Every reload and every rollback is a swap.
+    assert_eq!(registry.generation("city"), Some(1 + 2 * ROUNDS as u64));
+    assert!(Arc::ptr_eq(&registry.get("city").unwrap(), &engine_a));
 }
 
 #[test]

@@ -18,8 +18,8 @@ pub enum Scale {
     Quick,
     /// Full: used by the benchmark harness (minutes).
     Full,
-    /// Country-scale: ~100k-vertex network, the `--scale xl` axis of the
-    /// reproduce harness (tens of minutes on one core).
+    /// Country-scale: ~100k-vertex network, the `--scale xl` axis of
+    /// `reproduce` and of the `xl_gates` test.
     Xl,
     /// Half-million-vertex stress scale (`--scale xxl`); network generation
     /// and routing only at benchmark time — not part of CI.

@@ -2,7 +2,7 @@
 //!
 //! Every public function regenerates the data behind one table or figure of
 //! the paper's evaluation (Section VII); the `reproduce` binary in
-//! `l2r-bench` prints them and `EXPERIMENTS.md` records paper-vs-measured.
+//! `l2r-bench` prints them as plain-text tables.
 
 use std::collections::HashMap;
 use std::time::Instant;

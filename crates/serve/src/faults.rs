@@ -5,8 +5,8 @@
 //! or throttled connections, and reactor-level worker kills — threaded
 //! through the event loops via [`crate::ServerConfig::faults`].  Production
 //! servers run without a plan (every hook is a cheap `Option` check);
-//! integration tests and the `resilience` section of `reproduce -- serving`
-//! install one to prove the fault-tolerance invariants: no worker death
+//! the chaos integration tests install one to prove the fault-tolerance
+//! invariants: no worker death
 //! from a handler panic, exact `panics_caught`/`deadline_exceeded`/`shed`
 //! accounting, and bit-exact responses for every non-faulted request.
 //!
