@@ -21,7 +21,7 @@
 //! cargo test --release -p l2r-bench --test xl_gates -- --ignored
 //! ```
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use l2r_core::{
@@ -42,6 +42,12 @@ static THREAD_COUNT: Mutex<()> = Mutex::new(());
 
 fn lock_thread_count() -> MutexGuard<'static, ()> {
     THREAD_COUNT.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The quick D1 dataset, fitted once and shared by the quick-scale tests.
+fn quick_dataset() -> &'static Dataset {
+    static QUICK: OnceLock<Dataset> = OnceLock::new();
+    QUICK.get_or_init(|| build_dataset(DatasetSpec::d1(Scale::Quick)))
 }
 
 /// Runs `f` with the worker-thread count pinned to `threads`, then restores
@@ -183,26 +189,31 @@ fn assert_decode_round_trips(ds: &Dataset) -> Timings {
 #[test]
 fn gates_hold_on_the_quick_dataset() {
     let _pin = lock_thread_count();
-    let ds = build_dataset(DatasetSpec::d1(Scale::Quick));
-    assert_bounded_similarity_matches_naive(&ds);
-    assert_refit_is_identical(&ds);
-    assert_engine_matches_free_router(&ds, &ds.model.prepare());
-    assert_compile_is_thread_independent(&ds);
-    assert_decode_round_trips(&ds);
+    let ds = quick_dataset();
+    assert_bounded_similarity_matches_naive(ds);
+    assert_refit_is_identical(ds);
+    assert_compile_is_thread_independent(ds);
+    assert_decode_round_trips(ds);
     // Every pin was released.
     assert_eq!(l2r_par::thread_override(), None);
+}
+
+#[test]
+fn prepared_engine_matches_the_free_router_on_the_quick_dataset() {
+    let ds = quick_dataset();
+    assert_engine_matches_free_router(ds, &ds.model.prepare());
 }
 
 /// A served engine is built from a snapshot file, not from the fit: it must
 /// answer like the free router on the never-serialized model.
 #[test]
 fn snapshot_engine_matches_the_free_router_on_the_quick_dataset() {
-    let ds = build_dataset(DatasetSpec::d1(Scale::Quick));
+    let ds = quick_dataset();
     let path = std::env::temp_dir().join(format!("l2r-xl-gates-{}.l2r", std::process::id()));
     save_model(&ds.model, &path).expect("the snapshot is written");
     let engine = Engine::load(&path);
     std::fs::remove_file(&path).ok();
-    assert_engine_matches_free_router(&ds, &engine.expect("the snapshot loads"));
+    assert_engine_matches_free_router(ds, &engine.expect("the snapshot loads"));
 }
 
 #[test]
