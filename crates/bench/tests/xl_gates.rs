@@ -6,14 +6,16 @@
 //!   structural snapshot;
 //! * the compiled engine, also when loaded from a snapshot file, answers
 //!   every held-out test query exactly like the free router;
-//! * engines compiled on one thread and at the ambient thread count agree on
-//!   their connector count and on 500 seeded vertex pairs;
+//! * the connector table resolved on one thread and at the ambient thread
+//!   count is the fitted model's, entry for entry, and engines compiled on
+//!   one thread and at the ambient count agree on 500 seeded vertex pairs;
 //! * a snapshot decoded on 1, 4 and the ambient number of threads re-encodes
-//!   to its input bytes.
+//!   to its input bytes, and its connector table equals a fresh resolve on
+//!   the decoded graphs.
 //!
 //! At country scale (`D1-XL`, ~100k vertices) the bounded scan must also be
 //! at least 2× faster than the naive one, and, on hosts with at least 8
-//! worker threads, the parallel engine compile at least 2× faster than a
+//! worker threads, the parallel connector resolve at least 2× faster than a
 //! serial one and the parallel decode faster than a serial one.  That test
 //! fits a country-scale network twice, so it is ignored by default:
 //!
@@ -25,7 +27,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use l2r_core::{
-    decode_model, encode_model, encode_model_structural, save_model, Engine, L2r, QueryScratch,
+    decode_model, encode_model, encode_model_structural, save_model, ConnectorTable, Engine, L2r,
+    QueryScratch,
 };
 use l2r_eval::{build_dataset, build_test_queries, Dataset, DatasetSpec, Scale};
 use l2r_preference::{build_descriptors, build_similarity_rows, build_similarity_rows_naive};
@@ -140,24 +143,26 @@ fn assert_engine_matches_free_router(ds: &Dataset, engine: &Engine) {
     }
 }
 
-/// Engines compiled on one worker and at the ambient thread count must hold
-/// the same connectors and answer a seeded pair sample identically.
-fn assert_compile_is_thread_independent(ds: &Dataset) -> Timings {
-    let serial_model = ds.model.clone();
-    let (serial, slow) = with_threads(1, || timed(|| serial_model.into_engine()));
-    let parallel_model = ds.model.clone();
-    let (parallel, fast) = timed(|| parallel_model.into_engine());
+/// The connector table resolved on one worker and at the ambient thread
+/// count must be the fitted model's, and engines compiled on one worker and
+/// at the ambient count must answer a seeded pair sample identically.
+fn assert_resolve_is_thread_independent(ds: &Dataset) -> Timings {
+    let (net, rg) = (ds.model.network(), ds.model.region_graph());
+    let (serial_table, slow) = with_threads(1, || timed(|| ConnectorTable::resolve(net, rg)));
+    let (parallel_table, fast) = timed(|| ConnectorTable::resolve(net, rg));
+    // Not `assert_eq!`: at country scale the tables hold ~5·10⁴ paths.
+    assert!(
+        serial_table == *ds.model.connectors() && parallel_table == *ds.model.connectors(),
+        "connector tables resolved on 1 and {} threads differ from the fitted model's",
+        l2r_par::max_threads()
+    );
+    let serial = with_threads(1, || ds.model.prepare());
+    let parallel = ds.model.prepare();
     let n = ds.model.network().num_vertices() as u32;
     let mut rng = StdRng::seed_from_u64(0xC0_4D11E);
     let pairs: Vec<(VertexId, VertexId)> = (0..COMPILE_CHECK_PAIRS)
         .map(|_| (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n))))
         .collect();
-    assert_eq!(
-        serial.num_connectors(),
-        parallel.num_connectors(),
-        "connector count of engines compiled on 1 vs {} threads",
-        l2r_par::max_threads()
-    );
     assert!(
         serial.route_many(&pairs) == parallel.route_many(&pairs),
         "engines compiled on 1 vs {} threads route differently",
@@ -167,7 +172,8 @@ fn assert_compile_is_thread_independent(ds: &Dataset) -> Timings {
 }
 
 /// Decoding at 1, 4 and the ambient number of threads must each re-encode
-/// to exactly the input bytes.
+/// to exactly the input bytes, and the decoded connector table must equal a
+/// fresh resolve on the decoded network and region graph.
 fn assert_decode_round_trips(ds: &Dataset) -> Timings {
     let bytes = encode_model(&ds.model);
     let decode_at = |threads: usize| {
@@ -178,11 +184,15 @@ fn assert_decode_round_trips(ds: &Dataset) -> Timings {
             encode_model(&model) == bytes,
             "the snapshot decoded on {threads} threads does not re-encode to its input"
         );
-        time
+        (model, time)
     };
-    let slow = decode_at(1);
+    let (model, slow) = decode_at(1);
+    assert!(
+        *model.connectors() == ConnectorTable::resolve(model.network(), model.region_graph()),
+        "the decoded connector table differs from a fresh resolve on the decoded graphs"
+    );
     decode_at(4);
-    let fast = decode_at(l2r_par::max_threads());
+    let (_, fast) = decode_at(l2r_par::max_threads());
     Timings { slow, fast }
 }
 
@@ -192,7 +202,7 @@ fn gates_hold_on_the_quick_dataset() {
     let ds = quick_dataset();
     assert_bounded_similarity_matches_naive(ds);
     assert_refit_is_identical(ds);
-    assert_compile_is_thread_independent(ds);
+    assert_resolve_is_thread_independent(ds);
     assert_decode_round_trips(ds);
     // Every pin was released.
     assert_eq!(l2r_par::thread_override(), None);
@@ -224,7 +234,7 @@ fn gates_hold_on_the_country_scale_dataset() {
     let transfer = assert_bounded_similarity_matches_naive(&ds);
     assert_refit_is_identical(&ds);
     assert_engine_matches_free_router(&ds, &ds.model.prepare());
-    let compile = assert_compile_is_thread_independent(&ds);
+    let resolve = assert_resolve_is_thread_independent(&ds);
     let decode = assert_decode_round_trips(&ds);
 
     // The speed gates come last, so every identity gate above is checked
@@ -244,11 +254,11 @@ fn gates_hold_on_the_country_scale_dataset() {
     }
     // Parallel speedups only materialise with real cores underneath.
     if threads >= 8 {
-        if compile.speedup() < 2.0 {
+        if resolve.speedup() < 2.0 {
             too_slow.push(format!(
-                "the parallel engine compile is only {:.2}x faster than serial on {threads} \
-                 threads (required: >= 2x)",
-                compile.speedup()
+                "the parallel connector resolve is only {:.2}x faster than serial on \
+                 {threads} threads (required: >= 2x)",
+                resolve.speedup()
             ));
         }
         if decode.fast >= decode.slow {
@@ -260,9 +270,9 @@ fn gates_hold_on_the_country_scale_dataset() {
         }
     } else {
         eprintln!(
-            "compile {:.2}x and decode {:.2}x parallel speedups not gated on {threads} \
-             worker thread(s) (< 8)",
-            compile.speedup(),
+            "connector resolve {:.2}x and decode {:.2}x parallel speedups not gated on \
+             {threads} worker thread(s) (< 8)",
+            resolve.speedup(),
             decode.speedup()
         );
     }

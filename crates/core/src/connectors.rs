@@ -1,0 +1,364 @@
+//! The model's connector table: every fastest-path stub a Case-1 query can
+//! need, resolved once at fit time and persisted in the snapshot.
+//!
+//! Section VI stitches a route from attached region-edge paths and fastest
+//! paths between them.  Those connectors always start or end at a region
+//! vertex:
+//!
+//! * **head** — query source (∈ `r`) → entry vertex of the attached path an
+//!   adjacent edge uses out of `r` (also ∈ `r`), or the fallback transfer
+//!   center of the neighbouring region when the orientation has no path;
+//! * **tail / next hop** — exit vertex of an attached path into `r` (or a
+//!   fallback center of `r`) → any vertex of `r` (the query destination, or
+//!   the entry of the next leg).
+//!
+//! They depend only on the road network and the post-apply region graph, so
+//! [`crate::L2r::fit`] resolves them once ([`ConnectorTable::resolve`]) as
+//! the last part of Step 3, the snapshot stores the result, and a serving
+//! [`crate::Engine`] reads it through its model instead of re-running the
+//! searches on every load.
+//!
+//! A decoded table is validated against the network and region graph it
+//! travels with ([`ConnectorTable::decode`]): ids in range, strictly
+//! ascending keys, endpoints equal to their key, every path drivable, and
+//! exactly the key set the region graph implies.
+
+use std::collections::HashMap;
+use std::ops::Range;
+
+use l2r_region_graph::{RegionGraph, RegionId};
+use l2r_road_network::{
+    CodecError, CostType, Encode, Path, Reader, RoadNetwork, SearchSpace, VertexId, Writer,
+};
+
+use crate::router::best_oriented_path;
+
+/// Best attached path of a region edge, pre-resolved per orientation exactly
+/// as the per-query scan would have (most supported path, first wins ties;
+/// opposite-orientation paths reversed and kept only when drivable).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OrientedPaths {
+    /// Best path oriented `a → b`.
+    pub(crate) forward: Option<Path>,
+    /// Best path oriented `b → a`.
+    pub(crate) backward: Option<Path>,
+}
+
+/// Resolves both orientations of every region edge (indexed by
+/// `RegionEdgeId`), fanned out across `L2R_THREADS` workers.
+pub(crate) fn oriented_paths(net: &RoadNetwork, rg: &RegionGraph) -> Vec<OrientedPaths> {
+    l2r_par::par_map(rg.edges(), |_, edge| OrientedPaths {
+        forward: best_oriented_path(net, rg, edge, edge.a, edge.b),
+        backward: best_oriented_path(net, rg, edge, edge.b, edge.a),
+    })
+}
+
+/// Every fastest-path connector `(from, to)` a Case-1 query can need, with
+/// its path (or the proof that `to` is unreachable from `from`).
+///
+/// Keys are stored strictly ascending next to one flat vertex array, so two
+/// tables compare equal exactly when they hold the same entries, and a hash
+/// index over the keys answers the query path's lookups in constant time.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ConnectorTable {
+    /// Strictly ascending `(from, to)` keys.
+    keys: Vec<(VertexId, VertexId)>,
+    /// Key `i`'s path ends at `vertices[ends[i]]` (exclusive) and starts where
+    /// key `i − 1`'s ends; an empty range means unreachable.
+    ends: Vec<usize>,
+    vertices: Vec<VertexId>,
+    /// Position of each key in `keys`.
+    index: HashMap<(VertexId, VertexId), u32>,
+}
+
+impl ConnectorTable {
+    /// Resolves the connector table of a fitted network and region graph.
+    ///
+    /// The searches run once per distinct `(region, source)`: one
+    /// `dijkstra_to_many` towards the union of the source's head targets and,
+    /// for an entry anchor, the region's vertices.  Extracting `path_to(t)`
+    /// from that search is bit-identical to the early-stopped per-query
+    /// search the free router runs, because a settled vertex's parent never
+    /// changes after it settles.  For the same reason two searches from one
+    /// source agree on every target they share, so the per-search results
+    /// merge in any order.  The searches are scheduled one by one across
+    /// `L2R_THREADS` workers, so a region whose searches span the whole
+    /// network does not pin them to one thread, and the table is identical
+    /// at every thread count.  Its size stays linear in
+    /// `Σ |region| × (adjacent edges)` — no all-pairs blowup.
+    pub fn resolve(net: &RoadNetwork, rg: &RegionGraph) -> ConnectorTable {
+        let plan = ConnectorPlan::new(net, rg);
+        type Entry = ((VertexId, VertexId), Option<Path>);
+        let per_source: Vec<Vec<Entry>> = l2r_par::par_map_init(
+            &plan.jobs,
+            || (SearchSpace::new(), Vec::new()),
+            |(space, targets), _, job| {
+                plan.targets_into(rg, job, targets);
+                space.dijkstra_to_many(net, job.source, targets, |e| e.cost(CostType::TravelTime));
+                targets
+                    .iter()
+                    .filter(|&&t| t != job.source)
+                    .map(|&t| ((job.source, t), space.path_to(t)))
+                    .collect()
+            },
+        );
+        let mut entries: Vec<Entry> = per_source.into_iter().flatten().collect();
+        // Equal keys carry equal paths, so which duplicate survives is moot.
+        entries.sort_unstable_by_key(|(key, _)| *key);
+        entries.dedup_by_key(|(key, _)| *key);
+        let mut table = ConnectorTable::with_capacity(entries.len());
+        for (key, path) in &entries {
+            table.keys.push(*key);
+            if let Some(p) = path {
+                table.vertices.extend_from_slice(p.vertices());
+            }
+            table.ends.push(table.vertices.len());
+        }
+        table.indexed()
+    }
+
+    fn with_capacity(len: usize) -> ConnectorTable {
+        ConnectorTable {
+            keys: Vec::with_capacity(len),
+            ends: Vec::with_capacity(len),
+            vertices: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+
+    /// Builds the lookup index once the entries are complete.
+    fn indexed(mut self) -> ConnectorTable {
+        self.index = self.keys.iter().zip(0u32..).map(|(&k, i)| (k, i)).collect();
+        self
+    }
+
+    /// The connector `from → to`: `None` when the table has no such key,
+    /// `Some(None)` when it is proven unreachable, and otherwise its full
+    /// vertex sequence (both endpoints included).
+    pub fn get(&self, from: VertexId, to: VertexId) -> Option<Option<&[VertexId]>> {
+        let i = *self.index.get(&(from, to))?;
+        let path = &self.vertices[self.span(i as usize)];
+        Some((!path.is_empty()).then_some(path))
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the table has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Every entry in ascending key order, as [`ConnectorTable::get`]
+    /// returns it.
+    pub fn iter(&self) -> impl Iterator<Item = ((VertexId, VertexId), Option<&[VertexId]>)> {
+        self.keys.iter().enumerate().map(|(i, &key)| {
+            let path = &self.vertices[self.span(i)];
+            (key, (!path.is_empty()).then_some(path))
+        })
+    }
+
+    fn span(&self, i: usize) -> Range<usize> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        start..self.ends[i]
+    }
+
+    /// Decodes a table written by its [`Encode`] form and validates it
+    /// against the network and region graph of the same snapshot: every id
+    /// in range, keys strictly ascending, each path's endpoints equal to its
+    /// key, every path drivable (as stored region-edge paths are checked),
+    /// and the key set exactly the one [`ConnectorTable::resolve`] would
+    /// produce for `rg`.  Malformed input is a [`CodecError`], never a
+    /// panic.
+    pub fn decode(
+        r: &mut Reader<'_>,
+        net: &RoadNetwork,
+        rg: &RegionGraph,
+    ) -> Result<ConnectorTable, CodecError> {
+        let n = net.num_vertices();
+        let len = r.length("connector count", 12)?;
+        let mut table = ConnectorTable::with_capacity(len);
+        for _ in 0..len {
+            let from = VertexId(r.index("connector source", n)?);
+            let to = VertexId(r.index("connector target", n)?);
+            if table.keys.last().is_some_and(|&last| last >= (from, to)) {
+                return Err(CodecError::Invalid("connector keys not strictly ascending"));
+            }
+            let run = r.u32("connector path length")? as usize;
+            if run > r.remaining() / 4 {
+                return Err(CodecError::ImplausibleLength {
+                    what: "connector path length",
+                    len: run as u64,
+                });
+            }
+            let start = table.vertices.len();
+            for _ in 0..run {
+                table
+                    .vertices
+                    .push(VertexId(r.index("connector path vertex", n)?));
+            }
+            let path = &table.vertices[start..];
+            if run > 0 && (path[0] != from || path[run - 1] != to) {
+                return Err(CodecError::Invalid(
+                    "connector path endpoints differ from its key",
+                ));
+            }
+            if path
+                .windows(2)
+                .any(|w| net.edge_between(w[0], w[1]).is_none())
+            {
+                return Err(CodecError::Invalid("undrivable connector path"));
+            }
+            table.keys.push((from, to));
+            table.ends.push(table.vertices.len());
+        }
+        if table.keys != ConnectorPlan::new(net, rg).keys(rg) {
+            return Err(CodecError::Invalid(
+                "connector keys differ from the region graph's",
+            ));
+        }
+        Ok(table.indexed())
+    }
+}
+
+/// Wire form: the entry count (`u64`), then per entry in ascending key order
+/// `from` and `to` (`u32` each), the path's vertex count (`u32`, `0` =
+/// unreachable) and its vertices (`u32` each, both endpoints included).
+impl Encode for ConnectorTable {
+    fn encode(&self, w: &mut Writer) {
+        w.length(self.len());
+        for ((from, to), path) in self.iter() {
+            w.u32(from.0);
+            w.u32(to.0);
+            let path = path.unwrap_or_default();
+            w.u32(path.len() as u32);
+            for v in path {
+                w.u32(v.0);
+            }
+        }
+    }
+}
+
+/// One connector search: `source` reaches the out-targets of `region` when
+/// `head` is set (it is a region vertex) and every vertex of `region` when
+/// `tail` is set (it is an entry anchor).
+struct ConnectorSource {
+    region: RegionId,
+    source: VertexId,
+    head: bool,
+    tail: bool,
+}
+
+/// The searches a region graph's connector table needs: the key set both
+/// [`ConnectorTable::resolve`] and [`ConnectorTable::decode`] derive.
+struct ConnectorPlan {
+    /// Per region: the connector targets its vertices may route *out* to.
+    out_targets: Vec<Vec<VertexId>>,
+    /// One job per distinct `(region, source)`, in region order.
+    jobs: Vec<ConnectorSource>,
+}
+
+impl ConnectorPlan {
+    fn new(net: &RoadNetwork, rg: &RegionGraph) -> ConnectorPlan {
+        let oriented = oriented_paths(net, rg);
+        let nr = rg.num_regions();
+        let mut out_targets: Vec<Vec<VertexId>> = vec![Vec::new(); nr];
+        // Per region: the anchors where legs *enter* the region (tail sources).
+        let mut entry_anchors: Vec<Vec<VertexId>> = vec![Vec::new(); nr];
+        for edge in rg.edges() {
+            let o = &oriented[edge.id.idx()];
+            let orientations = [
+                (edge.a, edge.b, o.forward.as_ref()),
+                (edge.b, edge.a, o.backward.as_ref()),
+            ];
+            for (from, to, seg) in orientations {
+                match seg {
+                    Some(p) => {
+                        out_targets[from.idx()].push(p.source());
+                        entry_anchors[to.idx()].push(p.destination());
+                    }
+                    None => {
+                        // The stitching falls back to the first transfer
+                        // center of the next region for orientations without
+                        // a path.
+                        if let Some(&t) = rg.transfer_centers_or_default(to).first() {
+                            out_targets[from.idx()].push(t);
+                            entry_anchors[to.idx()].push(t);
+                        }
+                    }
+                }
+            }
+        }
+        for r in 0..nr {
+            out_targets[r].sort_unstable();
+            out_targets[r].dedup();
+            entry_anchors[r].sort_unstable();
+            entry_anchors[r].dedup();
+        }
+
+        // One job per distinct (region, source), flagged with the roles it
+        // plays.
+        let n = net.num_vertices();
+        let mut jobs: Vec<ConnectorSource> = Vec::new();
+        let mut roles: Vec<(VertexId, bool)> = Vec::new();
+        for region in rg.regions() {
+            let r = region.id;
+            roles.clear();
+            if !out_targets[r.idx()].is_empty() {
+                roles.extend(region.vertices.iter().map(|&v| (v, false)));
+            }
+            roles.extend(entry_anchors[r.idx()].iter().map(|&a| (a, true)));
+            roles.retain(|(v, _)| v.idx() < n);
+            roles.sort_unstable();
+            for &(source, anchor) in &roles {
+                match jobs.last_mut() {
+                    Some(job) if job.region == r && job.source == source => {
+                        job.head |= !anchor;
+                        job.tail |= anchor;
+                    }
+                    _ => jobs.push(ConnectorSource {
+                        region: r,
+                        source,
+                        head: !anchor,
+                        tail: anchor,
+                    }),
+                }
+            }
+        }
+        ConnectorPlan { out_targets, jobs }
+    }
+
+    /// Fills `targets` with the sorted, deduplicated targets of `job` (which
+    /// may include its own source).
+    fn targets_into(&self, rg: &RegionGraph, job: &ConnectorSource, targets: &mut Vec<VertexId>) {
+        targets.clear();
+        if job.head {
+            targets.extend_from_slice(&self.out_targets[job.region.idx()]);
+        }
+        if job.tail {
+            targets.extend_from_slice(&rg.region(job.region).vertices);
+        }
+        targets.sort_unstable();
+        targets.dedup();
+    }
+
+    /// The table's key set, strictly ascending.
+    fn keys(&self, rg: &RegionGraph) -> Vec<(VertexId, VertexId)> {
+        let mut keys = Vec::new();
+        let mut targets = Vec::new();
+        for job in &self.jobs {
+            self.targets_into(rg, job, &mut targets);
+            keys.extend(
+                targets
+                    .iter()
+                    .filter(|&&t| t != job.source)
+                    .map(|&t| (job.source, t)),
+            );
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+}

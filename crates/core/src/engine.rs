@@ -14,15 +14,18 @@
 //!   so inner-region routing intersects two sorted occurrence lists instead
 //!   of scanning every stored path twice;
 //! * transfer centers borrowed from the region graph's build-time cache;
-//! * a **connector cache**: the fastest-path stubs a Case-1 query needs —
-//!   query source → attached-path entry, attached-path exit → query
-//!   destination, anchor → next-hop entry — always start or end at a region
-//!   vertex, so they are precomputed with one bounded one-to-many search per
-//!   distinct source (a region vertex that is also an entry anchor searches
-//!   once, towards both target sets).  Extracting a path from a search that
-//!   ran longer is bit-identical to the early-stopped per-query search
-//!   (settled parents never change), so cached connectors answer exactly
-//!   like live Dijkstra — without running one.
+//! * the **model's persisted connector table**
+//!   ([`crate::ConnectorTable`]): the fastest-path stubs a Case-1 query
+//!   needs — query source → attached-path entry, attached-path exit → query
+//!   destination, anchor → next-hop entry — resolved once by the fit and
+//!   stored in the snapshot, read through the engine's `Arc<L2r>` rather
+//!   than copied.  Its paths are bit-identical to the early-stopped
+//!   per-query search (settled parents never change), so table hits answer
+//!   exactly like live Dijkstra — without running one; a pair outside the
+//!   table falls back to a live search.
+//!
+//! Compiling therefore runs no road search at all: it resolves the
+//! oriented paths and builds the inner-path indexes, both in parallel.
 //!
 //! An `Engine` **owns** its model behind an [`Arc<L2r>`] instead of
 //! borrowing the network and region graph it compiles: model and indexes
@@ -52,21 +55,11 @@ use l2r_region_graph::{RegionGraph, RegionId};
 use l2r_road_network::{CostType, Path, PathBuilder, RoadNetwork, SearchSpace, VertexId};
 
 use crate::config::L2rConfig;
+use crate::connectors::{oriented_paths, OrientedPaths};
 use crate::pipeline::{L2r, OfflineStats};
 use crate::region_routing::{RegionPath, RegionSearchSpace};
-use crate::router::{best_oriented_path, find_anchor_in, RouteResult, RouteStrategy};
+use crate::router::{find_anchor_in, RouteResult, RouteStrategy};
 use crate::snapshot::{load_model, SnapshotError};
-
-/// Best attached path of a region edge, pre-resolved per orientation exactly
-/// as the per-query scan would have (most supported path, first wins ties;
-/// opposite-orientation paths reversed and kept only when drivable).
-#[derive(Debug, Clone, Default)]
-struct OrientedPaths {
-    /// Best path oriented `a → b`.
-    forward: Option<Path>,
-    /// Best path oriented `b → a`.
-    backward: Option<Path>,
-}
 
 /// Positions of one vertex inside one stored inner-region path.
 #[derive(Debug, Clone)]
@@ -154,10 +147,6 @@ pub struct Engine {
     oriented: Vec<OrientedPaths>,
     /// Indexed by `RegionId`.
     inner: Vec<InnerPathIndex>,
-    /// Pre-resolved fastest-path connectors `(from, to)` for every stub a
-    /// Case-1 query can need (`None` = proven unreachable).  Misses fall
-    /// back to a live scratch search with identical results.
-    connectors: HashMap<(VertexId, VertexId), Option<Path>>,
 }
 
 // The whole point of owning the model: an Engine must be shareable across
@@ -178,27 +167,21 @@ impl Engine {
     /// Compiles an engine around an already-shared model without cloning the
     /// model data.
     ///
-    /// The three compile stages — oriented-path resolution per region edge,
-    /// inner-path indexing per region, one connector search per source — are
-    /// each embarrassingly parallel and fan out across `L2R_THREADS` workers;
-    /// results are merged in index order, so the compiled engine is identical
-    /// to a single-threaded build.
+    /// The two compile stages — oriented-path resolution per region edge and
+    /// inner-path indexing per region — are each embarrassingly parallel and
+    /// fan out across `L2R_THREADS` workers; results are merged in index
+    /// order, so the compiled engine is identical to a single-threaded
+    /// build.  The connector table is the model's own, resolved by the fit.
     pub fn from_shared(model: Arc<L2r>) -> Engine {
-        let net = model.network();
         let rg = model.region_graph();
-        let oriented: Vec<OrientedPaths> = l2r_par::par_map(rg.edges(), |_, edge| OrientedPaths {
-            forward: best_oriented_path(net, rg, edge, edge.a, edge.b),
-            backward: best_oriented_path(net, rg, edge, edge.b, edge.a),
-        });
+        let oriented = oriented_paths(model.network(), rg);
         let inner = l2r_par::par_map(rg.regions(), |_, r| {
             InnerPathIndex::build(rg.inner_paths(r.id))
         });
-        let connectors = resolve_connectors(net, rg, &oriented);
         Engine {
             model,
             oriented,
             inner,
-            connectors,
         }
     }
 
@@ -210,9 +193,10 @@ impl Engine {
 
     /// Thin borrowed constructor for tests: compiles an engine from a road
     /// network and region graph alone (no learned preferences, default
-    /// config), cloning both into a degenerate owned model.  Serving only
-    /// consults the network and region graph, so routing behaviour is
-    /// identical to an engine around the full fitted model.
+    /// config), cloning both into a degenerate owned model and resolving its
+    /// connector table.  Serving only consults the network, the region graph
+    /// and that table, so routing behaviour is identical to an engine around
+    /// the full fitted model.
     pub fn from_graphs(net: &RoadNetwork, rg: &RegionGraph) -> Engine {
         Engine::new(L2r::from_parts(
             net.clone(),
@@ -224,9 +208,9 @@ impl Engine {
         ))
     }
 
-    /// Number of precomputed connector entries (diagnostics).
+    /// Number of entries in the model's connector table (diagnostics).
     pub fn num_connectors(&self) -> usize {
-        self.connectors.len()
+        self.model.connectors().len()
     }
 
     /// The model this engine serves.
@@ -419,10 +403,10 @@ impl Engine {
     }
 
     /// Appends the fastest path `from → to` to the builder, consulting the
-    /// connector cache first: a hit (including a cached "unreachable") avoids
-    /// the Dijkstra search entirely; a miss runs a live search through the
-    /// scratch space.  Both produce the exact path the free `fastest_path`
-    /// would have.
+    /// model's connector table first: a hit (including a stored
+    /// "unreachable") avoids the Dijkstra search entirely; a miss runs a live
+    /// search through the scratch space.  Both produce the exact path the
+    /// free `fastest_path` would have.
     fn append_connector(
         &self,
         space: &mut SearchSpace,
@@ -433,9 +417,9 @@ impl Engine {
         if from == to {
             return true;
         }
-        match self.connectors.get(&(from, to)) {
+        match self.model.connectors().get(from, to) {
             Some(Some(p)) => {
-                builder.append_slice(p.vertices());
+                builder.append_slice(p);
                 true
             }
             Some(None) => false,
@@ -617,140 +601,6 @@ impl L2r {
     }
 }
 
-/// Precomputes the fastest-path connectors the Case-1 serving path can need.
-///
-/// Every such stub starts or ends at a region vertex:
-///
-/// * **head** — query source (∈ `r`) → entry vertex of the attached path an
-///   adjacent edge uses out of `r` (also ∈ `r`), or the fallback transfer
-///   center of the neighbouring region when the orientation has no path;
-/// * **tail / next hop** — exit vertex of an attached path into `r` (or a
-///   fallback center of `r`) → any vertex of `r` (the query destination, or
-///   the entry of the next leg).
-///
-/// Every entry anchor of a region is usually also one of its vertices, so
-/// the searches run once per distinct `(region, source)`: one
-/// `dijkstra_to_many` towards the union of the source's head targets and,
-/// for an anchor, the region's vertices.  Extracting `path_to(t)` from that
-/// search is bit-identical to the early-stopped per-query search the free
-/// router runs, because a settled vertex's parent never changes after it
-/// settles.  For the same reason two searches from one source agree on every
-/// target they share, so the per-search results merge in any order.  The
-/// searches are scheduled one by one across workers, so a region whose
-/// searches span the whole network does not pin them to one thread.  Cache
-/// size and prepare cost stay linear in `Σ |region| × (adjacent edges)` — no
-/// all-pairs blowup.
-fn resolve_connectors(
-    net: &RoadNetwork,
-    rg: &RegionGraph,
-    oriented: &[OrientedPaths],
-) -> HashMap<(VertexId, VertexId), Option<Path>> {
-    let nr = rg.num_regions();
-    // Per region: the connector targets its vertices may route *out* to.
-    let mut out_targets: Vec<Vec<VertexId>> = vec![Vec::new(); nr];
-    // Per region: the anchors where legs *enter* the region (tail sources).
-    let mut entry_anchors: Vec<Vec<VertexId>> = vec![Vec::new(); nr];
-    for edge in rg.edges() {
-        let o = &oriented[edge.id.idx()];
-        let orientations = [
-            (edge.a, edge.b, o.forward.as_ref()),
-            (edge.b, edge.a, o.backward.as_ref()),
-        ];
-        for (from, to, seg) in orientations {
-            match seg {
-                Some(p) => {
-                    out_targets[from.idx()].push(p.source());
-                    entry_anchors[to.idx()].push(p.destination());
-                }
-                None => {
-                    // The stitching falls back to the first transfer center
-                    // of the next region for orientations without a path.
-                    if let Some(&t) = rg.transfer_centers_or_default(to).first() {
-                        out_targets[from.idx()].push(t);
-                        entry_anchors[to.idx()].push(t);
-                    }
-                }
-            }
-        }
-    }
-
-    for r in 0..nr {
-        out_targets[r].sort_unstable();
-        out_targets[r].dedup();
-        entry_anchors[r].sort_unstable();
-        entry_anchors[r].dedup();
-    }
-
-    // One job per distinct (region, source), flagged with the roles it plays.
-    let n = net.num_vertices();
-    let mut jobs: Vec<ConnectorSource> = Vec::new();
-    let mut roles: Vec<(VertexId, bool)> = Vec::new();
-    for region in rg.regions() {
-        let r = region.id;
-        roles.clear();
-        if !out_targets[r.idx()].is_empty() {
-            roles.extend(region.vertices.iter().map(|&v| (v, false)));
-        }
-        roles.extend(entry_anchors[r.idx()].iter().map(|&a| (a, true)));
-        roles.retain(|(v, _)| v.idx() < n);
-        roles.sort_unstable();
-        for &(source, anchor) in &roles {
-            match jobs.last_mut() {
-                Some(job) if job.region == r && job.source == source => {
-                    job.head |= !anchor;
-                    job.tail |= anchor;
-                }
-                _ => jobs.push(ConnectorSource {
-                    region: r,
-                    source,
-                    head: !anchor,
-                    tail: anchor,
-                }),
-            }
-        }
-    }
-
-    type ConnectorEntry = ((VertexId, VertexId), Option<Path>);
-    let per_source: Vec<Vec<ConnectorEntry>> = l2r_par::par_map_init(
-        &jobs,
-        || (SearchSpace::new(), Vec::new()),
-        |(space, targets), _, job| {
-            targets.clear();
-            if job.head {
-                targets.extend_from_slice(&out_targets[job.region.idx()]);
-            }
-            if job.tail {
-                targets.extend_from_slice(&rg.region(job.region).vertices);
-            }
-            targets.sort_unstable();
-            targets.dedup();
-            space.dijkstra_to_many(net, job.source, targets, |e| e.cost(CostType::TravelTime));
-            targets
-                .iter()
-                .filter(|&&t| t != job.source)
-                .map(|&t| ((job.source, t), space.path_to(t)))
-                .collect()
-        },
-    );
-
-    // Equal keys carry equal values, so the merge order cannot change the map.
-    let mut connectors = HashMap::with_capacity(per_source.iter().map(Vec::len).sum());
-    for entries in per_source {
-        connectors.extend(entries);
-    }
-    connectors
-}
-
-/// One connector search: `source` reaches the out-targets of `region` when
-/// `head` is set (it is a region vertex) and every vertex of `region` when
-/// `tail` is set (it is an entry anchor).
-struct ConnectorSource {
-    region: RegionId,
-    source: VertexId,
-    head: bool,
-    tail: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -881,6 +731,9 @@ mod tests {
         (expected, heads_outside_from)
     }
 
+    /// The engine serves from its model's table: the keys are exactly the
+    /// stubs the region graph implies, and every path is the live fastest
+    /// path.
     #[test]
     fn connector_table_is_exactly_the_head_and_tail_stubs() {
         let mut heads_outside_from = 0usize;
@@ -889,13 +742,19 @@ mod tests {
             let engine = Engine::from_graphs(&net, &rg);
             let (expected, outside) = expected_connector_keys(&rg, &engine);
             heads_outside_from += outside;
+            let table = engine.model().connectors();
+            assert_eq!(engine.num_connectors(), table.len());
             let actual: std::collections::HashSet<(VertexId, VertexId)> =
-                engine.connectors.keys().copied().collect();
+                table.iter().map(|(key, _)| key).collect();
             assert!(!expected.is_empty());
             assert_eq!(actual, expected, "connector keys (apply={apply_b_edges})");
-            for ((from, to), cached) in &engine.connectors {
-                let live = l2r_road_network::fastest_path(&net, *from, *to);
-                assert_eq!(cached, &live, "connector {from:?} -> {to:?}");
+            for ((from, to), stored) in table.iter() {
+                let live = l2r_road_network::fastest_path(&net, from, to);
+                assert_eq!(
+                    stored,
+                    live.as_ref().map(Path::vertices),
+                    "connector {from:?} -> {to:?}"
+                );
             }
         }
         assert!(

@@ -49,6 +49,7 @@
 
 pub mod apply;
 pub mod config;
+pub mod connectors;
 pub mod engine;
 pub mod error;
 pub mod pipeline;
@@ -60,6 +61,7 @@ pub mod store;
 
 pub use apply::{apply_preferences_to_b_edges, path_under_preference, ApplyStats};
 pub use config::L2rConfig;
+pub use connectors::ConnectorTable;
 pub use engine::{Engine, QueryScratch};
 pub use error::L2rError;
 pub use pipeline::{L2r, OfflineStats};

@@ -1,8 +1,9 @@
 //! The end-to-end learn-to-route pipeline: Figure 2 of the paper.
 //!
 //! [`L2r::fit`] runs clustering (Step 1), preference learning and transfer
-//! (Step 2), and path assignment for B-edges (Step 3); [`L2r::route`] answers
-//! arbitrary `(source, destination)` queries (Section VI).
+//! (Step 2), and path assignment for B-edges plus the connector table
+//! (Step 3); [`L2r::route`] answers arbitrary `(source, destination)` queries
+//! (Section VI).
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -16,6 +17,7 @@ use l2r_trajectory::MatchedTrajectory;
 
 use crate::apply::{apply_preferences_to_b_edges, ApplyStats};
 use crate::config::L2rConfig;
+use crate::connectors::ConnectorTable;
 use crate::error::L2rError;
 use crate::router::{region_coverage, route, RegionCoverage, RouteResult};
 
@@ -33,6 +35,8 @@ pub struct OfflineStats {
     pub transfer_time: Duration,
     /// Time spent applying preferences to B-edges (Step 3).
     pub apply_time: Duration,
+    /// Time spent resolving the connector table (the end of Step 3).
+    pub connector_time: Duration,
     /// Number of regions.
     pub num_regions: usize,
     /// Number of T-edges.
@@ -41,6 +45,11 @@ pub struct OfflineStats {
     pub num_b_edges: usize,
     /// Null rate of the transfer step.
     pub null_rate: f64,
+    /// Transfer-solve feature columns that missed the solver tolerance
+    /// within the iteration budget.
+    pub unconverged_columns: usize,
+    /// Largest relative residual `‖b − A·x‖ / ‖b‖` over the solved columns.
+    pub max_relative_residual: f64,
     /// Path-materialisation statistics of Step 3.
     pub apply: ApplyStats,
 }
@@ -54,6 +63,7 @@ pub struct L2r {
     transferred: HashMap<RegionEdgeId, Option<Preference>>,
     config: L2rConfig,
     stats: OfflineStats,
+    connectors: ConnectorTable,
 }
 
 impl L2r {
@@ -117,6 +127,8 @@ impl L2r {
         let transfer = transfer_preferences(&region_graph, &labeled, &targets, &config.transfer);
         stats.transfer_time = t0.elapsed();
         stats.null_rate = transfer.null_rate;
+        stats.unconverged_columns = transfer.unconverged_columns;
+        stats.max_relative_residual = transfer.max_relative_residual;
         stats.num_b_edges = targets.len();
 
         // Step 3: apply preferences to B-edges.
@@ -129,6 +141,13 @@ impl L2r {
         );
         stats.apply_time = t0.elapsed();
 
+        // Step 3, last part: the fastest-path connectors the online router
+        // stitches with, which depend only on the network and the final
+        // region graph.
+        let t0 = Instant::now();
+        let connectors = ConnectorTable::resolve(net, &region_graph);
+        stats.connector_time = t0.elapsed();
+
         Ok(L2r {
             net: net.clone(),
             region_graph,
@@ -136,11 +155,12 @@ impl L2r {
             transferred: transfer.preferences,
             config,
             stats,
+            connectors,
         })
     }
 
-    /// Reassembles a model from its constituent parts (snapshot decoding);
-    /// the parts must describe a consistent fitted model.
+    /// Reassembles a model from its constituent parts, resolving its
+    /// connector table; the parts must describe a consistent fitted model.
     pub(crate) fn from_parts(
         net: RoadNetwork,
         region_graph: RegionGraph,
@@ -149,6 +169,29 @@ impl L2r {
         config: L2rConfig,
         stats: OfflineStats,
     ) -> L2r {
+        let connectors = ConnectorTable::resolve(&net, &region_graph);
+        L2r::with_connectors(
+            net,
+            region_graph,
+            learned,
+            transferred,
+            config,
+            stats,
+            connectors,
+        )
+    }
+
+    /// Reassembles a model around an already resolved (snapshot-decoded)
+    /// connector table, which must be the one `region_graph` implies.
+    pub(crate) fn with_connectors(
+        net: RoadNetwork,
+        region_graph: RegionGraph,
+        learned: HashMap<RegionEdgeId, LearnedPreference>,
+        transferred: HashMap<RegionEdgeId, Option<Preference>>,
+        config: L2rConfig,
+        stats: OfflineStats,
+        connectors: ConnectorTable,
+    ) -> L2r {
         L2r {
             net,
             region_graph,
@@ -156,6 +199,7 @@ impl L2r {
             transferred,
             config,
             stats,
+            connectors,
         }
     }
 
@@ -178,6 +222,12 @@ impl L2r {
     /// The region graph (after Step 3, i.e. with paths on B-edges).
     pub fn region_graph(&self) -> &RegionGraph {
         &self.region_graph
+    }
+
+    /// The connector table resolved at fit time (or decoded with the
+    /// snapshot), which a compiled [`crate::Engine`] serves from.
+    pub fn connectors(&self) -> &ConnectorTable {
+        &self.connectors
     }
 
     /// The preferences learned for T-edges.
@@ -301,6 +351,7 @@ mod tests {
         assert!(s.clustering_time.as_nanos() > 0);
         assert!(s.region_graph_time.as_nanos() > 0);
         assert!(s.learning_time.as_nanos() > 0);
+        assert!(s.connector_time.as_nanos() > 0);
         assert!(s.apply.edges_with_paths + s.apply.edges_without_paths == s.num_b_edges);
         assert!(s.null_rate >= 0.0 && s.null_rate <= 1.0);
     }

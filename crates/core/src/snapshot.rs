@@ -20,12 +20,24 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"L2RSNAP\0"
-//!      8     1  format version (currently 3)
+//!      8     1  format version (currently 4)
 //!      9     8  payload length in bytes (u64)
 //!     17     4  CRC-32 (IEEE) of the payload (u32)
-//!     21     n  payload: dataset name, network, region graph, learned
-//!               preferences, transferred preferences, config, offline
-//!               stats, canary probes
+//!     21     n  payload: dataset name, network, region graph, connector
+//!               table, learned preferences, transferred preferences,
+//!               config, offline stats, canary probes
+//! ```
+//!
+//! The connector table ([`crate::ConnectorTable`]) is every fastest-path
+//! stub the online router stitches with, resolved once by the fit:
+//!
+//! ```text
+//! field                   size
+//! entry count             u64
+//! per entry, keys strictly ascending by (from, to):
+//!   from, to              u32 + u32
+//!   path vertex count     u32 (0 = proven unreachable)
+//!   path vertices         u32 each, from … to
 //! ```
 //!
 //! Version 2 stamps two pieces of provenance into the (checksummed)
@@ -36,17 +48,22 @@
 //! freshly compiled engine before a hot-swap commits
 //! ([`crate::ModelRegistry`]'s validation stage).  Version 3 dropped the
 //! solver byte from the transfer configuration: conjugate gradient is the
-//! only solver.  A loader accepts exactly the current version.
+//! only solver.  Version 4 added the connector table, so a loaded model
+//! compiles into an engine without a single road search, and three offline
+//! stats: the connector resolution time, and the transfer solve's
+//! unconverged column count and largest relative residual.  A loader
+//! accepts exactly the current version.
 //!
 //! Loading performs a single file read, decodes into preallocated vectors
 //! (the fixed-stride network tables decode in parallel chunks across
-//! `L2R_THREADS` workers), and
-//! validates every embedded id against the counts stored in the same
-//! payload — a corrupt or truncated file produces a [`SnapshotError`],
-//! never a panic.  Encoding is deterministic (hash maps are written in
-//! sorted key order and canaries are derived from a fixed probe schedule),
-//! so `encode → decode → encode` reproduces the exact bytes; the tests
-//! lean on that for cheap whole-model equality.
+//! `L2R_THREADS` workers), and validates every embedded id against the
+//! counts stored in the same payload, every stored path's drivability, and
+//! the connector table's key set against the decoded region graph — a
+//! corrupt or truncated file produces a [`SnapshotError`], never a panic.
+//! Encoding is deterministic (hash maps are written in sorted key order and
+//! canaries are derived from a fixed probe schedule), so
+//! `encode → decode → encode` reproduces the exact bytes; the tests lean on
+//! that for cheap whole-model equality.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -56,6 +73,7 @@ use l2r_region_graph::{decode_region_graph, RegionEdgeId, RegionGraph};
 use l2r_road_network::{CodecError, Decode, Encode, Reader, RoadNetwork, VertexId, Writer};
 
 use crate::config::L2rConfig;
+use crate::connectors::ConnectorTable;
 use crate::pipeline::{L2r, OfflineStats};
 use crate::router::RouteResult;
 
@@ -65,8 +83,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"L2RSNAP\0";
 /// Current snapshot format version.  Bumped on any wire-format change;
 /// loaders reject every other version.  Version 2 added the dataset name
 /// and canary probes to the payload; version 3 removed the solver byte
-/// from the transfer configuration.
-pub const SNAPSHOT_VERSION: u8 = 3;
+/// from the transfer configuration; version 4 added the connector table and
+/// the connector-time and transfer-convergence stats.
+pub const SNAPSHOT_VERSION: u8 = 4;
 
 /// Size of the fixed header preceding the payload.
 const HEADER_LEN: usize = 8 + 1 + 8 + 4;
@@ -318,6 +337,9 @@ fn encode_stats(w: &mut Writer, s: &OfflineStats) {
     w.length(s.apply.edges_with_paths);
     w.length(s.apply.edges_without_paths);
     w.length(s.apply.total_paths);
+    encode_duration(w, s.connector_time);
+    w.length(s.unconverged_columns);
+    w.f64(s.max_relative_residual);
 }
 
 fn decode_stats(r: &mut Reader<'_>) -> Result<OfflineStats, CodecError> {
@@ -336,16 +358,27 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<OfflineStats, CodecError> {
             edges_without_paths: r.u64("edges without paths")? as usize,
             total_paths: r.u64("total paths")? as usize,
         },
+        connector_time: decode_duration(r, "connector time")?,
+        unconverged_columns: r.u64("unconverged columns")? as usize,
+        max_relative_residual: r.f64("max relative residual")?,
     })
 }
 
-/// Encodes the model payload (header not included).  Hash-map entries are
-/// written in ascending edge-id order, making the byte stream deterministic.
-fn encode_payload(model: &L2r, dataset: &str, canaries: &[Canary]) -> Vec<u8> {
+/// Encodes the framed snapshot (header + payload) with `stats` in place of
+/// the model's own.  The payload is written straight after a placeholder
+/// header, which is patched at the end, so the snapshot is never copied.
+/// Hash-map entries are written in ascending edge-id order, making the byte
+/// stream deterministic.
+fn encode_framed(model: &L2r, stats: &OfflineStats, dataset: &str, canaries: &[Canary]) -> Vec<u8> {
     let mut w = Writer::new();
+    w.u64(u64::from_le_bytes(SNAPSHOT_MAGIC));
+    w.u8(SNAPSHOT_VERSION);
+    w.u64(0); // payload length, patched below
+    w.u32(0); // payload checksum, patched below
     w.str(dataset);
     model.network().encode(&mut w);
     model.region_graph().encode(&mut w);
+    model.connectors().encode(&mut w);
 
     let mut learned: Vec<(&RegionEdgeId, &LearnedPreference)> =
         model.learned_preferences().iter().collect();
@@ -379,7 +412,7 @@ fn encode_payload(model: &L2r, dataset: &str, canaries: &[Canary]) -> Vec<u8> {
     w.length(config.function_top_k);
     w.length(config.max_transfer_center_pairs);
 
-    encode_stats(&mut w, model.stats());
+    encode_stats(&mut w, stats);
 
     w.length(canaries.len());
     for c in canaries {
@@ -387,7 +420,12 @@ fn encode_payload(model: &L2r, dataset: &str, canaries: &[Canary]) -> Vec<u8> {
         w.u32(c.dst.0);
         w.u64(c.digest);
     }
-    w.into_vec()
+    let mut out = w.into_vec();
+    let payload_len = (out.len() - HEADER_LEN) as u64;
+    out[9..17].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&out[HEADER_LEN..]);
+    out[17..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    out
 }
 
 fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
@@ -398,6 +436,7 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
     // workers.
     let net = RoadNetwork::decode(&mut r)?;
     let region_graph: RegionGraph = decode_region_graph(&mut r, &net)?;
+    let connectors = ConnectorTable::decode(&mut r, &net, &region_graph)?;
     let num_edges = region_graph.num_edges();
 
     let learned_len = r.length("learned preference count", 14)?;
@@ -467,7 +506,15 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
     Ok(Snapshot {
         dataset,
         canaries,
-        model: L2r::from_parts(net, region_graph, learned, transferred, config, stats),
+        model: L2r::with_connectors(
+            net,
+            region_graph,
+            learned,
+            transferred,
+            config,
+            stats,
+            connectors,
+        ),
     })
 }
 
@@ -486,14 +533,7 @@ pub fn encode_snapshot(model: &L2r, dataset: &str) -> Vec<u8> {
 /// Serialises a fitted model with explicit canary probes (tests and chaos
 /// drills craft deliberately wrong ones to prove validation rejects them).
 pub fn encode_snapshot_with(model: &L2r, dataset: &str, canaries: &[Canary]) -> Vec<u8> {
-    let payload = encode_payload(model, dataset, canaries);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.push(SNAPSHOT_VERSION);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    encode_framed(model, model.stats(), dataset, canaries)
 }
 
 /// Serialises a fitted model without a dataset stamp (the name is empty:
@@ -507,9 +547,10 @@ pub fn encode_model(model: &L2r) -> Vec<u8> {
 /// Snapshots carry the fit's per-stage timings as provenance, so two fits of
 /// the same data never encode identically through [`encode_model`] even when
 /// the learned model is the same.  This variant strips exactly that timing
-/// provenance (the structural stats — counts, null rate, apply statistics —
-/// are kept), making the bytes comparable across fits: it is what the
-/// cross-thread determinism check of the reproduce harness diffs.
+/// provenance (the structural stats — counts, null rate, transfer
+/// convergence, apply statistics — are kept), making the bytes comparable
+/// across fits: it is what the cross-thread determinism checks diff.  The
+/// model is encoded in place, with only the stats overridden.
 pub fn encode_model_structural(model: &L2r) -> Vec<u8> {
     let stats = OfflineStats {
         clustering_time: std::time::Duration::ZERO,
@@ -517,17 +558,11 @@ pub fn encode_model_structural(model: &L2r) -> Vec<u8> {
         learning_time: std::time::Duration::ZERO,
         transfer_time: std::time::Duration::ZERO,
         apply_time: std::time::Duration::ZERO,
+        connector_time: std::time::Duration::ZERO,
         ..model.stats().clone()
     };
-    let stripped = L2r::from_parts(
-        model.network().clone(),
-        model.region_graph().clone(),
-        model.learned_preferences().clone(),
-        model.transferred_preferences().clone(),
-        model.config().clone(),
-        stats,
-    );
-    encode_model(&stripped)
+    let canaries = compute_canaries(model, DEFAULT_CANARY_COUNT);
+    encode_framed(model, &stats, "", &canaries)
 }
 
 /// Validates the snapshot framing — magic, version, header, length and
@@ -655,6 +690,8 @@ mod tests {
             loaded.transferred_preferences(),
             model.transferred_preferences()
         );
+        assert_eq!(loaded.connectors(), model.connectors());
+        assert!(!loaded.connectors().is_empty());
         assert_eq!(loaded.stats().num_regions, model.stats().num_regions);
         assert_eq!(
             loaded.stats().learning_time.as_nanos(),
@@ -664,6 +701,30 @@ mod tests {
             loaded.config().function_top_k,
             model.config().function_top_k
         );
+    }
+
+    #[test]
+    fn structural_encoding_matches_a_rebuilt_zero_timing_model() {
+        let model = fitted();
+        let zero = std::time::Duration::ZERO;
+        let stats = OfflineStats {
+            clustering_time: zero,
+            region_graph_time: zero,
+            learning_time: zero,
+            transfer_time: zero,
+            apply_time: zero,
+            connector_time: zero,
+            ..model.stats().clone()
+        };
+        let rebuilt = L2r::from_parts(
+            model.network().clone(),
+            model.region_graph().clone(),
+            model.learned_preferences().clone(),
+            model.transferred_preferences().clone(),
+            model.config().clone(),
+            stats,
+        );
+        assert_eq!(encode_model_structural(&model), encode_model(&rebuilt));
     }
 
     #[test]

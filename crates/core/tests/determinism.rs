@@ -1,8 +1,9 @@
 //! The parallel offline pipeline must be bit-identical to a serial run:
 //! `L2r::fit` with `L2R_THREADS=1` and `L2R_THREADS=4` has to produce the
 //! same learned preferences, the same transferred preferences and the same
-//! B-edge paths, and an `Engine` compiled at any thread count has to hold
-//! the same connector cache and answer every query the same way.
+//! B-edge paths, a fit at any thread count has to resolve the same connector
+//! table, and an `Engine` compiled at any thread count has to answer every
+//! query the same way.
 //!
 //! Every test here changes the process-global thread count, so each one
 //! holds [`THREAD_COUNT`] for its whole run: no test observes another's pin,
@@ -11,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use l2r_core::{Engine, L2r, L2rConfig};
+use l2r_core::{ConnectorTable, Engine, L2r, L2rConfig};
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
 use l2r_preference::{LearnedPreference, Preference};
 use l2r_region_graph::{RegionEdgeId, SupportedPath};
@@ -32,6 +33,15 @@ fn fit() -> L2r {
     L2r::fit(&syn.net, &train, L2rConfig::fast()).expect("fit")
 }
 
+/// Asserts two connector tables hold the same entries, key for key, naming
+/// the first that differs.
+fn assert_tables_equal(table: &ConnectorTable, reference: &ConnectorTable, what: &str) {
+    assert_eq!(table.len(), reference.len(), "connector count {what}");
+    for (entry, expected) in table.iter().zip(reference.iter()) {
+        assert_eq!(entry, expected, "connector entry {what}");
+    }
+}
+
 /// Compiles `model` at each thread count (pinned with `set_thread_override`,
 /// released afterwards), returning the engines in the same order.
 fn compile_at(model: &Arc<L2r>, threads: &[usize]) -> Vec<Engine> {
@@ -46,8 +56,7 @@ fn compile_at(model: &Arc<L2r>, threads: &[usize]) -> Vec<Engine> {
     engines
 }
 
-/// Asserts every engine matches the first: same connector count, same
-/// route for every query.
+/// Asserts every engine matches the first: same route for every query.
 fn assert_engines_agree(engines: &[Engine], threads: &[usize], queries: &[(VertexId, VertexId)]) {
     let reference = engines[0].route_many(queries);
     assert!(
@@ -56,11 +65,6 @@ fn assert_engines_agree(engines: &[Engine], threads: &[usize], queries: &[(Verte
     );
     for (engine, t) in engines.iter().zip(threads).skip(1) {
         assert_eq!(
-            engine.num_connectors(),
-            engines[0].num_connectors(),
-            "connector count at {t} threads"
-        );
-        assert_eq!(
             engine.route_many(queries),
             reference,
             "routes of the engine compiled at {t} threads"
@@ -68,13 +72,32 @@ fn assert_engines_agree(engines: &[Engine], threads: &[usize], queries: &[(Verte
     }
 }
 
+/// Fits at 1, 2 and 8 threads resolve the same connector table, key for key
+/// and path for path, and engines compiled at those thread counts route
+/// alike.
 #[test]
-fn engine_compile_is_identical_across_1_2_and_8_threads() {
+fn fit_resolves_the_same_connector_table_at_1_2_and_8_threads() {
     let _pin = lock_thread_count();
-    let model = Arc::new(fit());
     let threads = [1usize, 2, 8];
+    let fits: Vec<L2r> = threads
+        .iter()
+        .map(|&t| {
+            l2r_par::set_thread_override(Some(t));
+            fit()
+        })
+        .collect();
+    l2r_par::set_thread_override(None);
+    assert!(!fits[0].connectors().is_empty());
+    for (model, t) in fits.iter().zip(threads).skip(1) {
+        assert_tables_equal(
+            model.connectors(),
+            fits[0].connectors(),
+            &format!("of the fit at {t} threads"),
+        );
+    }
+
+    let model = Arc::new(fits.into_iter().next().expect("three fits ran"));
     let engines = compile_at(&model, &threads);
-    assert!(engines[0].num_connectors() > 0);
     let n = model.network().num_vertices() as u32;
     let queries: Vec<(VertexId, VertexId)> = (0..n)
         .step_by(3)
@@ -142,7 +165,7 @@ fn parallel_fit_is_bit_identical_to_serial_fit() {
 /// Country-scale determinism smoke: the same fit on the XL-smoke network at
 /// 1, 4 and 8 worker threads must encode to bit-identical structural
 /// snapshots (per-stage wall times excluded — they are timing provenance,
-/// not model state), and engines compiled from it at 1 and 4 threads must
+/// not model state; the connector table included), and engines compiled from it at 1 and 4 threads must
 /// answer 2,000 seeded queries identically.  Ignored by default because it
 /// fits a multi-district network three times; the CI `xl-smoke` job runs it
 /// with `--ignored`.

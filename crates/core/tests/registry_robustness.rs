@@ -115,7 +115,7 @@ fn reload_from_a_previous_format_version_keeps_the_old_engine() {
     assert!(
         matches!(
             err,
-            RegistryError::Snapshot(SnapshotError::UnsupportedVersion(2))
+            RegistryError::Snapshot(SnapshotError::UnsupportedVersion(3))
         ),
         "{err}"
     );

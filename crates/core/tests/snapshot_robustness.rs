@@ -1,14 +1,25 @@
 //! Robustness tests for the snapshot file format: every malformed input —
 //! truncation, wrong magic, unknown version, corrupted checksum or payload —
 //! must surface as a [`SnapshotError`], never a panic, and the save → load
-//! file round-trip must reproduce the model bit-exactly.
+//! file round-trip must reproduce the model bit-exactly.  The connector
+//! section is also attacked below the checksum: crafted and randomly
+//! mutated sections are re-checksummed, so the section's own validation is
+//! what has to reject them.
+
+use std::collections::HashSet;
+use std::ops::Range;
 
 use l2r_core::{
-    decode_model, decode_snapshot, encode_model, load_model, save_model, L2r, L2rConfig,
-    SnapshotError,
+    decode_model, decode_snapshot, encode_model, load_model, save_model, ConnectorTable, L2r,
+    L2rConfig, SnapshotError,
 };
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
-use l2r_road_network::CodecError;
+use l2r_road_network::{CodecError, Encode, Path, VertexId, Writer};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Size of the snapshot header (magic, version, length, checksum).
+const HEADER_LEN: usize = 21;
 
 fn fitted() -> L2r {
     let syn = generate_network(&SyntheticNetworkConfig::tiny());
@@ -78,12 +89,13 @@ fn future_format_versions_are_rejected() {
 
 #[test]
 fn previous_format_versions_are_rejected() {
-    // Every snapshot written before the solver byte was dropped carries
-    // version 2; the loader reads exactly one version, not "up to" one.
+    // Every snapshot written before the connector table was persisted
+    // carries version 3; the loader reads exactly one version, not "up to"
+    // one.
     let mut bytes = encode_model(&fitted());
     bytes[8] = l2r_core::SNAPSHOT_VERSION - 1;
     let err = decode_snapshot(&bytes).unwrap_err();
-    assert!(matches!(err, SnapshotError::UnsupportedVersion(2)), "{err}");
+    assert!(matches!(err, SnapshotError::UnsupportedVersion(3)), "{err}");
     assert!(
         err.to_string().contains(&format!(
             "reads only version {}",
@@ -150,4 +162,213 @@ fn errors_display_useful_messages() {
 
     let codec: SnapshotError = CodecError::Invalid("test marker").into();
     assert!(codec.to_string().contains("test marker"));
+}
+
+/// CRC-32 (IEEE 802.3, reflected), bit by bit, for re-checksumming crafted
+/// payloads.
+fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// One connector entry as written: `(from, to)` and the path's vertices
+/// (empty = unreachable).
+type Entry = ((u32, u32), Vec<u32>);
+
+/// The tiny model, its unnamed snapshot, and the byte range of the
+/// connector section inside it (it follows the dataset name, the network
+/// and the region graph).
+fn snapshot_with_section() -> (L2r, Vec<u8>, Range<usize>) {
+    let model = fitted();
+    let bytes = encode_model(&model);
+    let mut prefix = Writer::new();
+    prefix.str("");
+    model.network().encode(&mut prefix);
+    model.region_graph().encode(&mut prefix);
+    let mut section = Writer::new();
+    model.connectors().encode(&mut section);
+    let start = HEADER_LEN + prefix.len();
+    let range = start..start + section.len();
+    assert_eq!(&bytes[range.clone()], section.as_slice());
+    (model, bytes, range)
+}
+
+fn entries(table: &ConnectorTable) -> Vec<Entry> {
+    table
+        .iter()
+        .map(|((from, to), path)| {
+            let path = path.unwrap_or_default().iter().map(|v| v.0).collect();
+            ((from.0, to.0), path)
+        })
+        .collect()
+}
+
+/// Writes `entries` in the connector section's wire form.
+fn write_section(entries: &[Entry]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.length(entries.len());
+    for ((from, to), path) in entries {
+        w.u32(*from);
+        w.u32(*to);
+        w.u32(path.len() as u32);
+        for &v in path {
+            w.u32(v);
+        }
+    }
+    w.into_vec()
+}
+
+/// `bytes` with `range` replaced by `section`, the payload length and the
+/// checksum fixed up, so only the payload decoder can object.
+fn splice(bytes: &[u8], range: &Range<usize>, section: &[u8]) -> Vec<u8> {
+    let mut out = bytes[..range.start].to_vec();
+    out.extend_from_slice(section);
+    out.extend_from_slice(&bytes[range.end..]);
+    let payload_len = (out.len() - HEADER_LEN) as u64;
+    out[9..17].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&out[HEADER_LEN..]);
+    out[17..21].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Asserts `table` passes the section validation against `model`'s graphs:
+/// exactly `keys`, endpoints equal to each key, every path drivable.
+fn assert_valid_table(model: &L2r, table: &ConnectorTable, keys: &[(VertexId, VertexId)]) {
+    let actual: Vec<(VertexId, VertexId)> = table.iter().map(|(key, _)| key).collect();
+    assert_eq!(actual, keys);
+    for ((from, to), path) in table.iter() {
+        if let Some(p) = path {
+            let p = Path::new(p.to_vec()).expect("stored paths are non-empty");
+            assert_eq!((p.source(), p.destination()), (from, to));
+            assert!(p.validate(model.network()).is_ok());
+        }
+    }
+}
+
+#[test]
+fn decoded_connector_table_equals_a_fresh_resolve() {
+    let model = fitted();
+    let loaded = decode_model(&encode_model(&model)).unwrap();
+    let fresh = ConnectorTable::resolve(loaded.network(), loaded.region_graph());
+    assert!(!fresh.is_empty());
+    assert!(loaded.connectors() == &fresh);
+    assert!(model.connectors() == &fresh);
+}
+
+#[test]
+fn hand_written_section_matches_the_encoder() {
+    let (model, bytes, range) = snapshot_with_section();
+    let section = write_section(&entries(model.connectors()));
+    assert_eq!(&bytes[range.clone()], &section[..]);
+    assert_eq!(splice(&bytes, &range, &section), bytes);
+}
+
+#[test]
+fn crafted_connector_sections_fail_typed() {
+    let (model, bytes, range) = snapshot_with_section();
+    let n = model.network().num_vertices() as u32;
+    let original = entries(model.connectors());
+    assert!(original.len() > 2);
+    let decode_with = |edit: &dyn Fn(&mut Vec<Entry>)| {
+        let mut crafted = original.clone();
+        edit(&mut crafted);
+        decode_model(&splice(&bytes, &range, &write_section(&crafted)))
+    };
+    let invalid = |result: Result<L2r, SnapshotError>, what: &str| match result {
+        Err(SnapshotError::Codec(CodecError::Invalid(msg))) => {
+            assert!(msg.contains(what), "expected `{what}`, got `{msg}`")
+        }
+        Err(e) => panic!("expected `{what}`, got {e}"),
+        Ok(_) => panic!("expected `{what}`, the section decoded"),
+    };
+    // A path that visits at least one vertex between its endpoints.
+    let long = original
+        .iter()
+        .position(|(_, p)| p.len() >= 3)
+        .expect("some connector has an interior vertex");
+
+    invalid(decode_with(&|e| e.swap(0, 1)), "strictly ascending");
+    invalid(
+        decode_with(&|e| {
+            let first = e[0].clone();
+            e.insert(1, first);
+        }),
+        "strictly ascending",
+    );
+    invalid(
+        decode_with(&|e| {
+            e[long].1.pop();
+        }),
+        "endpoints",
+    );
+    invalid(
+        decode_with(&|e| {
+            let p = &mut e[long].1;
+            p[1] = p[0];
+        }),
+        "undrivable",
+    );
+    assert!(matches!(
+        decode_with(&|e| e[long].1[1] = n + 5),
+        Err(SnapshotError::Codec(CodecError::IndexOutOfRange { .. }))
+    ));
+    invalid(
+        decode_with(&|e| {
+            e.remove(e.len() / 2);
+        }),
+        "differ from the region graph",
+    );
+    // An extra key, well-formed on its own: an "unreachable" entry in sorted
+    // position whose key the region graph does not imply.
+    let keys: HashSet<(u32, u32)> = original.iter().map(|(key, _)| *key).collect();
+    let extra = (0..n)
+        .flat_map(|a| (0..n).map(move |b| (a, b)))
+        .find(|&(a, b)| a != b && !keys.contains(&(a, b)))
+        .expect("the table does not hold every vertex pair");
+    invalid(
+        decode_with(&|e| {
+            let at = e.partition_point(|(key, _)| *key < extra);
+            e.insert(at, (extra, Vec::new()));
+        }),
+        "differ from the region graph",
+    );
+}
+
+#[test]
+fn mutated_connector_sections_never_panic() {
+    let (model, bytes, range) = snapshot_with_section();
+    let keys: Vec<(VertexId, VertexId)> = model.connectors().iter().map(|(key, _)| key).collect();
+    let section = &bytes[range.clone()];
+    let mut rng = StdRng::seed_from_u64(0xC0_44EC_7042);
+    let (mut rejected, mut accepted) = (0usize, 0usize);
+    for _ in 0..2_000 {
+        let mut mutated = section.to_vec();
+        for _ in 0..rng.gen_range(1..=3) {
+            let at = rng.gen_range(0..mutated.len());
+            if rng.gen_bool(0.5) {
+                mutated[at] ^= 1 << rng.gen_range(0..8);
+            } else {
+                mutated[at] = rng.gen();
+            }
+        }
+        match decode_model(&splice(&bytes, &range, &mutated)) {
+            Err(_) => rejected += 1,
+            Ok(loaded) => {
+                accepted += 1;
+                assert_valid_table(&model, loaded.connectors(), &keys);
+            }
+        }
+    }
+    assert!(rejected > 0, "the mutations must exercise the validation");
+    eprintln!("{rejected} mutated sections rejected, {accepted} accepted as valid");
 }

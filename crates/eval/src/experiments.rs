@@ -295,7 +295,8 @@ pub struct OfflineRow {
 }
 
 /// The offline processing times of a fitted model, in pipeline order
-/// (clustering / region graph / learning / transfer / apply).
+/// (clustering / region graph / learning / transfer / apply / connector
+/// table).
 pub fn offline_times(model: &L2r) -> Vec<OfflineRow> {
     let s = model.stats();
     vec![
@@ -318,6 +319,10 @@ pub fn offline_times(model: &L2r) -> Vec<OfflineRow> {
         OfflineRow {
             stage: "apply-to-b-edges",
             time_ms: s.apply_time.as_secs_f64() * 1000.0,
+        },
+        OfflineRow {
+            stage: "connector-table",
+            time_ms: s.connector_time.as_secs_f64() * 1000.0,
         },
     ]
 }
@@ -470,7 +475,7 @@ mod tests {
     fn offline_times_are_positive() {
         let ds = dataset();
         let rows = offline_times(&ds.model);
-        assert_eq!(rows.len(), 5);
+        assert_eq!(rows.len(), 6);
         assert!(rows.iter().all(|r| r.time_ms >= 0.0));
         assert!(rows.iter().any(|r| r.time_ms > 0.0));
     }

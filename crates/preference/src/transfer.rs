@@ -65,6 +65,12 @@ pub struct TransferResult {
     pub similarity_edges: usize,
     /// Total solver iterations summed over the feature columns.
     pub solver_iterations: usize,
+    /// Feature columns whose solve missed `tolerance` within
+    /// `max_iterations`.
+    pub unconverged_columns: usize,
+    /// Largest relative residual `‖b − A·x‖ / ‖b‖` over the solved columns
+    /// (`0` when nothing was solved).
+    pub max_relative_residual: f64,
 }
 
 /// The exact distance-ratio similarity `RegionEdgeDescriptor::similarity`
@@ -202,6 +208,8 @@ pub fn transfer_preferences(
             graph_size: n,
             similarity_edges: 0,
             solver_iterations: 0,
+            unconverged_columns: 0,
+            max_relative_residual: 0.0,
         };
     }
 
@@ -240,7 +248,7 @@ pub fn transfer_preferences(
     // they run in parallel and are written back in column order.
     let mut y_hat = vec![[0.0f64; NUM_FEATURES]; n];
     let columns: Vec<usize> = (0..NUM_FEATURES).collect();
-    let solutions: Vec<Option<SolveResult>> = l2r_par::par_map(&columns, |_, &x| {
+    let solutions: Vec<Option<(SolveResult, f64)>> = l2r_par::par_map(&columns, |_, &x| {
         let mut b = vec![0.0; n];
         let mut any = false;
         for (i, id) in ids.iter().take(num_labeled).enumerate() {
@@ -253,17 +261,22 @@ pub fn transfer_preferences(
         if !any {
             return None;
         }
-        Some(conjugate_gradient(
-            &a,
-            &b,
-            config.tolerance,
-            config.max_iterations,
-        ))
+        let res = conjugate_gradient(&a, &b, config.tolerance, config.max_iterations);
+        // The same normalisation the solver's own stopping test uses.
+        let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-30);
+        let relative = res.residual / b_norm;
+        Some((res, relative))
     });
     let mut solver_iterations = 0usize;
-    for (x, res) in solutions.into_iter().enumerate() {
-        let Some(res) = res else { continue };
+    let mut unconverged_columns = 0usize;
+    let mut max_relative_residual = 0.0f64;
+    for (x, solved) in solutions.into_iter().enumerate() {
+        let Some((res, relative)) = solved else {
+            continue;
+        };
         solver_iterations += res.iterations;
+        unconverged_columns += usize::from(!res.converged);
+        max_relative_residual = max_relative_residual.max(relative);
         for (row, &value) in y_hat.iter_mut().zip(res.x.iter()).take(n) {
             row[x] = value;
         }
@@ -294,6 +307,8 @@ pub fn transfer_preferences(
         graph_size: n,
         similarity_edges,
         solver_iterations,
+        unconverged_columns,
+        max_relative_residual,
     }
 }
 

@@ -73,7 +73,7 @@ fn all_experiments_run_on_a_quick_dataset() {
 
     // Offline times + preference recovery.
     let offline = offline_times(&ds.model);
-    assert_eq!(offline.len(), 5);
+    assert_eq!(offline.len(), 6);
     assert!(report_offline(ds.spec.name, &offline).contains("clustering"));
     let rec = preference_recovery(&ds);
     assert!(rec.evaluated > 0);

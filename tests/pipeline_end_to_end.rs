@@ -149,3 +149,22 @@ fn personalized_baselines_train_and_route_on_the_same_workload() {
         }
     }
 }
+
+/// The transfer solve reports its convergence: starving conjugate gradient
+/// of iterations leaves feature columns unconverged, and the default budget
+/// converges every column on the quick dataset.
+#[test]
+fn transfer_convergence_is_reported_on_the_quick_dataset() {
+    use l2r_suite::eval::{build_dataset, DatasetSpec, Scale};
+    let ds = build_dataset(DatasetSpec::d1(Scale::Quick));
+    let converged = ds.model.stats();
+    assert_eq!(converged.unconverged_columns, 0);
+    assert!(converged.max_relative_residual <= ds.spec.l2r.transfer.tolerance);
+
+    let mut starved = ds.spec.l2r.clone();
+    starved.transfer.max_iterations = 1;
+    let model = L2r::fit(&ds.synthetic.net, &ds.train, starved).expect("fit succeeds");
+    let stats = model.stats();
+    assert!(stats.unconverged_columns > 0);
+    assert!(stats.max_relative_residual > ds.spec.l2r.transfer.tolerance);
+}
