@@ -214,16 +214,17 @@ mod tests {
     fn routes_match_the_free_dijkstra_reference() {
         let syn = generate_network(&SyntheticNetworkConfig::tiny());
         let ext = ExternalRouter::with_defaults(&syn.net);
+        let mut space = SearchSpace::new();
         for a in &syn.districts {
             for b in &syn.districts {
                 let (s, d) = (a.center, b.center);
                 let reference = if s == d {
                     Some(Path::single(s))
                 } else {
-                    l2r_road_network::dijkstra(&syn.net, s, Some(d), |e| {
+                    space.dijkstra(&syn.net, s, Some(d), |e| {
                         e.cost(CostType::TravelTime) * ext.edge_multiplier[e.id.idx()]
-                    })
-                    .path_to(d)
+                    });
+                    space.path_to(d)
                 };
                 assert_eq!(ext.route_path(&syn.net, s, d), reference, "{s:?} -> {d:?}");
             }

@@ -226,6 +226,7 @@ mod tests {
         let wl = generate_workload(&syn, &WorkloadConfig::tiny(150));
         let (train, test) = wl.temporal_split(0.7);
         let trip = Trip::train(&syn.net, &train);
+        let mut space = SearchSpace::new();
         let mut compared = 0;
         for t in &test {
             let (s, d) = (t.source(), t.destination());
@@ -233,10 +234,10 @@ mod tests {
             let reference = if s == d {
                 Some(Path::single(s))
             } else {
-                l2r_road_network::dijkstra(&syn.net, s, Some(d), |e| {
+                space.dijkstra(&syn.net, s, Some(d), |e| {
                     e.cost(CostType::TravelTime) * p.multipliers[e.road_type.index()]
-                })
-                .path_to(d)
+                });
+                space.path_to(d)
             };
             assert_eq!(trip.route(&syn.net, s, d, t.driver), reference);
             compared += 1;

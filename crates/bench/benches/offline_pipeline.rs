@@ -1,6 +1,9 @@
 //! Offline processing bench (Section VII-C): the full `L2r::fit` pipeline and
-//! its individual stages.  Honours the `L2R_THREADS` override; run with
-//! `L2R_THREADS=1` to measure the serial (allocation-free) baseline.
+//! its individual stages, plus preference transfer (Step 2b) alone on D1.
+//! Honours the `L2R_THREADS` override; run with `L2R_THREADS=1` to measure
+//! the serial (allocation-free) baseline.
+
+use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -8,6 +11,8 @@ use l2r_bench::bench_scale;
 use l2r_core::L2r;
 use l2r_datagen::{generate_network, generate_workload};
 use l2r_eval::{offline_times, DatasetSpec};
+use l2r_preference::{transfer_preferences, Preference};
+use l2r_region_graph::RegionEdgeId;
 use l2r_road_network::searches_performed;
 
 fn bench_offline(c: &mut Criterion) {
@@ -46,6 +51,29 @@ fn bench_offline(c: &mut Criterion) {
             searches,
             searches as f64 / fit_s.max(1e-9)
         );
+        if spec.name == "D1" {
+            // The transfer on the fitted model's own labels and B-edges; every
+            // run must reproduce the fit's transferred preferences.
+            let labeled: HashMap<RegionEdgeId, Preference> = model
+                .learned_preferences()
+                .iter()
+                .map(|(id, lp)| (*id, lp.preference))
+                .collect();
+            let rg = model.region_graph();
+            let targets: Vec<RegionEdgeId> = rg.b_edges().map(|e| e.id).collect();
+            let config = &model.config().transfer;
+            group.bench_with_input(
+                BenchmarkId::new("transfer", spec.name),
+                &targets,
+                |b, targets| {
+                    b.iter(|| {
+                        let result = transfer_preferences(rg, &labeled, targets, config);
+                        assert_eq!(&result.preferences, model.transferred_preferences());
+                        result
+                    });
+                },
+            );
+        }
     }
     group.finish();
 }

@@ -2,16 +2,16 @@
 //! truncation, wrong magic, unknown version, corrupted checksum or payload —
 //! must surface as a [`SnapshotError`], never a panic, and the save → load
 //! file round-trip must reproduce the model bit-exactly.  The connector
-//! section is also attacked below the checksum: crafted and randomly
-//! mutated sections are re-checksummed, so the section's own validation is
-//! what has to reject them.
+//! section, and then everything after the network, is also attacked below
+//! the checksum: crafted and randomly mutated payloads are re-checksummed,
+//! so the decoders' own validation is what has to reject them.
 
 use std::collections::HashSet;
 use std::ops::Range;
 
 use l2r_core::{
     decode_model, decode_snapshot, encode_model, load_model, save_model, ConnectorTable, L2r,
-    L2rConfig, SnapshotError,
+    L2rConfig, QueryScratch, SnapshotError,
 };
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
 use l2r_road_network::{CodecError, Encode, Path, VertexId, Writer};
@@ -164,19 +164,28 @@ fn errors_display_useful_messages() {
     assert!(codec.to_string().contains("test marker"));
 }
 
-/// CRC-32 (IEEE 802.3, reflected), bit by bit, for re-checksumming crafted
-/// payloads.
+/// CRC-32 (IEEE 802.3, reflected), for re-checksumming crafted payloads.
+/// Table-driven: the mutation loops checksum thousands of whole payloads.
 fn crc32(data: &[u8]) -> u32 {
+    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut table = [0u32; 256];
+        for (i, slot) in table.iter_mut().enumerate() {
+            let mut crc = i as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+            *slot = crc;
+        }
+        table
+    });
     let mut crc = 0xFFFF_FFFFu32;
     for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-        }
+        crc = (crc >> 8) ^ table[((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -371,4 +380,50 @@ fn mutated_connector_sections_never_panic() {
     }
     assert!(rejected > 0, "the mutations must exercise the validation");
     eprintln!("{rejected} mutated sections rejected, {accepted} accepted as valid");
+}
+
+#[test]
+fn mutated_payloads_after_the_network_never_panic() {
+    // Everything the payload holds after the network: the region graph, the
+    // connector table, the preferences, the config, the fit statistics and
+    // the canaries.  A decoded model must also compile and route.
+    let model = fitted();
+    let bytes = encode_model(&model);
+    let mut prefix = Writer::new();
+    prefix.str("");
+    model.network().encode(&mut prefix);
+    let tail = HEADER_LEN + prefix.len()..bytes.len();
+    let n = model.network().num_vertices() as u32;
+    let pairs: Vec<(VertexId, VertexId)> = (0..40u32)
+        .map(|i| (VertexId(i * 7 % n), VertexId((i * 13 + 5) % n)))
+        .collect();
+    let mut scratch = QueryScratch::new();
+    let mut rng = StdRng::seed_from_u64(0x5EED_7A11);
+    let (mut rejected, mut accepted) = (0usize, 0usize);
+    for _ in 0..2_000 {
+        let mut mutated = bytes.clone();
+        for _ in 0..rng.gen_range(1..=3) {
+            let at = rng.gen_range(tail.clone());
+            if rng.gen_bool(0.5) {
+                mutated[at] ^= 1 << rng.gen_range(0..8);
+            } else {
+                mutated[at] = rng.gen();
+            }
+        }
+        let crc = crc32(&mutated[HEADER_LEN..]);
+        mutated[17..21].copy_from_slice(&crc.to_le_bytes());
+        match decode_model(&mutated) {
+            Err(_) => rejected += 1,
+            Ok(loaded) => {
+                accepted += 1;
+                let engine = loaded.prepare();
+                for &(s, d) in &pairs {
+                    let _ = engine.route(&mut scratch, s, d);
+                }
+            }
+        }
+    }
+    assert!(rejected > 0, "the mutations must exercise the validation");
+    assert!(accepted > 0, "some mutations must decode and be routed");
+    eprintln!("{rejected} mutated payloads rejected, {accepted} decoded and routed");
 }

@@ -8,11 +8,11 @@
 //!   embedding;
 //! * [`learning`] — the coordinate-descent preference learner for T-edges;
 //! * [`re_sim`] — region-edge descriptors and the `reSim` similarity;
-//! * [`sparse`] / [`solver`] — the sparse matrix and the conjugate-gradient
-//!   solver behind Equation 3 (substituting the Junto library used by the
-//!   paper);
 //! * [`transfer`] — the transduction step that assigns preferences to
 //!   B-edges (or to held-out T-edges for the Figure 9 accuracy experiments).
+//!   It solves Equation 3 with a crate-private CSR system matrix, assembled
+//!   straight from the similarity rows, and a conjugate-gradient solver (in
+//!   place of the Junto library the paper used).
 
 #![warn(missing_docs)]
 
@@ -20,8 +20,7 @@ pub mod codec;
 pub mod learning;
 pub mod model;
 pub mod re_sim;
-pub mod solver;
-pub mod sparse;
+mod solver;
 pub mod transfer;
 
 pub use learning::{
@@ -30,8 +29,6 @@ pub use learning::{
 };
 pub use model::{Preference, NUM_FEATURES};
 pub use re_sim::{build_descriptors, RegionEdgeDescriptor};
-pub use solver::{conjugate_gradient, SolveResult};
-pub use sparse::SparseMatrix;
 pub use transfer::{
     build_similarity_rows, build_similarity_rows_naive, transfer_preferences, TransferConfig,
     TransferResult,

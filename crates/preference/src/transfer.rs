@@ -6,6 +6,14 @@
 //! adjacency-matrix-reduction threshold `amr` are dropped.  The transferred
 //! preference matrix `Ŷ` minimises the objective of Equation 2, obtained by
 //! solving `(S + μ₁L + μ₂I)·Ŷ_x = S·Y_x` per feature column (Equation 3).
+//!
+//! The graph's nodes are the labelled edges, then the targets, each sorted.
+//! [`build_similarity_rows`] yields its upper triangle, from which the system
+//! matrix is assembled as one CSR matrix: row `i` holds the diagonal, then
+//! `−μ₁·s` per neighbour in ascending column order (the `solver` module).
+//! That order fixes every degree and mat-vec sum, so the transferred
+//! preferences are reproducible bit for bit.
+//!
 //! Target edges whose row of `Ŷ` stays (numerically) zero — typically because
 //! the similarity graph left them disconnected from every labelled edge —
 //! receive a *null* preference; the caller falls back to fastest paths for
@@ -17,8 +25,7 @@ use l2r_region_graph::{RegionEdgeId, RegionGraph};
 
 use crate::model::{Preference, NUM_FEATURES};
 use crate::re_sim::RegionEdgeDescriptor;
-use crate::solver::{conjugate_gradient, SolveResult};
-use crate::sparse::SparseMatrix;
+use crate::solver::{conjugate_gradient, SolveResult, SystemMatrix};
 
 /// Configuration of the transfer step.
 #[derive(Debug, Clone, Copy)]
@@ -213,36 +220,14 @@ pub fn transfer_preferences(
         };
     }
 
-    // Descriptors and the thresholded similarity (adjacency) matrix M.  Both
-    // are embarrassingly parallel: descriptors per edge, similarities per
-    // row; the rows are merged into M serially in row order so the matrix is
-    // identical to a serial construction.  The rows come from the
-    // radius-bounded builder, which is bit-identical to the naive scan.
+    // Descriptors and the thresholded similarity rows are both parallel (per
+    // edge, per row); the radius-bounded row builder is bit-identical to the
+    // naive scan.
     let descriptors: Vec<RegionEdgeDescriptor> =
         l2r_par::par_map(&ids, |_, id| RegionEdgeDescriptor::build(rg, rg.edge(*id)));
     let rows = build_similarity_rows(&descriptors, config.amr);
-    let mut m = SparseMatrix::zeros(n);
-    let mut similarity_edges = 0usize;
-    for (i, row) in rows.iter().enumerate() {
-        for &(j, s) in row {
-            m.add(i, j, s);
-            m.add(j, i, s);
-            similarity_edges += 1;
-        }
-    }
-
-    // A = S + mu1 * L + mu2 * I, with L = D - M.
-    let mut a = SparseMatrix::zeros(n);
-    for i in 0..n {
-        let degree = m.row_sum(i);
-        let s_ii = if i < num_labeled { 1.0 } else { 0.0 };
-        a.add(i, i, s_ii + config.mu1 * degree + config.mu2);
-        for (j, v) in m.row(i) {
-            if *j != i {
-                a.add(i, *j, -config.mu1 * v);
-            }
-        }
-    }
+    let similarity_edges = rows.iter().map(Vec::len).sum();
+    let a = SystemMatrix::assemble(&rows, num_labeled, config.mu1, config.mu2);
 
     // Solve one system per feature column; the columns are independent, so
     // they run in parallel and are written back in column order.
@@ -313,7 +298,7 @@ pub fn transfer_preferences(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use l2r_datagen::{
         generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig,
@@ -321,7 +306,7 @@ mod tests {
     use l2r_region_graph::{bottom_up_clustering, RegionGraph, TrajectoryGraph};
     use l2r_road_network::{CostType, RoadType, RoadTypeSet};
 
-    fn build_region_graph() -> RegionGraph {
+    pub(crate) fn build_region_graph() -> RegionGraph {
         let syn = generate_network(&SyntheticNetworkConfig::tiny());
         let wl = generate_workload(&syn, &WorkloadConfig::tiny(250));
         let tg = TrajectoryGraph::build(&syn.net, &wl.trajectories);

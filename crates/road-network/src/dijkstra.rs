@@ -7,92 +7,10 @@
 //! search arrays.  Hot loops that issue many searches should hold their own
 //! [`SearchSpace`] and use its methods directly.
 
-use crate::graph::{Edge, RoadNetwork, VertexId};
+use crate::graph::{RoadNetwork, VertexId};
 use crate::path::Path;
 use crate::search_space::SearchSpace;
 use crate::weights::CostType;
-
-/// Result of a Dijkstra run from a single source, with owned search arrays
-/// (detached from any [`SearchSpace`]).
-#[derive(Debug, Clone)]
-pub struct SearchResult {
-    source: VertexId,
-    dist: Vec<f64>,
-    parent: Vec<Option<VertexId>>,
-}
-
-impl SearchResult {
-    /// The search source.
-    pub fn source(&self) -> VertexId {
-        self.source
-    }
-
-    /// Final cost to `v`, or `None` if unreachable.
-    pub fn cost_to(&self, v: VertexId) -> Option<f64> {
-        let d = self.dist[v.idx()];
-        if d.is_finite() {
-            Some(d)
-        } else {
-            None
-        }
-    }
-
-    /// Reconstructs the path from the source to `v`, or `None` if
-    /// unreachable.
-    pub fn path_to(&self, v: VertexId) -> Option<Path> {
-        if !self.dist[v.idx()].is_finite() {
-            return None;
-        }
-        let mut vertices = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur.idx()] {
-            vertices.push(p);
-            cur = p;
-        }
-        vertices.reverse();
-        debug_assert_eq!(vertices[0], self.source);
-        Path::new(vertices).ok()
-    }
-
-    /// Copies a finished search out of a [`SearchSpace`] into owned arrays
-    /// sized for a network with `n` vertices.
-    fn from_space(space: &SearchSpace, n: usize) -> SearchResult {
-        let mut dist = vec![f64::INFINITY; n];
-        let mut parent: Vec<Option<VertexId>> = vec![None; n];
-        for v in 0..n {
-            let v = VertexId(v as u32);
-            if let Some(d) = space.cost_to(v) {
-                dist[v.idx()] = d;
-                parent[v.idx()] = space.parent_of(v);
-            }
-        }
-        SearchResult {
-            source: space.source(),
-            dist,
-            parent,
-        }
-    }
-}
-
-/// Generic Dijkstra from `source`.
-///
-/// * `edge_cost` maps an edge to its (non-negative) cost; returning
-///   `f64::INFINITY` (or any non-finite value) excludes the edge.
-/// * `target`: when given, the search stops as soon as the target is settled.
-pub fn dijkstra<F>(
-    net: &RoadNetwork,
-    source: VertexId,
-    target: Option<VertexId>,
-    edge_cost: F,
-) -> SearchResult
-where
-    F: FnMut(&Edge) -> f64,
-{
-    SearchSpace::with_thread_local(|space| {
-        space.dijkstra(net, source, target, edge_cost);
-        SearchResult::from_space(space, net.num_vertices())
-    })
-}
 
 /// Lowest-cost path between `source` and `target` under `cost_type`.
 pub fn lowest_cost_path(
@@ -117,11 +35,6 @@ pub fn fastest_path(net: &RoadNetwork, source: VertexId, target: VertexId) -> Op
 /// Fuel-optimal path.
 pub fn most_economic_path(net: &RoadNetwork, source: VertexId, target: VertexId) -> Option<Path> {
     lowest_cost_path(net, source, target, CostType::Fuel)
-}
-
-/// One-to-all search under a cost type (no early termination).
-pub fn one_to_all(net: &RoadNetwork, source: VertexId, cost_type: CostType) -> SearchResult {
-    dijkstra(net, source, None, |e| e.cost(cost_type))
 }
 
 /// Lowest-cost path under an arbitrary linear combination of the three cost
@@ -214,12 +127,13 @@ mod tests {
     #[test]
     fn one_to_all_costs_are_monotone_along_paths() {
         let net = two_route_network();
-        let res = one_to_all(&net, VertexId(0), CostType::Distance);
+        let mut space = SearchSpace::new();
+        space.dijkstra(&net, VertexId(0), None, |e| e.cost(CostType::Distance));
         for v in 0..net.num_vertices() {
             let v = VertexId(v as u32);
-            if let Some(p) = res.path_to(v) {
+            if let Some(p) = space.path_to(v) {
                 let len = p.length_m(&net).unwrap();
-                assert!((len - res.cost_to(v).unwrap()).abs() < 1e-6);
+                assert!((len - space.cost_to(v).unwrap()).abs() < 1e-6);
             }
         }
     }
@@ -239,14 +153,15 @@ mod tests {
     fn edge_filter_via_infinite_cost() {
         let net = two_route_network();
         // Forbid motorways entirely: the path must use the residential route.
-        let res = dijkstra(&net, VertexId(0), Some(VertexId(3)), |e| {
+        let mut space = SearchSpace::new();
+        space.dijkstra(&net, VertexId(0), Some(VertexId(3)), |e| {
             if e.road_type == RoadType::Motorway {
                 f64::INFINITY
             } else {
                 e.cost(CostType::Distance)
             }
         });
-        let p = res.path_to(VertexId(3)).unwrap();
+        let p = space.path_to(VertexId(3)).unwrap();
         assert!(p.contains(VertexId(2)));
         assert!(!p.contains(VertexId(1)));
     }

@@ -11,10 +11,11 @@
 //! * paths and the path-similarity functions used by the evaluation
 //!   (Equations 1 and 4, and the Figure 14 band matching) — [`path`],
 //!   [`similarity`];
-//! * routing primitives: Dijkstra variants ([`mod@dijkstra`]), the
-//!   preference-constrained search of Algorithm 2 ([`constrained`]) and the
-//!   multi-objective skyline search used by the Dom baseline ([`skyline`]),
-//!   all built on the reusable zero-allocation [`search_space`];
+//! * routing primitives: shortest, fastest, fuel-optimal and weighted
+//!   paths ([`dijkstra`]), the preference-constrained search of Algorithm 2
+//!   ([`constrained`]) and the multi-objective skyline search used by the
+//!   Dom baseline ([`skyline`]), all built on the reusable zero-allocation
+//!   [`search_space`];
 //! * planar geometry helpers and a grid spatial index ([`spatial`]);
 //! * the hand-rolled binary [`codec`] (Writer/Reader, [`Encode`]/[`Decode`])
 //!   that model snapshots are built on.
@@ -44,8 +45,7 @@ pub use codec::{
 };
 pub use constrained::preference_constrained_path;
 pub use dijkstra::{
-    dijkstra, fastest_path, lowest_cost_path, most_economic_path, one_to_all, shortest_path,
-    weighted_path, SearchResult,
+    fastest_path, lowest_cost_path, most_economic_path, shortest_path, weighted_path,
 };
 pub use error::NetworkError;
 pub use graph::{Edge, EdgeId, RoadNetwork, RoadNetworkBuilder, Vertex, VertexId};
