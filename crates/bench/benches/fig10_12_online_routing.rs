@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use l2r_baselines::{BaselineRouter, Dom, FastestRouter, ShortestRouter, Trip};
 use l2r_bench::{bench_scale, datasets, DatasetChoice};
+use l2r_core::QueryScratch;
 use l2r_eval::{build_test_queries, compare_methods, Method, TestQuery};
 
 fn bench_online_routing(c: &mut Criterion) {
@@ -25,9 +26,10 @@ fn bench_online_routing(c: &mut Criterion) {
 
         // Per-method query throughput (the Figure 12 measurement).
         group.bench_with_input(BenchmarkId::new("L2R", ds.spec.name), &queries, |b, qs| {
+            let mut scratch = QueryScratch::new();
             b.iter(|| {
                 for q in qs {
-                    let _ = ds.model.route(q.source, q.destination);
+                    let _ = ds.model.route(&mut scratch, q.source, q.destination);
                 }
             });
         });

@@ -7,16 +7,12 @@
 //!   [`SearchSpace`];
 //! * `connector_resolve` — `ConnectorTable::resolve`, the fit's last step,
 //!   on a model fitted once at the bench scale (quick by default, full with
-//!   `L2R_BENCH_FULL=1`);
-//! * `engine_compile` — `Engine::from_shared` on the same model: index
-//!   building only, since the engine serves the model's resolved table.
-
-use std::sync::Arc;
+//!   `L2R_BENCH_FULL=1`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use l2r_bench::bench_scale;
-use l2r_core::{ConnectorTable, Engine, L2r};
+use l2r_core::{ConnectorTable, L2r};
 use l2r_datagen::{generate_network, generate_workload};
 use l2r_eval::{DatasetSpec, Scale};
 use l2r_road_network::{CostType, SearchSpace, VertexId};
@@ -49,19 +45,13 @@ fn bench_search_kernel(c: &mut Criterion) {
     let syn = generate_network(&spec.network);
     let workload = generate_workload(&syn, &spec.workload);
     let (train, _) = workload.temporal_split(spec.train_fraction);
-    let model = Arc::new(L2r::fit(&syn.net, &train, spec.l2r.clone()).expect("fit"));
+    let model = L2r::fit(&syn.net, &train, spec.l2r.clone()).expect("fit");
     group.bench_with_input(
         BenchmarkId::new("connector_resolve", spec.name),
         &model,
         |b, model| {
-            b.iter(|| ConnectorTable::resolve(model.network(), model.region_graph()).len());
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("engine_compile", spec.name),
-        &model,
-        |b, model| {
-            b.iter(|| Engine::from_shared(Arc::clone(model)).num_connectors());
+            let (net, rg) = (model.network(), model.region_graph());
+            b.iter(|| ConnectorTable::resolve(net, rg, model.oriented_paths()).len());
         },
     );
     group.finish();

@@ -10,7 +10,9 @@
 //! ```
 //!
 //! The `offline` experiment prints the per-stage wall times of the single
-//! `L2r::fit` performed while building each dataset (Section VII-C).  The
+//! `L2r::fit` performed while building each dataset (Section VII-C), and
+//! whether its transfer solve converged: the number of feature columns that
+//! missed the solver tolerance and the largest relative residual.  The
 //! `fit` experiment persists each dataset's fitted model as a versioned
 //! binary snapshot (`-- fit --snapshot target/model.l2r` writes
 //! `target/model.D1.l2r` / `target/model.D2.l2r`), which `l2r-serve` serves.
@@ -18,7 +20,7 @@
 //! This binary prints the paper's tables and nothing else.  Fit, publish →
 //! first answer and TCP latency, each split per layer, are measured by the
 //! standalone `benchmark/` package; the correctness gates of the pipeline
-//! and the compiled engine are tests (`crates/bench/tests/xl_gates.rs` and
+//! and the router are tests (`crates/bench/tests/xl_gates.rs` and
 //! the workspace suites).
 
 use l2r_baselines::{Dom, ExternalRouter, FastestRouter, ShortestRouter, Trip};
@@ -293,6 +295,11 @@ fn run_fig13(ds: &Dataset) {
 fn run_offline(ds: &Dataset) {
     let rows = offline_times(&ds.model);
     print!("{}", report_offline(ds.spec.name, &rows));
+    let stats = ds.model.stats();
+    println!(
+        "transfer solve ({}): {} unconverged columns, max relative residual {:.3e}\n",
+        ds.spec.name, stats.unconverged_columns, stats.max_relative_residual
+    );
 }
 
 /// Persists the fitted model of `ds` to the per-dataset snapshot path

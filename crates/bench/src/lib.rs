@@ -9,8 +9,8 @@
 //! * `benches/` — one Criterion bench per table/figure measuring the cost of
 //!   the corresponding pipeline stage or query workload.
 //! * `tests/xl_gates.rs` — the correctness gates of the offline pipeline and
-//!   the compiled engine on a generated dataset; its country-scale half runs
-//!   with `--ignored`.
+//!   the router on a generated dataset; its country-scale half runs with
+//!   `--ignored`.
 //!
 //! End-to-end and per-layer timings live in the standalone `benchmark/`
 //! package, not here.  This library part only hosts shared helpers for the

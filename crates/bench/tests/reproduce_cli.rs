@@ -1,7 +1,8 @@
 //! Command-line contract of the `reproduce` binary: an invocation that would
 //! do nothing — an unknown experiment, `fit` without `--snapshot`, or
-//! `--snapshot` without `fit` — is a usage error with exit status 2, and
-//! `fit --snapshot` writes one snapshot per dataset.
+//! `--snapshot` without `fit` — is a usage error with exit status 2,
+//! `fit --snapshot` writes one snapshot per dataset, and `offline` reports
+//! whether each dataset's transfer solve converged.
 
 use std::process::{Command, Output};
 
@@ -56,4 +57,34 @@ fn fit_writes_one_snapshot_per_dataset() {
             .unwrap_or_else(|e| panic!("{} does not load: {e}", path.display()));
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn offline_reports_transfer_convergence_per_dataset() {
+    let out = reproduce(&["offline"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for dataset in ["D1", "D2"] {
+        let prefix = format!("transfer solve ({dataset}): ");
+        let lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with(&prefix)).collect();
+        assert_eq!(
+            lines.len(),
+            1,
+            "one convergence line for {dataset}:\n{stdout}"
+        );
+        let rest = &lines[0][prefix.len()..];
+        let (unconverged, residual) = rest
+            .split_once(" unconverged columns, max relative residual ")
+            .unwrap_or_else(|| panic!("malformed convergence line `{}`", lines[0]));
+        assert_eq!(unconverged, "0", "{dataset}: every column converges");
+        let residual: f64 = residual.parse().expect("the residual is a number");
+        assert!(
+            (0.0..1e-6).contains(&residual),
+            "{dataset}: residual {residual}"
+        );
+    }
 }

@@ -1,17 +1,19 @@
-//! Correctness gates of the offline pipeline and the compiled engine, on the
+//! Correctness gates of the offline pipeline and the router, on the
 //! generated D1 dataset:
 //!
 //! * the radius-bounded similarity scan yields exactly the naive scan's rows;
 //! * a refit at a second worker-thread count encodes to a byte-identical
-//!   structural snapshot;
-//! * the compiled engine, also when loaded from a snapshot file, answers
-//!   every held-out test query exactly like the free router;
+//!   structural snapshot and routes 500 seeded vertex pairs exactly like
+//!   the fit;
+//! * the fitted model, also when loaded from a snapshot file, answers every
+//!   held-out test query exactly like the reference router
+//!   ([`l2r_core::oracle`]);
 //! * the connector table resolved on one thread and at the ambient thread
-//!   count is the fitted model's, entry for entry, and engines compiled on
-//!   one thread and at the ambient count agree on 500 seeded vertex pairs;
+//!   count is the fitted model's, entry for entry;
 //! * a snapshot decoded on 1, 4 and the ambient number of threads re-encodes
-//!   to its input bytes, and its connector table equals a fresh resolve on
-//!   the decoded graphs.
+//!   to its input bytes and routes the seeded pairs exactly like the fit
+//!   (its oriented-path table is built in parallel), and its connector table
+//!   equals a fresh resolve on the decoded graphs.
 //!
 //! At country scale (`D1-XL`, ~100k vertices) the bounded scan must also be
 //! at least 2× faster than the naive one, and, on hosts with at least 8
@@ -27,8 +29,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use l2r_core::{
-    decode_model, encode_model, encode_model_structural, save_model, ConnectorTable, Engine, L2r,
-    QueryScratch,
+    decode_model, encode_model, encode_model_structural, oracle, save_model, ConnectorTable,
+    Engine, L2r, QueryScratch,
 };
 use l2r_eval::{build_dataset, build_test_queries, Dataset, DatasetSpec, Scale};
 use l2r_preference::{build_descriptors, build_similarity_rows, build_similarity_rows_naive};
@@ -36,8 +38,9 @@ use l2r_road_network::VertexId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Seeded vertex pairs both compiled engines must answer identically.
-const COMPILE_CHECK_PAIRS: usize = 500;
+/// Seeded vertex pairs every refitted or decoded model must answer like the
+/// fit.
+const THREAD_CHECK_PAIRS: usize = 500;
 
 /// Every gate pins the process-global worker-thread count, so the tests of
 /// this file hold this lock for their whole run.
@@ -103,9 +106,24 @@ fn assert_bounded_similarity_matches_naive(ds: &Dataset) -> Timings {
     Timings { slow, fast }
 }
 
+/// `model` must route [`THREAD_CHECK_PAIRS`] seeded vertex pairs exactly
+/// like the fitted model of `ds`.
+fn assert_routes_like_the_fit(ds: &Dataset, model: &L2r, what: &str) {
+    let n = ds.model.network().num_vertices() as u32;
+    let mut rng = StdRng::seed_from_u64(0xC0_4D11E);
+    let pairs: Vec<(VertexId, VertexId)> = (0..THREAD_CHECK_PAIRS)
+        .map(|_| (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n))))
+        .collect();
+    assert!(
+        model.route_many(&pairs) == ds.model.route_many(&pairs),
+        "{what} routes differently from the fitted model"
+    );
+}
+
 /// Refitting the same training data at a second thread count must encode to
 /// the same structural snapshot (per-stage wall times are provenance, not
-/// model state, so the structural encoding leaves them out).
+/// model state, so the structural encoding leaves them out) and route like
+/// the fit.
 fn assert_refit_is_identical(ds: &Dataset) {
     let ambient = l2r_par::max_threads();
     // Cross a real thread boundary even on a one-core host: an override
@@ -119,11 +137,12 @@ fn assert_refit_is_identical(ds: &Dataset) {
         encode_model_structural(&ds.model) == encode_model_structural(&refit),
         "fits at {ambient} and {other} worker threads encode to different snapshots"
     );
+    assert_routes_like_the_fit(ds, &refit, &format!("the fit at {other} worker threads"));
 }
 
-/// `engine` must answer every held-out test query of `ds` exactly like the
-/// free router on the fitted model.
-fn assert_engine_matches_free_router(ds: &Dataset, engine: &Engine) {
+/// `model` must answer every held-out test query of `ds` exactly like the
+/// reference router on the fitted model's network and region graph.
+fn assert_router_matches_oracle(ds: &Dataset, model: &L2r) {
     let queries = build_test_queries(
         &ds.synthetic.net,
         &ds.model,
@@ -131,12 +150,13 @@ fn assert_engine_matches_free_router(ds: &Dataset, engine: &Engine) {
         ds.spec.max_test_queries,
     );
     assert!(!queries.is_empty(), "the gate needs test queries");
+    let (net, rg) = (ds.model.network(), ds.model.region_graph());
     let mut scratch = QueryScratch::new();
     for q in &queries {
         assert_eq!(
-            engine.route(&mut scratch, q.source, q.destination),
-            ds.model.route(q.source, q.destination),
-            "engine and free router disagree on {:?} -> {:?}",
+            model.route(&mut scratch, q.source, q.destination),
+            oracle::route(net, rg, q.source, q.destination),
+            "the router and the oracle disagree on {:?} -> {:?}",
             q.source,
             q.destination
         );
@@ -144,36 +164,30 @@ fn assert_engine_matches_free_router(ds: &Dataset, engine: &Engine) {
 }
 
 /// The connector table resolved on one worker and at the ambient thread
-/// count must be the fitted model's, and engines compiled on one worker and
-/// at the ambient count must answer a seeded pair sample identically.
+/// count must be the fitted model's.
 fn assert_resolve_is_thread_independent(ds: &Dataset) -> Timings {
-    let (net, rg) = (ds.model.network(), ds.model.region_graph());
-    let (serial_table, slow) = with_threads(1, || timed(|| ConnectorTable::resolve(net, rg)));
-    let (parallel_table, fast) = timed(|| ConnectorTable::resolve(net, rg));
+    let model = &ds.model;
+    let (net, rg, oriented) = (
+        model.network(),
+        model.region_graph(),
+        model.oriented_paths(),
+    );
+    let resolve = || ConnectorTable::resolve(net, rg, oriented);
+    let (serial_table, slow) = with_threads(1, || timed(resolve));
+    let (parallel_table, fast) = timed(resolve);
     // Not `assert_eq!`: at country scale the tables hold ~5·10⁴ paths.
     assert!(
         serial_table == *ds.model.connectors() && parallel_table == *ds.model.connectors(),
         "connector tables resolved on 1 and {} threads differ from the fitted model's",
         l2r_par::max_threads()
     );
-    let serial = with_threads(1, || ds.model.prepare());
-    let parallel = ds.model.prepare();
-    let n = ds.model.network().num_vertices() as u32;
-    let mut rng = StdRng::seed_from_u64(0xC0_4D11E);
-    let pairs: Vec<(VertexId, VertexId)> = (0..COMPILE_CHECK_PAIRS)
-        .map(|_| (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n))))
-        .collect();
-    assert!(
-        serial.route_many(&pairs) == parallel.route_many(&pairs),
-        "engines compiled on 1 vs {} threads route differently",
-        l2r_par::max_threads()
-    );
     Timings { slow, fast }
 }
 
 /// Decoding at 1, 4 and the ambient number of threads must each re-encode
-/// to exactly the input bytes, and the decoded connector table must equal a
-/// fresh resolve on the decoded network and region graph.
+/// to exactly the input bytes and route like the fit, and the decoded
+/// connector table must equal a fresh resolve on the decoded network and
+/// region graph.
 fn assert_decode_round_trips(ds: &Dataset) -> Timings {
     let bytes = encode_model(&ds.model);
     let decode_at = |threads: usize| {
@@ -184,11 +198,18 @@ fn assert_decode_round_trips(ds: &Dataset) -> Timings {
             encode_model(&model) == bytes,
             "the snapshot decoded on {threads} threads does not re-encode to its input"
         );
+        let what = format!("the snapshot decoded on {threads} threads");
+        assert_routes_like_the_fit(ds, &model, &what);
         (model, time)
     };
     let (model, slow) = decode_at(1);
+    let fresh = ConnectorTable::resolve(
+        model.network(),
+        model.region_graph(),
+        model.oriented_paths(),
+    );
     assert!(
-        *model.connectors() == ConnectorTable::resolve(model.network(), model.region_graph()),
+        *model.connectors() == fresh,
         "the decoded connector table differs from a fresh resolve on the decoded graphs"
     );
     decode_at(4);
@@ -209,13 +230,13 @@ fn gates_hold_on_the_quick_dataset() {
 }
 
 #[test]
-fn prepared_engine_matches_the_free_router_on_the_quick_dataset() {
+fn fitted_model_matches_the_oracle_on_the_quick_dataset() {
     let ds = quick_dataset();
-    assert_engine_matches_free_router(ds, &ds.model.prepare());
+    assert_router_matches_oracle(ds, &ds.model);
 }
 
 /// A served engine is built from a snapshot file, not from the fit: it must
-/// answer like the free router on the never-serialized model.
+/// answer like the reference router on the never-serialized model.
 #[test]
 fn snapshot_engine_matches_the_free_router_on_the_quick_dataset() {
     let ds = quick_dataset();
@@ -223,7 +244,7 @@ fn snapshot_engine_matches_the_free_router_on_the_quick_dataset() {
     save_model(&ds.model, &path).expect("the snapshot is written");
     let engine = Engine::load(&path);
     std::fs::remove_file(&path).ok();
-    assert_engine_matches_free_router(ds, &engine.expect("the snapshot loads"));
+    assert_router_matches_oracle(ds, &engine.expect("the snapshot loads"));
 }
 
 #[test]
@@ -233,7 +254,7 @@ fn gates_hold_on_the_country_scale_dataset() {
     let ds = build_dataset(DatasetSpec::d1(Scale::Xl));
     let transfer = assert_bounded_similarity_matches_naive(&ds);
     assert_refit_is_identical(&ds);
-    assert_engine_matches_free_router(&ds, &ds.model.prepare());
+    assert_router_matches_oracle(&ds, &ds.model);
     let resolve = assert_resolve_is_thread_independent(&ds);
     let decode = assert_decode_round_trips(&ds);
 

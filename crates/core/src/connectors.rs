@@ -1,9 +1,17 @@
-//! The model's connector table: every fastest-path stub a Case-1 query can
-//! need, resolved once at fit time and persisted in the snapshot.
+//! The model's routing tables, both built once per model: the
+//! oriented-path table ([`OrientedPaths`]) and the connector table
+//! ([`ConnectorTable`]), every fastest-path stub a Case-1 query can need,
+//! resolved at fit time and persisted in the snapshot.
 //!
-//! Section VI stitches a route from attached region-edge paths and fastest
-//! paths between them.  Those connectors always start or end at a region
-//! vertex:
+//! Section VI maps a region path back to roads through the most supported
+//! attached path of each region edge, in the direction travelled.  The
+//! oriented-path table resolves that choice for both directions of every
+//! region edge; [`crate::L2r`] builds it in its one constructor (fit,
+//! reassembly and snapshot decode alike) and hands it to the connector
+//! table, which derives its key set from it.
+//!
+//! The route is stitched from those attached paths and fastest paths between
+//! them.  Those connectors always start or end at a region vertex:
 //!
 //! * **head** — query source (∈ `r`) → entry vertex of the attached path an
 //!   adjacent edge uses out of `r` (also ∈ `r`), or the fallback transfer
@@ -14,30 +22,27 @@
 //!
 //! They depend only on the road network and the post-apply region graph, so
 //! [`crate::L2r::fit`] resolves them once ([`ConnectorTable::resolve`]) as
-//! the last part of Step 3, the snapshot stores the result, and a serving
-//! [`crate::Engine`] reads it through its model instead of re-running the
-//! searches on every load.
+//! the last part of Step 3, the snapshot stores the result, and
+//! [`crate::L2r::route`] reads it instead of running the searches.
 //!
 //! A decoded table is validated against the network and region graph it
-//! travels with ([`ConnectorTable::decode`]): ids in range, strictly
-//! ascending keys, endpoints equal to their key, every path drivable, and
-//! exactly the key set the region graph implies.
+//! travels with: ids in range, strictly ascending keys, endpoints equal to
+//! their key, every path drivable, and exactly the key set the region graph
+//! implies.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
-use l2r_region_graph::{RegionGraph, RegionId};
+use l2r_region_graph::{RegionEdge, RegionGraph, RegionId};
 use l2r_road_network::{
     CodecError, CostType, Encode, Path, Reader, RoadNetwork, SearchSpace, VertexId, Writer,
 };
 
-use crate::router::best_oriented_path;
-
-/// Best attached path of a region edge, pre-resolved per orientation exactly
-/// as the per-query scan would have (most supported path, first wins ties;
-/// opposite-orientation paths reversed and kept only when drivable).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct OrientedPaths {
+/// Best attached path of one region edge, resolved per orientation (most
+/// supported path, first wins ties; opposite-orientation paths reversed and
+/// kept only when drivable).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct OrientedPaths {
     /// Best path oriented `a → b`.
     pub(crate) forward: Option<Path>,
     /// Best path oriented `b → a`.
@@ -45,12 +50,53 @@ pub(crate) struct OrientedPaths {
 }
 
 /// Resolves both orientations of every region edge (indexed by
-/// `RegionEdgeId`), fanned out across `L2R_THREADS` workers.
+/// `RegionEdgeId`), fanned out across `L2R_THREADS` workers; the result is
+/// identical at every thread count.
 pub(crate) fn oriented_paths(net: &RoadNetwork, rg: &RegionGraph) -> Vec<OrientedPaths> {
     l2r_par::par_map(rg.edges(), |_, edge| OrientedPaths {
         forward: best_oriented_path(net, rg, edge, edge.a, edge.b),
         backward: best_oriented_path(net, rg, edge, edge.b, edge.a),
     })
+}
+
+/// Picks the most supported attached path of `edge` oriented `from → to`
+/// (first wins ties; opposite-orientation paths are reversed and kept only
+/// when the reverse is drivable).
+///
+/// Shared by the oriented-path table and the reference router in
+/// [`crate::oracle`], so the bit-identity between the two cannot drift.
+pub(crate) fn best_oriented_path(
+    net: &RoadNetwork,
+    rg: &RegionGraph,
+    edge: &RegionEdge,
+    from: RegionId,
+    to: RegionId,
+) -> Option<Path> {
+    let mut candidate: Option<(Path, usize)> = None;
+    for sp in &edge.paths {
+        let src = rg.region_of(sp.path.source());
+        let dst = rg.region_of(sp.path.destination());
+        if src == Some(from) && dst == Some(to) {
+            if candidate
+                .as_ref()
+                .map(|(_, s)| sp.support > *s)
+                .unwrap_or(true)
+            {
+                candidate = Some((sp.path.clone(), sp.support));
+            }
+        } else if src == Some(to) && dst == Some(from) {
+            let rev = sp.path.reversed();
+            if rev.validate(net).is_ok()
+                && candidate
+                    .as_ref()
+                    .map(|(_, s)| sp.support > *s)
+                    .unwrap_or(true)
+            {
+                candidate = Some((rev, sp.support));
+            }
+        }
+    }
+    candidate.map(|(p, _)| p)
 }
 
 /// Every fastest-path connector `(from, to)` a Case-1 query can need, with
@@ -72,13 +118,14 @@ pub struct ConnectorTable {
 }
 
 impl ConnectorTable {
-    /// Resolves the connector table of a fitted network and region graph.
+    /// Resolves the connector table of a fitted network and region graph,
+    /// whose oriented-path table is `oriented` (the model's own).
     ///
     /// The searches run once per distinct `(region, source)`: one
     /// `dijkstra_to_many` towards the union of the source's head targets and,
     /// for an entry anchor, the region's vertices.  Extracting `path_to(t)`
     /// from that search is bit-identical to the early-stopped per-query
-    /// search the free router runs, because a settled vertex's parent never
+    /// search a table miss runs, because a settled vertex's parent never
     /// changes after it settles.  For the same reason two searches from one
     /// source agree on every target they share, so the per-search results
     /// merge in any order.  The searches are scheduled one by one across
@@ -86,8 +133,12 @@ impl ConnectorTable {
     /// network does not pin them to one thread, and the table is identical
     /// at every thread count.  Its size stays linear in
     /// `Σ |region| × (adjacent edges)` — no all-pairs blowup.
-    pub fn resolve(net: &RoadNetwork, rg: &RegionGraph) -> ConnectorTable {
-        let plan = ConnectorPlan::new(net, rg);
+    pub fn resolve(
+        net: &RoadNetwork,
+        rg: &RegionGraph,
+        oriented: &[OrientedPaths],
+    ) -> ConnectorTable {
+        let plan = ConnectorPlan::new(net, rg, oriented);
         type Entry = ((VertexId, VertexId), Option<Path>);
         let per_source: Vec<Vec<Entry>> = l2r_par::par_map_init(
             &plan.jobs,
@@ -166,16 +217,15 @@ impl ConnectorTable {
     }
 
     /// Decodes a table written by its [`Encode`] form and validates it
-    /// against the network and region graph of the same snapshot: every id
-    /// in range, keys strictly ascending, each path's endpoints equal to its
-    /// key, every path drivable (as stored region-edge paths are checked),
-    /// and the key set exactly the one [`ConnectorTable::resolve`] would
-    /// produce for `rg`.  Malformed input is a [`CodecError`], never a
-    /// panic.
-    pub fn decode(
+    /// against the network of the same snapshot: every id in range, keys
+    /// strictly ascending, each path's endpoints equal to its key, and every
+    /// path drivable (as stored region-edge paths are checked).  The key set
+    /// is checked by [`ConnectorTable::check_keys`] once the model's
+    /// oriented-path table exists.  Malformed input is a [`CodecError`],
+    /// never a panic.
+    pub(crate) fn decode(
         r: &mut Reader<'_>,
         net: &RoadNetwork,
-        rg: &RegionGraph,
     ) -> Result<ConnectorTable, CodecError> {
         let n = net.num_vertices();
         let len = r.length("connector count", 12)?;
@@ -214,12 +264,23 @@ impl ConnectorTable {
             table.keys.push((from, to));
             table.ends.push(table.vertices.len());
         }
-        if table.keys != ConnectorPlan::new(net, rg).keys(rg) {
+        Ok(table.indexed())
+    }
+
+    /// Checks that the key set is exactly the one
+    /// [`ConnectorTable::resolve`] would produce for `rg`.
+    pub(crate) fn check_keys(
+        &self,
+        net: &RoadNetwork,
+        rg: &RegionGraph,
+        oriented: &[OrientedPaths],
+    ) -> Result<(), CodecError> {
+        if self.keys != ConnectorPlan::new(net, rg, oriented).keys(rg) {
             return Err(CodecError::Invalid(
                 "connector keys differ from the region graph's",
             ));
         }
-        Ok(table.indexed())
+        Ok(())
     }
 }
 
@@ -261,8 +322,7 @@ struct ConnectorPlan {
 }
 
 impl ConnectorPlan {
-    fn new(net: &RoadNetwork, rg: &RegionGraph) -> ConnectorPlan {
-        let oriented = oriented_paths(net, rg);
+    fn new(net: &RoadNetwork, rg: &RegionGraph, oriented: &[OrientedPaths]) -> ConnectorPlan {
         let nr = rg.num_regions();
         let mut out_targets: Vec<Vec<VertexId>> = vec![Vec::new(); nr];
         // Per region: the anchors where legs *enter* the region (tail sources).

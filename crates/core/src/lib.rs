@@ -5,7 +5,7 @@
 //! API.
 //!
 //! ```no_run
-//! use l2r_core::{L2r, L2rConfig};
+//! use l2r_core::{L2r, L2rConfig, QueryScratch};
 //! use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
 //!
 //! // 1. A road network and a sparse set of (map-matched) trajectories.
@@ -17,9 +17,12 @@
 //! //    -> path assignment for B-edges.
 //! let model = L2r::fit(&city.net, &train, L2rConfig::default()).unwrap();
 //!
-//! // 3. Route arbitrary (source, destination) pairs.
+//! // 3. Route arbitrary (source, destination) pairs, reusing one scratch.
+//! let mut scratch = QueryScratch::new();
 //! let query = &test[0];
-//! let route = model.route(query.source(), query.destination()).unwrap();
+//! let route = model
+//!     .route(&mut scratch, query.source(), query.destination())
+//!     .unwrap();
 //! println!("recommended path: {}", route.path);
 //! ```
 //!
@@ -28,22 +31,24 @@
 //! [`region_routing`] and [`router`] (Section VI), with Step 1 and Step 2
 //! living in the `l2r-region-graph` and `l2r-preference` crates.
 //!
-//! For serving traffic, compile the fitted model once into an owned
-//! [`engine::Engine`] (`model.prepare()`, or [`engine::Engine::load`]
-//! straight from a snapshot file): it answers queries bit-identically to
-//! [`L2r::route`] through reusable per-thread [`engine::QueryScratch`]
-//! state — several times faster, without per-query allocation — batches
-//! with [`engine::Engine::route_many`], and, being a `Send + Sync` unit
-//! owning its model, serves any number of threads behind an `Arc<Engine>`.
-//! A long-lived service manages named engines through a
-//! [`registry::ModelRegistry`], which hot-swaps freshly fitted snapshots in
-//! atomically while queries are in flight, and hands serving threads
-//! reusable scratches from a [`registry::ScratchPool`].
+//! The fitted model is the router.  It builds the tables Section VI reads —
+//! the best attached path of every region edge in both orientations and the
+//! fastest-path [`ConnectorTable`] — once, when it is fitted or decoded, and
+//! [`L2r::route`] answers from them through a reusable per-thread
+//! [`QueryScratch`] without per-query allocation; [`L2r::route_many`]
+//! batches across threads.  For serving, an [`engine::Engine`] is a shared
+//! `Send + Sync` handle to a model ([`L2r::into_engine`], or
+//! [`engine::Engine::load`] straight from a snapshot file) that
+//! dereferences to it.  A long-lived service manages named engines through
+//! a [`registry::ModelRegistry`], which hot-swaps freshly fitted snapshots
+//! in atomically while queries are in flight, and hands serving threads
+//! reusable scratches from a [`registry::ScratchPool`].  The reference
+//! router the tests compare [`L2r::route`] against lives in [`oracle`].
 //!
 //! To pay the offline cost once *per fleet* rather than once per process,
 //! persist the fitted model with [`snapshot::save_model`] and serve it from
-//! disk with [`snapshot::load_model`]: a loaded model prepares and routes
-//! bit-identically to the in-memory original.
+//! disk with [`snapshot::load_model`]: a loaded model routes bit-identically
+//! to the in-memory original.
 
 #![warn(missing_docs)]
 
@@ -52,6 +57,7 @@ pub mod config;
 pub mod connectors;
 pub mod engine;
 pub mod error;
+pub mod oracle;
 pub mod pipeline;
 pub mod region_routing;
 pub mod registry;
@@ -61,13 +67,13 @@ pub mod store;
 
 pub use apply::{apply_preferences_to_b_edges, path_under_preference, ApplyStats};
 pub use config::L2rConfig;
-pub use connectors::ConnectorTable;
-pub use engine::{Engine, QueryScratch};
+pub use connectors::{ConnectorTable, OrientedPaths};
+pub use engine::Engine;
 pub use error::L2rError;
 pub use pipeline::{L2r, OfflineStats};
 pub use region_routing::{find_region_path, RegionPath, RegionSearchSpace};
 pub use registry::{ModelRegistry, PooledScratch, RegistryError, ScratchPool};
-pub use router::{region_coverage, route, RegionCoverage, RouteResult, RouteStrategy};
+pub use router::{region_coverage, QueryScratch, RegionCoverage, RouteResult, RouteStrategy};
 pub use snapshot::{
     compute_canaries, decode_model, decode_snapshot, encode_model, encode_model_structural,
     encode_snapshot, encode_snapshot_with, load_model, load_snapshot, route_digest, save_model,

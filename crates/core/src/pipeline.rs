@@ -3,9 +3,10 @@
 //! [`L2r::fit`] runs clustering (Step 1), preference learning and transfer
 //! (Step 2), and path assignment for B-edges plus the connector table
 //! (Step 3); [`L2r::route`] answers arbitrary `(source, destination)` queries
-//! (Section VI).
+//! (Section VI) from the tables the model builds once.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use l2r_preference::{
@@ -17,9 +18,9 @@ use l2r_trajectory::MatchedTrajectory;
 
 use crate::apply::{apply_preferences_to_b_edges, ApplyStats};
 use crate::config::L2rConfig;
-use crate::connectors::ConnectorTable;
+use crate::connectors::{oriented_paths, ConnectorTable, OrientedPaths};
 use crate::error::L2rError;
-use crate::router::{region_coverage, route, RegionCoverage, RouteResult};
+use crate::router::{region_coverage, RegionCoverage};
 
 /// Timings and sizes of the offline phase (reported in Section VII-C,
 /// "Offline Processing Time").
@@ -54,7 +55,9 @@ pub struct OfflineStats {
     pub apply: ApplyStats,
 }
 
-/// A fitted learn-to-route model.
+/// A fitted learn-to-route model, and the router that serves it: besides
+/// the fitted parts it owns the two tables [`L2r::route`] reads, the
+/// oriented-path table and the connector table, built once per model.
 #[derive(Debug, Clone)]
 pub struct L2r {
     net: RoadNetwork,
@@ -63,6 +66,8 @@ pub struct L2r {
     transferred: HashMap<RegionEdgeId, Option<Preference>>,
     config: L2rConfig,
     stats: OfflineStats,
+    /// Indexed by `RegionEdgeId`.
+    oriented: Vec<OrientedPaths>,
     connectors: ConnectorTable,
 }
 
@@ -141,22 +146,21 @@ impl L2r {
         );
         stats.apply_time = t0.elapsed();
 
-        // Step 3, last part: the fastest-path connectors the online router
-        // stitches with, which depend only on the network and the final
+        // Step 3, last part: the oriented-path and connector tables the
+        // router reads, which depend only on the network and the final
         // region graph.
+        let net = net.clone();
         let t0 = Instant::now();
-        let connectors = ConnectorTable::resolve(net, &region_graph);
-        stats.connector_time = t0.elapsed();
-
-        Ok(L2r {
-            net: net.clone(),
+        let mut model = L2r::from_parts(
+            net,
             region_graph,
             learned,
-            transferred: transfer.preferences,
+            transfer.preferences,
             config,
             stats,
-            connectors,
-        })
+        );
+        model.stats.connector_time = t0.elapsed();
+        Ok(model)
     }
 
     /// Reassembles a model from its constituent parts, resolving its
@@ -169,43 +173,47 @@ impl L2r {
         config: L2rConfig,
         stats: OfflineStats,
     ) -> L2r {
-        let connectors = ConnectorTable::resolve(&net, &region_graph);
-        L2r::with_connectors(
+        let Ok(model) = L2r::assemble(
             net,
             region_graph,
             learned,
             transferred,
             config,
             stats,
-            connectors,
-        )
+            |net, rg, oriented| Ok::<_, Infallible>(ConnectorTable::resolve(net, rg, oriented)),
+        );
+        model
     }
 
-    /// Reassembles a model around an already resolved (snapshot-decoded)
-    /// connector table, which must be the one `region_graph` implies.
-    pub(crate) fn with_connectors(
+    /// The one constructor, reached by the fit, [`L2r::from_parts`] and the
+    /// snapshot decoder: builds the oriented-path table, then obtains the
+    /// connector table from `connectors`, which resolves it (fit) or checks
+    /// a decoded one against that table (decode).
+    pub(crate) fn assemble<E>(
         net: RoadNetwork,
         region_graph: RegionGraph,
         learned: HashMap<RegionEdgeId, LearnedPreference>,
         transferred: HashMap<RegionEdgeId, Option<Preference>>,
         config: L2rConfig,
         stats: OfflineStats,
-        connectors: ConnectorTable,
-    ) -> L2r {
-        L2r {
+        connectors: impl FnOnce(
+            &RoadNetwork,
+            &RegionGraph,
+            &[OrientedPaths],
+        ) -> Result<ConnectorTable, E>,
+    ) -> Result<L2r, E> {
+        let oriented = oriented_paths(&net, &region_graph);
+        let connectors = connectors(&net, &region_graph, &oriented)?;
+        Ok(L2r {
             net,
             region_graph,
             learned,
             transferred,
             config,
             stats,
+            oriented,
             connectors,
-        }
-    }
-
-    /// Routes between two road-network vertices.
-    pub fn route(&self, source: VertexId, destination: VertexId) -> Option<RouteResult> {
-        route(&self.net, &self.region_graph, source, destination)
+        })
     }
 
     /// Classifies a query against the region graph (InRegion / InOutRegion /
@@ -224,8 +232,15 @@ impl L2r {
         &self.region_graph
     }
 
+    /// Both orientations' best attached path of every region edge, indexed
+    /// by `RegionEdgeId`: what [`L2r::route`] maps region paths back to
+    /// roads with.
+    pub fn oriented_paths(&self) -> &[OrientedPaths] {
+        &self.oriented
+    }
+
     /// The connector table resolved at fit time (or decoded with the
-    /// snapshot), which a compiled [`crate::Engine`] serves from.
+    /// snapshot), which [`L2r::route`] stitches with.
     pub fn connectors(&self) -> &ConnectorTable {
         &self.connectors
     }
@@ -301,10 +316,11 @@ mod tests {
         let (_, test) = wl.temporal_split(0.8);
         assert!(!test.is_empty());
         let mut routed = 0usize;
+        let mut scratch = crate::QueryScratch::new();
         for t in test.iter().take(40) {
             let s = t.source();
             let d = t.destination();
-            if let Some(r) = model.route(s, d) {
+            if let Some(r) = model.route(&mut scratch, s, d) {
                 assert!(r.path.validate(&syn.net).is_ok());
                 assert_eq!(r.path.source(), s);
                 assert_eq!(r.path.destination(), d);
@@ -322,9 +338,10 @@ mod tests {
         let mut l2r_total = 0.0;
         let mut shortest_total = 0.0;
         let mut n = 0usize;
+        let mut scratch = crate::QueryScratch::new();
         for t in test.iter().take(60) {
             let (s, d) = (t.source(), t.destination());
-            let Some(l2r_route) = model.route(s, d) else {
+            let Some(l2r_route) = model.route(&mut scratch, s, d) else {
                 continue;
             };
             let Some(short) = shortest_path(&syn.net, s, d) else {

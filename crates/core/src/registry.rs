@@ -13,7 +13,7 @@
 //! registered engine untouched and reports the [`SnapshotError`] — serving
 //! never degrades because an operator fat-fingered a path.
 //!
-//! The expensive part of a reload — reading, validating and compiling the
+//! The expensive part of a reload — reading, decoding and validating the
 //! snapshot — happens *outside* the lock; the critical section is a single
 //! `HashMap` insert.  `crates/core/tests/registry_hotswap.rs` hammers a
 //! registry from many threads mid-swap and asserts every answer is
@@ -24,7 +24,7 @@
 //! dataset name must match the registry name it is being installed under,
 //! and every canary probe recorded at save time
 //! ([`crate::snapshot::compute_canaries`]) is replayed against the freshly
-//! compiled engine — a digest mismatch rejects the reload with the old
+//! decoded model — a digest mismatch rejects the reload with the old
 //! engine still serving.  Each successful swap retains the **previous**
 //! engine so [`ModelRegistry::rollback`] can restore it instantly, and
 //! generations stay monotonic per name even across remove + re-register
@@ -35,7 +35,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::engine::{Engine, QueryScratch};
+use crate::engine::Engine;
+use crate::router::QueryScratch;
 use crate::snapshot::{load_snapshot, route_digest, Snapshot, SnapshotError};
 use crate::store::{ModelStore, StoreError};
 
@@ -56,7 +57,7 @@ pub enum RegistryError {
         requested: String,
     },
     /// A canary probe recorded at save time answered differently on the
-    /// freshly compiled engine.
+    /// freshly decoded model.
     CanaryMismatch {
         /// Probe source vertex id.
         src: u32,
@@ -64,7 +65,7 @@ pub enum RegistryError {
         dst: u32,
         /// Digest recorded at save time.
         expected: u64,
-        /// Digest the compiled engine produced.
+        /// Digest the decoded model produced.
         actual: u64,
     },
     /// The named dataset is not registered.
@@ -243,12 +244,12 @@ impl ModelRegistry {
             .is_some_and(|e| e.previous.is_some())
     }
 
-    /// Validates a decoded snapshot against `name`, compiles it, and swaps
-    /// it in.  Validation is two-stage: the snapshot's stamped dataset must
-    /// match `name` (empty stamps — pre-provenance saves — match anything),
-    /// and every canary probe recorded at save time must reproduce its
-    /// digest on the compiled engine.  Any mismatch rejects the swap with
-    /// the old engine still serving.
+    /// Validates a decoded snapshot against `name` and swaps it in.
+    /// Validation is two-stage: the snapshot's stamped dataset must match
+    /// `name` (empty stamps — pre-provenance saves — match anything), and
+    /// every canary probe recorded at save time must reproduce its digest on
+    /// the decoded model.  Any mismatch rejects the swap with the old engine
+    /// still serving.
     pub fn install_validated(
         &self,
         name: &str,
@@ -260,8 +261,8 @@ impl ModelRegistry {
                 requested: name.to_string(),
             });
         }
-        // Compile and replay canaries outside the lock: readers never wait
-        // on index compilation or probe routing.
+        // Replay canaries outside the lock: readers never wait on probe
+        // routing.
         let canaries = snapshot.canaries;
         let engine = snapshot.model.into_engine();
         let mut scratch = QueryScratch::new();
@@ -291,8 +292,8 @@ impl ModelRegistry {
     /// (the old engine keeps serving) and the error is returned for the
     /// operator.
     pub fn reload(&self, name: &str, path: &Path) -> Result<Arc<Engine>, RegistryError> {
-        // Read + validate + compile outside the lock: readers never wait on
-        // disk or on index compilation.
+        // Read + decode + validate outside the lock: readers never wait on
+        // disk or on decoding.
         let snapshot = load_snapshot(path)?;
         self.install_validated(name, snapshot)
     }

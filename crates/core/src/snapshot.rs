@@ -6,11 +6,10 @@
 //! network, the region graph with its T/B-edge classification and attached
 //! paths, learned and transferred preference vectors, transfer centers,
 //! configuration and offline statistics — into a single file, and
-//! [`load_model`] brings it back with **bit-identical** serving behaviour
-//! (a [`crate::Engine`] built from a loaded model answers exactly
-//! like one built from the original; the vertex-grid sweeps in
-//! `tests/snapshot_equivalence.rs` enforce it the same way prepared-vs-free
-//! equivalence is enforced, and `crates/core/tests/snapshot_robustness.rs`
+//! [`load_model`] brings it back with **bit-identical** routing (a loaded
+//! model answers exactly like the original; the vertex-grid sweeps in
+//! `tests/snapshot_equivalence.rs` check both against the reference router
+//! in [`crate::oracle`], and `crates/core/tests/snapshot_robustness.rs`
 //! covers the malformed-file surface).
 //!
 //! # File format
@@ -45,11 +44,11 @@
 //! can refuse to swap dataset A's engine in under name B — and a set of
 //! **canary probes**: deterministic route queries whose answer digests are
 //! recorded at save time ([`compute_canaries`]) and replayed against the
-//! freshly compiled engine before a hot-swap commits
+//! decoded model before a hot-swap commits
 //! ([`crate::ModelRegistry`]'s validation stage).  Version 3 dropped the
 //! solver byte from the transfer configuration: conjugate gradient is the
 //! only solver.  Version 4 added the connector table, so a loaded model
-//! compiles into an engine without a single road search, and three offline
+//! routes without re-running a single connector search, and three offline
 //! stats: the connector resolution time, and the transfer solve's
 //! unconverged column count and largest relative residual.  A loader
 //! accepts exactly the current version.
@@ -58,7 +57,8 @@
 //! (the fixed-stride network tables decode in parallel chunks across
 //! `L2R_THREADS` workers), and validates every embedded id against the
 //! counts stored in the same payload, every stored path's drivability, and
-//! the connector table's key set against the decoded region graph — a
+//! the connector table's key set against the decoded region graph (checked
+//! when the model is assembled and its oriented-path table built) — a
 //! corrupt or truncated file produces a [`SnapshotError`], never a panic.
 //! Encoding is deterministic (hash maps are written in sorted key order and
 //! canaries are derived from a fixed probe schedule), so
@@ -75,7 +75,7 @@ use l2r_road_network::{CodecError, Decode, Encode, Reader, RoadNetwork, VertexId
 use crate::config::L2rConfig;
 use crate::connectors::ConnectorTable;
 use crate::pipeline::{L2r, OfflineStats};
-use crate::router::RouteResult;
+use crate::router::{QueryScratch, RouteResult};
 
 /// Magic bytes identifying an L2R snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"L2RSNAP\0";
@@ -291,8 +291,7 @@ pub fn route_digest(result: &Option<RouteResult>) -> u64 {
 /// Computes `count` canary probes for `model`: a deterministic schedule of
 /// source/destination pairs (seeded only by the network's shape, so
 /// `encode → decode → encode` reproduces the exact probes) routed through
-/// the *free* (uncompiled) router — which the engine-equivalence invariant
-/// guarantees answers bit-identically to a compiled [`crate::Engine`].
+/// [`L2r::route`], the router every [`crate::Engine`] serves with.
 pub fn compute_canaries(model: &L2r, count: usize) -> Vec<Canary> {
     let n = model.network().num_vertices() as u64;
     if n < 2 || count == 0 {
@@ -300,13 +299,14 @@ pub fn compute_canaries(model: &L2r, count: usize) -> Vec<Canary> {
     }
     let seed = 0x5EED_CAFE_D15C_0B01u64 ^ (n << 20) ^ model.network().num_edges() as u64;
     let mut canaries = Vec::with_capacity(count);
+    let mut scratch = QueryScratch::new();
     for i in 0..count as u64 {
         let src = VertexId((splitmix64(seed ^ (2 * i)) % n) as u32);
         let mut dst = VertexId((splitmix64(seed ^ (2 * i + 1)) % n) as u32);
         if dst == src {
             dst = VertexId(((dst.0 as u64 + 1) % n) as u32);
         }
-        let digest = route_digest(&model.route(src, dst));
+        let digest = route_digest(&model.route(&mut scratch, src, dst));
         canaries.push(Canary { src, dst, digest });
     }
     canaries
@@ -436,7 +436,7 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
     // workers.
     let net = RoadNetwork::decode(&mut r)?;
     let region_graph: RegionGraph = decode_region_graph(&mut r, &net)?;
-    let connectors = ConnectorTable::decode(&mut r, &net, &region_graph)?;
+    let connectors = ConnectorTable::decode(&mut r, &net)?;
     let num_edges = region_graph.num_edges();
 
     let learned_len = r.length("learned preference count", 14)?;
@@ -503,18 +503,23 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
     if !r.is_exhausted() {
         return Err(SnapshotError::TrailingBytes(r.remaining() as u64));
     }
+    let model = L2r::assemble(
+        net,
+        region_graph,
+        learned,
+        transferred,
+        config,
+        stats,
+        |net, rg, oriented| {
+            connectors
+                .check_keys(net, rg, oriented)
+                .map(|()| connectors)
+        },
+    )?;
     Ok(Snapshot {
         dataset,
         canaries,
-        model: L2r::with_connectors(
-            net,
-            region_graph,
-            learned,
-            transferred,
-            config,
-            stats,
-            connectors,
-        ),
+        model,
     })
 }
 
@@ -795,7 +800,8 @@ mod tests {
         // Replaying every canary against the decoded model reproduces the
         // recorded digests — the property registry validation relies on.
         for c in &snap.canaries {
-            assert_eq!(route_digest(&snap.model.route(c.src, c.dst)), c.digest);
+            let answer = snap.model.route(&mut QueryScratch::new(), c.src, c.dst);
+            assert_eq!(route_digest(&answer), c.digest);
         }
         // Determinism: same model + name → same bytes.
         assert_eq!(encode_snapshot(&snap.model, "chengdu"), bytes);

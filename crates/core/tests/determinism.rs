@@ -2,17 +2,17 @@
 //! `L2r::fit` with `L2R_THREADS=1` and `L2R_THREADS=4` has to produce the
 //! same learned preferences, the same transferred preferences and the same
 //! B-edge paths, a fit at any thread count has to resolve the same connector
-//! table, and an `Engine` compiled at any thread count has to answer every
-//! query the same way.
+//! table, and models fitted or decoded at any thread count (each builds its
+//! oriented-path table in parallel) have to answer every query the same way.
 //!
 //! Every test here changes the process-global thread count, so each one
 //! holds [`THREAD_COUNT`] for its whole run: no test observes another's pin,
 //! and no `getenv` races the `L2R_THREADS` mutation.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
-use l2r_core::{ConnectorTable, Engine, L2r, L2rConfig};
+use l2r_core::{decode_model, ConnectorTable, L2r, L2rConfig, RouteResult};
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
 use l2r_preference::{LearnedPreference, Preference};
 use l2r_region_graph::{RegionEdgeId, SupportedPath};
@@ -42,38 +42,43 @@ fn assert_tables_equal(table: &ConnectorTable, reference: &ConnectorTable, what:
     }
 }
 
-/// Compiles `model` at each thread count (pinned with `set_thread_override`,
-/// released afterwards), returning the engines in the same order.
-fn compile_at(model: &Arc<L2r>, threads: &[usize]) -> Vec<Engine> {
-    let engines = threads
+/// Decodes `bytes` at each thread count (pinned with
+/// `set_thread_override`, released afterwards), returning the models in the
+/// same order.
+fn decode_at(bytes: &[u8], threads: &[usize]) -> Vec<L2r> {
+    let models = threads
         .iter()
         .map(|&t| {
             l2r_par::set_thread_override(Some(t));
-            Engine::from_shared(Arc::clone(model))
+            decode_model(bytes).expect("a freshly encoded snapshot decodes")
         })
         .collect();
     l2r_par::set_thread_override(None);
-    engines
+    models
 }
 
-/// Asserts every engine matches the first: same route for every query.
-fn assert_engines_agree(engines: &[Engine], threads: &[usize], queries: &[(VertexId, VertexId)]) {
-    let reference = engines[0].route_many(queries);
+/// Asserts every model routes `queries` exactly like `reference` does.
+fn assert_models_route_alike(
+    reference: &[Option<RouteResult>],
+    models: &[L2r],
+    what: &str,
+    queries: &[(VertexId, VertexId)],
+) {
     assert!(
         reference.iter().any(Option::is_some),
         "the query sample must produce routes"
     );
-    for (engine, t) in engines.iter().zip(threads).skip(1) {
-        assert_eq!(
-            engine.route_many(queries),
-            reference,
-            "routes of the engine compiled at {t} threads"
+    for (i, model) in models.iter().enumerate() {
+        assert!(
+            model.route_many(queries) == reference,
+            "routes of {what} #{i} differ"
         );
     }
 }
 
 /// Fits at 1, 2 and 8 threads resolve the same connector table, key for key
-/// and path for path, and engines compiled at those thread counts route
+/// and path for path, and the same oriented-path table, and the fitted
+/// models, as well as the first one decoded at those thread counts, route
 /// alike.
 #[test]
 fn fit_resolves_the_same_connector_table_at_1_2_and_8_threads() {
@@ -94,16 +99,26 @@ fn fit_resolves_the_same_connector_table_at_1_2_and_8_threads() {
             fits[0].connectors(),
             &format!("of the fit at {t} threads"),
         );
+        assert!(
+            model.oriented_paths() == fits[0].oriented_paths(),
+            "oriented paths of the fit at {t} threads"
+        );
     }
 
-    let model = Arc::new(fits.into_iter().next().expect("three fits ran"));
-    let engines = compile_at(&model, &threads);
-    let n = model.network().num_vertices() as u32;
+    let n = fits[0].network().num_vertices() as u32;
     let queries: Vec<(VertexId, VertexId)> = (0..n)
         .step_by(3)
         .flat_map(|s| (1..n).step_by(7).map(move |d| (VertexId(s), VertexId(d))))
         .collect();
-    assert_engines_agree(&engines, &threads, &queries);
+    let reference = fits[0].route_many(&queries);
+    assert_models_route_alike(&reference, &fits, "the fit at 1, 2 and 8 threads", &queries);
+    let decoded = decode_at(&l2r_core::encode_model(&fits[0]), &threads);
+    assert_models_route_alike(
+        &reference,
+        &decoded,
+        "the decode at 1, 2 and 8 threads",
+        &queries,
+    );
 }
 
 #[test]
@@ -165,8 +180,9 @@ fn parallel_fit_is_bit_identical_to_serial_fit() {
 /// Country-scale determinism smoke: the same fit on the XL-smoke network at
 /// 1, 4 and 8 worker threads must encode to bit-identical structural
 /// snapshots (per-stage wall times excluded — they are timing provenance,
-/// not model state; the connector table included), and engines compiled from it at 1 and 4 threads must
-/// answer 2,000 seeded queries identically.  Ignored by default because it
+/// not model state; the connector table included), and the three fits, as
+/// well as the serial fit decoded at 1 and 4 threads, must answer 2,000
+/// seeded queries identically.  Ignored by default because it
 /// fits a multi-district network three times; the CI `xl-smoke` job runs it
 /// with `--ignored`.
 #[test]
@@ -176,13 +192,18 @@ fn xl_fit_is_bit_identical_across_1_4_and_8_threads() {
     let syn = generate_network(&SyntheticNetworkConfig::xl_smoke());
     let wl = generate_workload(&syn, &WorkloadConfig::xl_like(400));
     let (train, _) = wl.temporal_split(0.8);
+    let n = syn.net.num_vertices() as u32;
+    let mut rng = StdRng::seed_from_u64(2018);
+    let queries: Vec<(VertexId, VertexId)> = (0..2000)
+        .map(|_| (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n))))
+        .collect();
     let mut encodings: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut serial_model = None;
+    let mut routes: Vec<(usize, Vec<Option<RouteResult>>)> = Vec::new();
     for threads in [1usize, 4, 8] {
         l2r_par::set_thread_override(Some(threads));
         let model = L2r::fit(&syn.net, &train, L2rConfig::default()).expect("fit");
         encodings.push((threads, l2r_core::encode_model_structural(&model)));
-        serial_model.get_or_insert(model);
+        routes.push((threads, model.route_many(&queries)));
     }
     l2r_par::set_thread_override(None);
     assert!(
@@ -196,14 +217,18 @@ fn xl_fit_is_bit_identical_across_1_4_and_8_threads() {
             "fit at {threads} threads diverged from the single-threaded fit"
         );
     }
-
-    let model = Arc::new(serial_model.expect("the loop fits at least once"));
-    let threads = [1usize, 4];
-    let engines = compile_at(&model, &threads);
-    let n = model.network().num_vertices() as u32;
-    let mut rng = StdRng::seed_from_u64(2018);
-    let queries: Vec<(VertexId, VertexId)> = (0..2000)
-        .map(|_| (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n))))
-        .collect();
-    assert_engines_agree(&engines, &threads, &queries);
+    let reference = &routes[0].1;
+    for (threads, answers) in &routes[1..] {
+        assert!(
+            answers == reference,
+            "the fit at {threads} threads routes differently from the single-threaded fit"
+        );
+    }
+    let decoded = decode_at(first, &[1, 4]);
+    assert_models_route_alike(
+        reference,
+        &decoded,
+        "the decode at 1 and 4 threads",
+        &queries,
+    );
 }

@@ -310,7 +310,7 @@ fn reload_rejects_a_snapshot_whose_canaries_mismatch() {
 #[test]
 fn reload_replays_recorded_canaries_against_the_compiled_engine() {
     // The happy path of validation: genuine canaries recorded at save time
-    // replay cleanly on the compiled engine (free-route/engine equivalence).
+    // replay cleanly on the decoded model (snapshot round trip).
     let (registry, _, _) = registry_with_model();
     let model = fitted();
     let path = temp_path("genuine-canaries.l2r");

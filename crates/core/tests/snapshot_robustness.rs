@@ -268,7 +268,11 @@ fn assert_valid_table(model: &L2r, table: &ConnectorTable, keys: &[(VertexId, Ve
 fn decoded_connector_table_equals_a_fresh_resolve() {
     let model = fitted();
     let loaded = decode_model(&encode_model(&model)).unwrap();
-    let fresh = ConnectorTable::resolve(loaded.network(), loaded.region_graph());
+    let fresh = ConnectorTable::resolve(
+        loaded.network(),
+        loaded.region_graph(),
+        loaded.oriented_paths(),
+    );
     assert!(!fresh.is_empty());
     assert!(loaded.connectors() == &fresh);
     assert!(model.connectors() == &fresh);
@@ -386,7 +390,7 @@ fn mutated_connector_sections_never_panic() {
 fn mutated_payloads_after_the_network_never_panic() {
     // Everything the payload holds after the network: the region graph, the
     // connector table, the preferences, the config, the fit statistics and
-    // the canaries.  A decoded model must also compile and route.
+    // the canaries.  A decoded model must also route.
     let model = fitted();
     let bytes = encode_model(&model);
     let mut prefix = Writer::new();
@@ -416,9 +420,8 @@ fn mutated_payloads_after_the_network_never_panic() {
             Err(_) => rejected += 1,
             Ok(loaded) => {
                 accepted += 1;
-                let engine = loaded.prepare();
                 for &(s, d) in &pairs {
-                    let _ = engine.route(&mut scratch, s, d);
+                    let _ = loaded.route(&mut scratch, s, d);
                 }
             }
         }

@@ -109,7 +109,7 @@ impl SyntheticNetworkConfig {
     /// vertices (24×16 districts of 16×16 local blocks → 98,688 vertices,
     /// ~370k directed edges).  This is the `--scale xl` tier: two orders of
     /// magnitude above [`SyntheticNetworkConfig::tiny`] and the scale at
-    /// which the transfer, compile and snapshot hot paths start to matter.
+    /// which the transfer, connector and snapshot hot paths start to matter.
     pub fn denmark_xl() -> Self {
         SyntheticNetworkConfig {
             districts_x: 24,

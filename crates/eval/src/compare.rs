@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 use l2r_baselines::BaselineRouter;
-use l2r_core::L2r;
+use l2r_core::{L2r, QueryScratch};
 use l2r_road_network::{
     band_match_similarity_10m, path_similarity, path_similarity_jaccard, Path, RoadNetwork,
 };
@@ -88,9 +88,9 @@ impl<'a> Method<'a> {
         }
     }
 
-    fn route(&self, net: &RoadNetwork, q: &TestQuery) -> Option<Path> {
+    fn route(&self, net: &RoadNetwork, scratch: &mut QueryScratch, q: &TestQuery) -> Option<Path> {
         match self {
-            Method::L2r(m) => m.route(q.source, q.destination).map(|r| r.path),
+            Method::L2r(m) => m.route(scratch, q.source, q.destination).map(|r| r.path),
             Method::Baseline(b) => b.route(net, q.source, q.destination, q.driver),
         }
     }
@@ -114,9 +114,10 @@ pub fn compare_methods(
             let mut by_distance: Vec<Acc> = vec![Acc::default(); labels.len()];
             let mut by_coverage: Vec<Acc> = vec![Acc::default(); COVERAGE_CATEGORIES.len()];
             let mut overall = Acc::default();
+            let mut scratch = QueryScratch::new();
             for q in queries {
                 let t0 = Instant::now();
-                let path = method.route(net, q);
+                let path = method.route(net, &mut scratch, q);
                 let runtime_us = t0.elapsed().as_secs_f64() * 1e6;
                 let Some(path) = path else { continue };
                 let eq1 = path_similarity(net, &q.ground_truth, &path);
@@ -171,9 +172,10 @@ pub fn compare_with_external(
     let mut dist_acc: Vec<(Acc, Acc)> = vec![(Acc::default(), Acc::default()); labels.len()];
     let mut cov_acc: Vec<(Acc, Acc)> =
         vec![(Acc::default(), Acc::default()); COVERAGE_CATEGORIES.len()];
+    let mut scratch = QueryScratch::new();
     for q in queries {
         let l2r_acc = model
-            .route(q.source, q.destination)
+            .route(&mut scratch, q.source, q.destination)
             .map(|r| path_similarity(net, &q.ground_truth, &r.path))
             .unwrap_or(0.0);
         let ext_acc = external

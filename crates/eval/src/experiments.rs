@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use l2r_core::L2r;
+use l2r_core::{L2r, QueryScratch};
 use l2r_preference::{
     learn_per_path_preferences, transfer_preferences, LearnConfig, Preference, TransferConfig,
 };
@@ -363,6 +363,7 @@ pub fn preference_recovery(ds: &Dataset) -> RecoveryResult {
     let mut pairs: Vec<(&(usize, usize), &l2r_datagen::LatentPreference)> =
         ds.workload.latent.iter().collect();
     pairs.sort_by_key(|(p, _)| **p);
+    let mut scratch = QueryScratch::new();
     for (pair, latent) in pairs.into_iter().take(300) {
         let s = syn.districts[pair.0].center;
         let d = syn.districts[pair.1].center;
@@ -372,7 +373,7 @@ pub fn preference_recovery(ds: &Dataset) -> RecoveryResult {
         if latent_path.is_trivial() {
             continue;
         }
-        let Some(route) = model.route(s, d) else {
+        let Some(route) = model.route(&mut scratch, s, d) else {
             continue;
         };
         let sim = l2r_road_network::path_similarity(net, &latent_path, &route.path);

@@ -42,8 +42,8 @@
 //! [`ServerConfig::auto_rollback_window`] set, every swap also arms a
 //! post-swap probation window ([`health`]): an internal-error rate spike
 //! under real traffic rolls the dataset back automatically.  The registry
-//! swap is atomic and only happens after the snapshot decoded, compiled
-//! and validated cleanly.  `BUSY` means the dataset's bounded admission queue
+//! swap is atomic and only happens after the snapshot decoded and
+//! validated cleanly.  `BUSY` means the dataset's bounded admission queue
 //! ([`queue`]) was full; the connection stays open and the request should
 //! be retried.  Both protocols report the same failure taxonomy: a route
 //! whose deadline expired answers `ERR deadline …` on the line protocol

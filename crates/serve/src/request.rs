@@ -399,7 +399,7 @@ fn strategy_index(strategy: RouteStrategy) -> u8 {
 /// Formats a route answer exactly as the ASCII server sends it (`OK
 /// <strategy> <n> <v0> …` / `NOROUTE`).  Public so clients and tests can
 /// compare server responses against a locally computed
-/// [`l2r_core::Engine::route`] answer for end-to-end bit-equivalence.
+/// [`l2r_core::L2r::route`] answer for end-to-end bit-equivalence.
 pub fn format_route_response(result: &Option<RouteResult>) -> String {
     match result {
         Some(r) => {
@@ -422,11 +422,140 @@ pub fn format_route_response(result: &Option<RouteResult>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameParse;
 
     #[test]
     fn strategy_index_is_the_position_in_all() {
         for (i, strategy) in RouteStrategy::ALL.iter().enumerate() {
             assert_eq!(strategy_index(*strategy) as usize, i);
         }
+    }
+
+    /// A seeded splitmix64 stream that mutates byte strings.
+    struct Mutator(u64);
+
+    impl Mutator {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut x = self.0;
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            x ^ (x >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Flips a bit in, or overwrites, 1–3 random bytes; then, one time
+        /// in four, truncates the bytes or appends random ones.
+        fn mutate(&mut self, bytes: &mut Vec<u8>) {
+            for _ in 0..=self.below(3) {
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = self.below(bytes.len());
+                if self.next() & 1 == 0 {
+                    bytes[at] ^= 1 << self.below(8);
+                } else {
+                    bytes[at] = self.next() as u8;
+                }
+            }
+            match self.below(8) {
+                0 => bytes.truncate(self.below(bytes.len() + 1)),
+                1 => {
+                    for _ in 0..=self.below(8) {
+                        bytes.push(self.next() as u8);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Seeded mutations of valid requests through both wire decoders: a
+    /// whole mutated frame through `parse_frame` (and `decode_request` when
+    /// it still frames), a mutated kind and payload re-framed with a valid
+    /// checksum through both, and a mutated ASCII line through
+    /// `parse_line`.  Every call returns; none panics.
+    #[test]
+    fn mutated_frames_and_lines_never_panic() {
+        let pairs = [(0, 1), (2, 3), (4, 5)];
+        let framed = |encode: &dyn Fn(&mut Vec<u8>)| {
+            let mut out = Vec::new();
+            encode(&mut out);
+            out
+        };
+        let frames = [
+            framed(&frame::encode_ping),
+            framed(&|o| frame::encode_route(o, "D1", 3, 17)),
+            framed(&|o| frame::encode_route_deadline(o, "D1", 3, 17, Some(250))),
+            framed(&|o| frame::encode_route_batch(o, "D1", &pairs)),
+            framed(&|o| frame::encode_route_batch_deadline(o, "D1", &pairs, Some(100))),
+            framed(&|o| frame::encode_info(o, "D1")),
+            framed(&frame::encode_stats),
+            framed(&|o| frame::encode_reload(o, "D1", "models/d1.l2r")),
+            framed(&|o| frame::encode_reload_spec(o, "D1", "models/d1", Some("latest"))),
+            framed(&|o| frame::encode_rollback(o, "D1")),
+            framed(&frame::encode_shutdown),
+        ];
+        let lines = [
+            "ping",
+            "route D1 3 17",
+            "route D1 3 17 250",
+            "route_batch D1 0,1 2,3 4,5",
+            "info D1",
+            "stats",
+            "reload D1 models/d1 latest",
+            "rollback D1",
+            "shutdown",
+        ];
+        let mut rng = Mutator(0x5EED_F4A3);
+        // [incomplete, bad frame, request Ok, request Err]
+        let mut outcomes = [0usize; 4];
+        let mut decode = |bytes: &[u8]| match frame::parse_frame(bytes) {
+            FrameParse::Incomplete => outcomes[0] += 1,
+            FrameParse::Bad(_) => outcomes[1] += 1,
+            FrameParse::Frame { kind, payload, .. } => match decode_request(kind, payload) {
+                Ok(_) => outcomes[2] += 1,
+                Err(_) => outcomes[3] += 1,
+            },
+        };
+        for i in 0..3_000 {
+            let valid = &frames[i % frames.len()];
+            let mut whole = valid.clone();
+            rng.mutate(&mut whole);
+            decode(&whole);
+
+            // Kind byte plus payload, re-framed so the checksum holds.
+            let mut body =
+                valid[frame::FRAME_HEADER - 5..valid.len() - frame::FRAME_TRAILER].to_vec();
+            body.drain(1..5); // the length field; `write_frame` rewrites it
+            rng.mutate(&mut body);
+            let Some((&kind, payload)) = body.split_first() else {
+                continue;
+            };
+            let mut reframed = Vec::new();
+            frame::write_frame(&mut reframed, kind, payload);
+            decode(&reframed);
+        }
+        let mut parsed = [0usize; 2];
+        for i in 0..3_000 {
+            let mut line = lines[i % lines.len()].as_bytes().to_vec();
+            rng.mutate(&mut line);
+            let line = String::from_utf8_lossy(&line);
+            let line = line.trim();
+            if !line.is_empty() {
+                parsed[parse_line(line).is_err() as usize] += 1;
+            }
+        }
+        let [incomplete, bad, ok, err] = outcomes;
+        assert!(ok > 0 && err > 0 && bad > 0, "{outcomes:?}");
+        assert!(parsed[0] > 0 && parsed[1] > 0, "{parsed:?}");
+        eprintln!(
+            "frames: {incomplete} incomplete, {bad} bad, {ok} decoded, {err} rejected; \
+             lines: {} parsed, {} rejected",
+            parsed[0], parsed[1]
+        );
     }
 }

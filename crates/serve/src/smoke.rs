@@ -2,7 +2,7 @@
 //!
 //! Starts a real server on an ephemeral loopback port, exercises **both**
 //! wire protocols through real TCP connections — verifying `route` answers
-//! are bit-identical to a locally compiled [`Engine`] and that pipelined
+//! are bit-identical to a locally loaded [`Engine`] and that pipelined
 //! binary responses come back in request order — performs hot-reloads over
 //! each protocol (plus the failure path), optionally runs a short
 //! many-connection load sweep, and shuts the server down cleanly.
@@ -49,7 +49,7 @@ pub fn run_smoke(specs: &[(String, PathBuf)]) -> Result<String, String> {
 /// End-to-end smoke check (used by CI): starts a server over the given
 /// `name=path` models, exercises every command of both the ASCII and the
 /// binary protocol — verifying `route` answers are **bit-identical** to a
-/// locally compiled [`Engine`] and that pipelined responses preserve
+/// locally loaded [`Engine`] and that pipelined responses preserve
 /// request order — performs hot-reloads (including the failure path,
 /// which must keep the old engine serving), optionally hammers the server
 /// with a short binary load sweep over `sweep_connections` connections,
@@ -67,7 +67,7 @@ pub fn run_smoke_with(
 
     let registry = registry_from_specs(specs)?;
     let (name, path) = &specs[0];
-    // An independently compiled engine: the reference for bit-equivalence.
+    // An independently loaded engine: the reference for bit-equivalence.
     let reference =
         Engine::load(path).map_err(|e| format!("reference load of {}: {e}", path.display()))?;
 

@@ -212,7 +212,7 @@ fn poisoned_snapshots_are_rejected_and_counted() {
     let model = fitted();
 
     // Canaries recorded from the real model, then poisoned: the digests
-    // can no longer reproduce on the compiled engine.
+    // can no longer reproduce on the decoded model.
     let mut canaries = compute_canaries(&model, 4);
     assert!(!canaries.is_empty());
     for c in &mut canaries {
@@ -395,7 +395,7 @@ fn registry_from_specs_accepts_a_store_directory() {
 }
 
 /// The serving answers produced by a store-reloaded engine are
-/// bit-identical to a locally compiled engine from the same snapshot.
+/// bit-identical to a locally loaded engine from the same snapshot.
 #[test]
 fn store_reload_serves_bit_identically() {
     let dir = temp_dir("bit-identical");
@@ -409,7 +409,7 @@ fn store_reload_serves_bit_identically() {
         .request(&format!("reload {DATASET} {}", dir.display()))
         .unwrap();
 
-    // The reference: compile the same durable snapshot locally.
+    // The reference: load the same durable snapshot locally.
     let store = ModelStore::open(&dir).unwrap();
     let (_, snapshot) = store.load_latest().unwrap();
     let reference = snapshot.model.into_engine();

@@ -48,9 +48,10 @@ fn main() {
         "\n{:<10} {:>12} {:>12} {:>14}",
         "query", "L2R sim", "Shortest sim", "coverage"
     );
+    let mut scratch = QueryScratch::new();
     for (i, t) in test.iter().take(8).enumerate() {
         let (s, d) = (t.source(), t.destination());
-        let Some(route) = model.route(s, d) else {
+        let Some(route) = model.route(&mut scratch, s, d) else {
             continue;
         };
         let l2r_sim = path_similarity(&city.net, &t.path, &route.path);

@@ -43,12 +43,12 @@ fn main() {
         t0.elapsed().as_secs_f64() * 1000.0
     );
 
-    // 3. Load it back and compile — `Engine::load` is all a serving process
-    //    does to go from a `.l2r` file to an owned, shareable engine.
+    // 3. Load it back — `Engine::load` is all a serving process does to go
+    //    from a `.l2r` file to an owned, shareable engine.
     let t0 = Instant::now();
     let engine = Engine::load(&path).expect("snapshot load");
     println!(
-        "load + compile: {:.1} ms ({} connectors)",
+        "load: {:.1} ms ({} connectors)",
         t0.elapsed().as_secs_f64() * 1000.0,
         engine.num_connectors()
     );
@@ -66,7 +66,7 @@ fn main() {
                 continue;
             }
             let (s, d) = (VertexId(i), VertexId(j));
-            let original = ds.model.route(s, d);
+            let original = ds.model.route(&mut scratch, s, d);
             let from_snapshot = engine.route(&mut scratch, s, d);
             compared += 1;
             answered += original.is_some() as usize;

@@ -88,6 +88,8 @@ fn low_frequency_traces_still_support_fitting_l2r() {
     let model = L2r::fit(&city.net, &matched, L2rConfig::fast()).expect("fit on matched data");
     assert!(model.stats().num_regions > 0);
     let q = &matched[0];
-    let route = model.route(q.source(), q.destination()).expect("routable");
+    let route = model
+        .route(&mut QueryScratch::new(), q.source(), q.destination())
+        .expect("routable");
     route.path.validate(&city.net).expect("valid path");
 }

@@ -58,9 +58,10 @@ fn routing_answers_every_held_out_query_with_a_valid_path() {
     let (city, workload, model) = build_model(300, 2);
     let (_, test) = workload.temporal_split(0.8);
     let mut answered = 0;
+    let mut scratch = QueryScratch::new();
     for t in test.iter().take(50) {
         let (s, d) = (t.source(), t.destination());
-        let Some(route) = model.route(s, d) else {
+        let Some(route) = model.route(&mut scratch, s, d) else {
             continue;
         };
         route
@@ -85,10 +86,11 @@ fn l2r_beats_or_matches_shortest_on_aggregate_accuracy() {
     let mut shortest_sum = 0.0;
     let mut fastest_sum = 0.0;
     let mut n = 0;
+    let mut scratch = QueryScratch::new();
     for t in test.iter().take(80) {
         let (s, d) = (t.source(), t.destination());
         let (Some(l2r), Some(short), Some(fast)) = (
-            model.route(s, d),
+            model.route(&mut scratch, s, d),
             shortest_path(&city.net, s, d),
             fastest_path(&city.net, s, d),
         ) else {

@@ -1,10 +1,10 @@
 //! The snapshot acceptance sweep: fit → save → load →
-//! [`l2r_core::Engine`] → route must be **bit-identical**
-//! to routing on the never-serialized model, across the same swept grid of
-//! vertex pairs used by `engine_equivalence.rs`, on both quick-scale
-//! experiment datasets.
+//! [`l2r_core::Engine`] → route must be **bit-identical** to the reference
+//! router ([`l2r_core::oracle::route`]) on the never-serialized model's
+//! network and region graph, across the same swept grid of vertex pairs
+//! used by `engine_equivalence.rs`, on both quick-scale experiment datasets.
 
-use l2r_core::{decode_model, encode_model, QueryScratch};
+use l2r_core::{decode_model, encode_model, oracle, QueryScratch};
 use l2r_eval::{build_dataset, DatasetSpec, Scale};
 use l2r_road_network::VertexId;
 
@@ -34,11 +34,12 @@ fn assert_loaded_model_serves_identically(spec: DatasetSpec) {
     let mut scratch = QueryScratch::new();
 
     let net = &ds.synthetic.net;
+    let rg = ds.model.region_graph();
     let pairs = sweep_pairs(net.num_vertices() as u32, 7, 13);
     assert!(pairs.len() > 100, "sweep should cover many pairs on {name}");
     let mut answered = 0usize;
     for (s, d) in &pairs {
-        let original = ds.model.route(*s, *d);
+        let original = oracle::route(net, rg, *s, *d);
         let from_snapshot = engine.route(&mut scratch, *s, *d);
         assert_eq!(original, from_snapshot, "{name}: query {s:?} -> {d:?}");
         if original.is_some() {
