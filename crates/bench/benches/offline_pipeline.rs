@@ -1,5 +1,7 @@
 //! Offline processing bench (Section VII-C): the full `L2r::fit` pipeline and
-//! its individual stages, plus preference transfer (Step 2b) alone on D1.
+//! its individual stages, plus preference transfer (Step 2b) alone on D1 and
+//! the snapshot codec on the fitted D1 model (encode, decode and the CRC-32
+//! pass over the payload).
 //! Honours the `L2R_THREADS` override; run with `L2R_THREADS=1` to measure
 //! the serial (allocation-free) baseline.
 
@@ -8,18 +10,19 @@ use std::collections::HashMap;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use l2r_bench::bench_scale;
-use l2r_core::L2r;
+use l2r_core::{decode_snapshot, encode_snapshot, L2r, SNAPSHOT_CRC_FIELD, SNAPSHOT_HEADER_LEN};
 use l2r_datagen::{generate_network, generate_workload};
 use l2r_eval::{offline_times, DatasetSpec};
 use l2r_preference::{transfer_preferences, Preference};
 use l2r_region_graph::RegionEdgeId;
-use l2r_road_network::searches_performed;
+use l2r_road_network::{crc32, searches_performed};
 
 fn bench_offline(c: &mut Criterion) {
     let scale = bench_scale();
     println!("[offline] worker threads: {}", l2r_par::max_threads());
     let mut group = c.benchmark_group("offline_pipeline");
     group.sample_size(10);
+    let mut d1_model = None;
     for spec in [DatasetSpec::d1(scale), DatasetSpec::d2(scale)] {
         let syn = generate_network(&spec.network);
         let workload = generate_workload(&syn, &spec.workload);
@@ -73,8 +76,45 @@ fn bench_offline(c: &mut Criterion) {
                     });
                 },
             );
+            d1_model = Some(model);
         }
     }
+    group.finish();
+
+    let model = d1_model.expect("the D1 spec is benched");
+    let bytes = encode_snapshot(&model, "D1");
+    let decoded = decode_snapshot(&bytes).expect("decode");
+    assert_eq!(
+        encode_snapshot(&decoded.model, &decoded.dataset),
+        bytes,
+        "re-encoding the decoded model must reproduce the bytes"
+    );
+    let stored_crc =
+        u32::from_le_bytes(bytes[SNAPSHOT_CRC_FIELD].try_into().expect("4-byte slice"));
+    println!("[snapshot/D1] {:<20} {} bytes", "size", bytes.len());
+    let mut group = c.benchmark_group("snapshot");
+    group.sample_size(10);
+    group.bench_with_input(BenchmarkId::new("encode_snapshot", "D1"), &model, |b, m| {
+        b.iter(|| encode_snapshot(m, "D1"));
+    });
+    group.bench_with_input(
+        BenchmarkId::new("decode_snapshot", "D1"),
+        &bytes,
+        |b, bytes| {
+            b.iter(|| decode_snapshot(bytes).expect("decode"));
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("crc32", "D1"),
+        &bytes[SNAPSHOT_HEADER_LEN..],
+        |b, payload| {
+            b.iter(|| {
+                let crc = crc32(payload);
+                assert_eq!(crc, stored_crc);
+                crc
+            });
+        },
+    );
     group.finish();
 }
 

@@ -78,7 +78,7 @@ pub use snapshot::{
     compute_canaries, decode_model, decode_snapshot, encode_model, encode_model_structural,
     encode_snapshot, encode_snapshot_with, load_model, load_snapshot, route_digest, save_model,
     save_snapshot, verify_frame, Canary, Snapshot, SnapshotError, DEFAULT_CANARY_COUNT,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    SNAPSHOT_CRC_FIELD, SNAPSHOT_HEADER_LEN, SNAPSHOT_LEN_FIELD, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use store::{
     decode_manifest, encode_manifest, FaultFs, FsFaultConfig, FsFaultKind, Manifest, ManifestEntry,

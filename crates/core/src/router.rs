@@ -249,15 +249,17 @@ impl L2r {
         destination: VertexId,
     ) -> Option<RouteResult> {
         let (net, rg) = (self.network(), self.region_graph());
-        // Candidate region near the source: the first settled vertex (by a
-        // fastest-path search towards the destination) that lies in a region.
-        let source_anchor = match rg.region_of(source) {
-            Some(_) => Some(source),
-            None => find_anchor_in(&mut scratch.space, net, rg, source, destination),
-        };
+        // Candidate regions near the endpoints: the first settled vertex (by
+        // a fastest-path search towards the other endpoint) that lies in a
+        // region.  The destination's search runs first, so the scratch space
+        // still holds the source's search when its stub is read below.
         let dest_anchor = match rg.region_of(destination) {
             Some(_) => Some(destination),
             None => find_anchor_in(&mut scratch.space, net, rg, destination, source),
+        };
+        let source_anchor = match rg.region_of(source) {
+            Some(_) => Some(source),
+            None => find_anchor_in(&mut scratch.space, net, rg, source, destination),
         };
         let (Some(sa), Some(da)) = (source_anchor, dest_anchor) else {
             // One or no candidate regions: plain fastest path (Section VI).
@@ -278,11 +280,12 @@ impl L2r {
         let rd = rg.region_of(da)?;
         // Fastest stub from the query source to its anchor, then the Case-1
         // route between the anchors, then the stub to the destination — all
-        // appended in place.
+        // appended in place.  The source stub is read from the anchor
+        // search's parents: that search stopped when it settled `sa`, and
+        // settled parents are exactly the path a fresh `source → sa` search
+        // (or a stored connector, which holds that path) would give.
         scratch.builder.reset(source);
-        if sa != source
-            && !self.append_connector(&mut scratch.space, &mut scratch.builder, source, sa)
-        {
+        if sa != source && !scratch.builder.append_from_search(&scratch.space, sa) {
             return None;
         }
         self.case1_append(scratch, sa, da, rs, rd)?;
@@ -587,6 +590,50 @@ mod tests {
             assert_eq!(r.path.source(), a);
             assert_eq!(r.path.destination(), b);
         }
+    }
+
+    /// A Stitched query from outside every region to a region vertex reads
+    /// its source stub from the anchor search instead of searching again:
+    /// it runs one search more than the Case-1 route from its anchor (the
+    /// anchor search), where a second `source → anchor` search would make
+    /// two, and answers like the oracle.
+    #[test]
+    fn stitched_source_stub_reuses_the_anchor_search() {
+        let (net, rg, model) = build();
+        let mut scratch = QueryScratch::new();
+        let mut space = SearchSpace::new();
+        let n = net.num_vertices() as u32;
+        let mut checked = 0usize;
+        for s in (0..n).map(VertexId).filter(|&v| rg.region_of(v).is_none()) {
+            for d in (0..n).step_by(5).map(VertexId) {
+                if rg.region_of(d).is_none() {
+                    continue;
+                }
+                let Some(sa) = find_anchor_in(&mut space, &net, &rg, s, d) else {
+                    continue;
+                };
+                let before = scratch.search_generation();
+                let answer = model.route(&mut scratch, s, d);
+                let searches = scratch.search_generation() - before;
+                assert_eq!(
+                    answer,
+                    crate::oracle::route(&net, &rg, s, d),
+                    "{s:?} -> {d:?}"
+                );
+                if answer.as_ref().map(|r| r.strategy) != Some(RouteStrategy::Stitched) {
+                    continue;
+                }
+                let before = scratch.search_generation();
+                model.route(&mut scratch, sa, d);
+                let from_anchor = scratch.search_generation() - before;
+                assert_eq!(searches, 1 + from_anchor, "{s:?} -> {d:?} via {sa:?}");
+                checked += 1;
+            }
+        }
+        assert!(
+            checked > 0,
+            "the fixture must have out-of-region Stitched queries"
+        );
     }
 
     #[test]

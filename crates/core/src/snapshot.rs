@@ -53,8 +53,15 @@
 //! unconverged column count and largest relative residual.  A loader
 //! accepts exactly the current version.
 //!
-//! Loading performs a single file read, decodes into preallocated vectors
-//! (the fixed-stride network tables decode in parallel chunks across
+//! [`load_model`] performs a single file read.  Served models arrive
+//! through a [`crate::ModelStore`] instead, which reads the file twice: once
+//! when the store opens and checks the active generation's length and
+//! whole-file CRC against its `MANIFEST`, and again for the load, which
+//! repeats that check on the bytes it hands to [`decode_snapshot`]; the
+//! decode then checks the payload CRC in the header (see the store's module
+//! docs for why each pass is kept).  Every pass runs the workspace's one
+//! CRC-32, [`l2r_road_network::codec::crc32`].  Decoding fills preallocated
+//! vectors (the fixed-stride network tables decode in parallel chunks across
 //! `L2R_THREADS` workers), and validates every embedded id against the
 //! counts stored in the same payload, every stored path's drivability, and
 //! the connector table's key set against the decoded region graph (checked
@@ -66,11 +73,12 @@
 //! that for cheap whole-model equality.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use l2r_preference::{LearnedPreference, Preference};
 use l2r_region_graph::{decode_region_graph, RegionEdgeId, RegionGraph};
-use l2r_road_network::{CodecError, Decode, Encode, Reader, RoadNetwork, VertexId, Writer};
+use l2r_road_network::{crc32, CodecError, Decode, Encode, Reader, RoadNetwork, VertexId, Writer};
 
 use crate::config::L2rConfig;
 use crate::connectors::ConnectorTable;
@@ -87,8 +95,15 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"L2RSNAP\0";
 /// the connector-time and transfer-convergence stats.
 pub const SNAPSHOT_VERSION: u8 = 4;
 
-/// Size of the fixed header preceding the payload.
-const HEADER_LEN: usize = 8 + 1 + 8 + 4;
+/// Size of the fixed header preceding the payload: the magic, the version
+/// byte, the payload length and the payload's CRC-32.
+pub const SNAPSHOT_HEADER_LEN: usize = 8 + 1 + 8 + 4;
+
+/// Header bytes holding the payload length (`u64`, little-endian).
+pub const SNAPSHOT_LEN_FIELD: Range<usize> = 9..17;
+
+/// Header bytes holding the payload's CRC-32 (`u32`, little-endian).
+pub const SNAPSHOT_CRC_FIELD: Range<usize> = 17..SNAPSHOT_HEADER_LEN;
 
 /// Longest dataset name a snapshot may carry.
 pub const MAX_DATASET_NAME: usize = 256;
@@ -167,7 +182,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::TruncatedHeader { len } => {
                 write!(
                     f,
-                    "snapshot truncated inside the {HEADER_LEN}-byte header ({len} bytes total)"
+                    "snapshot truncated inside the {SNAPSHOT_HEADER_LEN}-byte header ({len} bytes total)"
                 )
             }
             SnapshotError::Truncated { expected, actual } => {
@@ -202,33 +217,6 @@ impl From<CodecError> for SnapshotError {
     fn from(e: CodecError) -> Self {
         SnapshotError::Codec(e)
     }
-}
-
-/// CRC-32 (IEEE 802.3, reflected) of `data`; table built once per process.
-/// Shared with the model store's `MANIFEST` codec.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
 }
 
 // ---------------------------------------------------------------------------
@@ -421,10 +409,10 @@ fn encode_framed(model: &L2r, stats: &OfflineStats, dataset: &str, canaries: &[C
         w.u64(c.digest);
     }
     let mut out = w.into_vec();
-    let payload_len = (out.len() - HEADER_LEN) as u64;
-    out[9..17].copy_from_slice(&payload_len.to_le_bytes());
-    let crc = crc32(&out[HEADER_LEN..]);
-    out[17..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    let payload_len = (out.len() - SNAPSHOT_HEADER_LEN) as u64;
+    out[SNAPSHOT_LEN_FIELD].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&out[SNAPSHOT_HEADER_LEN..]);
+    out[SNAPSHOT_CRC_FIELD].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -573,12 +561,13 @@ pub fn encode_model_structural(model: &L2r) -> Vec<u8> {
 /// Validates the snapshot framing — magic, version, header, length and
 /// payload checksum — without decoding the payload.  This is what the
 /// model store runs over artifacts before trusting them (a bit flip
-/// anywhere in the file fails here), at a fraction of a full decode.
+/// anywhere in the file fails here).  Its cost is one CRC-32 pass over the
+/// payload, well below a full decode of the same payload.
 pub fn verify_frame(bytes: &[u8]) -> Result<(), SnapshotError> {
     if bytes.len() < SNAPSHOT_MAGIC.len() || bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    if bytes.len() < HEADER_LEN {
+    if bytes.len() < SNAPSHOT_HEADER_LEN {
         return Err(SnapshotError::TruncatedHeader {
             len: bytes.len() as u64,
         });
@@ -587,9 +576,11 @@ pub fn verify_frame(bytes: &[u8]) -> Result<(), SnapshotError> {
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let payload_len = u64::from_le_bytes(bytes[9..17].try_into().expect("8-byte slice"));
-    let stored_crc = u32::from_le_bytes(bytes[17..21].try_into().expect("4-byte slice"));
-    let payload = &bytes[HEADER_LEN..];
+    let payload_len =
+        u64::from_le_bytes(bytes[SNAPSHOT_LEN_FIELD].try_into().expect("8-byte slice"));
+    let stored_crc =
+        u32::from_le_bytes(bytes[SNAPSHOT_CRC_FIELD].try_into().expect("4-byte slice"));
+    let payload = &bytes[SNAPSHOT_HEADER_LEN..];
     if (payload.len() as u64) < payload_len {
         return Err(SnapshotError::Truncated {
             expected: payload_len,
@@ -615,7 +606,7 @@ pub fn verify_frame(bytes: &[u8]) -> Result<(), SnapshotError> {
 /// validating the magic, version, length, checksum and every embedded id.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     verify_frame(bytes)?;
-    decode_payload(&bytes[HEADER_LEN..])
+    decode_payload(&bytes[SNAPSHOT_HEADER_LEN..])
 }
 
 /// Decodes a framed snapshot byte stream back into a fitted model,

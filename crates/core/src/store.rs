@@ -33,6 +33,30 @@
 //! durably rewrites the manifest, and a manifest whose active generation
 //! file fails its length/CRC check (bit rot) falls back the same way.
 //!
+//! ## Integrity passes
+//!
+//! Publishing a generation and serving it runs five full CRC-32 passes
+//! (all the workspace's one implementation,
+//! [`l2r_road_network::codec::crc32`]), each guarding a different moment:
+//!
+//! 1. [`encode_snapshot`] checksums the payload it just encoded into the
+//!    snapshot header, so any later change to those bytes is detectable
+//!    wherever the file travels;
+//! 2. [`ModelStore::publish`] checksums the whole file for its `MANIFEST`
+//!    entry — the commit records exactly the bytes it made durable;
+//! 3. [`ModelStore::open`] re-checks the active generation against that
+//!    entry before trusting the manifest, so bit rot after the commit falls
+//!    back to recovery instead of being served;
+//! 4. [`ModelStore::load_bytes`] re-checks the bytes it actually read for
+//!    the load, which may differ from the ones `open` saw;
+//! 5. [`decode_snapshot`] verifies the payload CRC in the header
+//!    ([`verify_frame`]), the check every snapshot reader makes whatever
+//!    the bytes' source.
+//!
+//! Dropping any one of them would narrow what a crash or bit flip can be
+//! caught at; each costs one linear pass over the file, well below a
+//! decode.
+//!
 //! ## Fault injection
 //!
 //! All filesystem access goes through the [`StoreFs`] trait.  Production
@@ -49,12 +73,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use l2r_road_network::{CodecError, Reader, Writer};
+use l2r_road_network::{crc32, CodecError, Reader, Writer};
 
 use crate::pipeline::L2r;
 use crate::snapshot::{
-    crc32, decode_snapshot, encode_snapshot, verify_frame, Snapshot, SnapshotError,
-    MAX_DATASET_NAME,
+    decode_snapshot, encode_snapshot, verify_frame, Snapshot, SnapshotError, MAX_DATASET_NAME,
 };
 
 /// Magic bytes identifying a store `MANIFEST` file.

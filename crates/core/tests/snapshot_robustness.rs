@@ -11,15 +11,13 @@ use std::ops::Range;
 
 use l2r_core::{
     decode_model, decode_snapshot, encode_model, load_model, save_model, ConnectorTable, L2r,
-    L2rConfig, QueryScratch, SnapshotError,
+    L2rConfig, QueryScratch, SnapshotError, SNAPSHOT_CRC_FIELD, SNAPSHOT_HEADER_LEN,
+    SNAPSHOT_LEN_FIELD,
 };
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
-use l2r_road_network::{CodecError, Encode, Path, VertexId, Writer};
+use l2r_road_network::{crc32, CodecError, Encode, Path, VertexId, Writer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Size of the snapshot header (magic, version, length, checksum).
-const HEADER_LEN: usize = 21;
 
 fn fitted() -> L2r {
     let syn = generate_network(&SyntheticNetworkConfig::tiny());
@@ -108,7 +106,7 @@ fn previous_format_versions_are_rejected() {
 #[test]
 fn flipped_checksum_byte_is_detected() {
     let mut bytes = encode_model(&fitted());
-    bytes[17] ^= 0x01; // first checksum byte
+    bytes[SNAPSHOT_CRC_FIELD.start] ^= 0x01; // first checksum byte
     assert!(matches!(
         decode_model(&bytes),
         Err(SnapshotError::ChecksumMismatch { .. })
@@ -119,7 +117,7 @@ fn flipped_checksum_byte_is_detected() {
 fn payload_corruption_is_caught_by_the_checksum() {
     let original = encode_model(&fitted());
     // Flip one byte at several payload offsets; the checksum must catch all.
-    let payload_start = 21;
+    let payload_start = SNAPSHOT_HEADER_LEN;
     let step = ((original.len() - payload_start) / 16).max(1);
     for offset in (payload_start..original.len()).step_by(step) {
         let mut bytes = original.clone();
@@ -164,32 +162,6 @@ fn errors_display_useful_messages() {
     assert!(codec.to_string().contains("test marker"));
 }
 
-/// CRC-32 (IEEE 802.3, reflected), for re-checksumming crafted payloads.
-/// Table-driven: the mutation loops checksum thousands of whole payloads.
-fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(byte)) & 0xFF) as usize];
-    }
-    !crc
-}
-
 /// One connector entry as written: `(from, to)` and the path's vertices
 /// (empty = unreachable).
 type Entry = ((u32, u32), Vec<u32>);
@@ -206,7 +178,7 @@ fn snapshot_with_section() -> (L2r, Vec<u8>, Range<usize>) {
     model.region_graph().encode(&mut prefix);
     let mut section = Writer::new();
     model.connectors().encode(&mut section);
-    let start = HEADER_LEN + prefix.len();
+    let start = SNAPSHOT_HEADER_LEN + prefix.len();
     let range = start..start + section.len();
     assert_eq!(&bytes[range.clone()], section.as_slice());
     (model, bytes, range)
@@ -243,10 +215,10 @@ fn splice(bytes: &[u8], range: &Range<usize>, section: &[u8]) -> Vec<u8> {
     let mut out = bytes[..range.start].to_vec();
     out.extend_from_slice(section);
     out.extend_from_slice(&bytes[range.end..]);
-    let payload_len = (out.len() - HEADER_LEN) as u64;
-    out[9..17].copy_from_slice(&payload_len.to_le_bytes());
-    let crc = crc32(&out[HEADER_LEN..]);
-    out[17..21].copy_from_slice(&crc.to_le_bytes());
+    let payload_len = (out.len() - SNAPSHOT_HEADER_LEN) as u64;
+    out[SNAPSHOT_LEN_FIELD].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&out[SNAPSHOT_HEADER_LEN..]);
+    out[SNAPSHOT_CRC_FIELD].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -396,7 +368,7 @@ fn mutated_payloads_after_the_network_never_panic() {
     let mut prefix = Writer::new();
     prefix.str("");
     model.network().encode(&mut prefix);
-    let tail = HEADER_LEN + prefix.len()..bytes.len();
+    let tail = SNAPSHOT_HEADER_LEN + prefix.len()..bytes.len();
     let n = model.network().num_vertices() as u32;
     let pairs: Vec<(VertexId, VertexId)> = (0..40u32)
         .map(|i| (VertexId(i * 7 % n), VertexId((i * 13 + 5) % n)))
@@ -414,8 +386,8 @@ fn mutated_payloads_after_the_network_never_panic() {
                 mutated[at] = rng.gen();
             }
         }
-        let crc = crc32(&mutated[HEADER_LEN..]);
-        mutated[17..21].copy_from_slice(&crc.to_le_bytes());
+        let crc = crc32(&mutated[SNAPSHOT_HEADER_LEN..]);
+        mutated[SNAPSHOT_CRC_FIELD].copy_from_slice(&crc.to_le_bytes());
         match decode_model(&mutated) {
             Err(_) => rejected += 1,
             Ok(loaded) => {

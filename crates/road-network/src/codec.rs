@@ -18,8 +18,15 @@
 //! * **decode never panics** — every id read from the wire is validated
 //!   against the counts embedded in the same payload (see
 //!   [`Reader::index`]); malformed input surfaces as a [`CodecError`].
+//!
+//! The module also owns the workspace's one CRC-32 ([`Crc32`], [`crc32`]):
+//! snapshot payloads, the model store's `MANIFEST` entries and the serve
+//! crate's wire frames all checksum through it.  It is the IEEE 802.3
+//! reflected CRC (check value `crc32(b"123456789") == 0xCBF4_3926`),
+//! computed slicing-by-16 in safe, portable Rust.
 
 use std::mem::take;
+use std::sync::OnceLock;
 
 use crate::graph::{EdgeColumns, RoadNetwork, Vertex, VertexId};
 use crate::path::Path;
@@ -87,6 +94,99 @@ impl std::fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// The slicing-by-16 tables of the reflected CRC-32 (IEEE 802.3), built once
+/// per process: `tables[0]` is the classic byte table, and `tables[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so one step folds 16
+/// input bytes with 16 independent lookups.
+fn crc32_tables() -> &'static [[u32; 256]; 16] {
+    static TABLES: OnceLock<[[u32; 256]; 16]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = [[0u32; 256]; 16];
+        for (b, slot) in tables[0].iter_mut().enumerate() {
+            let mut crc = b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+            *slot = crc;
+        }
+        for k in 1..16 {
+            for b in 0..256 {
+                let prev = tables[k - 1][b];
+                tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            }
+        }
+        tables
+    })
+}
+
+/// Streaming CRC-32 (IEEE 802.3, reflected) — the one checksum behind
+/// snapshot payloads, the model store's `MANIFEST` entries and the serve
+/// crate's wire frames.  Splitting the input across [`Crc32::update`] calls
+/// never changes the result.
+#[derive(Debug, Clone)]
+pub struct Crc32(u32);
+
+impl Crc32 {
+    /// Starts a fresh checksum.
+    pub fn new() -> Crc32 {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    /// Feeds bytes into the checksum: 16 at a time through the slice
+    /// tables, the tail one byte at a time through table 0.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = crc32_tables();
+        let mut crc = self.0;
+        let mut blocks = data.chunks_exact(16);
+        for b in &mut blocks {
+            let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            crc = t[15][(lo & 0xFF) as usize]
+                ^ t[14][((lo >> 8) & 0xFF) as usize]
+                ^ t[13][((lo >> 16) & 0xFF) as usize]
+                ^ t[12][(lo >> 24) as usize]
+                ^ t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
+        }
+        for &b in blocks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.0 = crc;
+    }
+
+    /// Finalises the checksum.
+    pub fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32::new()
+    }
+}
+
+/// One-shot CRC-32 (IEEE 802.3) of `data`; equal to streaming it through
+/// [`Crc32`].
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
 
 /// Appends little-endian fields to a growable byte buffer.
 #[derive(Debug, Default)]
@@ -998,5 +1098,89 @@ mod tests {
         let decoded = RoadNetwork::decode(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(decoded.num_vertices(), 0);
         assert_eq!(decoded.num_edges(), 0);
+    }
+
+    /// Bit-at-a-time CRC-32 (IEEE 802.3, reflected): the independent
+    /// reference the sliced tables are checked against.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// Seeded bytes (splitmix64), so every run checks the same buffer.
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..len).map(|_| next() as u8).collect()
+    }
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(Crc32::new().finish(), 0);
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference_at_every_length_and_offset() {
+        let buf = seeded_bytes(20, 16 + 64);
+        for start in 0..16 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "start {start}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference_on_one_mebibyte() {
+        let buf = seeded_bytes(0x0C0D_EC32, 1 << 20);
+        assert_eq!(crc32(&buf), crc32_bitwise(&buf));
+    }
+
+    #[test]
+    fn crc32_streaming_splits_equal_one_shot() {
+        let buf = seeded_bytes(7, 4096 + 13);
+        let whole = crc32(&buf);
+        let cuts = seeded_bytes(8, 64);
+        for round in 0..16 {
+            // Between one and four seeded cut points per round, so pieces
+            // of every size class (empty, short, multi-block) are streamed.
+            let mut points: Vec<usize> = cuts[round * 4..round * 4 + 1 + round % 4]
+                .iter()
+                .map(|&c| c as usize * buf.len() / 256)
+                .collect();
+            points.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut at = 0;
+            for &p in &points {
+                crc.update(&buf[at..p]);
+                at = p;
+            }
+            crc.update(&buf[at..]);
+            assert_eq!(crc.finish(), whole, "cut points {points:?}");
+        }
+        // Byte-at-a-time streaming is the extreme split.
+        let mut crc = Crc32::new();
+        for b in buf.chunks(1) {
+            crc.update(b);
+        }
+        assert_eq!(crc.finish(), whole);
     }
 }

@@ -40,7 +40,7 @@ pub mod spatial;
 pub mod weights;
 
 pub use codec::{
-    decode_path, decode_vertex, CodecError, Decode, Encode, Reader, Writer, EDGE_WIRE_BYTES,
+    crc32, decode_path, decode_vertex, CodecError, Decode, Encode, Reader, Writer, EDGE_WIRE_BYTES,
     VERTEX_WIRE_BYTES,
 };
 pub use constrained::preference_constrained_path;

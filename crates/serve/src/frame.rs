@@ -26,7 +26,7 @@
 // `no-panic-hot-path` rule of l2r-analyze).  The clippy pair of that gate:
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-use l2r_road_network::codec::{CodecError, Reader, Writer};
+use l2r_road_network::codec::{CodecError, Crc32, Reader, Writer};
 
 /// Frame magic; the first byte (0xB1) is what protocol auto-detection keys
 /// on, so it must never be valid ASCII.
@@ -133,59 +133,10 @@ impl Status {
 // CRC-32
 // ---------------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built once per process.
-fn crc_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
-        }
-        table
-    })
-}
-
-/// Streaming CRC-32 (IEEE) over the frame's kind + length + payload.
-#[derive(Debug, Clone)]
-pub struct Crc32(u32);
-
-impl Crc32 {
-    /// Starts a fresh checksum.
-    pub fn new() -> Crc32 {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    /// Feeds bytes into the checksum.
-    pub fn update(&mut self, data: &[u8]) {
-        let table = crc_table();
-        for &b in data {
-            self.0 = (self.0 >> 8) ^ table[((self.0 ^ b as u32) & 0xFF) as usize];
-        }
-    }
-
-    /// Finalises the checksum.
-    pub fn finish(self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Crc32 {
-        Crc32::new()
-    }
-}
-
 /// Checksum of one frame's protected region (kind byte, length field,
-/// payload).
+/// payload), streamed through the workspace's one CRC-32,
+/// [`l2r_road_network::codec::Crc32`] — the same checksum snapshots and the
+/// model store use.
 fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
     let mut crc = Crc32::new();
     crc.update(&[kind]);
