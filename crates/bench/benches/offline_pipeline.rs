@@ -1,7 +1,8 @@
 //! Offline processing bench (Section VII-C): the full `L2r::fit` pipeline and
 //! its individual stages, plus preference transfer (Step 2b) alone on D1 and
 //! the snapshot codec on the fitted D1 model (encode, decode and the CRC-32
-//! pass over the payload).
+//! pass over the payload), plus the CRC-32 alone on a seeded 16 MiB buffer,
+//! the size of the `xl` snapshot.
 //! Honours the `L2R_THREADS` override; run with `L2R_THREADS=1` to measure
 //! the serial (allocation-free) baseline.
 
@@ -15,7 +16,10 @@ use l2r_datagen::{generate_network, generate_workload};
 use l2r_eval::{offline_times, DatasetSpec};
 use l2r_preference::{transfer_preferences, Preference};
 use l2r_region_graph::RegionEdgeId;
+use l2r_road_network::codec::Crc32;
 use l2r_road_network::{crc32, searches_performed};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 fn bench_offline(c: &mut Criterion) {
     let scale = bench_scale();
@@ -115,6 +119,23 @@ fn bench_offline(c: &mut Criterion) {
             });
         },
     );
+    // The CRC alone on a seeded buffer the size of the `xl` snapshot: the
+    // per-pass cost behind each of publish → first answer's five integrity
+    // passes, whichever kernel this CPU dispatches to.
+    let mut buf = vec![0u8; 16 << 20];
+    StdRng::seed_from_u64(16).fill_bytes(&mut buf);
+    let mut streamed = Crc32::new();
+    for piece in buf.chunks(buf.len() / 4) {
+        streamed.update(piece);
+    }
+    assert_eq!(
+        crc32(&buf),
+        streamed.finish(),
+        "one-shot and four-piece streaming must agree"
+    );
+    group.bench_with_input(BenchmarkId::new("crc32", "16MiB"), &buf, |b, buf| {
+        b.iter(|| crc32(buf));
+    });
     group.finish();
 }
 

@@ -132,6 +132,37 @@ fn payload_corruption_is_caught_by_the_checksum() {
     }
 }
 
+/// Single-bit flips at the places the CRC's carry-less-multiply kernel
+/// treats differently: the first 64 payload bytes (its four initial
+/// lanes), the last 15 (which hold the sub-16-byte tail the tables
+/// finish, whatever the payload's length mod 16) and one byte per residue
+/// mod 64 inside one body block.  The checksum must catch every one.
+#[test]
+fn single_bit_flips_at_every_kernel_position_are_caught_by_the_checksum() {
+    let original = encode_model(&fitted());
+    let payload_len = original.len() - SNAPSHOT_HEADER_LEN;
+    assert!(
+        payload_len >= 256,
+        "payload of {payload_len} bytes is too short to fold"
+    );
+    let body = 64 * (payload_len / 128);
+    let offsets = (0..64)
+        .chain(payload_len - 15..payload_len)
+        .chain((0..64).map(|r| body + r));
+    for (i, offset) in offsets.enumerate() {
+        let mut bytes = original.clone();
+        bytes[SNAPSHOT_HEADER_LEN + offset] ^= 1 << (i % 8);
+        assert!(
+            matches!(
+                decode_model(&bytes),
+                Err(SnapshotError::ChecksumMismatch { .. })
+            ),
+            "bit {} of payload byte {offset} flipped must be detected",
+            i % 8
+        );
+    }
+}
+
 #[test]
 fn trailing_bytes_are_rejected() {
     let mut bytes = encode_model(&fitted());

@@ -22,8 +22,14 @@
 //! The module also owns the workspace's one CRC-32 ([`Crc32`], [`crc32`]):
 //! snapshot payloads, the model store's `MANIFEST` entries and the serve
 //! crate's wire frames all checksum through it.  It is the IEEE 802.3
-//! reflected CRC (check value `crc32(b"123456789") == 0xCBF4_3926`),
-//! computed slicing-by-16 in safe, portable Rust.
+//! reflected CRC (check value `crc32(b"123456789") == 0xCBF4_3926`) with
+//! two kernels behind one API: on x86-64 CPUs that report `pclmulqdq` and
+//! `sse4.1` at run time, inputs of 128 bytes or more fold through a
+//! carry-less-multiply kernel (Gopal et al.'s fold-by-4 with a Barrett
+//! reduction); everything else — shorter inputs, the kernel's sub-16-byte
+//! tail, other CPUs and targets — goes through slicing-by-16 tables in
+//! portable Rust.  Both compute the same function, so the choice never
+//! shows in a checksum.
 
 use std::mem::take;
 use std::sync::OnceLock;
@@ -124,10 +130,166 @@ fn crc32_tables() -> &'static [[u32; 256]; 16] {
     })
 }
 
+/// Shortest input [`Crc32::update`] sends through the carry-less-multiply
+/// kernel: two fold-by-4 strides, so the kernel's fixed set-up and final
+/// reduction are paid over at least 128 bytes.
+#[cfg(target_arch = "x86_64")]
+const CLMUL_MIN_LEN: usize = 128;
+
+/// Slicing-by-16 update of a raw CRC register (pre- and post-inversion
+/// are [`Crc32`]'s job): 16 bytes at a time through the tables, the tail
+/// one byte at a time through table 0.  The only path on CPUs without the
+/// carry-less-multiply kernel, for inputs under 128 bytes, and for the
+/// sub-16-byte tail the kernel leaves.
+fn update_sliced(mut crc: u32, data: &[u8]) -> u32 {
+    let t = crc32_tables();
+    let (blocks, tail) = data.as_chunks::<16>();
+    for b in blocks {
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// The carry-less-multiply CRC-32 kernel for x86-64 CPUs with `pclmulqdq`
+/// and `sse4.1`, after Gopal et al., "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), in its
+/// bit-reflected form: four 128-bit lanes fold 64 bytes per step, the
+/// lanes fold into one, the remaining 16-byte blocks fold into that, and
+/// the 128-bit remainder is reduced to 64 bits and then, by a Barrett
+/// reduction, to the 32-bit register.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Fold constants, reflected, for the IEEE polynomial: k1/k2 carry a
+    /// lane 64 bytes ahead, k3/k4 carry a value 16 bytes ahead, and k5
+    /// folds 64 bits into 32.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    /// P′: the reflected polynomial including its x³² term.
+    const P: i64 = 0x1_DB71_0641;
+    /// μ = ⌊x⁶⁴ / P(x)⌋, reflected: the Barrett reduction's quotient.
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Whether this CPU runs [`fold`] (checked at run time; the standard
+    /// library caches the answer).
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Folds every whole 16-byte block of `data` into the raw register
+    /// `crc` and returns the new register with the unprocessed tail (under
+    /// 16 bytes).  `data` must hold at least four blocks.
+    ///
+    /// # Safety
+    ///
+    /// Callers must have seen [`detected`] return `true`: the fn is
+    /// compiled for `pclmulqdq` and `sse4.1`, and running it on a CPU
+    /// without them is undefined behaviour.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn fold(crc: u32, data: &[u8]) -> (u32, &[u8]) {
+        let (blocks, tail) = data.as_chunks::<16>();
+        let (first, rest) = blocks.split_at(4);
+        let mut lanes = [
+            load(&first[0]),
+            load(&first[1]),
+            load(&first[2]),
+            load(&first[3]),
+        ];
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+
+        let (strides, singles) = rest.as_chunks::<4>();
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for stride in strides {
+            for (lane, block) in lanes.iter_mut().zip(stride) {
+                *lane = fold_into(*lane, load(block), k1k2);
+            }
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_into(lanes[0], lanes[1], k3k4);
+        x = fold_into(x, lanes[2], k3k4);
+        x = fold_into(x, lanes[3], k3k4);
+        for block in singles {
+            x = fold_into(x, load(block), k3k4);
+        }
+
+        // 128 → 64 bits: the low half times k4 plus the high half, then
+        // the low 32 bits times k5 plus the rest.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+
+        // Barrett reduction, 64 → 32 bits: T1 = (R mod x³²)·μ,
+        // T2 = (T1 mod x³²)·P′, and the register is the upper half of the
+        // low 64 bits of R ⊕ T2.
+        let mu_p = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), mu_p, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), mu_p, 0x00);
+        let crc = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        (crc, tail)
+    }
+
+    /// Carries `acc` forward by the distance `keys` encodes (64 bytes for
+    /// k1/k2, 16 for k3/k4): its low half times the low key, its high half
+    /// times the high key, both added to the `next` block.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_into(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        // SAFETY: `block` is a `&[u8; 16]`, so its length is checked by
+        // the type (`as_chunks::<16>` built it): the 16 bytes the load
+        // reads are in bounds and initialised.  `_mm_loadu_si128` has no
+        // alignment requirement, and `sse2` is part of the x86-64 baseline;
+        // this fn is reached only from `fold`, which runs after `detected`
+        // reported `pclmulqdq` and `sse4.1`.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+}
+
 /// Streaming CRC-32 (IEEE 802.3, reflected) — the one checksum behind
 /// snapshot payloads, the model store's `MANIFEST` entries and the serve
-/// crate's wire frames.  Splitting the input across [`Crc32::update`] calls
-/// never changes the result.
+/// crate's wire frames.  Two kernels compute the same function: on x86-64
+/// CPUs with `pclmulqdq` and `sse4.1` (detected at run time), every
+/// [`Crc32::update`] of 128 bytes or more folds its whole 16-byte blocks
+/// with carry-less multiplies; every other input, and the sub-16-byte tail
+/// of those, goes through the slicing-by-16 tables.  Splitting the input
+/// across [`Crc32::update`] calls never changes the result.
 #[derive(Debug, Clone)]
 pub struct Crc32(u32);
 
@@ -137,35 +299,22 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
-    /// Feeds bytes into the checksum: 16 at a time through the slice
-    /// tables, the tail one byte at a time through table 0.
+    /// Feeds bytes into the checksum: through the carry-less-multiply
+    /// kernel when the input is long enough and the CPU has it (see
+    /// [`Crc32`]), through the slicing-by-16 tables otherwise.
     pub fn update(&mut self, data: &[u8]) {
-        let t = crc32_tables();
-        let mut crc = self.0;
-        let mut blocks = data.chunks_exact(16);
-        for b in &mut blocks {
-            let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-            crc = t[15][(lo & 0xFF) as usize]
-                ^ t[14][((lo >> 8) & 0xFF) as usize]
-                ^ t[13][((lo >> 16) & 0xFF) as usize]
-                ^ t[12][(lo >> 24) as usize]
-                ^ t[11][b[4] as usize]
-                ^ t[10][b[5] as usize]
-                ^ t[9][b[6] as usize]
-                ^ t[8][b[7] as usize]
-                ^ t[7][b[8] as usize]
-                ^ t[6][b[9] as usize]
-                ^ t[5][b[10] as usize]
-                ^ t[4][b[11] as usize]
-                ^ t[3][b[12] as usize]
-                ^ t[2][b[13] as usize]
-                ^ t[1][b[14] as usize]
-                ^ t[0][b[15] as usize];
+        #[cfg(target_arch = "x86_64")]
+        if data.len() >= CLMUL_MIN_LEN && clmul::detected() {
+            // SAFETY: `clmul::detected` has just reported that this CPU
+            // has `pclmulqdq` and `sse4.1`, the features `clmul::fold` is
+            // compiled for.  (The length check above gives `fold` the four
+            // 16-byte blocks it needs; each load inside reads one
+            // `&[u8; 16]`, so no read can leave `data`.)
+            let (crc, tail) = unsafe { clmul::fold(self.0, data) };
+            self.0 = update_sliced(crc, tail);
+            return;
         }
-        for &b in blocks.remainder() {
-            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
-        }
-        self.0 = crc;
+        self.0 = update_sliced(self.0, data);
     }
 
     /// Finalises the checksum.
@@ -1137,13 +1286,29 @@ mod tests {
         assert_eq!(Crc32::new().finish(), 0);
     }
 
+    /// The table path alone, as a whole checksum: what every input takes
+    /// on a CPU without the carry-less-multiply kernel.
+    fn crc32_sliced(data: &[u8]) -> u32 {
+        update_sliced(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+    }
+
+    /// Every length 0..=512 at every start 0..16 crosses the kernel's
+    /// 128-byte entry point, each 64-byte fold step and each 16-byte tail
+    /// residue; both the dispatching `crc32` and the table path alone must
+    /// match the bitwise reference.
     #[test]
     fn crc32_matches_bitwise_reference_at_every_length_and_offset() {
-        let buf = seeded_bytes(20, 16 + 64);
+        let buf = seeded_bytes(20, 16 + 512);
         for start in 0..16 {
-            for len in 0..=64 {
+            for len in 0..=512 {
                 let data = &buf[start..start + len];
-                assert_eq!(crc32(data), crc32_bitwise(data), "start {start}, len {len}");
+                let expected = crc32_bitwise(data);
+                assert_eq!(crc32(data), expected, "start {start}, len {len}");
+                assert_eq!(
+                    crc32_sliced(data),
+                    expected,
+                    "tables, start {start}, len {len}"
+                );
             }
         }
     }
@@ -1151,7 +1316,33 @@ mod tests {
     #[test]
     fn crc32_matches_bitwise_reference_on_one_mebibyte() {
         let buf = seeded_bytes(0x0C0D_EC32, 1 << 20);
-        assert_eq!(crc32(&buf), crc32_bitwise(&buf));
+        let expected = crc32_bitwise(&buf);
+        assert_eq!(crc32(&buf), expected);
+        assert_eq!(crc32_sliced(&buf), expected);
+    }
+
+    /// Splits around the kernel's 128-byte entry point and one byte either
+    /// side of every 16-byte boundary hand the register from the tables to
+    /// the kernel and back, in both orders.
+    #[test]
+    fn crc32_streaming_across_the_kernel_boundary_equals_one_shot() {
+        let buf = seeded_bytes(9, 1024 + 7);
+        let whole = crc32_bitwise(&buf);
+        let mut cuts = vec![127, 128, 129];
+        cuts.extend((1..buf.len() / 16).flat_map(|k| [16 * k - 1, 16 * k + 1]));
+        for &cut in &cuts {
+            let mut crc = Crc32::new();
+            crc.update(&buf[..cut]);
+            crc.update(&buf[cut..]);
+            assert_eq!(crc.finish(), whole, "cut at {cut}");
+            // A short piece between two long ones: kernel → tables → kernel.
+            let mut crc = Crc32::new();
+            let mid = (cut + 3).min(buf.len());
+            crc.update(&buf[..cut]);
+            crc.update(&buf[cut..mid]);
+            crc.update(&buf[mid..]);
+            assert_eq!(crc.finish(), whole, "cuts at {cut} and {mid}");
+        }
     }
 
     #[test]
