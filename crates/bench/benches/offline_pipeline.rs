@@ -1,8 +1,8 @@
 //! Offline processing bench (Section VII-C): the full `L2r::fit` pipeline and
 //! its individual stages, plus preference transfer (Step 2b) alone on D1 and
-//! the snapshot codec on the fitted D1 model (encode, decode and the CRC-32
-//! pass over the payload), plus the CRC-32 alone on a seeded 16 MiB buffer,
-//! the size of the `xl` snapshot.
+//! the snapshot codec on the fitted D1 model (encode, decode, the network
+//! table's decode alone and the CRC-32 pass over the payload), plus the
+//! CRC-32 alone on a seeded 16 MiB buffer, a country-scale snapshot's size.
 //! Honours the `L2R_THREADS` override; run with `L2R_THREADS=1` to measure
 //! the serial (allocation-free) baseline.
 
@@ -17,7 +17,7 @@ use l2r_eval::{offline_times, DatasetSpec};
 use l2r_preference::{transfer_preferences, Preference};
 use l2r_region_graph::RegionEdgeId;
 use l2r_road_network::codec::Crc32;
-use l2r_road_network::{crc32, searches_performed};
+use l2r_road_network::{crc32, searches_performed, Decode, Encode, Reader, RoadNetwork, Writer};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -108,6 +108,27 @@ fn bench_offline(c: &mut Criterion) {
             b.iter(|| decode_snapshot(bytes).expect("decode"));
         },
     );
+    // The network table alone: the layer of the decode whose edge records
+    // carry only the distance, so it includes deriving travel time and fuel.
+    let mut w = Writer::new();
+    model.network().encode(&mut w);
+    let network_bytes = w.into_vec();
+    let decode_network =
+        |bytes: &[u8]| RoadNetwork::decode(&mut Reader::new(bytes)).expect("network decode");
+    let mut w = Writer::new();
+    decode_network(&network_bytes).encode(&mut w);
+    assert_eq!(
+        w.as_slice(),
+        network_bytes,
+        "re-encoding the decoded network must reproduce the bytes"
+    );
+    group.bench_with_input(
+        BenchmarkId::new("network_decode", "D1"),
+        &network_bytes,
+        |b, bytes| {
+            b.iter(|| decode_network(bytes));
+        },
+    );
     group.bench_with_input(
         BenchmarkId::new("crc32", "D1"),
         &bytes[SNAPSHOT_HEADER_LEN..],
@@ -119,9 +140,10 @@ fn bench_offline(c: &mut Criterion) {
             });
         },
     );
-    // The CRC alone on a seeded buffer the size of the `xl` snapshot: the
-    // per-pass cost behind each of publish → first answer's five integrity
-    // passes, whichever kernel this CPU dispatches to.
+    // The CRC alone on a seeded buffer of a country-scale snapshot's size
+    // (the `xl` one is 10.8 MB): the per-pass cost behind each of publish →
+    // first answer's five integrity passes, whichever kernel this CPU
+    // dispatches to.
     let mut buf = vec![0u8; 16 << 20];
     StdRng::seed_from_u64(16).fill_bytes(&mut buf);
     let mut streamed = Crc32::new();

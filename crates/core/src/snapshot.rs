@@ -19,7 +19,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"L2RSNAP\0"
-//!      8     1  format version (currently 4)
+//!      8     1  format version (currently 5)
 //!      9     8  payload length in bytes (u64)
 //!     17     4  CRC-32 (IEEE) of the payload (u32)
 //!     21     n  payload: dataset name, network, region graph, connector
@@ -50,8 +50,12 @@
 //! only solver.  Version 4 added the connector table, so a loaded model
 //! routes without re-running a single connector search, and three offline
 //! stats: the connector resolution time, and the transfer solve's
-//! unconverged column count and largest relative residual.  A loader
-//! accepts exactly the current version.
+//! unconverged column count and largest relative residual.  Version 5
+//! shrank each network edge record from 33 to 17 bytes (`from`, `to`,
+//! distance, road type; [`l2r_road_network::EDGE_WIRE_BYTES`]): travel time
+//! and fuel are functions of the distance and road type, so the decoder
+//! derives them exactly as `RoadNetworkBuilder` does instead of reading
+//! them.  A loader accepts exactly the current version.
 //!
 //! [`load_model`] performs a single file read.  Served models arrive
 //! through a [`crate::ModelStore`] instead, which reads the file twice: once
@@ -92,8 +96,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"L2RSNAP\0";
 /// loaders reject every other version.  Version 2 added the dataset name
 /// and canary probes to the payload; version 3 removed the solver byte
 /// from the transfer configuration; version 4 added the connector table and
-/// the connector-time and transfer-convergence stats.
-pub const SNAPSHOT_VERSION: u8 = 4;
+/// the connector-time and transfer-convergence stats; version 5 stores each
+/// network edge as its distance and road type only, and derives travel time
+/// and fuel on load.
+pub const SNAPSHOT_VERSION: u8 = 5;
 
 /// Size of the fixed header preceding the payload: the magic, the version
 /// byte, the payload length and the payload's CRC-32.

@@ -87,13 +87,16 @@ fn future_format_versions_are_rejected() {
 
 #[test]
 fn previous_format_versions_are_rejected() {
-    // Every snapshot written before the connector table was persisted
-    // carries version 3; the loader reads exactly one version, not "up to"
-    // one.
+    // A snapshot of the previous format is refused by its version byte:
+    // the loader reads exactly one version, not "up to" one.
+    let previous = l2r_core::SNAPSHOT_VERSION - 1;
     let mut bytes = encode_model(&fitted());
-    bytes[8] = l2r_core::SNAPSHOT_VERSION - 1;
+    bytes[8] = previous;
     let err = decode_snapshot(&bytes).unwrap_err();
-    assert!(matches!(err, SnapshotError::UnsupportedVersion(3)), "{err}");
+    assert!(
+        matches!(err, SnapshotError::UnsupportedVersion(v) if v == previous),
+        "{err}"
+    );
     assert!(
         err.to_string().contains(&format!(
             "reads only version {}",

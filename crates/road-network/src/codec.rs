@@ -677,36 +677,6 @@ impl Decode for CostType {
     }
 }
 
-impl Encode for EdgeWeights {
-    fn encode(&self, w: &mut Writer) {
-        w.f64(self.distance_m);
-        w.f64(self.travel_time_s);
-        w.f64(self.fuel_ml);
-    }
-}
-
-impl Decode for EdgeWeights {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let weights = EdgeWeights {
-            distance_m: r.f64("edge distance")?,
-            travel_time_s: r.f64("edge travel time")?,
-            fuel_ml: r.f64("edge fuel")?,
-        };
-        // Mirror the builder's invariant (positive finite weights): no
-        // decoded network may be one `RoadNetworkBuilder` could not produce,
-        // or Dijkstra would silently return wrong or NaN distances.
-        for cost in CostType::ALL {
-            let v = weights.get(cost);
-            if !(v.is_finite() && v > 0.0) {
-                return Err(CodecError::Invalid(
-                    "non-positive or non-finite edge weight",
-                ));
-            }
-        }
-        Ok(weights)
-    }
-}
-
 impl Encode for Path {
     fn encode(&self, w: &mut Writer) {
         w.length(self.len());
@@ -734,14 +704,20 @@ pub fn decode_vertex(r: &mut Reader<'_>, num_vertices: usize) -> Result<VertexId
 /// Wire size of one vertex record (two `f64` coordinates).
 pub const VERTEX_WIRE_BYTES: usize = 16;
 
-/// Wire size of one edge record (`from` + `to` + three weights + road type).
-pub const EDGE_WIRE_BYTES: usize = 33;
+/// Wire size of one edge record: `from` and `to` (`u32` each), the distance
+/// in metres (`f64`) and the road-type tag (`u8`).  Travel time and fuel are
+/// not stored; decoding derives them as the builder does.
+pub const EDGE_WIRE_BYTES: usize = 17;
 
 impl Encode for RoadNetwork {
+    /// Writes the vertex count and positions, then the edge count and one
+    /// [`EDGE_WIRE_BYTES`] record per edge in id order.  Vertex and edge ids
+    /// equal their table index, so only the payload fields travel, and of
+    /// an edge's weights only the distance: travel time and fuel are
+    /// functions of the distance and road type ([`EdgeWeights::derive`]).
+    /// CSR adjacency and the bounding box are rebuilt on decode by the exact
+    /// code `RoadNetworkBuilder::build` runs.
     fn encode(&self, w: &mut Writer) {
-        // Vertex and edge ids equal their table index, so only the payload
-        // fields travel; CSR adjacency and the bounding box are rebuilt on
-        // decode by the exact code `RoadNetworkBuilder::build` runs.
         w.length(self.num_vertices());
         for v in self.vertices() {
             v.point.encode(w);
@@ -750,7 +726,7 @@ impl Encode for RoadNetwork {
         for e in self.edges() {
             w.u32(e.from.0);
             w.u32(e.to.0);
-            e.weights.encode(w);
+            w.f64(e.weights.distance_m);
             e.road_type.encode(w);
         }
     }
@@ -807,9 +783,14 @@ fn concat<T: Copy>(len: usize, pieces: impl Iterator<Item = Vec<T>>) -> Vec<T> {
 }
 
 impl Decode for RoadNetwork {
-    /// Vertex records are 16 bytes and edge records 33 bytes on the wire, so
+    /// Vertex records are 16 bytes and edge records 17 bytes on the wire, so
     /// both tables decode in parallel chunks (see [`l2r_par`]).  Ids are
-    /// positional, so the network does not depend on the chunking.  Edges
+    /// positional, so the network does not depend on the chunking.  Each
+    /// edge's travel time and fuel are derived from its distance and road
+    /// type by [`EdgeWeights::derive`], and the edge is rejected on the
+    /// builder's own rule ([`EdgeWeights::invalid_cost`]), as are
+    /// out-of-range endpoints, self-loops and unknown road-type tags, so a
+    /// decoded network is always one the builder could produce.  Edges
     /// decode into id-ordered columns joined one column at a time, so the
     /// edge table is never held twice.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -840,10 +821,16 @@ impl Decode for RoadNetwork {
             |r, _, out| {
                 let from = decode_vertex(r, num_vertices)?;
                 let to = decode_vertex(r, num_vertices)?;
-                let weights = EdgeWeights::decode(r)?;
+                let distance_m = r.f64("edge distance")?;
                 let road_type = RoadType::decode(r)?;
                 if from == to {
                     return Err(CodecError::Invalid("self-loop edge"));
+                }
+                let weights = EdgeWeights::derive(distance_m, road_type);
+                if weights.invalid_cost().is_some() {
+                    return Err(CodecError::Invalid(
+                        "non-positive or non-finite edge weight",
+                    ));
                 }
                 out.push(from, to, weights, road_type);
                 Ok(())
@@ -864,7 +851,7 @@ impl Decode for RoadNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::RoadNetworkBuilder;
+    use crate::graph::{EdgeId, RoadNetworkBuilder};
 
     fn sample_net() -> RoadNetwork {
         let mut b = RoadNetworkBuilder::new();
@@ -1185,7 +1172,7 @@ mod tests {
         w.length(1);
         w.u32(5); // from: out of range
         w.u32(1);
-        EdgeWeights::derive(10.0, RoadType::Primary).encode(&mut w);
+        w.f64(10.0); // distance
         RoadType::Primary.encode(&mut w);
         let bytes = w.into_vec();
         assert!(matches!(
@@ -1204,11 +1191,10 @@ mod tests {
             w.length(1);
             w.u32(0);
             w.u32(1);
-            // The builder forbids these weights; decode must too.
+            // The builder forbids these distances; decode must too.
             w.f64(bad_distance);
-            w.f64(1.0);
-            w.f64(1.0);
             RoadType::Primary.encode(&mut w);
+            assert_eq!(w.len(), 16 + 2 * VERTEX_WIRE_BYTES + EDGE_WIRE_BYTES);
             let bytes = w.into_vec();
             assert!(
                 matches!(
@@ -1229,13 +1215,71 @@ mod tests {
         w.length(1);
         w.u32(1);
         w.u32(1); // self-loop
-        EdgeWeights::derive(10.0, RoadType::Primary).encode(&mut w);
+        w.f64(10.0); // distance
         RoadType::Primary.encode(&mut w);
+        assert_eq!(w.len(), 16 + 2 * VERTEX_WIRE_BYTES + EDGE_WIRE_BYTES);
         let bytes = w.into_vec();
         assert!(matches!(
             RoadNetwork::decode(&mut Reader::new(&bytes)),
             Err(CodecError::Invalid(_))
         ));
+    }
+
+    /// The builder and the decoder apply one rule to the derived weights:
+    /// a finite positive distance whose fuel overflows or whose travel time
+    /// underflows is refused by both, and the extreme distances whose three
+    /// weights stay positive and finite are accepted by both.
+    #[test]
+    fn builder_and_decoder_accept_the_same_edges() {
+        let edge_bytes = |distance_m: f64, road_type: RoadType| {
+            let mut w = Writer::new();
+            w.length(2);
+            Point::new(0.0, 0.0).encode(&mut w);
+            Point::new(10.0, 0.0).encode(&mut w);
+            w.length(1);
+            w.u32(0);
+            w.u32(1);
+            w.f64(distance_m);
+            road_type.encode(&mut w);
+            w.into_vec()
+        };
+        let mut b = RoadNetworkBuilder::new();
+        let v0 = b.add_vertex(Point::new(0.0, 0.0));
+        let v1 = b.add_vertex(Point::new(10.0, 0.0));
+        for (distance_m, cost) in [(1e308, CostType::Fuel), (5e-324, CostType::TravelTime)] {
+            let rt = RoadType::Motorway;
+            assert!(
+                matches!(
+                    b.add_edge_with_distance(v0, v1, distance_m, rt),
+                    Err(crate::NetworkError::InvalidWeight(name, _)) if name == cost.short_name()
+                ),
+                "builder must refuse {distance_m} on {rt:?}"
+            );
+            assert!(
+                matches!(
+                    RoadNetwork::decode(&mut Reader::new(&edge_bytes(distance_m, rt))),
+                    Err(CodecError::Invalid(_))
+                ),
+                "decoder must refuse {distance_m} on {rt:?}"
+            );
+        }
+        assert_eq!(b.num_edges(), 0, "a refused edge is not added");
+        for (distance_m, rt) in [(1e-320, RoadType::Residential), (2e307, RoadType::Motorway)] {
+            let mut b = RoadNetworkBuilder::new();
+            let v0 = b.add_vertex(Point::new(0.0, 0.0));
+            let v1 = b.add_vertex(Point::new(10.0, 0.0));
+            b.add_edge_with_distance(v0, v1, distance_m, rt).unwrap();
+            let net = b.build();
+            let mut w = Writer::new();
+            net.encode(&mut w);
+            assert_eq!(w.as_slice(), edge_bytes(distance_m, rt));
+            let decoded = RoadNetwork::decode(&mut Reader::new(w.as_slice())).unwrap();
+            let (built, got) = (net.edge(EdgeId(0)), decoded.edge(EdgeId(0)));
+            for cost in CostType::ALL {
+                assert_eq!(got.cost(cost).to_bits(), built.cost(cost).to_bits());
+            }
+            assert_eq!(got, built);
+        }
     }
 
     #[test]

@@ -421,7 +421,10 @@ impl RoadNetworkBuilder {
         id
     }
 
-    /// Adds a directed edge with an explicit distance.
+    /// Adds a directed edge with an explicit distance.  Travel time and fuel
+    /// are derived from it ([`EdgeWeights::derive`]); the edge is refused
+    /// with [`NetworkError::InvalidWeight`] if any of the three weights is
+    /// not positive and finite ([`EdgeWeights::invalid_cost`]).
     pub fn add_edge_with_distance(
         &mut self,
         from: VertexId,
@@ -438,16 +441,15 @@ impl RoadNetworkBuilder {
         if from == to {
             return Err(NetworkError::SelfLoop(from));
         }
-        if !(distance_m.is_finite() && distance_m > 0.0) {
-            return Err(NetworkError::InvalidWeight("distance", distance_m));
+        let weights = EdgeWeights::derive(distance_m, road_type);
+        if let Some(cost) = weights.invalid_cost() {
+            return Err(NetworkError::InvalidWeight(
+                cost.short_name(),
+                weights.get(cost),
+            ));
         }
         let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(
-            from,
-            to,
-            EdgeWeights::derive(distance_m, road_type),
-            road_type,
-        );
+        self.edges.push(from, to, weights, road_type);
         Ok(id)
     }
 

@@ -110,6 +110,21 @@ impl EdgeWeights {
             CostType::Fuel => self.fuel_ml,
         }
     }
+
+    /// The first cost type whose weight is not positive and finite, if any.
+    ///
+    /// The one edge-validity rule: `RoadNetworkBuilder` and the snapshot
+    /// decoder both reject an edge for which this is `Some`, so neither
+    /// admits an edge the other refuses, and Dijkstra never sees a zero,
+    /// infinite or NaN cost.  A finite positive distance is not enough: the
+    /// derived travel time or fuel can still underflow to zero or overflow
+    /// to infinity.
+    pub fn invalid_cost(&self) -> Option<CostType> {
+        CostType::ALL.into_iter().find(|&cost| {
+            let v = self.get(cost);
+            !(v.is_finite() && v > 0.0)
+        })
+    }
 }
 
 #[cfg(test)]
