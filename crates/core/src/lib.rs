@@ -82,5 +82,5 @@ pub use snapshot::{
 };
 pub use store::{
     decode_manifest, encode_manifest, FaultFs, FsFaultConfig, FsFaultKind, Manifest, ManifestEntry,
-    ManifestError, ModelStore, RealFs, StoreError, StoreFs, StoreOptions,
+    ModelStore, RealFs, StoreError, StoreFs, StoreOptions,
 };

@@ -77,7 +77,7 @@ pub enum RegistryError {
 impl std::fmt::Display for RegistryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RegistryError::Snapshot(e) => write!(f, "{e}"),
+            RegistryError::Snapshot(e) => write!(f, "snapshot unreadable: {e}"),
             RegistryError::Store(e) => write!(f, "{e}"),
             RegistryError::DatasetMismatch { snapshot, requested } => write!(
                 f,

@@ -57,6 +57,11 @@
 //! derives them exactly as `RoadNetworkBuilder` does instead of reading
 //! them.  A loader accepts exactly the current version.
 //!
+//! The header is the workspace's one **sealed-file** format.  A model
+//! store's `MANIFEST` ([`crate::store`]) uses the same 21-byte header with
+//! its own magic (`b"L2RMANI\0"`) and version (1), written and checked by the
+//! same crate-private functions, and reports the same [`SnapshotError`]s.
+//!
 //! [`load_model`] performs a single file read.  Served models arrive
 //! through a [`crate::ModelStore`] instead, which reads the file twice: once
 //! when the store opens and checks the active generation's length and
@@ -88,6 +93,7 @@ use crate::config::L2rConfig;
 use crate::connectors::ConnectorTable;
 use crate::pipeline::{L2r, OfflineStats};
 use crate::router::{QueryScratch, RouteResult};
+use crate::store::MANIFEST_VERSION;
 
 /// Magic bytes identifying an L2R snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"L2RSNAP\0";
@@ -120,7 +126,10 @@ pub const MAX_CANARIES: usize = 4096;
 /// Canary probes recorded by default at save time.
 pub const DEFAULT_CANARY_COUNT: usize = 16;
 
-/// An error raised while saving or loading a snapshot.
+/// An error raised while saving or loading a snapshot, or while decoding a
+/// model store's `MANIFEST`, which is sealed with the same header (see
+/// [`crate::store`]).  The messages name no file kind: the wrapping error
+/// (`RegistryError::Snapshot`, `StoreError::Manifest`, …) does.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// The underlying file could not be read or written.  Carries the
@@ -132,12 +141,14 @@ pub enum SnapshotError {
         /// The underlying I/O error.
         source: std::io::Error,
     },
-    /// The file does not start with [`SNAPSHOT_MAGIC`].
+    /// The file does not start with the expected magic ([`SNAPSHOT_MAGIC`],
+    /// or [`crate::store::MANIFEST_MAGIC`] for a manifest).
     BadMagic,
-    /// The file was written by any format version other than
-    /// [`SNAPSHOT_VERSION`], older or newer.
+    /// The file was written by any format version other than the one this
+    /// build reads ([`SNAPSHOT_VERSION`], or
+    /// [`crate::store::MANIFEST_VERSION`] for a manifest), older or newer.
     UnsupportedVersion(u8),
-    /// The file has the snapshot magic but ends inside the fixed header.
+    /// The file has the expected magic but ends inside the fixed header.
     TruncatedHeader {
         /// Total file length in bytes (less than the header size).
         len: u64,
@@ -176,35 +187,29 @@ impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapshotError::Io { path, source } => {
-                write!(f, "snapshot I/O error at `{}`: {source}", path.display())
+                write!(f, "I/O error at `{}`: {source}", path.display())
             }
-            SnapshotError::BadMagic => write!(f, "not an L2R snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported snapshot format version {v} (this build reads only version {SNAPSHOT_VERSION})"
-                )
-            }
-            SnapshotError::TruncatedHeader { len } => {
-                write!(
-                    f,
-                    "snapshot truncated inside the {SNAPSHOT_HEADER_LEN}-byte header ({len} bytes total)"
-                )
-            }
+            SnapshotError::BadMagic => write!(f, "bad magic (wrong kind of file)"),
+            SnapshotError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported format version {v} (this build reads snapshot version \
+                 {SNAPSHOT_VERSION} and manifest version {MANIFEST_VERSION})"
+            ),
+            SnapshotError::TruncatedHeader { len } => write!(
+                f,
+                "truncated inside the {SNAPSHOT_HEADER_LEN}-byte header ({len} bytes total)"
+            ),
             SnapshotError::Truncated { expected, actual } => {
-                write!(
-                    f,
-                    "snapshot truncated: payload {actual} of {expected} bytes"
-                )
+                write!(f, "truncated: payload {actual} of {expected} bytes")
             }
             SnapshotError::TrailingBytes(n) => {
-                write!(f, "snapshot has {n} trailing bytes after the payload")
+                write!(f, "{n} trailing bytes after the payload")
             }
             SnapshotError::ChecksumMismatch { expected, actual } => write!(
                 f,
-                "snapshot checksum mismatch: header {expected:#010x}, payload {actual:#010x}"
+                "checksum mismatch: header {expected:#010x}, payload {actual:#010x}"
             ),
-            SnapshotError::Codec(e) => write!(f, "snapshot payload invalid: {e}"),
+            SnapshotError::Codec(e) => write!(f, "payload invalid: {e}"),
         }
     }
 }
@@ -223,6 +228,72 @@ impl From<CodecError> for SnapshotError {
     fn from(e: CodecError) -> Self {
         SnapshotError::Codec(e)
     }
+}
+
+// ---------------------------------------------------------------------------
+// Sealed files
+// ---------------------------------------------------------------------------
+
+/// Starts a sealed file of kind `magic` at format `version`: a writer
+/// holding the header with its length and CRC fields zeroed, ready for the
+/// payload to be written straight after it.
+pub(crate) fn seal_begin(magic: [u8; 8], version: u8) -> Writer {
+    let mut w = Writer::new();
+    w.u64(u64::from_le_bytes(magic));
+    w.u8(version);
+    w.u64(0); // payload length, filled in by `seal`
+    w.u32(0); // payload checksum, filled in by `seal`
+    w
+}
+
+/// Finishes a file started by [`seal_begin`]: fills in the payload's length
+/// and CRC-32 in place, so the payload is never copied.
+pub(crate) fn seal(w: Writer) -> Vec<u8> {
+    let mut out = w.into_vec();
+    let payload_len = (out.len() - SNAPSHOT_HEADER_LEN) as u64;
+    out[SNAPSHOT_LEN_FIELD].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&out[SNAPSHOT_HEADER_LEN..]);
+    out[SNAPSHOT_CRC_FIELD].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Checks a sealed file's header — magic, header length, version, payload
+/// length and payload CRC-32, in that order — and returns the payload.
+pub(crate) fn unseal(bytes: &[u8], magic: [u8; 8], version: u8) -> Result<&[u8], SnapshotError> {
+    if !bytes.starts_with(&magic) {
+        return Err(SnapshotError::BadMagic);
+    }
+    if bytes.len() < SNAPSHOT_HEADER_LEN {
+        return Err(SnapshotError::TruncatedHeader {
+            len: bytes.len() as u64,
+        });
+    }
+    if bytes[8] != version {
+        return Err(SnapshotError::UnsupportedVersion(bytes[8]));
+    }
+    let payload_len =
+        u64::from_le_bytes(bytes[SNAPSHOT_LEN_FIELD].try_into().expect("8-byte slice"));
+    let stored_crc =
+        u32::from_le_bytes(bytes[SNAPSHOT_CRC_FIELD].try_into().expect("4-byte slice"));
+    let payload = &bytes[SNAPSHOT_HEADER_LEN..];
+    let actual = payload.len() as u64;
+    if actual < payload_len {
+        return Err(SnapshotError::Truncated {
+            expected: payload_len,
+            actual,
+        });
+    }
+    if actual > payload_len {
+        return Err(SnapshotError::TrailingBytes(actual - payload_len));
+    }
+    let actual_crc = crc32(payload);
+    if actual_crc != stored_crc {
+        return Err(SnapshotError::ChecksumMismatch {
+            expected: stored_crc,
+            actual: actual_crc,
+        });
+    }
+    Ok(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -254,8 +325,11 @@ pub struct Snapshot {
     pub model: L2r,
 }
 
-/// The finalization step of splitmix64 — a cheap, well-mixed hash.
-fn splitmix64(mut x: u64) -> u64 {
+/// The finalization step of splitmix64 — a cheap, well-mixed hash.  Also
+/// the mixer of the store's `FaultFs` fault schedules, and the same function
+/// as the serve crate's `FaultPlan` uses, so seeds behave identically across
+/// both fault layers.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -364,11 +438,7 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<OfflineStats, CodecError> {
 /// Hash-map entries are written in ascending edge-id order, making the byte
 /// stream deterministic.
 fn encode_framed(model: &L2r, stats: &OfflineStats, dataset: &str, canaries: &[Canary]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(u64::from_le_bytes(SNAPSHOT_MAGIC));
-    w.u8(SNAPSHOT_VERSION);
-    w.u64(0); // payload length, patched below
-    w.u32(0); // payload checksum, patched below
+    let mut w = seal_begin(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
     w.str(dataset);
     model.network().encode(&mut w);
     model.region_graph().encode(&mut w);
@@ -414,12 +484,7 @@ fn encode_framed(model: &L2r, stats: &OfflineStats, dataset: &str, canaries: &[C
         w.u32(c.dst.0);
         w.u64(c.digest);
     }
-    let mut out = w.into_vec();
-    let payload_len = (out.len() - SNAPSHOT_HEADER_LEN) as u64;
-    out[SNAPSHOT_LEN_FIELD].copy_from_slice(&payload_len.to_le_bytes());
-    let crc = crc32(&out[SNAPSHOT_HEADER_LEN..]);
-    out[SNAPSHOT_CRC_FIELD].copy_from_slice(&crc.to_le_bytes());
-    out
+    seal(w)
 }
 
 fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
@@ -570,49 +635,13 @@ pub fn encode_model_structural(model: &L2r) -> Vec<u8> {
 /// anywhere in the file fails here).  Its cost is one CRC-32 pass over the
 /// payload, well below a full decode of the same payload.
 pub fn verify_frame(bytes: &[u8]) -> Result<(), SnapshotError> {
-    if bytes.len() < SNAPSHOT_MAGIC.len() || bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if bytes.len() < SNAPSHOT_HEADER_LEN {
-        return Err(SnapshotError::TruncatedHeader {
-            len: bytes.len() as u64,
-        });
-    }
-    let version = bytes[8];
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let payload_len =
-        u64::from_le_bytes(bytes[SNAPSHOT_LEN_FIELD].try_into().expect("8-byte slice"));
-    let stored_crc =
-        u32::from_le_bytes(bytes[SNAPSHOT_CRC_FIELD].try_into().expect("4-byte slice"));
-    let payload = &bytes[SNAPSHOT_HEADER_LEN..];
-    if (payload.len() as u64) < payload_len {
-        return Err(SnapshotError::Truncated {
-            expected: payload_len,
-            actual: payload.len() as u64,
-        });
-    }
-    if (payload.len() as u64) > payload_len {
-        return Err(SnapshotError::TrailingBytes(
-            payload.len() as u64 - payload_len,
-        ));
-    }
-    let actual_crc = crc32(payload);
-    if actual_crc != stored_crc {
-        return Err(SnapshotError::ChecksumMismatch {
-            expected: stored_crc,
-            actual: actual_crc,
-        });
-    }
-    Ok(())
+    unseal(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION).map(|_| ())
 }
 
 /// Decodes a framed snapshot byte stream — model plus provenance metadata —
 /// validating the magic, version, length, checksum and every embedded id.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-    verify_frame(bytes)?;
-    decode_payload(&bytes[SNAPSHOT_HEADER_LEN..])
+    decode_payload(unseal(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?)
 }
 
 /// Decodes a framed snapshot byte stream back into a fitted model,

@@ -9,6 +9,11 @@
 //! crash at *any* point of a publish leaves the store serving the newest
 //! **durable** generation — never a torn file.
 //!
+//! The manifest is sealed with the snapshot's header (magic
+//! [`MANIFEST_MAGIC`], version [`MANIFEST_VERSION`], payload length, payload
+//! CRC-32; see [`crate::snapshot`]), written and checked by the same code,
+//! and its decode errors are [`SnapshotError`]s.
+//!
 //! ## Publish discipline
 //!
 //! Every publish is a fixed sequence of filesystem operations:
@@ -62,24 +67,23 @@
 //!
 //! All filesystem access goes through the [`StoreFs`] trait.  Production
 //! code uses [`RealFs`]; the crash-matrix suite
-//! (`crates/core/tests/store_crash_matrix.rs`) and the `lifecycle` bench
-//! section install a [`FaultFs`] — the filesystem-level sibling of the
-//! serve crate's seeded `FaultPlan` — which injects one deterministic
-//! fault (crash, short write, bit flip, or `ENOSPC`) at a chosen
-//! mutating-operation index and counts every operation so the matrix can
-//! enumerate all crash points exactly.
+//! (`crates/core/tests/store_crash_matrix.rs`) installs a [`FaultFs`] —
+//! the filesystem-level sibling of the serve crate's seeded `FaultPlan` —
+//! which injects one deterministic fault (crash, short write, bit flip, or
+//! `ENOSPC`) at a chosen mutating-operation index and counts every
+//! operation so the matrix can enumerate all crash points exactly.
 
 use std::io;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use l2r_road_network::{crc32, CodecError, Reader, Writer};
+use l2r_road_network::{crc32, CodecError, Reader};
 
 use crate::pipeline::L2r;
 use crate::snapshot::{
-    decode_snapshot, encode_snapshot, verify_frame, Snapshot, SnapshotError, MAX_DATASET_NAME,
+    decode_snapshot, encode_snapshot, seal, seal_begin, splitmix64, unseal, verify_frame, Snapshot,
+    SnapshotError, MAX_DATASET_NAME,
 };
 
 /// Magic bytes identifying a store `MANIFEST` file.
@@ -90,15 +94,6 @@ pub const MANIFEST_VERSION: u8 = 1;
 
 /// File name of the manifest inside a store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
-
-/// Size of the fixed manifest header preceding the payload.
-const MANIFEST_HEADER_LEN: usize = 8 + 1 + 8 + 4;
-
-/// Header bytes holding the payload length (`u64`, little-endian).
-const MANIFEST_LEN_FIELD: Range<usize> = 9..17;
-
-/// Header bytes holding the payload's CRC-32 (`u32`, little-endian).
-const MANIFEST_CRC_FIELD: Range<usize> = 17..MANIFEST_HEADER_LEN;
 
 /// Most generations a manifest may list (a plausibility bound, far above
 /// any real retention setting).
@@ -119,82 +114,6 @@ pub const PUBLISH_OP_COMMIT: u64 = 6;
 // Errors
 // ---------------------------------------------------------------------------
 
-/// An error raised while decoding a store `MANIFEST`.  Mirrors
-/// [`SnapshotError`] variant-for-variant so the robustness sweep in
-/// `tests/store_robustness.rs` can pin the same malformed-file surface.
-#[derive(Debug)]
-pub enum ManifestError {
-    /// The file does not start with [`MANIFEST_MAGIC`].
-    BadMagic,
-    /// The file was written by a newer (or unknown) format version.
-    UnsupportedVersion(u8),
-    /// The file has the manifest magic but ends inside the fixed header.
-    TruncatedHeader {
-        /// Total file length in bytes (less than the header size).
-        len: u64,
-    },
-    /// The file is shorter than its header claims.
-    Truncated {
-        /// Bytes the header promised.
-        expected: u64,
-        /// Bytes actually present after the header.
-        actual: u64,
-    },
-    /// The file is longer than its header claims.
-    TrailingBytes(u64),
-    /// The payload checksum does not match the header.
-    ChecksumMismatch {
-        /// Checksum stored in the header.
-        expected: u32,
-        /// Checksum of the payload as read.
-        actual: u32,
-    },
-    /// The payload failed structural validation.
-    Codec(CodecError),
-}
-
-impl std::fmt::Display for ManifestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ManifestError::BadMagic => write!(f, "not a store manifest (bad magic)"),
-            ManifestError::UnsupportedVersion(v) => write!(
-                f,
-                "unsupported manifest format version {v} (this build reads up to {MANIFEST_VERSION})"
-            ),
-            ManifestError::TruncatedHeader { len } => write!(
-                f,
-                "manifest truncated inside the {MANIFEST_HEADER_LEN}-byte header ({len} bytes total)"
-            ),
-            ManifestError::Truncated { expected, actual } => {
-                write!(f, "manifest truncated: payload {actual} of {expected} bytes")
-            }
-            ManifestError::TrailingBytes(n) => {
-                write!(f, "manifest has {n} trailing bytes after the payload")
-            }
-            ManifestError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "manifest checksum mismatch: header {expected:#010x}, payload {actual:#010x}"
-            ),
-            ManifestError::Codec(e) => write!(f, "manifest payload invalid: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ManifestError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ManifestError::Codec(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CodecError> for ManifestError {
-    fn from(e: CodecError) -> Self {
-        ManifestError::Codec(e)
-    }
-}
-
 /// An error raised by [`ModelStore`] operations.
 #[derive(Debug)]
 pub enum StoreError {
@@ -207,8 +126,9 @@ pub enum StoreError {
     },
     /// The `MANIFEST` failed to decode (only surfaced when recovery has
     /// nothing to fall back to; a torn manifest with surviving generation
-    /// files recovers silently).
-    Manifest(ManifestError),
+    /// files recovers silently).  The manifest is sealed like a snapshot,
+    /// so its header and payload errors are [`SnapshotError`]s.
+    Manifest(SnapshotError),
     /// A snapshot file failed to decode.
     Snapshot(SnapshotError),
     /// The directory is not a model store: no manifest and no generation
@@ -315,10 +235,11 @@ pub struct Manifest {
     pub entries: Vec<ManifestEntry>,
 }
 
-/// Serialises a manifest into its framed byte stream (same framing
-/// discipline as snapshots: magic, version, payload length, CRC-32).
+/// Serialises a manifest into its sealed byte stream: the snapshot header
+/// (magic [`MANIFEST_MAGIC`], version [`MANIFEST_VERSION`], payload length,
+/// CRC-32) followed by the payload.
 pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = seal_begin(MANIFEST_MAGIC, MANIFEST_VERSION);
     w.str(&m.dataset);
     w.u64(m.active);
     w.length(m.entries.len());
@@ -327,57 +248,14 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
         w.u64(e.len);
         w.u32(e.crc);
     }
-    let payload = w.into_vec();
-    let mut out = Vec::with_capacity(MANIFEST_HEADER_LEN + payload.len());
-    out.extend_from_slice(&MANIFEST_MAGIC);
-    out.push(MANIFEST_VERSION);
-    out.resize(MANIFEST_HEADER_LEN, 0);
-    out[MANIFEST_LEN_FIELD].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    out[MANIFEST_CRC_FIELD].copy_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    seal(w)
 }
 
-/// Decodes a framed manifest, validating magic, version, length, checksum
-/// and structural invariants (entries strictly ascending, active listed).
-pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, ManifestError> {
-    if bytes.len() < MANIFEST_MAGIC.len() || bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
-        return Err(ManifestError::BadMagic);
-    }
-    if bytes.len() < MANIFEST_HEADER_LEN {
-        return Err(ManifestError::TruncatedHeader {
-            len: bytes.len() as u64,
-        });
-    }
-    let version = bytes[8];
-    if version != MANIFEST_VERSION {
-        return Err(ManifestError::UnsupportedVersion(version));
-    }
-    let payload_len =
-        u64::from_le_bytes(bytes[MANIFEST_LEN_FIELD].try_into().expect("8-byte slice"));
-    let stored_crc =
-        u32::from_le_bytes(bytes[MANIFEST_CRC_FIELD].try_into().expect("4-byte slice"));
-    let payload = &bytes[MANIFEST_HEADER_LEN..];
-    if (payload.len() as u64) < payload_len {
-        return Err(ManifestError::Truncated {
-            expected: payload_len,
-            actual: payload.len() as u64,
-        });
-    }
-    if (payload.len() as u64) > payload_len {
-        return Err(ManifestError::TrailingBytes(
-            payload.len() as u64 - payload_len,
-        ));
-    }
-    let actual_crc = crc32(payload);
-    if actual_crc != stored_crc {
-        return Err(ManifestError::ChecksumMismatch {
-            expected: stored_crc,
-            actual: actual_crc,
-        });
-    }
-
-    let mut r = Reader::new(payload);
+/// Decodes a sealed manifest, validating the header (magic, version,
+/// length, checksum; see [`crate::snapshot`]) and the payload's structural
+/// invariants (entries strictly ascending, active listed).
+pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, SnapshotError> {
+    let mut r = Reader::new(unseal(bytes, MANIFEST_MAGIC, MANIFEST_VERSION)?);
     let dataset = r.str("manifest dataset", MAX_DATASET_NAME)?.to_string();
     let active = r.u64("manifest active generation")?;
     let n = r.length("manifest entry count", 20)?;
@@ -403,7 +281,7 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, ManifestError> {
         });
     }
     if !r.is_exhausted() {
-        return Err(ManifestError::TrailingBytes(r.remaining() as u64));
+        return Err(SnapshotError::TrailingBytes(r.remaining() as u64));
     }
     if active != 0 && !entries.iter().any(|e| e.generation == active) {
         return Err(CodecError::Invalid("manifest active generation not listed").into());
@@ -524,15 +402,6 @@ impl Default for FsFaultConfig {
             kind: FsFaultKind::Crash,
         }
     }
-}
-
-/// The finalization step of splitmix64 — same mixer as the serve crate's
-/// `FaultPlan`, so seeds behave identically across both fault layers.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A [`StoreFs`] that injects one deterministic fault at a chosen
@@ -737,7 +606,11 @@ impl std::fmt::Debug for ModelStore {
 
 impl ModelStore {
     /// Creates (or opens, if it already exists) a store for `dataset` at
-    /// `dir` on the real filesystem.
+    /// `dir` on the real filesystem.  A directory holding a `MANIFEST` or
+    /// any generation file is opened as [`ModelStore::open`] would (a lost
+    /// or torn manifest is recovered from the generation files, and
+    /// numbering continues past the highest one present), then must hold
+    /// `dataset`.
     pub fn create(
         dir: &Path,
         dataset: &str,
@@ -754,8 +627,11 @@ impl ModelStore {
         options: StoreOptions,
     ) -> Result<ModelStore, StoreError> {
         fs.create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
-        let manifest_path = dir.join(MANIFEST_FILE);
-        if fs.read(&manifest_path).is_ok() {
+        let names = fs.list(dir).map_err(|e| StoreError::io(dir, e))?;
+        if names
+            .iter()
+            .any(|n| n == MANIFEST_FILE || parse_gen_file_name(n).is_some())
+        {
             let store = ModelStore::open_with_options(fs, dir, options)?;
             if store.manifest.dataset != dataset {
                 return Err(StoreError::DatasetMismatch {
@@ -1072,7 +948,7 @@ mod tests {
         m.active = 9;
         assert!(matches!(
             decode_manifest(&encode_manifest(&m)),
-            Err(ManifestError::Codec(CodecError::Invalid(_)))
+            Err(SnapshotError::Codec(CodecError::Invalid(_)))
         ));
     }
 
@@ -1082,7 +958,7 @@ mod tests {
         m.entries.swap(0, 1);
         assert!(matches!(
             decode_manifest(&encode_manifest(&m)),
-            Err(ManifestError::Codec(CodecError::Invalid(_)))
+            Err(SnapshotError::Codec(CodecError::Invalid(_)))
         ));
     }
 

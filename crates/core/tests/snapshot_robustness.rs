@@ -99,8 +99,9 @@ fn previous_format_versions_are_rejected() {
     );
     assert!(
         err.to_string().contains(&format!(
-            "reads only version {}",
-            l2r_core::SNAPSHOT_VERSION
+            "reads snapshot version {} and manifest version {}",
+            l2r_core::SNAPSHOT_VERSION,
+            l2r_core::store::MANIFEST_VERSION
         )),
         "{err}"
     );

@@ -1,14 +1,15 @@
 //! Malformed-`MANIFEST` surface of the model store, mirroring
-//! `snapshot_robustness.rs`: every truncation cut, checksum flip and stale
-//! version must decode to a precise [`ManifestError`] — and at the store
-//! level, a damaged manifest must *recover* (falling back to the newest
-//! durable generation) rather than error, as long as generation files
-//! survive.  Also pins store-level retention and the generation-number
-//! monotonicity contract.
+//! `snapshot_robustness.rs`.  The manifest is sealed with the snapshot
+//! header, so every truncation cut, checksum flip and stale version must
+//! decode to the same precise [`SnapshotError`] a snapshot would give.  At
+//! the store level, a damaged or lost manifest must *recover* (falling back
+//! to the newest durable generation) rather than error, as long as
+//! generation files survive, for `open` and `create` alike.  Also pins
+//! store-level retention and the generation-number monotonicity contract.
 
 use l2r_core::{
-    decode_manifest, encode_manifest, L2r, L2rConfig, Manifest, ManifestEntry, ManifestError,
-    ModelStore, StoreError, StoreOptions,
+    decode_manifest, encode_manifest, L2r, L2rConfig, Manifest, ManifestEntry, ModelStore,
+    SnapshotError, StoreError, StoreOptions,
 };
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
 
@@ -57,7 +58,7 @@ fn manifest_rejects_wrong_magic() {
     bytes[0] ^= 0xFF;
     assert!(matches!(
         decode_manifest(&bytes),
-        Err(ManifestError::BadMagic)
+        Err(SnapshotError::BadMagic)
     ));
 }
 
@@ -67,7 +68,7 @@ fn manifest_rejects_stale_version() {
     bytes[8] = l2r_core::store::MANIFEST_VERSION + 1;
     assert!(matches!(
         decode_manifest(&bytes),
-        Err(ManifestError::UnsupportedVersion(v)) if v == l2r_core::store::MANIFEST_VERSION + 1
+        Err(SnapshotError::UnsupportedVersion(v)) if v == l2r_core::store::MANIFEST_VERSION + 1
     ));
 }
 
@@ -79,9 +80,9 @@ fn manifest_rejects_every_truncation_cut() {
         assert!(
             matches!(
                 err,
-                ManifestError::BadMagic
-                    | ManifestError::TruncatedHeader { .. }
-                    | ManifestError::Truncated { .. }
+                SnapshotError::BadMagic
+                    | SnapshotError::TruncatedHeader { .. }
+                    | SnapshotError::Truncated { .. }
             ),
             "cut at {cut}: {err}"
         );
@@ -94,7 +95,7 @@ fn manifest_rejects_trailing_bytes() {
     bytes.push(0xAA);
     assert!(matches!(
         decode_manifest(&bytes),
-        Err(ManifestError::TrailingBytes(1))
+        Err(SnapshotError::TrailingBytes(1))
     ));
 }
 
@@ -107,7 +108,7 @@ fn manifest_rejects_payload_flips_at_every_offset() {
         corrupt[offset] ^= 0x40;
         let err = decode_manifest(&corrupt).unwrap_err();
         assert!(
-            matches!(err, ManifestError::ChecksumMismatch { .. }),
+            matches!(err, SnapshotError::ChecksumMismatch { .. }),
             "flip at {offset}: {err}"
         );
     }
@@ -261,5 +262,46 @@ fn create_refuses_a_store_holding_another_dataset() {
         ),
         "{err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn create_recovers_a_store_whose_manifest_was_lost() {
+    let dir = temp_dir("create-lost-manifest");
+    let model = fitted();
+    let mut store = ModelStore::create(&dir, "city", StoreOptions::default()).unwrap();
+    store.publish(&model).unwrap();
+    store.publish(&model).unwrap();
+    let gen1 = store.load_bytes(1).unwrap();
+    let gen2 = store.load_bytes(2).unwrap();
+    drop(store);
+    std::fs::remove_file(dir.join(l2r_core::store::MANIFEST_FILE)).unwrap();
+    // A torn generation 3 (renamed into place, never committed, later cut
+    // short): it fails verification, but its number is still taken.
+    std::fs::write(dir.join("gen-00000003.l2r"), &gen2[..gen2.len() / 2]).unwrap();
+
+    // Another dataset is refused: the surviving generations say `city`.
+    let err = ModelStore::create(&dir, "other", StoreOptions::default()).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            StoreError::DatasetMismatch { store, requested }
+                if store == "city" && requested == "other"
+        ),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(dir.join("gen-00000001.l2r")).unwrap(), gen1);
+    // That refusal recovered the manifest on the way; lose it again.
+    std::fs::remove_file(dir.join(l2r_core::store::MANIFEST_FILE)).unwrap();
+
+    // The same dataset recovers both generations, as `open` would, and
+    // numbers the next publish past every generation file present.
+    let mut store = ModelStore::create(&dir, "city", StoreOptions::default()).unwrap();
+    assert_eq!(store.generations(), vec![1, 2]);
+    assert_eq!(store.latest(), Some(2));
+    assert_eq!(store.publish(&model).unwrap(), 4);
+    assert_eq!(store.load_bytes(1).unwrap(), gen1);
+    assert_eq!(store.load_bytes(2).unwrap(), gen2);
+    assert_eq!(ModelStore::open(&dir).unwrap().generations(), vec![1, 2, 4]);
     let _ = std::fs::remove_dir_all(&dir);
 }

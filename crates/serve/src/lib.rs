@@ -79,8 +79,8 @@
 //!   already admitted, flushes outbound buffers, then exits, bounded by
 //!   [`ServerConfig::drain_deadline`];
 //! * **fault injection** — a deterministic [`faults::FaultPlan`] can be
-//!   installed to rehearse all of the above (tests + the `resilience`
-//!   bench section).
+//!   installed to rehearse all of the above (the `chaos`, `drain` and
+//!   `lifecycle` tests).
 //!
 //! ## Architecture
 //!

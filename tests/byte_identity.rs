@@ -4,9 +4,10 @@
 //! the fit may be reorganised freely, but any change that alters a single
 //! search result, tie-break or encoded byte moves one of these values.  The
 //! structural model pins cover the persisted connector table too, so they
-//! also catch a resolver change that alters one connector path.
+//! also catch a resolver change that alters one connector path.  The model
+//! store's `MANIFEST` encoding of a fixed manifest is pinned the same way.
 
-use l2r_core::encode_model_structural;
+use l2r_core::{encode_manifest, encode_model_structural, Manifest, ManifestEntry};
 use l2r_eval::{build_dataset, DatasetSpec, Scale};
 use l2r_road_network::{Encode, Writer};
 
@@ -55,4 +56,32 @@ fn full_d1_encodings_are_pinned() {
     let (network, model) = d1_crcs(Scale::Full);
     assert_eq!(format!("{network:08x}"), "6c7d66ca", "network encoding");
     assert_eq!(format!("{model:08x}"), "fba43b32", "structural model");
+}
+
+#[test]
+fn store_manifest_encoding_is_pinned() {
+    // The fixed manifest of `crates/core/tests/store_robustness.rs`.
+    let manifest = Manifest {
+        dataset: "city".to_string(),
+        active: 7,
+        entries: vec![
+            ManifestEntry {
+                generation: 5,
+                len: 4096,
+                crc: 0x1234_5678,
+            },
+            ManifestEntry {
+                generation: 7,
+                len: 4100,
+                crc: 0x9ABC_DEF0,
+            },
+        ],
+    };
+    let bytes = encode_manifest(&manifest);
+    assert_eq!(bytes.len(), 85, "store manifest length");
+    assert_eq!(
+        format!("{:08x}", crc32(&bytes)),
+        "c2fe84af",
+        "store manifest"
+    );
 }
