@@ -25,17 +25,19 @@
 //! the last part of Step 3, the snapshot stores the result, and
 //! [`crate::L2r::route`] reads it instead of running the searches.
 //!
-//! A decoded table is validated against the network and region graph it
-//! travels with: ids in range, strictly ascending keys, endpoints equal to
-//! their key, every path drivable, and exactly the key set the region graph
-//! implies.
+//! A snapshot stores the table as one walk per key (see
+//! [`ConnectorTable::encode`]), not the keys: the decoder derives them from
+//! the region graph the table travels with, so the key set is exactly the
+//! one that graph implies.  Each walk must start at its key's `from` and end
+//! at its `to`, and is drivable by construction.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
 use l2r_region_graph::{RegionEdge, RegionGraph, RegionId};
 use l2r_road_network::{
-    CodecError, CostType, Encode, Path, Reader, RoadNetwork, SearchSpace, VertexId, Writer,
+    decode_walk, encode_walks, CodecError, CostType, Path, Reader, RoadNetwork, SearchSpace,
+    VertexId, Writer,
 };
 
 /// Best attached path of one region edge, resolved per orientation (most
@@ -216,91 +218,90 @@ impl ConnectorTable {
         start..self.ends[i]
     }
 
-    /// Decodes a table written by its [`Encode`] form and validates it
-    /// against the network of the same snapshot: every id in range, keys
-    /// strictly ascending, each path's endpoints equal to its key, and every
-    /// path drivable (as stored region-edge paths are checked).  The key set
-    /// is checked by [`ConnectorTable::check_keys`] once the model's
-    /// oriented-path table exists.  Malformed input is a [`CodecError`],
-    /// never a panic.
+    /// Writes the table's paths as walks over `net` (see
+    /// [`l2r_road_network::encode_walk`]): the entry count (`u64`), then
+    /// per key, in ascending key order, a walk from the key's `from` — a
+    /// vertex count of 0 when the key is unreachable.  The keys themselves
+    /// are not written: the snapshot decoder derives them from the region
+    /// graph, as [`ConnectorTable::resolve`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is not the network the table was resolved on (a
+    /// path hop is then not one of its edges).
+    pub fn encode(&self, w: &mut Writer, net: &RoadNetwork) {
+        w.length(self.len());
+        let walks: Vec<&[VertexId]> = self.iter().map(|(_, p)| p.unwrap_or_default()).collect();
+        encode_walks(w, net, &walks);
+    }
+
+    /// Decodes a table written by [`ConnectorTable::encode`], reading to the
+    /// end of `r`.  The keys are the ones [`ConnectorTable::resolve`] derives
+    /// from `rg` and its oriented-path table `oriented`; the entry count must
+    /// equal their number, every walk that is not empty must end at its
+    /// key's `to`, and nothing may follow the last walk.  Malformed input is
+    /// a [`CodecError`], never a panic.
     pub(crate) fn decode(
         r: &mut Reader<'_>,
         net: &RoadNetwork,
-    ) -> Result<ConnectorTable, CodecError> {
-        let n = net.num_vertices();
-        let len = r.length("connector count", 12)?;
-        let mut table = ConnectorTable::with_capacity(len);
-        for _ in 0..len {
-            let from = VertexId(r.index("connector source", n)?);
-            let to = VertexId(r.index("connector target", n)?);
-            if table.keys.last().is_some_and(|&last| last >= (from, to)) {
-                return Err(CodecError::Invalid("connector keys not strictly ascending"));
-            }
-            let run = r.u32("connector path length")? as usize;
-            if run > r.remaining() / 4 {
-                return Err(CodecError::ImplausibleLength {
-                    what: "connector path length",
-                    len: run as u64,
-                });
-            }
-            let start = table.vertices.len();
-            for _ in 0..run {
-                table
-                    .vertices
-                    .push(VertexId(r.index("connector path vertex", n)?));
-            }
-            let path = &table.vertices[start..];
-            if run > 0 && (path[0] != from || path[run - 1] != to) {
-                return Err(CodecError::Invalid(
-                    "connector path endpoints differ from its key",
-                ));
-            }
-            if path
-                .windows(2)
-                .any(|w| net.edge_between(w[0], w[1]).is_none())
-            {
-                return Err(CodecError::Invalid("undrivable connector path"));
-            }
-            table.keys.push((from, to));
-            table.ends.push(table.vertices.len());
-        }
-        Ok(table.indexed())
-    }
-
-    /// Checks that the key set is exactly the one
-    /// [`ConnectorTable::resolve`] would produce for `rg`.
-    pub(crate) fn check_keys(
-        &self,
-        net: &RoadNetwork,
         rg: &RegionGraph,
         oriented: &[OrientedPaths],
-    ) -> Result<(), CodecError> {
-        if self.keys != ConnectorPlan::new(net, rg, oriented).keys(rg) {
+    ) -> Result<ConnectorTable, CodecError> {
+        let len = r.length("connector count", 1)?;
+        let keys = ConnectorPlan::new(net, rg, oriented).keys(rg);
+        if len != keys.len() {
             return Err(CodecError::Invalid(
                 "connector keys differ from the region graph's",
             ));
         }
-        Ok(())
+        // The hash index needs only the keys, so at scale it is built on a
+        // second worker while the walks decode.
+        let build_index = || keys.iter().zip(0u32..).map(|(&k, i)| (k, i)).collect();
+        let mut read_walks = || ConnectorTable::decode_walks(r, net, &keys);
+        let (index, walks) = if keys.len() < JOIN_MIN_KEYS {
+            (build_index(), read_walks())
+        } else {
+            l2r_par::join(build_index, read_walks)
+        };
+        let (ends, vertices) = walks?;
+        Ok(ConnectorTable {
+            keys,
+            ends,
+            vertices,
+            index,
+        })
+    }
+
+    /// Reads one walk per key, from its `from`, to the end of `r`: the
+    /// `ends` and `vertices` of a table with those keys.
+    fn decode_walks(
+        r: &mut Reader<'_>,
+        net: &RoadNetwork,
+        keys: &[(VertexId, VertexId)],
+    ) -> Result<(Vec<usize>, Vec<VertexId>), CodecError> {
+        // A walk of `c` vertices takes at least `c` bytes.
+        let mut vertices = Vec::with_capacity(r.remaining());
+        let mut ends = Vec::with_capacity(keys.len());
+        for &(from, to) in keys {
+            if decode_walk(r, net, from, &mut vertices)? > 0 && vertices.last() != Some(&to) {
+                return Err(CodecError::Invalid(
+                    "connector path endpoints differ from its key",
+                ));
+            }
+            ends.push(vertices.len());
+        }
+        if !r.is_exhausted() {
+            return Err(CodecError::Invalid(
+                "trailing bytes after the connector walks",
+            ));
+        }
+        Ok((ends, vertices))
     }
 }
 
-/// Wire form: the entry count (`u64`), then per entry in ascending key order
-/// `from` and `to` (`u32` each), the path's vertex count (`u32`, `0` =
-/// unreachable) and its vertices (`u32` each, both endpoints included).
-impl Encode for ConnectorTable {
-    fn encode(&self, w: &mut Writer) {
-        w.length(self.len());
-        for ((from, to), path) in self.iter() {
-            w.u32(from.0);
-            w.u32(to.0);
-            let path = path.unwrap_or_default();
-            w.u32(path.len() as u32);
-            for v in path {
-                w.u32(v.0);
-            }
-        }
-    }
-}
+/// Fewest keys for which [`ConnectorTable::decode`] builds the hash index
+/// on a second worker; smaller tables decode on the calling thread.
+const JOIN_MIN_KEYS: usize = 8_192;
 
 /// One connector search: `source` reaches the out-targets of `region` when
 /// `head` is set (it is a region vertex) and every vertex of `region` when
@@ -406,9 +407,14 @@ impl ConnectorPlan {
 
     /// The table's key set, strictly ascending.
     fn keys(&self, rg: &RegionGraph) -> Vec<(VertexId, VertexId)> {
+        // Each job's keys ascend, so in source order the runs are already
+        // sorted unless two regions share a source, and the sort below
+        // only confirms the order.
+        let mut jobs: Vec<&ConnectorSource> = self.jobs.iter().collect();
+        jobs.sort_by_key(|job| job.source);
         let mut keys = Vec::new();
         let mut targets = Vec::new();
-        for job in &self.jobs {
+        for job in jobs {
             self.targets_into(rg, job, &mut targets);
             keys.extend(
                 targets

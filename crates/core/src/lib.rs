@@ -77,7 +77,7 @@ pub use router::{region_coverage, QueryScratch, RegionCoverage, RouteResult, Rou
 pub use snapshot::{
     compute_canaries, decode_model, decode_snapshot, encode_model, encode_model_structural,
     encode_snapshot, encode_snapshot_with, load_model, load_snapshot, route_digest, save_model,
-    save_snapshot, verify_frame, Canary, Snapshot, SnapshotError, DEFAULT_CANARY_COUNT,
+    save_snapshot, splitmix64, verify_frame, Canary, Snapshot, SnapshotError, DEFAULT_CANARY_COUNT,
     SNAPSHOT_CRC_FIELD, SNAPSHOT_HEADER_LEN, SNAPSHOT_LEN_FIELD, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use store::{

@@ -187,8 +187,8 @@ impl L2r {
 
     /// The one constructor, reached by the fit, [`L2r::from_parts`] and the
     /// snapshot decoder: builds the oriented-path table, then obtains the
-    /// connector table from `connectors`, which resolves it (fit) or checks
-    /// a decoded one against that table (decode).
+    /// connector table from `connectors`, which resolves it (fit) or decodes
+    /// the stored walks under the keys that table implies (decode).
     pub(crate) fn assemble<E>(
         net: RoadNetwork,
         region_graph: RegionGraph,

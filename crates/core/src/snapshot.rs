@@ -19,24 +19,34 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"L2RSNAP\0"
-//!      8     1  format version (currently 5)
+//!      8     1  format version (currently 6)
 //!      9     8  payload length in bytes (u64)
 //!     17     4  CRC-32 (IEEE) of the payload (u32)
-//!     21     n  payload: dataset name, network, region graph, connector
-//!               table, learned preferences, transferred preferences,
-//!               config, offline stats, canary probes
+//!     21     n  payload: dataset name, network, region graph, learned
+//!               preferences, transferred preferences, config, offline
+//!               stats, canary probes, connector table
 //! ```
 //!
+//! Stored paths — the region graph's attached and inner-region paths and
+//! the connector paths — travel as *walks* over the network's CSR
+//! ([`l2r_road_network::encode_walk`]): a LEB128 vertex count, then per hop
+//! `a → b` the LEB128 rank of the first edge in `a`'s out-edge group (sorted
+//! by head) whose head is `b`.  The decoder steps from a known start vertex
+//! and rejects a rank at or beyond the out-degree, so every decoded path is
+//! drivable by construction.  A region-graph path is written as its start
+//! vertex (`u32`) followed by its walk.
+//!
 //! The connector table ([`crate::ConnectorTable`]) is every fastest-path
-//! stub the online router stitches with, resolved once by the fit:
+//! stub the online router stitches with, resolved once by the fit.  Its
+//! keys are not stored: the decoder derives them from the region graph, so
+//! the section is the last in the payload and runs to its end:
 //!
 //! ```text
 //! field                   size
-//! entry count             u64
-//! per entry, keys strictly ascending by (from, to):
-//!   from, to              u32 + u32
-//!   path vertex count     u32 (0 = proven unreachable)
-//!   path vertices         u32 each, from … to
+//! entry count             u64 (must equal the derived key count)
+//! per key, ascending by (from, to):
+//!   walk from `from`      LEB128 vertex count (0 = proven unreachable),
+//!                         then one LEB128 rank per hop; ends at `to`
 //! ```
 //!
 //! Version 2 stamps two pieces of provenance into the (checksummed)
@@ -55,7 +65,10 @@
 //! distance, road type; [`l2r_road_network::EDGE_WIRE_BYTES`]): travel time
 //! and fuel are functions of the distance and road type, so the decoder
 //! derives them exactly as `RoadNetworkBuilder` does instead of reading
-//! them.  A loader accepts exactly the current version.
+//! them.  Version 6 writes every stored path as a walk of out-edge ranks
+//! instead of `u32` vertex ids, and drops the connector keys, which the
+//! decoder derives from the region graph; the connector table moved to the
+//! end of the payload.  A loader accepts exactly the current version.
 //!
 //! The header is the workspace's one **sealed-file** format.  A model
 //! store's `MANIFEST` ([`crate::store`]) uses the same 21-byte header with
@@ -71,11 +84,13 @@
 //! docs for why each pass is kept).  Every pass runs the workspace's one
 //! CRC-32, [`l2r_road_network::codec::crc32`].  Decoding fills preallocated
 //! vectors (the fixed-stride network tables decode in parallel chunks across
-//! `L2R_THREADS` workers), and validates every embedded id against the
-//! counts stored in the same payload, every stored path's drivability, and
-//! the connector table's key set against the decoded region graph (checked
-//! when the model is assembled and its oriented-path table built) — a
-//! corrupt or truncated file produces a [`SnapshotError`], never a panic.
+//! `L2R_THREADS` workers, straight into the network's serving layout), and
+//! validates every embedded id against the counts stored in the same
+//! payload, every walk's ranks against the out-degrees, and the connector
+//! section's entry count and endpoints against the key set the decoded
+//! region graph implies (derived when the model is assembled and its
+//! oriented-path table built) — a corrupt or truncated file produces a
+//! [`SnapshotError`], never a panic.
 //! Encoding is deterministic (hash maps are written in sorted key order and
 //! canaries are derived from a fixed probe schedule), so
 //! `encode → decode → encode` reproduces the exact bytes; the tests lean on
@@ -86,7 +101,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use l2r_preference::{LearnedPreference, Preference};
-use l2r_region_graph::{decode_region_graph, RegionEdgeId, RegionGraph};
+use l2r_region_graph::{decode_region_graph, encode_region_graph, RegionEdgeId, RegionGraph};
 use l2r_road_network::{crc32, CodecError, Decode, Encode, Reader, RoadNetwork, VertexId, Writer};
 
 use crate::config::L2rConfig;
@@ -104,8 +119,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"L2RSNAP\0";
 /// from the transfer configuration; version 4 added the connector table and
 /// the connector-time and transfer-convergence stats; version 5 stores each
 /// network edge as its distance and road type only, and derives travel time
-/// and fuel on load.
-pub const SNAPSHOT_VERSION: u8 = 5;
+/// and fuel on load; version 6 stores paths as walks of out-edge ranks and
+/// derives the connector keys from the region graph on load.
+pub const SNAPSHOT_VERSION: u8 = 6;
 
 /// Size of the fixed header preceding the payload: the magic, the version
 /// byte, the payload length and the payload's CRC-32.
@@ -129,7 +145,7 @@ pub const DEFAULT_CANARY_COUNT: usize = 16;
 /// An error raised while saving or loading a snapshot, or while decoding a
 /// model store's `MANIFEST`, which is sealed with the same header (see
 /// [`crate::store`]).  The messages name no file kind: the wrapping error
-/// (`RegistryError::Snapshot`, `StoreError::Manifest`, …) does.
+/// (`RegistryError::Snapshot`, `StoreError::Snapshot`, …) does.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// The underlying file could not be read or written.  Carries the
@@ -325,11 +341,11 @@ pub struct Snapshot {
     pub model: L2r,
 }
 
-/// The finalization step of splitmix64 — a cheap, well-mixed hash.  Also
-/// the mixer of the store's `FaultFs` fault schedules, and the same function
-/// as the serve crate's `FaultPlan` uses, so seeds behave identically across
-/// both fault layers.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// The finalization step of splitmix64 — a cheap, well-mixed hash.  The
+/// workspace's one copy: it also mixes the fault schedules of the store's
+/// `FaultFs` and of the serve crate's `FaultPlan`, so seeds behave
+/// identically across both fault layers.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -440,9 +456,9 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<OfflineStats, CodecError> {
 fn encode_framed(model: &L2r, stats: &OfflineStats, dataset: &str, canaries: &[Canary]) -> Vec<u8> {
     let mut w = seal_begin(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
     w.str(dataset);
-    model.network().encode(&mut w);
-    model.region_graph().encode(&mut w);
-    model.connectors().encode(&mut w);
+    let net = model.network();
+    net.encode(&mut w);
+    encode_region_graph(&mut w, model.region_graph(), net);
 
     let mut learned: Vec<(&RegionEdgeId, &LearnedPreference)> =
         model.learned_preferences().iter().collect();
@@ -484,6 +500,7 @@ fn encode_framed(model: &L2r, stats: &OfflineStats, dataset: &str, canaries: &[C
         w.u32(c.dst.0);
         w.u64(c.digest);
     }
+    model.connectors().encode(&mut w, net);
     seal(w)
 }
 
@@ -495,7 +512,6 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
     // workers.
     let net = RoadNetwork::decode(&mut r)?;
     let region_graph: RegionGraph = decode_region_graph(&mut r, &net)?;
-    let connectors = ConnectorTable::decode(&mut r, &net)?;
     let num_edges = region_graph.num_edges();
 
     let learned_len = r.length("learned preference count", 14)?;
@@ -559,9 +575,9 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
         });
     }
 
-    if !r.is_exhausted() {
-        return Err(SnapshotError::TrailingBytes(r.remaining() as u64));
-    }
+    // The connector table comes last and runs to the end of the payload:
+    // its keys are not stored but derived from the region graph, once the
+    // model's oriented-path table exists.
     let model = L2r::assemble(
         net,
         region_graph,
@@ -569,11 +585,7 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
         transferred,
         config,
         stats,
-        |net, rg, oriented| {
-            connectors
-                .check_keys(net, rg, oriented)
-                .map(|()| connectors)
-        },
+        |net, rg, oriented| ConnectorTable::decode(&mut r, net, rg, oriented),
     )?;
     Ok(Snapshot {
         dataset,

@@ -12,7 +12,9 @@
 //! The manifest is sealed with the snapshot's header (magic
 //! [`MANIFEST_MAGIC`], version [`MANIFEST_VERSION`], payload length, payload
 //! CRC-32; see [`crate::snapshot`]), written and checked by the same code,
-//! and its decode errors are [`SnapshotError`]s.
+//! and [`decode_manifest`] reports [`SnapshotError`]s.  A store never
+//! surfaces them: a manifest that fails to decode counts as missing, and
+//! recovery falls back to the generation files (below).
 //!
 //! ## Publish discipline
 //!
@@ -124,11 +126,6 @@ pub enum StoreError {
         /// The underlying I/O error.
         source: io::Error,
     },
-    /// The `MANIFEST` failed to decode (only surfaced when recovery has
-    /// nothing to fall back to; a torn manifest with surviving generation
-    /// files recovers silently).  The manifest is sealed like a snapshot,
-    /// so its header and payload errors are [`SnapshotError`]s.
-    Manifest(SnapshotError),
     /// A snapshot file failed to decode.
     Snapshot(SnapshotError),
     /// The directory is not a model store: no manifest and no generation
@@ -168,7 +165,6 @@ impl std::fmt::Display for StoreError {
             StoreError::Io { path, source } => {
                 write!(f, "store I/O error at `{}`: {source}", path.display())
             }
-            StoreError::Manifest(e) => write!(f, "store manifest unreadable: {e}"),
             StoreError::Snapshot(e) => write!(f, "store snapshot unreadable: {e}"),
             StoreError::NotAStore(dir) => {
                 write!(f, "`{}` is not a model store", dir.display())
@@ -194,7 +190,6 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io { source, .. } => Some(source),
-            StoreError::Manifest(e) => Some(e),
             StoreError::Snapshot(e) => Some(e),
             _ => None,
         }

@@ -6,7 +6,6 @@
 //! the checksum: crafted and randomly mutated payloads are re-checksummed,
 //! so the decoders' own validation is what has to reject them.
 
-use std::collections::HashSet;
 use std::ops::Range;
 
 use l2r_core::{
@@ -197,51 +196,54 @@ fn errors_display_useful_messages() {
     assert!(codec.to_string().contains("test marker"));
 }
 
-/// One connector entry as written: `(from, to)` and the path's vertices
-/// (empty = unreachable).
-type Entry = ((u32, u32), Vec<u32>);
+/// One connector entry as written: the walk's vertex count, then the
+/// out-edge rank of each hop (just `[0]` for an unreachable key).
+type Walk = Vec<u32>;
 
 /// The tiny model, its unnamed snapshot, and the byte range of the
-/// connector section inside it (it follows the dataset name, the network
-/// and the region graph).
+/// connector section inside it (the last section of the payload).
 fn snapshot_with_section() -> (L2r, Vec<u8>, Range<usize>) {
     let model = fitted();
     let bytes = encode_model(&model);
-    let mut prefix = Writer::new();
-    prefix.str("");
-    model.network().encode(&mut prefix);
-    model.region_graph().encode(&mut prefix);
     let mut section = Writer::new();
-    model.connectors().encode(&mut section);
-    let start = SNAPSHOT_HEADER_LEN + prefix.len();
-    let range = start..start + section.len();
+    model.connectors().encode(&mut section, model.network());
+    let range = bytes.len() - section.len()..bytes.len();
     assert_eq!(&bytes[range.clone()], section.as_slice());
     (model, bytes, range)
 }
 
-fn entries(table: &ConnectorTable) -> Vec<Entry> {
-    table
+/// The table's walks, one per key in key order: a hop `a → b` is the
+/// first position among `a`'s neighbours (sorted by head) holding `b`.
+fn walks(model: &L2r) -> Vec<Walk> {
+    let net = model.network();
+    model
+        .connectors()
         .iter()
-        .map(|((from, to), path)| {
-            let path = path.unwrap_or_default().iter().map(|v| v.0).collect();
-            ((from.0, to.0), path)
+        .map(|(_, path)| {
+            let path = path.unwrap_or_default();
+            let mut walk = vec![path.len() as u32];
+            for hop in path.windows(2) {
+                let rank = net.neighbors(hop[0]).position(|h| h == hop[1]);
+                walk.push(rank.expect("connector paths are drivable") as u32);
+            }
+            walk
         })
         .collect()
 }
 
-/// Writes `entries` in the connector section's wire form.
-fn write_section(entries: &[Entry]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.length(entries.len());
-    for ((from, to), path) in entries {
-        w.u32(*from);
-        w.u32(*to);
-        w.u32(path.len() as u32);
-        for &v in path {
-            w.u32(v);
+/// Writes `walks` in the connector section's wire form: a `u64` entry
+/// count, then every count and rank as unsigned LEB128.
+fn write_section(walks: &[Walk]) -> Vec<u8> {
+    let mut out = (walks.len() as u64).to_le_bytes().to_vec();
+    for &value in walks.iter().flatten() {
+        let mut v = value;
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
         }
+        out.push(v as u8);
     }
-    w.into_vec()
+    out
 }
 
 /// `bytes` with `range` replaced by `section`, the payload length and the
@@ -288,7 +290,7 @@ fn decoded_connector_table_equals_a_fresh_resolve() {
 #[test]
 fn hand_written_section_matches_the_encoder() {
     let (model, bytes, range) = snapshot_with_section();
-    let section = write_section(&entries(model.connectors()));
+    let section = write_section(&walks(&model));
     assert_eq!(&bytes[range.clone()], &section[..]);
     assert_eq!(splice(&bytes, &range, &section), bytes);
 }
@@ -296,13 +298,13 @@ fn hand_written_section_matches_the_encoder() {
 #[test]
 fn crafted_connector_sections_fail_typed() {
     let (model, bytes, range) = snapshot_with_section();
-    let n = model.network().num_vertices() as u32;
-    let original = entries(model.connectors());
+    let original = walks(&model);
     assert!(original.len() > 2);
-    let decode_with = |edit: &dyn Fn(&mut Vec<Entry>)| {
+    let decode_bytes = |section: &[u8]| decode_model(&splice(&bytes, &range, section));
+    let decode_with = |edit: &dyn Fn(&mut Vec<Walk>)| {
         let mut crafted = original.clone();
         edit(&mut crafted);
-        decode_model(&splice(&bytes, &range, &write_section(&crafted)))
+        decode_bytes(&write_section(&crafted))
     };
     let invalid = |result: Result<L2r, SnapshotError>, what: &str| match result {
         Err(SnapshotError::Codec(CodecError::Invalid(msg))) => {
@@ -311,57 +313,47 @@ fn crafted_connector_sections_fail_typed() {
         Err(e) => panic!("expected `{what}`, got {e}"),
         Ok(_) => panic!("expected `{what}`, the section decoded"),
     };
-    // A path that visits at least one vertex between its endpoints.
+    // A path that visits at least one vertex between its endpoints, and
+    // the vertex its walk starts from.
     let long = original
         .iter()
-        .position(|(_, p)| p.len() >= 3)
+        .position(|walk| walk[0] >= 3)
         .expect("some connector has an interior vertex");
+    let (from, _) = model.connectors().iter().nth(long).expect("in range").0;
 
-    invalid(decode_with(&|e| e.swap(0, 1)), "strictly ascending");
+    // One entry missing, or one extra (an "unreachable" walk).
     invalid(
-        decode_with(&|e| {
-            let first = e[0].clone();
-            e.insert(1, first);
+        decode_with(&|w| {
+            w.remove(w.len() / 2);
         }),
-        "strictly ascending",
+        "differ from the region graph",
     );
     invalid(
-        decode_with(&|e| {
-            e[long].1.pop();
+        decode_with(&|w| w.insert(w.len() / 2, vec![0])),
+        "differ from the region graph",
+    );
+    // A first hop whose rank names no out-edge of the start vertex.
+    let degree = model.network().out_degree(from) as u32;
+    invalid(decode_with(&|w| w[long][1] = degree), "undrivable");
+    // A walk one hop short ends at the wrong vertex.
+    invalid(
+        decode_with(&|w| {
+            w[long][0] -= 1;
+            w[long].pop();
         }),
         "endpoints",
     );
-    invalid(
-        decode_with(&|e| {
-            let p = &mut e[long].1;
-            p[1] = p[0];
-        }),
-        "undrivable",
-    );
+    // The last byte of the last walk announcing one more byte.
+    let mut truncated = write_section(&original);
+    *truncated.last_mut().expect("non-empty") |= 0x80;
     assert!(matches!(
-        decode_with(&|e| e[long].1[1] = n + 5),
-        Err(SnapshotError::Codec(CodecError::IndexOutOfRange { .. }))
+        decode_bytes(&truncated),
+        Err(SnapshotError::Codec(CodecError::UnexpectedEof { .. }))
     ));
-    invalid(
-        decode_with(&|e| {
-            e.remove(e.len() / 2);
-        }),
-        "differ from the region graph",
-    );
-    // An extra key, well-formed on its own: an "unreachable" entry in sorted
-    // position whose key the region graph does not imply.
-    let keys: HashSet<(u32, u32)> = original.iter().map(|(key, _)| *key).collect();
-    let extra = (0..n)
-        .flat_map(|a| (0..n).map(move |b| (a, b)))
-        .find(|&(a, b)| a != b && !keys.contains(&(a, b)))
-        .expect("the table does not hold every vertex pair");
-    invalid(
-        decode_with(&|e| {
-            let at = e.partition_point(|(key, _)| *key < extra);
-            e.insert(at, (extra, Vec::new()));
-        }),
-        "differ from the region graph",
-    );
+    // A byte after the last walk.
+    let mut trailing = write_section(&original);
+    trailing.push(0);
+    invalid(decode_bytes(&trailing), "trailing bytes");
 }
 
 #[test]

@@ -12,6 +12,9 @@
 //! * **Per-thread state** — [`par_map_init`] gives every worker its own
 //!   scratch state (e.g. a reusable Dijkstra search space), created once per
 //!   thread rather than once per item.
+//! * **In-place fills** — [`par_map_mut`] hands mutable items, such as the
+//!   chunks of a column being filled, to the workers the same way.
+//! * **Two tasks** — [`join`] runs two independent closures side by side.
 //! * **Chunked work stealing** — workers grab fixed-size chunks of the index
 //!   range from a shared atomic cursor, about 64 chunks per thread, so a few
 //!   expensive items next to each other still land on different workers.
@@ -26,6 +29,7 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Name of the environment variable overriding the worker thread count.
 pub const THREADS_ENV: &str = "L2R_THREADS";
@@ -168,6 +172,52 @@ where
     collected.into_iter().map(|(_, r)| r).collect()
 }
 
+/// Parallel map over mutable items, preserving input order: `f(index,
+/// &mut item)` for every item, using [`max_threads`] workers that take
+/// items as [`par_map`] does, so a worker the host delays holds up no more
+/// than the items it has taken.  Meant for the chunks of a table being
+/// filled in place.  A single item (or one worker) runs on the calling
+/// thread, and a panic in `f` propagates.
+pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    // Each item is handed to exactly one worker, so no lock is ever
+    // contended: the mutex only carries the `&mut` across threads.
+    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    par_map(&cells, |i, cell| {
+        f(
+            i,
+            &mut cell.lock().expect("an item is locked by one worker only"),
+        )
+    })
+}
+
+/// Runs `a` on a second worker while `b` runs on the calling thread, and
+/// returns both results; with [`max_threads`] at 1 they run one after the
+/// other on the calling thread.  A panic in either propagates.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB,
+    RA: Send,
+{
+    if max_threads() <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(a);
+        let rb = b();
+        match handle.join() {
+            Ok(ra) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,6 +239,30 @@ mod tests {
             let expected: Vec<usize> = items.iter().map(|v| v * 2).collect();
             assert_eq!(out, expected, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn mutable_map_visits_every_item_once_in_order() {
+        for len in [0, 1, 7, 64, 1000] {
+            let mut items: Vec<usize> = (0..len).collect();
+            let out = par_map_mut(&mut items, |i, v| {
+                assert_eq!(i, *v);
+                *v += 100;
+                i * 2
+            });
+            let expected: Vec<usize> = (0..len).map(|i| i * 2).collect();
+            assert_eq!(out, expected, "len={len}");
+            assert!(
+                items.iter().enumerate().all(|(i, v)| *v == i + 100),
+                "len={len}"
+            );
+        }
+    }
+
+    #[test]
+    fn join_returns_both_results() {
+        let (a, b) = join(|| (0..100u64).sum::<u64>(), || "b".repeat(3));
+        assert_eq!((a, b.as_str()), (4950, "bbb"));
     }
 
     #[test]

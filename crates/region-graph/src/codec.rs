@@ -8,39 +8,49 @@
 //! same insertion order the builder uses, so a decoded graph is structurally
 //! identical to the original.
 //!
+//! A stored path (an attached T/B-edge path or an inner-region path) is a
+//! `u32` start vertex followed by a walk over the road network's CSR (see
+//! [`l2r_road_network::encode_walk`]), so encoding the graph takes the
+//! network it belongs to ([`encode_region_graph`]).
+//!
 //! Decoding validates every embedded id — vertex ids against the road
 //! network the graph is being attached to, region ids against the decoded
-//! region count — and every stored path's drivability, so a corrupt (or
-//! crafted, checksum-valid) payload errors at load time instead of
-//! panicking later on the query path.
+//! region count — and decodes every stored path as a walk, which is
+//! drivable by construction, so a corrupt (or crafted, checksum-valid)
+//! payload errors at load time instead of panicking later on the query
+//! path.
 
 use l2r_road_network::{
-    decode_path, decode_vertex, CodecError, Decode, Encode, Reader, RoadNetwork, RoadType,
-    RoadTypeSet, VertexId, Writer,
+    decode_vertex, decode_walk, encode_walk, CodecError, Decode, Encode, Path, Reader, RoadNetwork,
+    RoadType, RoadTypeSet, VertexId, Writer,
 };
 
 use crate::region::{Region, RegionId};
 use crate::region_graph::{RegionEdge, RegionEdgeId, RegionEdgeKind, RegionGraph, SupportedPath};
 
-impl Encode for SupportedPath {
-    fn encode(&self, w: &mut Writer) {
-        self.path.encode(w);
-        w.length(self.support);
+/// Writes a list of supported paths: the count (`u64`), then per path its
+/// start vertex (`u32`), its walk over `net` and its support (`u64`).
+fn encode_supported_paths(w: &mut Writer, paths: &[SupportedPath], net: &RoadNetwork) {
+    w.length(paths.len());
+    for sp in paths {
+        w.u32(sp.path.source().0);
+        encode_walk(w, net, sp.path.vertices());
+        w.length(sp.support);
     }
 }
 
-/// Decodes a supported path, validating vertex ids against `net` and the
-/// path's drivability (every consecutive pair connected by an edge): the
-/// router debug-asserts drivability at query time, so a checksum-valid but
-/// crafted snapshot must be rejected here, not panic there.
+/// Decodes a supported path: the start vertex is validated against `net`
+/// and the walk decodes to a drivable path by construction (the router
+/// debug-asserts drivability at query time, so a checksum-valid but crafted
+/// snapshot must be rejected here, not panic there).
 pub fn decode_supported_path(
     r: &mut Reader<'_>,
     net: &RoadNetwork,
 ) -> Result<SupportedPath, CodecError> {
-    let path = decode_path(r, net.num_vertices())?;
-    if path.validate(net).is_err() {
-        return Err(CodecError::Invalid("undrivable stored path"));
-    }
+    let start = VertexId(r.index("path start vertex", net.num_vertices())?);
+    let mut vertices = Vec::new();
+    decode_walk(r, net, start, &mut vertices)?;
+    let path = Path::new(vertices).map_err(|_| CodecError::Invalid("empty path"))?;
     let support = r.u64("path support")? as usize;
     Ok(SupportedPath { path, support })
 }
@@ -49,7 +59,8 @@ fn decode_supported_paths(
     r: &mut Reader<'_>,
     net: &RoadNetwork,
 ) -> Result<Vec<SupportedPath>, CodecError> {
-    let len = r.length("supported path count", 16)?;
+    // Start vertex, vertex count and support: 13 bytes at least.
+    let len = r.length("supported path count", 13)?;
     let mut out = Vec::with_capacity(len);
     for _ in 0..len {
         out.push(decode_supported_path(r, net)?);
@@ -140,13 +151,11 @@ impl Decode for RegionEdgeKind {
     }
 }
 
-impl Encode for RegionEdge {
-    fn encode(&self, w: &mut Writer) {
-        w.u32(self.a.0);
-        w.u32(self.b.0);
-        self.kind.encode(w);
-        w.seq(&self.paths);
-    }
+fn encode_region_edge(w: &mut Writer, edge: &RegionEdge, net: &RoadNetwork) {
+    w.u32(edge.a.0);
+    w.u32(edge.b.0);
+    edge.kind.encode(w);
+    encode_supported_paths(w, &edge.paths, net);
 }
 
 /// Decodes a region edge; `id` is the edge's table index, endpoints are
@@ -176,25 +185,28 @@ pub fn decode_region_edge(
     })
 }
 
-impl Encode for RegionGraph {
-    fn encode(&self, w: &mut Writer) {
-        w.seq(&self.regions);
-        w.seq(&self.edges);
-        // The per-region lists piggyback on the region count written above.
-        for paths in &self.inner_paths {
-            w.seq(paths);
-        }
-        for centers in &self.transfer_centers {
-            w.length(centers.len());
-            for v in centers {
-                w.u32(v.0);
-            }
-        }
-        for centers in &self.fallback_centers {
-            w.length(centers.len());
-            for v in centers {
-                w.u32(v.0);
-            }
+/// Writes `rg`, whose stored paths are walks over `net` (the network it
+/// was built on): the regions, the region edges with their attached paths,
+/// then per region its inner paths, transfer centers and fallback centers.
+///
+/// # Panics
+///
+/// Panics if a stored path has a hop that is not an edge of `net` (see
+/// [`encode_walk`]).
+pub fn encode_region_graph(w: &mut Writer, rg: &RegionGraph, net: &RoadNetwork) {
+    w.seq(&rg.regions);
+    w.length(rg.edges.len());
+    for edge in &rg.edges {
+        encode_region_edge(w, edge, net);
+    }
+    // The per-region lists piggyback on the region count written above.
+    for paths in &rg.inner_paths {
+        encode_supported_paths(w, paths, net);
+    }
+    for centers in rg.transfer_centers.iter().chain(&rg.fallback_centers) {
+        w.length(centers.len());
+        for v in centers {
+            w.u32(v.0);
         }
     }
 }
@@ -332,16 +344,43 @@ mod tests {
         (net, rg)
     }
 
-    fn encode(rg: &RegionGraph) -> Vec<u8> {
+    fn encode(rg: &RegionGraph, net: &RoadNetwork) -> Vec<u8> {
         let mut w = Writer::new();
-        rg.encode(&mut w);
+        encode_region_graph(&mut w, rg, net);
         w.into_vec()
+    }
+
+    /// `rg` encoded with one more attached path, `0 → 1`, whose support is
+    /// a marker, and the offset of that path's `u32` start vertex: the walk's
+    /// vertex count (2) and its one rank follow, one byte each, then the
+    /// support.
+    fn encode_with_marked_path(rg: &RegionGraph, net: &RoadNetwork) -> (Vec<u8>, usize) {
+        const MARK: u64 = 0x5EA1_ED00_C0DE_F00D;
+        let mut rg = rg.clone();
+        let edge_with_paths = rg
+            .edges
+            .iter()
+            .position(|e| !e.paths.is_empty())
+            .expect("sample has T-edges with paths");
+        rg.edges[edge_with_paths].paths.push(SupportedPath {
+            path: Path::new(vec![VertexId(0), VertexId(1)]).unwrap(),
+            support: MARK as usize,
+        });
+        let bytes = encode(&rg, net);
+        let support = bytes
+            .windows(8)
+            .position(|w| w == MARK.to_le_bytes())
+            .expect("the marker is written once");
+        let start = support - 6;
+        assert_eq!(bytes[start..start + 6], [0, 0, 0, 0, 2, 0]);
+        assert!(decode_region_graph(&mut Reader::new(&bytes), net).is_ok());
+        (bytes, start)
     }
 
     #[test]
     fn region_graph_roundtrips_bit_identically() {
         let (net, rg) = sample();
-        let bytes = encode(&rg);
+        let bytes = encode(&rg, &net);
         let mut r = Reader::new(&bytes);
         let decoded = decode_region_graph(&mut r, &net).unwrap();
         assert!(r.is_exhausted());
@@ -382,7 +421,7 @@ mod tests {
             assert_eq!(rg.region_of(VertexId(v)), decoded.region_of(VertexId(v)));
         }
         // Re-encoding reproduces the exact bytes.
-        assert_eq!(encode(&decoded), bytes);
+        assert_eq!(encode(&decoded, &net), bytes);
     }
 
     #[test]
@@ -396,7 +435,7 @@ mod tests {
             .unwrap();
         let tiny = b.build();
         assert!(tiny.num_vertices() < net.num_vertices());
-        let bytes = encode(&rg);
+        let bytes = encode(&rg, &net);
         assert!(matches!(
             decode_region_graph(&mut Reader::new(&bytes), &tiny),
             Err(CodecError::IndexOutOfRange { .. })
@@ -407,7 +446,7 @@ mod tests {
     fn decode_rejects_out_of_range_transfer_centers() {
         let (net, mut rg) = sample();
         rg.transfer_centers[0].push(VertexId(net.num_vertices() as u32 + 7));
-        let bytes = encode(&rg);
+        let bytes = encode(&rg, &net);
         assert!(matches!(
             decode_region_graph(&mut Reader::new(&bytes), &net),
             Err(CodecError::IndexOutOfRange { .. })
@@ -420,7 +459,7 @@ mod tests {
         {
             let mut bad = rg.clone();
             bad.edges[0].b = RegionId(bad.num_regions() as u32 + 3);
-            let bytes = encode(&bad);
+            let bytes = encode(&bad, &net);
             assert!(matches!(
                 decode_region_graph(&mut Reader::new(&bytes), &net),
                 Err(CodecError::IndexOutOfRange { .. })
@@ -431,7 +470,7 @@ mod tests {
             let (a, b) = (bad.edges[0].a, bad.edges[0].b);
             bad.edges[0].a = b;
             bad.edges[0].b = a;
-            let bytes = encode(&bad);
+            let bytes = encode(&bad, &net);
             assert!(matches!(
                 decode_region_graph(&mut Reader::new(&bytes), &net),
                 Err(CodecError::Invalid(_))
@@ -441,17 +480,10 @@ mod tests {
 
     #[test]
     fn decode_rejects_out_of_range_path_vertices() {
-        let (net, mut rg) = sample();
-        let edge_with_paths = rg
-            .edges
-            .iter()
-            .position(|e| !e.paths.is_empty())
-            .expect("sample has T-edges with paths");
-        rg.edges[edge_with_paths].paths.push(SupportedPath {
-            path: Path::new(vec![VertexId(0), VertexId(net.num_vertices() as u32)]).unwrap(),
-            support: 1,
-        });
-        let bytes = encode(&rg);
+        let (net, rg) = sample();
+        let (mut bytes, start) = encode_with_marked_path(&rg, &net);
+        let beyond = net.num_vertices() as u32 + 7;
+        bytes[start..start + 4].copy_from_slice(&beyond.to_le_bytes());
         assert!(matches!(
             decode_region_graph(&mut Reader::new(&bytes), &net),
             Err(CodecError::IndexOutOfRange { .. })
@@ -460,29 +492,28 @@ mod tests {
 
     #[test]
     fn decode_rejects_undrivable_paths() {
-        let (net, mut rg) = sample();
-        let edge_with_paths = rg
-            .edges
-            .iter()
-            .position(|e| !e.paths.is_empty())
-            .expect("sample has T-edges with paths");
-        // Vertices 0 and 5 exist but are not adjacent: in range, undrivable.
-        assert!(net.edge_between(VertexId(0), VertexId(5)).is_none());
-        rg.edges[edge_with_paths].paths.push(SupportedPath {
-            path: Path::new(vec![VertexId(0), VertexId(5)]).unwrap(),
-            support: 1,
-        });
-        let bytes = encode(&rg);
+        let (net, rg) = sample();
+        let (bytes, start) = encode_with_marked_path(&rg, &net);
+        // A rank equal to vertex 0's out-degree names no edge out of it.
+        let mut bad = bytes.clone();
+        bad[start + 5] = net.out_degree(VertexId(0)) as u8;
         assert!(matches!(
-            decode_region_graph(&mut Reader::new(&bytes), &net),
-            Err(CodecError::Invalid(_))
+            decode_region_graph(&mut Reader::new(&bad), &net),
+            Err(CodecError::Invalid(msg)) if msg.contains("undrivable")
+        ));
+        // A start vertex the network does not have.
+        let mut bad = bytes;
+        bad[start..start + 4].copy_from_slice(&(net.num_vertices() as u32).to_le_bytes());
+        assert!(matches!(
+            decode_region_graph(&mut Reader::new(&bad), &net),
+            Err(CodecError::IndexOutOfRange { .. })
         ));
     }
 
     #[test]
     fn decode_rejects_truncated_buffers() {
         let (net, rg) = sample();
-        let bytes = encode(&rg);
+        let bytes = encode(&rg, &net);
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(
                 decode_region_graph(&mut Reader::new(&bytes[..cut]), &net).is_err(),
@@ -495,7 +526,7 @@ mod tests {
     fn empty_region_graph_roundtrips() {
         let net = RoadNetworkBuilder::new().build();
         let rg = RegionGraph::build(&net, &[], &[], 2);
-        let bytes = encode(&rg);
+        let bytes = encode(&rg, &net);
         let decoded = decode_region_graph(&mut Reader::new(&bytes), &net).unwrap();
         assert_eq!(decoded.num_regions(), 0);
         assert_eq!(decoded.num_edges(), 0);

@@ -24,7 +24,7 @@ pub mod region_graph;
 pub mod trajectory_graph;
 
 pub use clustering::{bottom_up_clustering, modularity_gain, Cluster};
-pub use codec::{decode_region_graph, decode_supported_path};
+pub use codec::{decode_region_graph, decode_supported_path, encode_region_graph};
 pub use hull::{d1_bounds_km2, d2_bounds_km2, region_size_distribution, RegionSizeBucket};
 pub use region::{region_function, Region, RegionId};
 pub use region_graph::{RegionEdge, RegionEdgeId, RegionEdgeKind, RegionGraph, SupportedPath};

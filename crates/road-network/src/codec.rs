@@ -19,6 +19,11 @@
 //!   against the counts embedded in the same payload (see
 //!   [`Reader::index`]); malformed input surfaces as a [`CodecError`].
 //!
+//! Stored paths travel as *walks* over the network's CSR ([`encode_walk`],
+//! [`decode_walk`]): a LEB128 vertex count, then one LEB128 out-edge rank
+//! per hop, so a hop costs one byte instead of a four-byte vertex id, and
+//! a decoded walk is drivable by construction.
+//!
 //! The module also owns the workspace's one CRC-32 ([`Crc32`], [`crc32`]):
 //! snapshot payloads, the model store's `MANIFEST` entries and the serve
 //! crate's wire frames all checksum through it.  It is the IEEE 802.3
@@ -31,11 +36,9 @@
 //! portable Rust.  Both compute the same function, so the choice never
 //! shows in a checksum.
 
-use std::mem::take;
 use std::sync::OnceLock;
 
-use crate::graph::{EdgeColumns, RoadNetwork, Vertex, VertexId};
-use crate::path::Path;
+use crate::graph::{chunk_len, EdgeId, RoadNetwork, Vertex, VertexId};
 use crate::road_type::{RoadType, RoadTypeSet};
 use crate::spatial::Point;
 use crate::weights::{CostType, EdgeWeights};
@@ -384,6 +387,16 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Writes a `u32` as unsigned LEB128: seven bits per byte, least
+    /// significant first, the top bit set on every byte but the last.
+    pub fn leb128(&mut self, mut v: u32) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Writes a `usize` as `u64`.
     pub fn length(&mut self, v: usize) {
         self.u64(v as u64);
@@ -472,6 +485,28 @@ impl<'a> Reader<'a> {
     pub fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
         let b = self.take(8, what)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+    }
+
+    /// Reads an unsigned LEB128 `u32` written by [`Writer::leb128`].  An
+    /// encoding longer than needed (a last byte of zero after the first) or
+    /// wider than 32 bits is an error, so every value has exactly one
+    /// encoding.
+    pub fn leb128(&mut self, what: &'static str) -> Result<u32, CodecError> {
+        let mut value = 0u32;
+        for shift in [0, 7, 14, 21, 28] {
+            let byte = self.u8(what)?;
+            if shift == 28 && byte > 0x0F {
+                break;
+            }
+            value |= ((byte & 0x7F) as u32) << shift;
+            if byte < 0x80 {
+                if byte == 0 && shift > 0 {
+                    return Err(CodecError::Invalid("overlong LEB128 encoding"));
+                }
+                return Ok(value);
+            }
+        }
+        Err(CodecError::Invalid("LEB128 value wider than 32 bits"))
     }
 
     /// Reads an `f64` from its bit pattern.
@@ -677,23 +712,100 @@ impl Decode for CostType {
     }
 }
 
-impl Encode for Path {
-    fn encode(&self, w: &mut Writer) {
-        w.length(self.len());
-        for v in self.vertices() {
-            w.u32(v.0);
-        }
+/// Writes `vertices` as a *walk* over `net`'s CSR: the LEB128 vertex
+/// count, then for each hop `a → b` the LEB128 *out-edge rank* of `b`, the
+/// first position in `a`'s out-edge group (sorted by head) whose head is
+/// `b`.  Parallel edges therefore encode, and decode, as the same vertices.
+/// The start vertex is not written: the reader supplies it (see
+/// [`decode_walk`]).  An empty slice writes a count of 0.
+///
+/// # Panics
+///
+/// Panics if a hop is not an edge of `net`; the paths a model stores are
+/// drivable by construction.
+pub fn encode_walk(w: &mut Writer, net: &RoadNetwork, vertices: &[VertexId]) {
+    w.leb128(vertices.len() as u32);
+    for hop in vertices.windows(2) {
+        let rank = net.heads(hop[0]).iter().position(|&h| h == hop[1]);
+        w.leb128(rank.expect("every hop of a stored walk is an edge") as u32);
     }
 }
 
-/// Decodes a path, validating every vertex id against `num_vertices`.
-pub fn decode_path(r: &mut Reader<'_>, num_vertices: usize) -> Result<Path, CodecError> {
-    let len = r.length("path length", 4)?;
-    let mut vertices = Vec::with_capacity(len);
-    for _ in 0..len {
-        vertices.push(VertexId(r.index("path vertex", num_vertices)?));
+/// Writes each of `walks` as [`encode_walk`] does, in order.  Every hop
+/// costs a scan of the out-edge group of a vertex anywhere in the network,
+/// so a long list is encoded in chunks across [`l2r_par`] workers and the
+/// pieces are appended in order: the bytes do not depend on the thread
+/// count.
+///
+/// # Panics
+///
+/// Panics if a hop is not an edge of `net`.
+pub fn encode_walks(w: &mut Writer, net: &RoadNetwork, walks: &[&[VertexId]]) {
+    let chunk = chunk_len(walks.len());
+    let chunks: Vec<&[&[VertexId]]> = walks.chunks(chunk).collect();
+    let pieces = l2r_par::par_map(&chunks, |_, chunk| {
+        let mut piece = Writer::new();
+        for walk in *chunk {
+            encode_walk(&mut piece, net, walk);
+        }
+        piece.buf
+    });
+    for piece in pieces {
+        w.buf.extend_from_slice(&piece);
     }
-    Path::new(vertices).map_err(|_| CodecError::Invalid("empty path"))
+}
+
+/// Reads a walk written by [`encode_walk`] that starts at `start`, appends
+/// its vertices to `out` (none for a count of 0) and returns the vertex
+/// count.  Each hop steps from `v` to the head at position `rank` of `v`'s
+/// out-edge group, and a rank at or beyond `v`'s out-degree is an error, so
+/// every decoded walk is drivable by construction.  A rank that is not the
+/// first position of its head is an error too, so a walk has exactly one
+/// encoding.
+pub fn decode_walk(
+    r: &mut Reader<'_>,
+    net: &RoadNetwork,
+    start: VertexId,
+    out: &mut Vec<VertexId>,
+) -> Result<usize, CodecError> {
+    let count = r.leb128("walk vertex count")? as usize;
+    if count == 0 {
+        return Ok(0);
+    }
+    if start.idx() >= net.num_vertices() {
+        return Err(CodecError::IndexOutOfRange {
+            what: "walk start vertex",
+            index: start.0 as u64,
+            limit: net.num_vertices() as u64,
+        });
+    }
+    // Every hop takes at least one byte.
+    if count - 1 > r.remaining() {
+        return Err(CodecError::ImplausibleLength {
+            what: "walk vertex count",
+            len: count as u64,
+        });
+    }
+    out.reserve(count);
+    out.push(start);
+    let mut v = start;
+    for _ in 1..count {
+        let rank = r.leb128("walk rank")? as usize;
+        let heads = net.heads(v);
+        let Some(&next) = heads.get(rank) else {
+            return Err(CodecError::Invalid(
+                "undrivable walk: rank beyond the out-degree",
+            ));
+        };
+        if rank > 0 && heads[rank - 1] == next {
+            return Err(CodecError::Invalid(
+                "walk rank is not the first edge to its head",
+            ));
+        }
+        out.push(next);
+        v = next;
+    }
+    Ok(count)
 }
 
 /// Decodes a vertex id validated against `num_vertices`.
@@ -732,67 +844,34 @@ impl Encode for RoadNetwork {
     }
 }
 
-/// Records per decode chunk of a `len`-record table: four chunks per
-/// [`l2r_par`] worker, but never fewer than 8,192 records, below which the
-/// spawn overhead outweighs the decode work.
-fn chunk_len(len: usize) -> usize {
-    len.div_ceil(l2r_par::max_threads().max(1) * 4).max(8_192)
-}
-
-/// Decodes a fixed-stride table of `table.len() / stride` records, fanning
-/// contiguous chunks across [`l2r_par`] workers.  Each chunk starts as
-/// `with_capacity(records)`, and `record(r, i, chunk)` decodes record `i`
-/// from a reader positioned at its first byte into it.  Chunks come back in
-/// order, so on malformed input the error of the lowest-indexed failing
-/// record is reported, whatever the thread count or scheduling.
-fn decode_chunks<C, N, F>(
-    table: &[u8],
-    stride: usize,
-    with_capacity: N,
-    record: F,
-) -> Result<Vec<C>, CodecError>
+/// Decodes a fixed-stride table in place: `parts` holds one mutable piece
+/// per chunk of `chunk` records, in order, and `fill(first, part)` decodes
+/// the records from index `first` on into it.  The pieces are handed to
+/// [`l2r_par`] workers; on malformed input the error of the lowest-indexed
+/// failing chunk is reported, and within a chunk that of the first failing
+/// record, so the error does not depend on the thread count.
+fn decode_in_chunks<P, F>(parts: &mut [P], chunk: usize, fill: F) -> Result<(), CodecError>
 where
-    C: Send,
-    N: Fn(usize) -> C + Sync,
-    F: Fn(&mut Reader<'_>, usize, &mut C) -> Result<(), CodecError> + Sync,
+    P: Send,
+    F: Fn(usize, &mut P) -> Result<(), CodecError> + Sync,
 {
-    let len = table.len() / stride;
-    let chunk = chunk_len(len);
-    let starts: Vec<usize> = (0..len).step_by(chunk).collect();
-    l2r_par::par_map(&starts, |_, &start| {
-        let end = (start + chunk).min(len);
-        let mut r = Reader::new(&table[start * stride..end * stride]);
-        let mut out = with_capacity(end - start);
-        for i in start..end {
-            record(&mut r, i, &mut out)?;
-        }
-        Ok(out)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Joins the per-chunk pieces of one column in order, releasing each piece
-/// once it is copied.
-fn concat<T: Copy>(len: usize, pieces: impl Iterator<Item = Vec<T>>) -> Vec<T> {
-    let mut out = Vec::with_capacity(len);
-    for piece in pieces {
-        out.extend_from_slice(&piece);
-    }
-    out
+    l2r_par::par_map_mut(parts, |k, part| fill(k * chunk, part))
+        .into_iter()
+        .collect()
 }
 
 impl Decode for RoadNetwork {
     /// Vertex records are 16 bytes and edge records 17 bytes on the wire, so
-    /// both tables decode in parallel chunks (see [`l2r_par`]).  Ids are
-    /// positional, so the network does not depend on the chunking.  Each
-    /// edge's travel time and fuel are derived from its distance and road
-    /// type by [`EdgeWeights::derive`], and the edge is rejected on the
-    /// builder's own rule ([`EdgeWeights::invalid_cost`]), as are
-    /// out-of-range endpoints, self-loops and unknown road-type tags, so a
-    /// decoded network is always one the builder could produce.  Edges
-    /// decode into id-ordered columns joined one column at a time, so the
-    /// edge table is never held twice.
+    /// both tables decode in parallel chunks (see [`l2r_par`]), each chunk
+    /// writing its records in place.  Ids are positional, so the network
+    /// does not depend on the chunking.  The edge pass validates every
+    /// record on the builder's own rules — endpoints in range, no
+    /// self-loops, known road-type tags, and travel time and fuel derived
+    /// from the distance ([`EdgeWeights::derive`]) that pass
+    /// [`EdgeWeights::invalid_cost`] — so a decoded network is always one
+    /// the builder could produce, and keeps only the endpoints.
+    /// `RoadNetwork::from_parts` then lays the edges out and reads each
+    /// record's payload once more, straight into its CSR position.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         // `length` bounds each count by the bytes left, so the whole table
         // is always there to take.
@@ -801,50 +880,55 @@ impl Decode for RoadNetwork {
         let num_edges = r.length("edge count", EDGE_WIRE_BYTES)?;
         let edge_table = r.take(num_edges * EDGE_WIRE_BYTES, "edge table")?;
 
-        let vertices = decode_chunks(
-            vertex_table,
-            VERTEX_WIRE_BYTES,
-            Vec::with_capacity,
-            |r, i, out| {
-                out.push(Vertex {
-                    id: VertexId(i as u32),
-                    point: Point::decode(r)?,
-                });
-                Ok(())
-            },
-        )?;
-        let vertices = concat(num_vertices, vertices.into_iter());
-        let mut chunks = decode_chunks(
-            edge_table,
-            EDGE_WIRE_BYTES,
-            EdgeColumns::with_capacity,
-            |r, _, out| {
-                let from = decode_vertex(r, num_vertices)?;
-                let to = decode_vertex(r, num_vertices)?;
+        let origin = Vertex {
+            id: VertexId(0),
+            point: Point::new(0.0, 0.0),
+        };
+        let mut vertices = vec![origin; num_vertices];
+        let chunk = chunk_len(num_vertices);
+        let mut parts: Vec<_> = vertices.chunks_mut(chunk).collect();
+        decode_in_chunks(&mut parts, chunk, |first, part| {
+            let mut r = Reader::new(&vertex_table[first * VERTEX_WIRE_BYTES..]);
+            for (i, v) in part.iter_mut().enumerate() {
+                v.id = VertexId((first + i) as u32);
+                v.point = Point::decode(&mut r)?;
+            }
+            Ok(())
+        })?;
+
+        let mut from = vec![VertexId(0); num_edges];
+        let mut to = vec![VertexId(0); num_edges];
+        let chunk = chunk_len(num_edges);
+        let mut parts: Vec<_> = from.chunks_mut(chunk).zip(to.chunks_mut(chunk)).collect();
+        decode_in_chunks(&mut parts, chunk, |first, (from, to)| {
+            let mut r = Reader::new(&edge_table[first * EDGE_WIRE_BYTES..]);
+            for (f, t) in from.iter_mut().zip(to.iter_mut()) {
+                *f = decode_vertex(&mut r, num_vertices)?;
+                *t = decode_vertex(&mut r, num_vertices)?;
                 let distance_m = r.f64("edge distance")?;
-                let road_type = RoadType::decode(r)?;
-                if from == to {
+                let road_type = RoadType::decode(&mut r)?;
+                if f == t {
                     return Err(CodecError::Invalid("self-loop edge"));
                 }
-                let weights = EdgeWeights::derive(distance_m, road_type);
-                if weights.invalid_cost().is_some() {
+                if EdgeWeights::derive(distance_m, road_type)
+                    .invalid_cost()
+                    .is_some()
+                {
                     return Err(CodecError::Invalid(
                         "non-positive or non-finite edge weight",
                     ));
                 }
-                out.push(from, to, weights, road_type);
-                Ok(())
-            },
-        )?;
-        let edges = EdgeColumns {
-            from: concat(num_edges, chunks.iter_mut().map(|c| take(&mut c.from))),
-            to: concat(num_edges, chunks.iter_mut().map(|c| take(&mut c.to))),
-            cost: std::array::from_fn(|i| {
-                concat(num_edges, chunks.iter_mut().map(|c| take(&mut c.cost[i])))
-            }),
-            road_type: concat(num_edges, chunks.iter_mut().map(|c| take(&mut c.road_type))),
-        };
-        Ok(RoadNetwork::from_parts(vertices, edges))
+            }
+            Ok(())
+        })?;
+
+        Ok(RoadNetwork::from_parts(vertices, from, to, |e: EdgeId| {
+            let record = &edge_table[e.idx() * EDGE_WIRE_BYTES..][..EDGE_WIRE_BYTES];
+            let distance_m = f64::from_le_bytes(record[8..16].try_into().expect("8-byte field"));
+            let road_type =
+                RoadType::from_index(record[16] as usize).expect("tag checked by the first pass");
+            (EdgeWeights::derive(distance_m, road_type), road_type)
+        }))
     }
 }
 
@@ -970,22 +1054,75 @@ mod tests {
     }
 
     #[test]
-    fn path_roundtrip_validates_vertices() {
-        let p = Path::new(vec![VertexId(0), VertexId(3), VertexId(1)]).unwrap();
+    fn leb128_roundtrips_and_rejects_non_canonical_input() {
+        let values = [0, 1, 127, 128, 300, 16_383, 16_384, 1 << 28, u32::MAX];
         let mut w = Writer::new();
-        p.encode(&mut w);
+        for v in values {
+            w.leb128(v);
+        }
         let bytes = w.into_vec();
-        assert_eq!(decode_path(&mut Reader::new(&bytes), 4).unwrap(), p);
-        // The same bytes against a smaller vertex table must error.
+        assert_eq!(bytes.len(), 1 + 1 + 1 + 2 + 2 + 2 + 3 + 5 + 5);
+        let mut r = Reader::new(&bytes);
+        for v in values {
+            assert_eq!(r.leb128("v").unwrap(), v);
+        }
+        assert!(r.is_exhausted());
+        for (bad, truncated) in [
+            (&[0x80u8, 0x00][..], false),                 // overlong zero
+            (&[0xFF, 0x80, 0x00][..], false),             // overlong 127
+            (&[0xFF, 0xFF, 0xFF, 0xFF, 0x10][..], false), // 33 bits
+            (&[0x80, 0x80, 0x80, 0x80, 0x80][..], false), // a sixth byte
+            (&[0x80][..], true),
+            (&[][..], true),
+        ] {
+            let err = Reader::new(bad).leb128("v").unwrap_err();
+            assert_eq!(
+                matches!(err, CodecError::UnexpectedEof { .. }),
+                truncated,
+                "{bad:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn path_roundtrip_validates_vertices() {
+        // 0 ⇄ 1 ⇄ 2 and 0 → 2: the walk 0 → 1 → 2 → 1 round-trips from its
+        // start vertex, and so does an empty walk.
+        let net = sample_net();
+        let walk = [VertexId(0), VertexId(1), VertexId(2), VertexId(1)];
+        let mut w = Writer::new();
+        encode_walk(&mut w, &net, &walk);
+        encode_walk(&mut w, &net, &[]);
+        let bytes = w.into_vec();
+        assert_eq!(bytes.len(), 1 + 3 + 1, "one byte per count and rank");
+        let mut r = Reader::new(&bytes);
+        let mut out = Vec::new();
+        assert_eq!(decode_walk(&mut r, &net, VertexId(0), &mut out).unwrap(), 4);
+        assert_eq!(decode_walk(&mut r, &net, VertexId(2), &mut out).unwrap(), 0);
+        assert!(r.is_exhausted());
+        assert_eq!(out, walk);
+
+        // A rank equal to the out-degree names no edge.
+        let mut w = Writer::new();
+        w.leb128(2);
+        w.leb128(net.out_degree(VertexId(0)) as u32);
         assert!(matches!(
-            decode_path(&mut Reader::new(&bytes), 3),
+            decode_walk(&mut Reader::new(w.as_slice()), &net, VertexId(0), &mut out),
+            Err(CodecError::Invalid(msg)) if msg.contains("undrivable")
+        ));
+        // A start vertex beyond the network, and a count no buffer holds.
+        let mut w = Writer::new();
+        w.leb128(1);
+        assert!(matches!(
+            decode_walk(&mut Reader::new(w.as_slice()), &net, VertexId(3), &mut out),
             Err(CodecError::IndexOutOfRange { .. })
         ));
-        // An empty path is rejected.
         let mut w = Writer::new();
-        w.length(0);
-        let bytes = w.into_vec();
-        assert!(decode_path(&mut Reader::new(&bytes), 4).is_err());
+        w.leb128(1000);
+        assert!(matches!(
+            decode_walk(&mut Reader::new(w.as_slice()), &net, VertexId(0), &mut out),
+            Err(CodecError::ImplausibleLength { .. })
+        ));
     }
 
     #[test]

@@ -267,7 +267,12 @@ impl RoadNetwork {
 
     /// Neighbours reachable by one outgoing edge.
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.columns.to[self.out_range(v)].iter().copied()
+        self.heads(v).iter().copied()
+    }
+
+    /// The heads of `v`'s out-edge group, in position order (ascending).
+    pub(crate) fn heads(&self, v: VertexId) -> &[VertexId] {
+        &self.columns.to[self.out_range(v)]
     }
 
     /// Bounding box of all vertex positions.
@@ -340,54 +345,36 @@ impl RoadNetwork {
     }
 }
 
-/// Edge fields, one column each.  The builder and the snapshot decoder
-/// collect them in id order; [`RoadNetwork::from_parts`] rearranges them into
-/// CSR position order, one column at a time.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EdgeColumns {
-    pub(crate) from: Vec<VertexId>,
-    pub(crate) to: Vec<VertexId>,
+/// Edge fields in CSR position order, one column each (see the
+/// [module docs](self)).
+#[derive(Debug, Clone)]
+struct EdgeColumns {
+    from: Vec<VertexId>,
+    to: Vec<VertexId>,
     /// One weight column per cost type, indexed by [`CostType::index`].
-    pub(crate) cost: [Vec<f64>; CostType::COUNT],
-    pub(crate) road_type: Vec<RoadType>,
+    cost: [Vec<f64>; CostType::COUNT],
+    road_type: Vec<RoadType>,
 }
 
-impl EdgeColumns {
-    pub(crate) fn with_capacity(edges: usize) -> EdgeColumns {
-        EdgeColumns {
-            from: Vec::with_capacity(edges),
-            to: Vec::with_capacity(edges),
-            cost: [(); CostType::COUNT].map(|_| Vec::with_capacity(edges)),
-            road_type: Vec::with_capacity(edges),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.from.len()
-    }
-
-    /// Appends the edge with the next id.
-    pub(crate) fn push(
-        &mut self,
-        from: VertexId,
-        to: VertexId,
-        weights: EdgeWeights,
-        road_type: RoadType,
-    ) {
-        self.from.push(from);
-        self.to.push(to);
-        for c in CostType::ALL {
-            self.cost[c.index()].push(weights.get(c));
-        }
-        self.road_type.push(road_type);
-    }
+/// Records per chunk when a network table is decoded or filled across
+/// [`l2r_par`] workers: four chunks per worker, but never fewer than 8,192
+/// records, below which the spawn overhead outweighs the work (so tables of
+/// that size are handled on the calling thread).
+pub(crate) fn chunk_len(len: usize) -> usize {
+    len.div_ceil(l2r_par::max_threads().max(1) * 4).max(8_192)
 }
 
 /// Incremental builder for [`RoadNetwork`].
 #[derive(Debug, Default)]
 pub struct RoadNetworkBuilder {
     vertices: Vec<Vertex>,
-    edges: EdgeColumns,
+    /// The edges in id order: endpoints, distance and road type (travel
+    /// time and fuel are derived from the last two when the network is
+    /// built).
+    from: Vec<VertexId>,
+    to: Vec<VertexId>,
+    distance_m: Vec<f64>,
+    road_type: Vec<RoadType>,
 }
 
 impl RoadNetworkBuilder {
@@ -400,7 +387,10 @@ impl RoadNetworkBuilder {
     pub fn with_capacity(vertices: usize, edges: usize) -> Self {
         RoadNetworkBuilder {
             vertices: Vec::with_capacity(vertices),
-            edges: EdgeColumns::with_capacity(edges),
+            from: Vec::with_capacity(edges),
+            to: Vec::with_capacity(edges),
+            distance_m: Vec::with_capacity(edges),
+            road_type: Vec::with_capacity(edges),
         }
     }
 
@@ -411,7 +401,7 @@ impl RoadNetworkBuilder {
 
     /// Number of directed edges added so far.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.from.len()
     }
 
     /// Adds a vertex at `point` and returns its id.
@@ -448,8 +438,11 @@ impl RoadNetworkBuilder {
                 weights.get(cost),
             ));
         }
-        let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(from, to, weights, road_type);
+        let id = EdgeId(self.from.len() as u32);
+        self.from.push(from);
+        self.to.push(to);
+        self.distance_m.push(distance_m);
+        self.road_type.push(road_type);
         Ok(id)
     }
 
@@ -488,27 +481,40 @@ impl RoadNetworkBuilder {
 
     /// Finalises the builder into an immutable [`RoadNetwork`].
     pub fn build(self) -> RoadNetwork {
-        RoadNetwork::from_parts(self.vertices, self.edges)
+        let RoadNetworkBuilder {
+            vertices,
+            from,
+            to,
+            distance_m,
+            road_type,
+        } = self;
+        RoadNetwork::from_parts(vertices, from, to, |e| {
+            let rt = road_type[e.idx()];
+            (EdgeWeights::derive(distance_m[e.idx()], rt), rt)
+        })
     }
 }
 
 impl RoadNetwork {
-    /// Assembles a network from a vertex table whose ids equal their indexes
-    /// and the edge fields in id order, laying the edges out in CSR position
-    /// order and rebuilding the adjacency and bounding box.  Shared by
-    /// [`RoadNetworkBuilder::build`] and snapshot decoding, so a decoded
-    /// network is structurally identical to a freshly built one.  Each input
-    /// column is released as soon as its permuted copy exists, so the edge
-    /// table is never held twice.
-    pub(crate) fn from_parts(vertices: Vec<Vertex>, edges: EdgeColumns) -> RoadNetwork {
+    /// Assembles a network from a vertex table whose ids equal their indexes,
+    /// the edges' endpoints in id order, and `payload`, which gives an edge
+    /// id's weights and road type.  Shared by [`RoadNetworkBuilder::build`]
+    /// (which reads its columns) and snapshot decoding (which reads the wire
+    /// record), so a decoded network is structurally identical to a freshly
+    /// built one.  The endpoints alone fix the CSR layout; every
+    /// position-order column is then allocated once and each edge written
+    /// straight to its position, in parallel chunks of [`chunk_len`] edges.
+    pub(crate) fn from_parts<P>(
+        vertices: Vec<Vertex>,
+        from: Vec<VertexId>,
+        to: Vec<VertexId>,
+        payload: P,
+    ) -> RoadNetwork
+    where
+        P: Fn(EdgeId) -> (EdgeWeights, RoadType) + Sync,
+    {
         let n = vertices.len();
-        let m = edges.len();
-        let EdgeColumns {
-            from,
-            to,
-            cost,
-            road_type,
-        } = edges;
+        let m = from.len();
         let mut out_offsets = vec![0u32; n + 1];
         let mut in_offsets = vec![0u32; n + 1];
         for (f, t) in from.iter().zip(&to) {
@@ -533,10 +539,6 @@ impl RoadNetwork {
             let group = &mut id[out_offsets[v] as usize..out_offsets[v + 1] as usize];
             group.sort_unstable_by_key(|&e| (to[e.idx()], e));
         }
-        // The widest columns move first, while the fewest others exist, so
-        // the peak stays about one narrow column above the finished network.
-        let cost = cost.map(|column| permute(&id, column));
-        let road_type = permute(&id, road_type);
         let mut slot = vec![0u32; m];
         for (pos, e) in id.iter().enumerate() {
             slot[e.idx()] = pos as u32;
@@ -548,12 +550,7 @@ impl RoadNetwork {
             cursor[t.idx()] += 1;
         }
         drop(cursor);
-        let columns = EdgeColumns {
-            from: permute(&id, from),
-            to: permute(&id, to),
-            cost,
-            road_type,
-        };
+        let columns = EdgeColumns::in_position_order(&id, &from, &to, payload);
         let bbox = BoundingBox::from_points(vertices.iter().map(|v| &v.point));
         RoadNetwork {
             vertices,
@@ -568,10 +565,53 @@ impl RoadNetwork {
     }
 }
 
-/// `column` (indexed by edge id) rearranged into position order; the input
-/// is released on return.
-fn permute<T: Copy>(id: &[EdgeId], column: Vec<T>) -> Vec<T> {
-    id.iter().map(|e| column[e.idx()]).collect()
+impl EdgeColumns {
+    /// The columns of the edges at positions `id` (position → edge id),
+    /// whose id-order endpoints are `from`/`to` and whose other fields
+    /// `payload` gives.  Each column is allocated once and filled in place,
+    /// chunk by chunk across [`l2r_par`] workers; positions fix where every
+    /// value lands, so the result does not depend on the thread count.
+    fn in_position_order<P>(id: &[EdgeId], from: &[VertexId], to: &[VertexId], payload: P) -> Self
+    where
+        P: Fn(EdgeId) -> (EdgeWeights, RoadType) + Sync,
+    {
+        let m = id.len();
+        let mut columns = EdgeColumns {
+            from: vec![VertexId(0); m],
+            to: vec![VertexId(0); m],
+            cost: [(); CostType::COUNT].map(|_| vec![0.0; m]),
+            road_type: vec![RoadType::ALL[0]; m],
+        };
+        let chunk = chunk_len(m);
+        let EdgeColumns {
+            from: tails,
+            to: heads,
+            cost: [distance, travel_time, fuel],
+            road_type,
+        } = &mut columns;
+        let mut parts: Vec<_> = tails
+            .chunks_mut(chunk)
+            .zip(heads.chunks_mut(chunk))
+            .zip(distance.chunks_mut(chunk))
+            .zip(travel_time.chunks_mut(chunk))
+            .zip(fuel.chunks_mut(chunk))
+            .zip(road_type.chunks_mut(chunk))
+            .collect();
+        l2r_par::par_map_mut(&mut parts, |k, part| {
+            let (((((tails, heads), distance), travel_time), fuel), road_type) = part;
+            let ids = &id[k * chunk..][..tails.len()];
+            for (j, &e) in ids.iter().enumerate() {
+                let (weights, rt) = payload(e);
+                tails[j] = from[e.idx()];
+                heads[j] = to[e.idx()];
+                distance[j] = weights.distance_m;
+                travel_time[j] = weights.travel_time_s;
+                fuel[j] = weights.fuel_ml;
+                road_type[j] = rt;
+            }
+        });
+        columns
+    }
 }
 
 #[cfg(test)]

@@ -40,8 +40,8 @@ pub mod spatial;
 pub mod weights;
 
 pub use codec::{
-    crc32, decode_path, decode_vertex, CodecError, Decode, Encode, Reader, Writer, EDGE_WIRE_BYTES,
-    VERTEX_WIRE_BYTES,
+    crc32, decode_vertex, decode_walk, encode_walk, encode_walks, CodecError, Decode, Encode,
+    Reader, Writer, EDGE_WIRE_BYTES, VERTEX_WIRE_BYTES,
 };
 pub use constrained::preference_constrained_path;
 pub use dijkstra::{

@@ -1,15 +1,21 @@
-//! Property test for the road-network wire form on random inputs: a network
-//! decoded from its encoding is the network that was built — every edge's
-//! id, endpoints, the bits of all three weights (travel time and fuel are
-//! not on the wire, so the decoder re-derives them) and road type, the
-//! out/in adjacency orders and the bounding box — and re-encodes to the same
-//! bytes.  The section is exactly `16 + 16·n + 17·m` bytes long.
+//! Property tests for the road-network wire forms on random inputs.
+//!
+//! A network decoded from its encoding is the network that was built —
+//! every edge's id, endpoints, the bits of all three weights (travel time
+//! and fuel are not on the wire, so the decoder re-derives them) and road
+//! type, the out/in adjacency orders and the bounding box — and re-encodes
+//! to the same bytes.  The section is exactly `16 + 16·n + 17·m` bytes long.
+//!
+//! A walk over the same networks (parallel edges included) round-trips
+//! vertex for vertex; a rank equal to the out-degree is a typed error; and
+//! an encoded walk with one to three bytes flipped decodes to a typed error
+//! or to a different walk that is still drivable, never a panic.
 
 use proptest::prelude::*;
 
 use l2r_road_network::{
-    CostType, Decode, Edge, Encode, Point, Reader, RoadNetwork, RoadNetworkBuilder, RoadType,
-    VertexId, Writer,
+    decode_walk, encode_walk, CodecError, CostType, Decode, Edge, Encode, Point, Reader,
+    RoadNetwork, RoadNetworkBuilder, RoadType, VertexId, Writer,
 };
 
 /// How one raw edge is added: one way, both ways, or twice the same way.
@@ -101,4 +107,68 @@ proptest! {
         prop_assert_eq!(decoded.bounding_box(), net.bounding_box());
         prop_assert_eq!(encode(&decoded), bytes);
     }
+
+    #[test]
+    fn walks_roundtrip_and_reject_bad_ranks_and_flips(
+        points in proptest::collection::vec((-1e6f64..1e6, -1e6f64..1e6), 1..65),
+        raw in proptest::collection::vec((0u32..64, 0u32..64, 0usize..6, 0usize..8, 0usize..3), 0..200),
+        start in 0u32..64,
+        choices in proptest::collection::vec(0usize..16, 0..40),
+        flips in proptest::collection::vec((0usize..1024, 1u8..=255), 1..4),
+    ) {
+        let net = build(&points, &[100.0], &raw);
+        let start = VertexId(start % net.num_vertices() as u32);
+        let walk = random_walk(&net, start, &choices);
+        let mut w = Writer::new();
+        encode_walk(&mut w, &net, &walk);
+        let bytes = w.into_vec();
+
+        let mut r = Reader::new(&bytes);
+        let mut decoded = Vec::new();
+        prop_assert_eq!(decode_walk(&mut r, &net, start, &mut decoded), Ok(walk.len()));
+        prop_assert!(r.is_exhausted());
+        prop_assert_eq!(&decoded, &walk);
+
+        // A rank equal to the out-degree of the vertex it leaves.
+        let mut w = Writer::new();
+        w.leb128(2);
+        w.leb128(net.out_degree(start) as u32);
+        let result = decode_walk(&mut Reader::new(w.as_slice()), &net, start, &mut Vec::new());
+        prop_assert!(matches!(result, Err(CodecError::Invalid(_))), "{:?}", result);
+
+        let mut flipped = bytes.clone();
+        for &(at, mask) in &flips {
+            flipped[at % bytes.len()] ^= mask;
+        }
+        if flipped != bytes {
+            let mut other = Vec::new();
+            if decode_walk(&mut Reader::new(&flipped), &net, start, &mut other).is_ok() {
+                prop_assert!(other != walk, "flips {:?} decode to the same walk", flips);
+                prop_assert!(other.is_empty() || other[0] == start);
+                for hop in other.windows(2) {
+                    prop_assert!(net.edge_between(hop[0], hop[1]).is_some());
+                }
+            }
+        }
+    }
+}
+
+/// A walk from `start` that takes, at each step, the out-edge `choice`
+/// (modulo the out-degree) and stops at a vertex without out-edges.
+fn random_walk(net: &RoadNetwork, start: VertexId, choices: &[usize]) -> Vec<VertexId> {
+    let mut walk = vec![start];
+    let mut v = start;
+    for &choice in choices {
+        let degree = net.out_degree(v);
+        if degree == 0 {
+            break;
+        }
+        v = net
+            .out_edges(v)
+            .nth(choice % degree)
+            .expect("choice below the degree")
+            .to;
+        walk.push(v);
+    }
+    walk
 }

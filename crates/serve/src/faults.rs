@@ -24,6 +24,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use l2r_core::splitmix64;
+
 /// Which injection site a decision belongs to; each site has an independent
 /// deterministic draw stream.
 #[derive(Debug, Clone, Copy)]
@@ -117,14 +119,6 @@ pub struct FaultPlan {
     short_writes: AtomicU64,
     conns_dropped: AtomicU64,
     worker_kills_injected: AtomicU64,
-}
-
-/// The finalization step of splitmix64 — a cheap, well-mixed hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl FaultPlan {
