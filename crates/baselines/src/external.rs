@@ -63,7 +63,9 @@ pub struct ExternalRouter {
 
 impl ExternalRouter {
     /// Builds the router for a network (pre-computes its private travel-time
-    /// estimates).
+    /// estimates).  The per-edge noise is drawn in edge-id order, which is
+    /// the network's CSR order, so it does not depend on the order the
+    /// network's builder received the edges in.
     pub fn new(net: &RoadNetwork, config: ExternalRouterConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let edge_multiplier = net

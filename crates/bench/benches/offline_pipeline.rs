@@ -1,8 +1,10 @@
 //! Offline processing bench (Section VII-C): the full `L2r::fit` pipeline and
 //! its individual stages, plus preference transfer (Step 2b) alone on D1 and
 //! the snapshot codec on the fitted D1 model (encode, decode, the network
-//! table's decode alone and the CRC-32 pass over the payload), plus the
-//! CRC-32 alone on a seeded 16 MiB buffer, a country-scale snapshot's size.
+//! table's decode alone and the CRC-32 pass over the payload), the network
+//! table's decode alone on the generated country-scale `xl` network (no
+//! fit), plus the CRC-32 alone on a seeded 16 MiB buffer, a country-scale
+//! snapshot's size.
 //! Honours the `L2R_THREADS` override; run with `L2R_THREADS=1` to measure
 //! the serial (allocation-free) baseline.
 
@@ -13,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use l2r_bench::bench_scale;
 use l2r_core::{decode_snapshot, encode_snapshot, L2r, SNAPSHOT_CRC_FIELD, SNAPSHOT_HEADER_LEN};
 use l2r_datagen::{generate_network, generate_workload};
-use l2r_eval::{offline_times, DatasetSpec};
+use l2r_eval::{offline_times, DatasetSpec, Scale};
 use l2r_preference::{transfer_preferences, Preference};
 use l2r_region_graph::RegionEdgeId;
 use l2r_road_network::codec::Crc32;
@@ -110,25 +112,35 @@ fn bench_offline(c: &mut Criterion) {
     );
     // The network table alone: the layer of the decode whose edge records
     // carry only the distance, so it includes deriving travel time and fuel.
-    let mut w = Writer::new();
-    model.network().encode(&mut w);
-    let network_bytes = w.into_vec();
+    // On D1's fitted network and on the generated `xl` network, which is
+    // most of an `xl` snapshot's bytes and decode time.
     let decode_network =
         |bytes: &[u8]| RoadNetwork::decode(&mut Reader::new(bytes)).expect("network decode");
-    let mut w = Writer::new();
-    decode_network(&network_bytes).encode(&mut w);
-    assert_eq!(
-        w.as_slice(),
-        network_bytes,
-        "re-encoding the decoded network must reproduce the bytes"
-    );
-    group.bench_with_input(
-        BenchmarkId::new("network_decode", "D1"),
-        &network_bytes,
-        |b, bytes| {
-            b.iter(|| decode_network(bytes));
-        },
-    );
+    let xl = generate_network(&DatasetSpec::d1(Scale::Xl).network).net;
+    for (name, net) in [("D1", model.network()), ("XL", &xl)] {
+        let mut w = Writer::new();
+        net.encode(&mut w);
+        let network_bytes = w.into_vec();
+        let mut w = Writer::new();
+        decode_network(&network_bytes).encode(&mut w);
+        assert_eq!(
+            w.as_slice(),
+            network_bytes,
+            "re-encoding the decoded network must reproduce the bytes"
+        );
+        println!(
+            "[snapshot/{name}] {:<20} {} bytes",
+            "network",
+            network_bytes.len()
+        );
+        group.bench_with_input(
+            BenchmarkId::new("network_decode", name),
+            &network_bytes,
+            |b, bytes| {
+                b.iter(|| decode_network(bytes));
+            },
+        );
+    }
     group.bench_with_input(
         BenchmarkId::new("crc32", "D1"),
         &bytes[SNAPSHOT_HEADER_LEN..],
@@ -141,7 +153,7 @@ fn bench_offline(c: &mut Criterion) {
         },
     );
     // The CRC alone on a seeded buffer of a country-scale snapshot's size
-    // (the `xl` one is 10.8 MB): the per-pass cost behind each of publish →
+    // (the `xl` one is 7.5 MB): the per-pass cost behind each of publish →
     // first answer's five integrity passes, whichever kernel this CPU
     // dispatches to.
     let mut buf = vec![0u8; 16 << 20];

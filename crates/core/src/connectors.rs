@@ -31,7 +31,6 @@
 //! one that graph implies.  Each walk must start at its key's `from` and end
 //! at its `to`, and is drivable by construction.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use l2r_region_graph::{RegionEdge, RegionGraph, RegionId};
@@ -105,18 +104,20 @@ pub(crate) fn best_oriented_path(
 /// its path (or the proof that `to` is unreachable from `from`).
 ///
 /// Keys are stored strictly ascending next to one flat vertex array, so two
-/// tables compare equal exactly when they hold the same entries, and a hash
-/// index over the keys answers the query path's lookups in constant time.
+/// tables compare equal exactly when they hold the same entries.  Per-source
+/// offsets into the keys answer a lookup with a binary search over one
+/// source's targets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConnectorTable {
     /// Strictly ascending `(from, to)` keys.
     keys: Vec<(VertexId, VertexId)>,
+    /// The keys from vertex `v` are `keys[by_source[v] .. by_source[v + 1]]`;
+    /// one entry per network vertex, plus one.
+    by_source: Vec<u32>,
     /// Key `i`'s path ends at `vertices[ends[i]]` (exclusive) and starts where
     /// key `i − 1`'s ends; an empty range means unreachable.
     ends: Vec<usize>,
     vertices: Vec<VertexId>,
-    /// Position of each key in `keys`.
-    index: HashMap<(VertexId, VertexId), u32>,
 }
 
 impl ConnectorTable {
@@ -159,38 +160,33 @@ impl ConnectorTable {
         // Equal keys carry equal paths, so which duplicate survives is moot.
         entries.sort_unstable_by_key(|(key, _)| *key);
         entries.dedup_by_key(|(key, _)| *key);
-        let mut table = ConnectorTable::with_capacity(entries.len());
-        for (key, path) in &entries {
-            table.keys.push(*key);
+        let keys: Vec<_> = entries.iter().map(|(key, _)| *key).collect();
+        let mut ends = Vec::with_capacity(entries.len());
+        let mut vertices = Vec::new();
+        for (_, path) in &entries {
             if let Some(p) = path {
-                table.vertices.extend_from_slice(p.vertices());
+                vertices.extend_from_slice(p.vertices());
             }
-            table.ends.push(table.vertices.len());
+            ends.push(vertices.len());
         }
-        table.indexed()
-    }
-
-    fn with_capacity(len: usize) -> ConnectorTable {
         ConnectorTable {
-            keys: Vec::with_capacity(len),
-            ends: Vec::with_capacity(len),
-            vertices: Vec::new(),
-            index: HashMap::new(),
+            by_source: by_source(&keys, net.num_vertices()),
+            keys,
+            ends,
+            vertices,
         }
-    }
-
-    /// Builds the lookup index once the entries are complete.
-    fn indexed(mut self) -> ConnectorTable {
-        self.index = self.keys.iter().zip(0u32..).map(|(&k, i)| (k, i)).collect();
-        self
     }
 
     /// The connector `from → to`: `None` when the table has no such key,
     /// `Some(None)` when it is proven unreachable, and otherwise its full
     /// vertex sequence (both endpoints included).
     pub fn get(&self, from: VertexId, to: VertexId) -> Option<Option<&[VertexId]>> {
-        let i = *self.index.get(&(from, to))?;
-        let path = &self.vertices[self.span(i as usize)];
+        let start = *self.by_source.get(from.idx())? as usize;
+        let end = *self.by_source.get(from.idx() + 1)? as usize;
+        let rank = self.keys[start..end]
+            .binary_search_by_key(&to, |&(_, t)| t)
+            .ok()?;
+        let path = &self.vertices[self.span(start + rank)];
         Some((!path.is_empty()).then_some(path))
     }
 
@@ -254,21 +250,12 @@ impl ConnectorTable {
                 "connector keys differ from the region graph's",
             ));
         }
-        // The hash index needs only the keys, so at scale it is built on a
-        // second worker while the walks decode.
-        let build_index = || keys.iter().zip(0u32..).map(|(&k, i)| (k, i)).collect();
-        let mut read_walks = || ConnectorTable::decode_walks(r, net, &keys);
-        let (index, walks) = if keys.len() < JOIN_MIN_KEYS {
-            (build_index(), read_walks())
-        } else {
-            l2r_par::join(build_index, read_walks)
-        };
-        let (ends, vertices) = walks?;
+        let (ends, vertices) = ConnectorTable::decode_walks(r, net, &keys)?;
         Ok(ConnectorTable {
+            by_source: by_source(&keys, net.num_vertices()),
             keys,
             ends,
             vertices,
-            index,
         })
     }
 
@@ -299,9 +286,19 @@ impl ConnectorTable {
     }
 }
 
-/// Fewest keys for which [`ConnectorTable::decode`] builds the hash index
-/// on a second worker; smaller tables decode on the calling thread.
-const JOIN_MIN_KEYS: usize = 8_192;
+/// The per-source offsets of `keys` (ascending, every source below
+/// `num_vertices`), in one counting pass: the keys from vertex `v` are
+/// `keys[offsets[v] .. offsets[v + 1]]`.
+fn by_source(keys: &[(VertexId, VertexId)], num_vertices: usize) -> Vec<u32> {
+    let mut offsets = vec![0u32; num_vertices + 1];
+    for &(from, _) in keys {
+        offsets[from.idx() + 1] += 1;
+    }
+    for v in 0..num_vertices {
+        offsets[v + 1] += offsets[v];
+    }
+    offsets
+}
 
 /// One connector search: `source` reaches the out-targets of `region` when
 /// `head` is set (it is a region vertex) and every vertex of `region` when

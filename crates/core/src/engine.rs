@@ -259,6 +259,11 @@ mod tests {
                     live.as_ref().map(Path::vertices),
                     "connector {from:?} -> {to:?}"
                 );
+                // Every key is found by the lookup the router uses; a vertex
+                // is never its own key, and a source past the network has none.
+                assert_eq!(table.get(from, to), Some(stored));
+                assert_eq!(table.get(from, from), None);
+                assert_eq!(table.get(VertexId(net.num_vertices() as u32), to), None);
             }
         }
         assert!(

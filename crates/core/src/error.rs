@@ -11,6 +11,15 @@ pub enum L2rError {
     /// The trajectory set produced no regions (e.g. every trajectory was
     /// trivial).
     NoRegions,
+    /// A training trajectory is not drivable on the network: a vertex past
+    /// it, or a hop that is not an edge.  The model would store and serve
+    /// such paths, so the fit refuses them.
+    InvalidTrajectory {
+        /// Position of the trajectory in the training set.
+        index: usize,
+        /// What [`l2r_road_network::Path::validate`] reported.
+        error: NetworkError,
+    },
     /// A lower-level road-network error.
     Network(NetworkError),
 }
@@ -20,6 +29,9 @@ impl std::fmt::Display for L2rError {
         match self {
             L2rError::EmptyTrajectorySet => write!(f, "no trajectories supplied"),
             L2rError::NoRegions => write!(f, "clustering produced no regions"),
+            L2rError::InvalidTrajectory { index, error } => {
+                write!(f, "training trajectory {index} is not drivable: {error}")
+            }
             L2rError::Network(e) => write!(f, "road-network error: {e}"),
         }
     }

@@ -73,7 +73,12 @@ pub struct L2r {
 
 impl L2r {
     /// Fits an L2R model on a road network and a set of map-matched training
-    /// trajectories.
+    /// trajectories.  Every trajectory must be drivable on `net` (its
+    /// vertices in range and every hop an edge, [`Path::validate`]): the
+    /// model stores and serves those paths, so the first that is not is
+    /// refused with [`L2rError::InvalidTrajectory`] before any work starts.
+    ///
+    /// [`Path::validate`]: l2r_road_network::Path::validate
     pub fn fit(
         net: &RoadNetwork,
         trajectories: &[MatchedTrajectory],
@@ -81,6 +86,11 @@ impl L2r {
     ) -> Result<L2r, L2rError> {
         if trajectories.is_empty() {
             return Err(L2rError::EmptyTrajectorySet);
+        }
+        for (index, t) in trajectories.iter().enumerate() {
+            t.path
+                .validate(net)
+                .map_err(|error| L2rError::InvalidTrajectory { index, error })?;
         }
         let mut stats = OfflineStats::default();
 

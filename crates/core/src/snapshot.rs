@@ -19,13 +19,20 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"L2RSNAP\0"
-//!      8     1  format version (currently 6)
+//!      8     1  format version (currently 7)
 //!      9     8  payload length in bytes (u64)
 //!     17     4  CRC-32 (IEEE) of the payload (u32)
 //!     21     n  payload: dataset name, network, region graph, learned
 //!               preferences, transferred preferences, config, offline
 //!               stats, canary probes, connector table
 //! ```
+//!
+//! The network section is the vertex count, each vertex's position and
+//! out-degree, the edge count, then one record per edge — head, distance,
+//! road type ([`l2r_road_network::EDGE_WIRE_BYTES`]) — in id order.  An
+//! edge's id is its CSR position (grouped by tail, sorted by head), so the
+//! degrees imply every tail, and the decoder writes each record once,
+//! straight into the columns the router reads.
 //!
 //! Stored paths — the region graph's attached and inner-region paths and
 //! the connector paths — travel as *walks* over the network's CSR
@@ -68,7 +75,11 @@
 //! them.  Version 6 writes every stored path as a walk of out-edge ranks
 //! instead of `u32` vertex ids, and drops the connector keys, which the
 //! decoder derives from the region graph; the connector table moved to the
-//! end of the payload.  A loader accepts exactly the current version.
+//! end of the payload.  Version 7 stores the network in serving order:
+//! edge ids are CSR positions, each vertex record carries its out-degree
+//! and each edge record only its head, distance and road type (17 → 13
+//! bytes), and the decoder accepts only the layouts the builder produces.
+//! A loader accepts exactly the current version.
 //!
 //! The header is the workspace's one **sealed-file** format.  A model
 //! store's `MANIFEST` ([`crate::store`]) uses the same 21-byte header with
@@ -120,8 +131,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"L2RSNAP\0";
 /// the connector-time and transfer-convergence stats; version 5 stores each
 /// network edge as its distance and road type only, and derives travel time
 /// and fuel on load; version 6 stores paths as walks of out-edge ranks and
-/// derives the connector keys from the region graph on load.
-pub const SNAPSHOT_VERSION: u8 = 6;
+/// derives the connector keys from the region graph on load; version 7
+/// stores the network in CSR order (edge ids are positions), with each
+/// vertex's out-degree and each edge's head instead of its endpoints.
+pub const SNAPSHOT_VERSION: u8 = 7;
 
 /// Size of the fixed header preceding the payload: the magic, the version
 /// byte, the payload length and the payload's CRC-32.

@@ -14,7 +14,6 @@
 //!   thread rather than once per item.
 //! * **In-place fills** — [`par_map_mut`] hands mutable items, such as the
 //!   chunks of a column being filled, to the workers the same way.
-//! * **Two tasks** — [`join`] runs two independent closures side by side.
 //! * **Chunked work stealing** — workers grab fixed-size chunks of the index
 //!   range from a shared atomic cursor, about 64 chunks per thread, so a few
 //!   expensive items next to each other still land on different workers.
@@ -195,29 +194,6 @@ where
     })
 }
 
-/// Runs `a` on a second worker while `b` runs on the calling thread, and
-/// returns both results; with [`max_threads`] at 1 they run one after the
-/// other on the calling thread.  A panic in either propagates.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB,
-    RA: Send,
-{
-    if max_threads() <= 1 {
-        let ra = a();
-        return (ra, b());
-    }
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(a);
-        let rb = b();
-        match handle.join() {
-            Ok(ra) => (ra, rb),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,12 +233,6 @@ mod tests {
                 "len={len}"
             );
         }
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| (0..100u64).sum::<u64>(), || "b".repeat(3));
-        assert_eq!((a, b.as_str()), (4950, "bbb"));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 
 use std::sync::OnceLock;
 
-use crate::graph::{chunk_len, EdgeId, RoadNetwork, Vertex, VertexId};
+use crate::graph::{chunk_len, EdgeColumns, RoadNetwork, Vertex, VertexId};
 use crate::road_type::{RoadType, RoadTypeSet};
 use crate::spatial::Point;
 use crate::weights::{CostType, EdgeWeights};
@@ -813,30 +813,35 @@ pub fn decode_vertex(r: &mut Reader<'_>, num_vertices: usize) -> Result<VertexId
     Ok(VertexId(r.index("vertex id", num_vertices)?))
 }
 
-/// Wire size of one vertex record (two `f64` coordinates).
-pub const VERTEX_WIRE_BYTES: usize = 16;
+/// Wire size of one vertex record: two `f64` coordinates and the vertex's
+/// out-degree (`u32`).
+pub const VERTEX_WIRE_BYTES: usize = 20;
 
-/// Wire size of one edge record: `from` and `to` (`u32` each), the distance
-/// in metres (`f64`) and the road-type tag (`u8`).  Travel time and fuel are
-/// not stored; decoding derives them as the builder does.
-pub const EDGE_WIRE_BYTES: usize = 17;
+/// Wire size of one edge record: the head (`u32`), the distance in metres
+/// (`f64`) and the road-type tag (`u8`).  Records travel in id order, which
+/// is CSR order, so the out-degrees before a record imply its tail.  Travel
+/// time and fuel are not stored; decoding derives them as the builder does.
+pub const EDGE_WIRE_BYTES: usize = 13;
 
 impl Encode for RoadNetwork {
-    /// Writes the vertex count and positions, then the edge count and one
-    /// [`EDGE_WIRE_BYTES`] record per edge in id order.  Vertex and edge ids
-    /// equal their table index, so only the payload fields travel, and of
-    /// an edge's weights only the distance: travel time and fuel are
-    /// functions of the distance and road type ([`EdgeWeights::derive`]).
-    /// CSR adjacency and the bounding box are rebuilt on decode by the exact
-    /// code `RoadNetworkBuilder::build` runs.
+    /// Writes the vertex count, then each vertex's position and out-degree,
+    /// then the edge count and one [`EDGE_WIRE_BYTES`] record per edge in id
+    /// order: `16 + 20·n + 13·m` bytes.  Edge ids are CSR positions, so the
+    /// degrees fix every edge's tail and id, and of an edge's weights only
+    /// the distance travels: travel time and fuel are functions of the
+    /// distance and road type ([`EdgeWeights::derive`]).  The bounding box
+    /// is rebuilt on decode.
     fn encode(&self, w: &mut Writer) {
+        w.buf.reserve(
+            16 + self.num_vertices() * VERTEX_WIRE_BYTES + self.num_edges() * EDGE_WIRE_BYTES,
+        );
         w.length(self.num_vertices());
         for v in self.vertices() {
             v.point.encode(w);
+            w.u32(self.out_degree(v.id) as u32);
         }
         w.length(self.num_edges());
         for e in self.edges() {
-            w.u32(e.from.0);
             w.u32(e.to.0);
             w.f64(e.weights.distance_m);
             e.road_type.encode(w);
@@ -844,34 +849,30 @@ impl Encode for RoadNetwork {
     }
 }
 
-/// Decodes a fixed-stride table in place: `parts` holds one mutable piece
-/// per chunk of `chunk` records, in order, and `fill(first, part)` decodes
-/// the records from index `first` on into it.  The pieces are handed to
-/// [`l2r_par`] workers; on malformed input the error of the lowest-indexed
-/// failing chunk is reported, and within a chunk that of the first failing
-/// record, so the error does not depend on the thread count.
-fn decode_in_chunks<P, F>(parts: &mut [P], chunk: usize, fill: F) -> Result<(), CodecError>
-where
-    P: Send,
-    F: Fn(usize, &mut P) -> Result<(), CodecError> + Sync,
-{
-    l2r_par::par_map_mut(parts, |k, part| fill(k * chunk, part))
-        .into_iter()
-        .collect()
+/// The `N`-byte field at offset `at` of a wire record.
+fn field<const N: usize>(record: &[u8], at: usize) -> [u8; N] {
+    record[at..at + N].try_into().expect("an N-byte field")
 }
 
 impl Decode for RoadNetwork {
-    /// Vertex records are 16 bytes and edge records 17 bytes on the wire, so
-    /// both tables decode in parallel chunks (see [`l2r_par`]), each chunk
-    /// writing its records in place.  Ids are positional, so the network
-    /// does not depend on the chunking.  The edge pass validates every
-    /// record on the builder's own rules — endpoints in range, no
-    /// self-loops, known road-type tags, and travel time and fuel derived
-    /// from the distance ([`EdgeWeights::derive`]) that pass
-    /// [`EdgeWeights::invalid_cost`] — so a decoded network is always one
-    /// the builder could produce, and keeps only the endpoints.
-    /// `RoadNetwork::from_parts` then lays the edges out and reads each
-    /// record's payload once more, straight into its CSR position.
+    /// Decodes straight into the serving layout, each table in parallel
+    /// chunks (see [`l2r_par`]) written in place:
+    ///
+    /// * the vertex records give the positions, and a serial prefix sum over
+    ///   their out-degrees gives the CSR offsets; a running sum above the
+    ///   edge count, or a total other than it, is an error;
+    /// * one pass over the edge records checks each on the builder's own
+    ///   rules — head in range, no self-loop, a known road-type tag, and
+    ///   travel time and fuel derived from the distance
+    ///   ([`EdgeWeights::derive`]) that pass [`EdgeWeights::invalid_cost`] —
+    ///   and that its head is not below the previous head of its tail group
+    ///   (read from the wire at a chunk start), then writes the edge to its
+    ///   position.
+    ///
+    /// An accepted section is therefore one `RoadNetworkBuilder::build`
+    /// could produce, and every network has exactly one encoding.  On
+    /// malformed input the lowest-indexed failing record is reported, so the
+    /// error does not depend on the thread count.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         // `length` bounds each count by the bytes left, so the whole table
         // is always there to take.
@@ -885,50 +886,92 @@ impl Decode for RoadNetwork {
             point: Point::new(0.0, 0.0),
         };
         let mut vertices = vec![origin; num_vertices];
+        // Each vertex's degree lands in the slot after its own, where the
+        // prefix sum below turns it into the end of its group.
+        let mut out_offsets = vec![0u32; num_vertices + 1];
         let chunk = chunk_len(num_vertices);
-        let mut parts: Vec<_> = vertices.chunks_mut(chunk).collect();
-        decode_in_chunks(&mut parts, chunk, |first, part| {
-            let mut r = Reader::new(&vertex_table[first * VERTEX_WIRE_BYTES..]);
-            for (i, v) in part.iter_mut().enumerate() {
+        let mut parts: Vec<_> = vertices
+            .chunks_mut(chunk)
+            .zip(out_offsets[1..].chunks_mut(chunk))
+            .collect();
+        l2r_par::par_map_mut(&mut parts, |k, (vertices, degrees)| {
+            let first = k * chunk;
+            let (records, _) =
+                vertex_table[first * VERTEX_WIRE_BYTES..].as_chunks::<VERTEX_WIRE_BYTES>();
+            for (i, ((v, degree), record)) in vertices
+                .iter_mut()
+                .zip(degrees.iter_mut())
+                .zip(records)
+                .enumerate()
+            {
                 v.id = VertexId((first + i) as u32);
-                v.point = Point::decode(&mut r)?;
+                v.point = Point::new(
+                    f64::from_le_bytes(field(record, 0)),
+                    f64::from_le_bytes(field(record, 8)),
+                );
+                *degree = u32::from_le_bytes(field(record, 16));
             }
-            Ok(())
-        })?;
+        });
+        let mut sum = 0u64;
+        for offset in &mut out_offsets[1..] {
+            sum += u64::from(*offset);
+            if sum > num_edges as u64 {
+                return Err(CodecError::Invalid("out-degrees sum past the edge count"));
+            }
+            *offset = sum as u32;
+        }
+        if sum != num_edges as u64 {
+            return Err(CodecError::Invalid(
+                "out-degrees sum short of the edge count",
+            ));
+        }
 
-        let mut from = vec![VertexId(0); num_edges];
-        let mut to = vec![VertexId(0); num_edges];
-        let chunk = chunk_len(num_edges);
-        let mut parts: Vec<_> = from.chunks_mut(chunk).zip(to.chunks_mut(chunk)).collect();
-        decode_in_chunks(&mut parts, chunk, |first, (from, to)| {
-            let mut r = Reader::new(&edge_table[first * EDGE_WIRE_BYTES..]);
-            for (f, t) in from.iter_mut().zip(to.iter_mut()) {
-                *f = decode_vertex(&mut r, num_vertices)?;
-                *t = decode_vertex(&mut r, num_vertices)?;
-                let distance_m = r.f64("edge distance")?;
-                let road_type = RoadType::decode(&mut r)?;
-                if f == t {
+        let head_at = |pos: usize| u32::from_le_bytes(field(edge_table, pos * EDGE_WIRE_BYTES));
+        let columns = EdgeColumns::fill(num_edges, |first, chunk| {
+            let (records, _) = edge_table[first * EDGE_WIRE_BYTES..].as_chunks::<EDGE_WIRE_BYTES>();
+            // The tail group holding `first`: the last vertex whose group
+            // starts at or before it (the degree sum is `num_edges`, so one
+            // does).
+            let mut tail = out_offsets.partition_point(|&o| o as usize <= first) - 1;
+            for (j, record) in records[..chunk.len()].iter().enumerate() {
+                let pos = first + j;
+                while out_offsets[tail + 1] as usize <= pos {
+                    tail += 1;
+                }
+                let head = u32::from_le_bytes(field(record, 0));
+                if head as usize >= num_vertices {
+                    return Err(CodecError::IndexOutOfRange {
+                        what: "edge head",
+                        index: u64::from(head),
+                        limit: num_vertices as u64,
+                    });
+                }
+                if head as usize == tail {
                     return Err(CodecError::Invalid("self-loop edge"));
                 }
-                if EdgeWeights::derive(distance_m, road_type)
-                    .invalid_cost()
-                    .is_some()
-                {
+                if pos > out_offsets[tail] as usize && head < head_at(pos - 1) {
+                    return Err(CodecError::Invalid(
+                        "edge heads out of order within a tail group",
+                    ));
+                }
+                let tag = record[12];
+                let road_type =
+                    RoadType::from_index(tag as usize).ok_or(CodecError::IndexOutOfRange {
+                        what: "road type",
+                        index: u64::from(tag),
+                        limit: RoadType::COUNT as u64,
+                    })?;
+                let weights = EdgeWeights::derive(f64::from_le_bytes(field(record, 4)), road_type);
+                if weights.invalid_cost().is_some() {
                     return Err(CodecError::Invalid(
                         "non-positive or non-finite edge weight",
                     ));
                 }
+                chunk.put(j, VertexId(tail as u32), VertexId(head), weights, road_type);
             }
             Ok(())
         })?;
-
-        Ok(RoadNetwork::from_parts(vertices, from, to, |e: EdgeId| {
-            let record = &edge_table[e.idx() * EDGE_WIRE_BYTES..][..EDGE_WIRE_BYTES];
-            let distance_m = f64::from_le_bytes(record[8..16].try_into().expect("8-byte field"));
-            let road_type =
-                RoadType::from_index(record[16] as usize).expect("tag checked by the first pass");
-            (EdgeWeights::derive(distance_m, road_type), road_type)
-        }))
+        Ok(RoadNetwork::from_csr(vertices, out_offsets, columns))
     }
 }
 
@@ -1234,6 +1277,30 @@ mod tests {
         // Truncations at every record boundary ±1 near the table edges and
         // the chunk splits.
         let edge_table = 8 + nv * VERTEX_WIRE_BYTES + 8;
+
+        // At every chunk start inside a tail group, a head lowered below its
+        // predecessor's, which that chunk reads from the wire, is rejected.
+        let mut checked = 0;
+        for pos in (chunk_len(ne)..ne).step_by(chunk_len(ne)) {
+            let (previous, e) = (
+                net.edge(EdgeId(pos as u32 - 1)),
+                net.edge(EdgeId(pos as u32)),
+            );
+            let lower = (0..previous.to.0).find(|&h| h != e.from.0);
+            let (true, Some(lower)) = (previous.from == e.from, lower) else {
+                continue;
+            };
+            let mut crafted = bytes.clone();
+            let at = edge_table + pos * EDGE_WIRE_BYTES;
+            crafted[at..at + 4].copy_from_slice(&lower.to_le_bytes());
+            assert_eq!(
+                RoadNetwork::decode(&mut Reader::new(&crafted)).unwrap_err(),
+                CodecError::Invalid("edge heads out of order within a tail group"),
+                "chunk start {pos}"
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "a chunk starts inside a tail group");
         let mut boundaries = vec![0, 8, edge_table - 8, network_len, bytes.len()];
         for (table, len, stride) in [
             (8, nv, VERTEX_WIRE_BYTES),
@@ -1298,41 +1365,54 @@ mod tests {
         );
     }
 
+    /// Hand-writes a network section, documenting the wire format: the
+    /// vertex count, each vertex's position (`i × 10 m` along the x axis)
+    /// and out-degree, the edge count, and each edge's head, distance and
+    /// road-type tag, in id order.
+    fn section(degrees: &[u32], edges: &[(u32, f64, u8)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.length(degrees.len());
+        for (i, &degree) in degrees.iter().enumerate() {
+            Point::new(i as f64 * 10.0, 0.0).encode(&mut w);
+            w.u32(degree);
+        }
+        w.length(edges.len());
+        for &(head, distance_m, tag) in edges {
+            w.u32(head);
+            w.f64(distance_m);
+            w.u8(tag);
+        }
+        assert_eq!(
+            w.len(),
+            16 + degrees.len() * VERTEX_WIRE_BYTES + edges.len() * EDGE_WIRE_BYTES
+        );
+        w.into_vec()
+    }
+
+    /// The wire tag of the road type of most hand-written edges.
+    fn primary() -> u8 {
+        RoadType::Primary.index() as u8
+    }
+
     #[test]
     fn road_network_rejects_out_of_range_edge_endpoints() {
-        // Handcrafted payload documenting the wire format: 2 vertices, then
-        // 1 edge whose tail points at vertex 5.
-        let mut w = Writer::new();
-        w.length(2);
-        Point::new(0.0, 0.0).encode(&mut w);
-        Point::new(10.0, 0.0).encode(&mut w);
-        w.length(1);
-        w.u32(5); // from: out of range
-        w.u32(1);
-        w.f64(10.0); // distance
-        RoadType::Primary.encode(&mut w);
-        let bytes = w.into_vec();
-        assert!(matches!(
-            RoadNetwork::decode(&mut Reader::new(&bytes)),
-            Err(CodecError::IndexOutOfRange { .. })
-        ));
+        // 2 vertices; vertex 0's one edge points at vertex 5.
+        let bytes = section(&[1, 0], &[(5, 10.0, primary())]);
+        assert_eq!(
+            RoadNetwork::decode(&mut Reader::new(&bytes)).unwrap_err(),
+            CodecError::IndexOutOfRange {
+                what: "edge head",
+                index: 5,
+                limit: 2
+            }
+        );
     }
 
     #[test]
     fn road_network_rejects_non_positive_or_non_finite_weights() {
         for bad_distance in [f64::NAN, f64::INFINITY, 0.0, -5.0] {
-            let mut w = Writer::new();
-            w.length(2);
-            Point::new(0.0, 0.0).encode(&mut w);
-            Point::new(10.0, 0.0).encode(&mut w);
-            w.length(1);
-            w.u32(0);
-            w.u32(1);
             // The builder forbids these distances; decode must too.
-            w.f64(bad_distance);
-            RoadType::Primary.encode(&mut w);
-            assert_eq!(w.len(), 16 + 2 * VERTEX_WIRE_BYTES + EDGE_WIRE_BYTES);
-            let bytes = w.into_vec();
+            let bytes = section(&[1, 0], &[(1, bad_distance, primary())]);
             assert!(
                 matches!(
                     RoadNetwork::decode(&mut Reader::new(&bytes)),
@@ -1345,21 +1425,70 @@ mod tests {
 
     #[test]
     fn road_network_rejects_self_loops() {
-        let mut w = Writer::new();
-        w.length(2);
-        Point::new(0.0, 0.0).encode(&mut w);
-        Point::new(10.0, 0.0).encode(&mut w);
-        w.length(1);
-        w.u32(1);
-        w.u32(1); // self-loop
-        w.f64(10.0); // distance
-        RoadType::Primary.encode(&mut w);
-        assert_eq!(w.len(), 16 + 2 * VERTEX_WIRE_BYTES + EDGE_WIRE_BYTES);
-        let bytes = w.into_vec();
-        assert!(matches!(
-            RoadNetwork::decode(&mut Reader::new(&bytes)),
-            Err(CodecError::Invalid(_))
-        ));
+        let bytes = section(&[0, 1], &[(1, 10.0, primary())]);
+        assert_eq!(
+            RoadNetwork::decode(&mut Reader::new(&bytes)).unwrap_err(),
+            CodecError::Invalid("self-loop edge")
+        );
+    }
+
+    /// Every layout `build` could not produce is a typed error: degrees
+    /// that do not sum to the edge count, heads out of order within a tail
+    /// group, and unknown road-type tags.  The lowest-indexed failing
+    /// record is the one reported.
+    #[test]
+    fn road_network_rejects_layouts_the_builder_cannot_produce() {
+        let decode = |degrees: &[u32], edges: &[(u32, f64, u8)]| {
+            RoadNetwork::decode(&mut Reader::new(&section(degrees, edges)))
+        };
+        let edges = [
+            (1, 10.0, primary()),
+            (2, 10.0, primary()),
+            (0, 10.0, primary()),
+        ];
+        assert!(decode(&[2, 1, 0], &edges).is_ok());
+        assert_eq!(
+            decode(&[2, 0, 0], &edges).unwrap_err(),
+            CodecError::Invalid("out-degrees sum short of the edge count")
+        );
+        assert_eq!(
+            decode(&[2, 1, 1], &edges).unwrap_err(),
+            CodecError::Invalid("out-degrees sum past the edge count")
+        );
+        // A degree beyond `u32` sums cannot wrap around to the edge count.
+        assert_eq!(
+            decode(&[u32::MAX, 1, 3], &edges).unwrap_err(),
+            CodecError::Invalid("out-degrees sum past the edge count")
+        );
+        let swapped = [
+            (2, 10.0, primary()),
+            (1, 10.0, primary()),
+            (0, 10.0, primary()),
+        ];
+        assert_eq!(
+            decode(&[2, 1, 0], &swapped).unwrap_err(),
+            CodecError::Invalid("edge heads out of order within a tail group")
+        );
+        // Equal heads are parallel edges, and a new group starts afresh.
+        let parallel = [
+            (1, 10.0, primary()),
+            (1, 20.0, primary()),
+            (0, 10.0, primary()),
+        ];
+        assert!(decode(&[2, 1, 0], &parallel).is_ok());
+        let bad_tag = [
+            (1, 10.0, primary()),
+            (2, 10.0, RoadType::COUNT as u8),
+            (9, 1.0, 0),
+        ];
+        assert_eq!(
+            decode(&[2, 1, 0], &bad_tag).unwrap_err(),
+            CodecError::IndexOutOfRange {
+                what: "road type",
+                index: RoadType::COUNT as u64,
+                limit: RoadType::COUNT as u64
+            }
+        );
     }
 
     /// The builder and the decoder apply one rule to the derived weights:
@@ -1369,16 +1498,7 @@ mod tests {
     #[test]
     fn builder_and_decoder_accept_the_same_edges() {
         let edge_bytes = |distance_m: f64, road_type: RoadType| {
-            let mut w = Writer::new();
-            w.length(2);
-            Point::new(0.0, 0.0).encode(&mut w);
-            Point::new(10.0, 0.0).encode(&mut w);
-            w.length(1);
-            w.u32(0);
-            w.u32(1);
-            w.f64(distance_m);
-            road_type.encode(&mut w);
-            w.into_vec()
+            section(&[1, 0], &[(1, distance_m, road_type.index() as u8)])
         };
         let mut b = RoadNetworkBuilder::new();
         let v0 = b.add_vertex(Point::new(0.0, 0.0));

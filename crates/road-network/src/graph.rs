@@ -8,24 +8,29 @@
 //! # Edge layout
 //!
 //! Every Dijkstra in the workspace spends its time relaxing arcs, so the edge
-//! table is laid out for that loop.  Each edge is stored exactly once, at its
-//! *CSR position*: edges are grouped by tail vertex (`out_offsets[v] ..
-//! out_offsets[v + 1]` is the group of `v`) and sorted by `(head, id)` within
-//! each group.  The fields live in parallel columns indexed by position —
-//! `id`, then `from` (tail), `to` (head), one `f64` column per [`CostType`]
-//! and `road_type` — so relaxing the arcs of one vertex under one cost type
-//! reads a contiguous run of the `to` column and of one cost column (12
-//! bytes per arc) instead of following ids into a table of 40-byte records.
-//! `slot` maps an edge id to its position and the in-adjacency stores
-//! positions, grouped by head vertex in id order.
+//! table is laid out for that loop.  An edge's id *is* its CSR position:
+//! edges are grouped by tail vertex (`out_offsets[v] .. out_offsets[v + 1]`
+//! is the group of `v`) and sorted by head within each group, parallel edges
+//! in the order they were added.  The fields live in parallel columns
+//! indexed by position — `from` (tail), `to` (head), one `f64` column per
+//! [`CostType`] and `road_type` — so relaxing the arcs of one vertex under
+//! one cost type reads a contiguous run of the `to` column and of one cost
+//! column (12 bytes per arc) instead of following ids into a table of
+//! 40-byte records.  There is no id or position table: [`RoadNetwork::edge`]
+//! indexes the columns directly and [`RoadNetwork::edges`] scans them.
 //!
-//! The layout is invisible to callers: [`Edge`] values are rebuilt from the
-//! columns on demand ([`RoadNetwork::edge`], [`RoadNetwork::out_edges`], …),
-//! and the position order is exactly the adjacency order the network always
-//! had, so searches relax arcs in the same order, read the same weights and
-//! break ties the same way.
+//! The in-adjacency (edge positions grouped by head vertex, in id order) is
+//! built on the first [`RoadNetwork::in_edges`] call and kept: the fit reads
+//! it, while a decoded network that only serves routes never pays for it.
+//!
+//! [`Edge`] values are rebuilt from the columns on demand
+//! ([`RoadNetwork::edge`], [`RoadNetwork::out_edges`], …).  Searches relax
+//! each vertex's arcs in position order, so they read the same weights and
+//! break ties the same way however the edges were inserted.
 
+use std::convert::Infallible;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::error::NetworkError;
 use crate::road_type::RoadType;
@@ -36,7 +41,8 @@ use crate::weights::{CostType, EdgeWeights};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VertexId(pub u32);
 
-/// Identifier of a directed edge (road segment).  Dense, `0..num_edges`.
+/// Identifier of a directed edge (road segment): its CSR position, dense in
+/// `0..num_edges` (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub u32);
 
@@ -66,7 +72,7 @@ pub struct Vertex {
 /// A directed road segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
-    /// The edge id (equal to its index in the edge table).
+    /// The edge id (equal to its CSR position).
     pub id: EdgeId,
     /// Tail vertex.
     pub from: VertexId,
@@ -97,20 +103,22 @@ pub struct RoadNetwork {
     vertices: Vec<Vertex>,
     /// CSR offsets into the edge columns, length `num_vertices + 1`.
     out_offsets: Vec<u32>,
-    /// Edge id at each position.
-    id: Vec<EdgeId>,
-    /// The other edge fields, indexed by position.  `from` is
+    /// The edge fields, indexed by position (= id).  `from` is
     /// non-decreasing and `to` is sorted within each tail group, so
     /// [`RoadNetwork::edge_between`] is a binary search over the group.
     columns: EdgeColumns,
-    /// Position of each edge id.
-    slot: Vec<u32>,
-    /// CSR offsets into `in_slots`, length `num_vertices + 1`.
-    in_offsets: Vec<u32>,
-    /// Positions of the incoming edges, grouped by head vertex, in id order.
-    in_slots: Vec<u32>,
+    /// The in-adjacency, built on the first [`RoadNetwork::in_edges`] call.
+    in_adjacency: OnceLock<InAdjacency>,
     /// Bounding box of all vertex positions.
     bbox: BoundingBox,
+}
+
+/// Edge positions grouped by head vertex, each group in id order.
+#[derive(Debug, Clone)]
+struct InAdjacency {
+    /// CSR offsets into `slots`, length `num_vertices + 1`.
+    offsets: Vec<u32>,
+    slots: Vec<u32>,
 }
 
 /// The edge columns of one contiguous range of positions.  Every slice has
@@ -118,7 +126,8 @@ pub struct RoadNetwork {
 /// bounds checks and the loads of fields a caller never reads are dropped.
 #[derive(Clone, Copy)]
 struct Run<'a> {
-    id: &'a [EdgeId],
+    /// Position of the run's first edge.
+    start: usize,
     from: &'a [VertexId],
     to: &'a [VertexId],
     distance: &'a [f64],
@@ -131,7 +140,7 @@ impl Run<'_> {
     #[inline(always)]
     fn edge(&self, i: usize) -> Edge {
         Edge {
-            id: self.id[i],
+            id: EdgeId((self.start + i) as u32),
             from: self.from[i],
             to: self.to[i],
             weights: EdgeWeights {
@@ -152,7 +161,7 @@ impl RoadNetwork {
 
     /// Number of directed edges.
     pub fn num_edges(&self) -> usize {
-        self.id.len()
+        self.columns.to.len()
     }
 
     /// All vertices.
@@ -160,10 +169,10 @@ impl RoadNetwork {
         &self.vertices
     }
 
-    /// All edges, in id order.
+    /// All edges, in id (= position) order.
     pub fn edges(&self) -> impl ExactSizeIterator<Item = Edge> + '_ {
         let all = self.run(0..self.num_edges());
-        self.slot.iter().map(move |&pos| all.edge(pos as usize))
+        (0..all.to.len()).map(move |i| all.edge(i))
     }
 
     /// The vertex with the given id.
@@ -182,8 +191,7 @@ impl RoadNetwork {
     /// always valid.
     #[inline]
     pub fn edge(&self, id: EdgeId) -> Edge {
-        let pos = self.slot[id.idx()] as usize;
-        self.run(pos..pos + 1).edge(0)
+        self.run(id.idx()..id.idx() + 1).edge(0)
     }
 
     /// Checked vertex lookup.
@@ -212,7 +220,7 @@ impl RoadNetwork {
             road_type,
         } = &self.columns;
         Run {
-            id: &self.id[range.clone()],
+            start: range.start,
             from: &from[range.clone()],
             to: &to[range.clone()],
             distance: &distance[range.clone()],
@@ -228,7 +236,7 @@ impl RoadNetwork {
         self.out_offsets[v.idx()] as usize..self.out_offsets[v.idx() + 1] as usize
     }
 
-    /// Outgoing edges of `v`, sorted by `(head, id)`.
+    /// Outgoing edges of `v`, in id order (sorted by head).
     #[inline(always)]
     pub fn out_edges(&self, v: VertexId) -> impl ExactSizeIterator<Item = Edge> + Clone + '_ {
         let range = self.out_range(v);
@@ -236,12 +244,21 @@ impl RoadNetwork {
         (0..range.len()).map(move |i| run.edge(i))
     }
 
-    /// Incoming edges of `v`, in id order.
+    /// Incoming edges of `v`, in id order.  The first call builds the
+    /// in-adjacency of the whole network (one counting pass over the `to`
+    /// column); later calls, from any thread, reuse it.
     pub fn in_edges(&self, v: VertexId) -> impl ExactSizeIterator<Item = Edge> + Clone + '_ {
-        let start = self.in_offsets[v.idx()] as usize;
-        let end = self.in_offsets[v.idx() + 1] as usize;
+        let adjacency = self.in_adjacency.get_or_init(|| {
+            let to = &self.columns.to;
+            let (offsets, slots) = group_by(self.num_vertices(), 0..to.len() as u32, |pos| {
+                to[pos as usize]
+            });
+            InAdjacency { offsets, slots }
+        });
+        let start = adjacency.offsets[v.idx()] as usize;
+        let end = adjacency.offsets[v.idx() + 1] as usize;
         let all = self.run(0..self.num_edges());
-        self.in_slots[start..end]
+        adjacency.slots[start..end]
             .iter()
             .map(move |&pos| all.edge(pos as usize))
     }
@@ -261,8 +278,8 @@ impl RoadNetwork {
         }
         let range = self.out_range(from);
         let heads = &self.columns.to[range.clone()];
-        let pos = heads.partition_point(|&h| h < to);
-        (heads.get(pos) == Some(&to)).then(|| self.id[range.start + pos])
+        let rank = heads.partition_point(|&h| h < to);
+        (heads.get(rank) == Some(&to)).then(|| EdgeId((range.start + rank) as u32))
     }
 
     /// Neighbours reachable by one outgoing edge.
@@ -348,12 +365,98 @@ impl RoadNetwork {
 /// Edge fields in CSR position order, one column each (see the
 /// [module docs](self)).
 #[derive(Debug, Clone)]
-struct EdgeColumns {
+pub(crate) struct EdgeColumns {
     from: Vec<VertexId>,
     to: Vec<VertexId>,
     /// One weight column per cost type, indexed by [`CostType::index`].
     cost: [Vec<f64>; CostType::COUNT],
     road_type: Vec<RoadType>,
+}
+
+/// The columns of one chunk of positions, as [`EdgeColumns::fill`] hands it
+/// to a worker.
+pub(crate) struct ColumnsChunk<'a> {
+    from: &'a mut [VertexId],
+    to: &'a mut [VertexId],
+    distance: &'a mut [f64],
+    travel_time: &'a mut [f64],
+    fuel: &'a mut [f64],
+    road_type: &'a mut [RoadType],
+}
+
+impl ColumnsChunk<'_> {
+    /// Number of positions in the chunk.
+    pub(crate) fn len(&self) -> usize {
+        self.to.len()
+    }
+
+    /// Writes the edge at index `j` of the chunk.
+    #[inline(always)]
+    pub(crate) fn put(
+        &mut self,
+        j: usize,
+        from: VertexId,
+        to: VertexId,
+        weights: EdgeWeights,
+        road_type: RoadType,
+    ) {
+        self.from[j] = from;
+        self.to[j] = to;
+        self.distance[j] = weights.distance_m;
+        self.travel_time[j] = weights.travel_time_s;
+        self.fuel[j] = weights.fuel_ml;
+        self.road_type[j] = road_type;
+    }
+}
+
+impl EdgeColumns {
+    /// The columns of `m` edges, each allocated once and filled in place,
+    /// chunk by chunk across [`l2r_par`] workers: `fill(first, chunk)`
+    /// writes the edges at positions `first .. first + chunk.len()`.
+    /// Positions fix where every value lands, so the result does not depend
+    /// on the thread count; on failure the error of the lowest-indexed
+    /// failing chunk is returned.
+    pub(crate) fn fill<E, F>(m: usize, fill: F) -> Result<EdgeColumns, E>
+    where
+        E: Send,
+        F: Fn(usize, &mut ColumnsChunk<'_>) -> Result<(), E> + Sync,
+    {
+        let mut columns = EdgeColumns {
+            from: vec![VertexId(0); m],
+            to: vec![VertexId(0); m],
+            cost: [(); CostType::COUNT].map(|_| vec![0.0; m]),
+            road_type: vec![RoadType::ALL[0]; m],
+        };
+        let chunk = chunk_len(m);
+        let EdgeColumns {
+            from,
+            to,
+            cost: [distance, travel_time, fuel],
+            road_type,
+        } = &mut columns;
+        let mut parts: Vec<ColumnsChunk<'_>> = from
+            .chunks_mut(chunk)
+            .zip(to.chunks_mut(chunk))
+            .zip(distance.chunks_mut(chunk))
+            .zip(travel_time.chunks_mut(chunk))
+            .zip(fuel.chunks_mut(chunk))
+            .zip(road_type.chunks_mut(chunk))
+            .map(
+                |(((((from, to), distance), travel_time), fuel), road_type)| ColumnsChunk {
+                    from,
+                    to,
+                    distance,
+                    travel_time,
+                    fuel,
+                    road_type,
+                },
+            )
+            .collect();
+        l2r_par::par_map_mut(&mut parts, |k, part| fill(k * chunk, part))
+            .into_iter()
+            .collect::<Result<(), E>>()?;
+        Ok(columns)
+    }
 }
 
 /// Records per chunk when a network table is decoded or filled across
@@ -364,13 +467,39 @@ pub(crate) fn chunk_len(len: usize) -> usize {
     len.div_ceil(l2r_par::max_threads().max(1) * 4).max(8_192)
 }
 
+/// Stably groups `items` by `key(item)`, a vertex of a network with `n`
+/// vertices, in one counting pass: returns the CSR offsets of the groups
+/// (length `n + 1`) and the items grouped by key, in input order within
+/// each group.
+fn group_by<I, K>(n: usize, items: I, key: K) -> (Vec<u32>, Vec<u32>)
+where
+    I: Iterator<Item = u32> + Clone,
+    K: Fn(u32) -> VertexId,
+{
+    let mut offsets = vec![0u32; n + 1];
+    for item in items.clone() {
+        offsets[key(item).idx() + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut cursor = offsets[..n].to_vec();
+    let mut grouped = vec![0u32; offsets[n] as usize];
+    for item in items {
+        let next = &mut cursor[key(item).idx()];
+        grouped[*next as usize] = item;
+        *next += 1;
+    }
+    (offsets, grouped)
+}
+
 /// Incremental builder for [`RoadNetwork`].
 #[derive(Debug, Default)]
 pub struct RoadNetworkBuilder {
     vertices: Vec<Vertex>,
-    /// The edges in id order: endpoints, distance and road type (travel
-    /// time and fuel are derived from the last two when the network is
-    /// built).
+    /// The edges in insertion order: endpoints, distance and road type
+    /// (travel time and fuel are derived from the last two when the network
+    /// is built).
     from: Vec<VertexId>,
     to: Vec<VertexId>,
     distance_m: Vec<f64>,
@@ -414,14 +543,16 @@ impl RoadNetworkBuilder {
     /// Adds a directed edge with an explicit distance.  Travel time and fuel
     /// are derived from it ([`EdgeWeights::derive`]); the edge is refused
     /// with [`NetworkError::InvalidWeight`] if any of the three weights is
-    /// not positive and finite ([`EdgeWeights::invalid_cost`]).
+    /// not positive and finite ([`EdgeWeights::invalid_cost`]).  The edge's
+    /// id is fixed only by [`RoadNetworkBuilder::build`] (see the
+    /// [module docs](self)); [`RoadNetwork::edge_between`] finds it.
     pub fn add_edge_with_distance(
         &mut self,
         from: VertexId,
         to: VertexId,
         distance_m: f64,
         road_type: RoadType,
-    ) -> Result<EdgeId, NetworkError> {
+    ) -> Result<(), NetworkError> {
         if from.idx() >= self.vertices.len() {
             return Err(NetworkError::UnknownVertex(from));
         }
@@ -438,12 +569,11 @@ impl RoadNetworkBuilder {
                 weights.get(cost),
             ));
         }
-        let id = EdgeId(self.from.len() as u32);
         self.from.push(from);
         self.to.push(to);
         self.distance_m.push(distance_m);
         self.road_type.push(road_type);
-        Ok(id)
+        Ok(())
     }
 
     /// Adds a directed edge whose distance is the straight-line distance
@@ -453,7 +583,7 @@ impl RoadNetworkBuilder {
         from: VertexId,
         to: VertexId,
         road_type: RoadType,
-    ) -> Result<EdgeId, NetworkError> {
+    ) -> Result<(), NetworkError> {
         if from.idx() >= self.vertices.len() {
             return Err(NetworkError::UnknownVertex(from));
         }
@@ -467,19 +597,22 @@ impl RoadNetworkBuilder {
         self.add_edge_with_distance(from, to, d, road_type)
     }
 
-    /// Adds a pair of directed edges (both directions) and returns both ids.
+    /// Adds a pair of directed edges (both directions).
     pub fn add_two_way(
         &mut self,
         a: VertexId,
         b: VertexId,
         road_type: RoadType,
-    ) -> Result<(EdgeId, EdgeId), NetworkError> {
-        let e1 = self.add_edge(a, b, road_type)?;
-        let e2 = self.add_edge(b, a, road_type)?;
-        Ok((e1, e2))
+    ) -> Result<(), NetworkError> {
+        self.add_edge(a, b, road_type)?;
+        self.add_edge(b, a, road_type)
     }
 
-    /// Finalises the builder into an immutable [`RoadNetwork`].
+    /// Finalises the builder into an immutable [`RoadNetwork`], numbering
+    /// the edges in CSR order: by tail, then head, parallel edges in
+    /// insertion order.  Two stable counting sorts, by head and then by
+    /// tail, give that order; each edge is then written once, straight to
+    /// its position.
     pub fn build(self) -> RoadNetwork {
         let RoadNetworkBuilder {
             vertices,
@@ -488,129 +621,46 @@ impl RoadNetworkBuilder {
             distance_m,
             road_type,
         } = self;
-        RoadNetwork::from_parts(vertices, from, to, |e| {
-            let rt = road_type[e.idx()];
-            (EdgeWeights::derive(distance_m[e.idx()], rt), rt)
-        })
+        let n = vertices.len();
+        let (_, by_head) = group_by(n, 0..from.len() as u32, |e| to[e as usize]);
+        let (out_offsets, order) = group_by(n, by_head.iter().copied(), |e| from[e as usize]);
+        let Ok(columns) = EdgeColumns::fill(order.len(), |first, chunk| {
+            for (j, &e) in order[first..][..chunk.len()].iter().enumerate() {
+                let (e, rt) = (e as usize, road_type[e as usize]);
+                chunk.put(
+                    j,
+                    from[e],
+                    to[e],
+                    EdgeWeights::derive(distance_m[e], rt),
+                    rt,
+                );
+            }
+            Ok::<(), Infallible>(())
+        });
+        RoadNetwork::from_csr(vertices, out_offsets, columns)
     }
 }
 
 impl RoadNetwork {
-    /// Assembles a network from a vertex table whose ids equal their indexes,
-    /// the edges' endpoints in id order, and `payload`, which gives an edge
-    /// id's weights and road type.  Shared by [`RoadNetworkBuilder::build`]
-    /// (which reads its columns) and snapshot decoding (which reads the wire
-    /// record), so a decoded network is structurally identical to a freshly
-    /// built one.  The endpoints alone fix the CSR layout; every
-    /// position-order column is then allocated once and each edge written
-    /// straight to its position, in parallel chunks of [`chunk_len`] edges.
-    pub(crate) fn from_parts<P>(
+    /// Assembles a network from a vertex table whose ids equal their
+    /// indexes, the CSR offsets of its tail groups (length
+    /// `num_vertices + 1`) and its edge columns in position order.  Shared
+    /// by [`RoadNetworkBuilder::build`] and snapshot decoding, which accepts
+    /// only the layouts `build` produces, so a decoded network is
+    /// structurally identical to a freshly built one.
+    pub(crate) fn from_csr(
         vertices: Vec<Vertex>,
-        from: Vec<VertexId>,
-        to: Vec<VertexId>,
-        payload: P,
-    ) -> RoadNetwork
-    where
-        P: Fn(EdgeId) -> (EdgeWeights, RoadType) + Sync,
-    {
-        let n = vertices.len();
-        let m = from.len();
-        let mut out_offsets = vec![0u32; n + 1];
-        let mut in_offsets = vec![0u32; n + 1];
-        for (f, t) in from.iter().zip(&to) {
-            out_offsets[f.idx() + 1] += 1;
-            in_offsets[t.idx() + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        // Position order: grouped by tail, then sorted by (head, id) within
-        // each group, so edge lookups are binary searches and neighbour
-        // iteration order is deterministic.
-        let mut id = vec![EdgeId(0); m];
-        let mut cursor = out_offsets.clone();
-        for (e, f) in from.iter().enumerate() {
-            id[cursor[f.idx()] as usize] = EdgeId(e as u32);
-            cursor[f.idx()] += 1;
-        }
-        drop(cursor);
-        for v in 0..n {
-            let group = &mut id[out_offsets[v] as usize..out_offsets[v + 1] as usize];
-            group.sort_unstable_by_key(|&e| (to[e.idx()], e));
-        }
-        let mut slot = vec![0u32; m];
-        for (pos, e) in id.iter().enumerate() {
-            slot[e.idx()] = pos as u32;
-        }
-        let mut in_slots = vec![0u32; m];
-        let mut cursor = in_offsets.clone();
-        for (e, t) in to.iter().enumerate() {
-            in_slots[cursor[t.idx()] as usize] = slot[e];
-            cursor[t.idx()] += 1;
-        }
-        drop(cursor);
-        let columns = EdgeColumns::in_position_order(&id, &from, &to, payload);
+        out_offsets: Vec<u32>,
+        columns: EdgeColumns,
+    ) -> RoadNetwork {
         let bbox = BoundingBox::from_points(vertices.iter().map(|v| &v.point));
         RoadNetwork {
             vertices,
             out_offsets,
-            id,
             columns,
-            slot,
-            in_offsets,
-            in_slots,
+            in_adjacency: OnceLock::new(),
             bbox,
         }
-    }
-}
-
-impl EdgeColumns {
-    /// The columns of the edges at positions `id` (position → edge id),
-    /// whose id-order endpoints are `from`/`to` and whose other fields
-    /// `payload` gives.  Each column is allocated once and filled in place,
-    /// chunk by chunk across [`l2r_par`] workers; positions fix where every
-    /// value lands, so the result does not depend on the thread count.
-    fn in_position_order<P>(id: &[EdgeId], from: &[VertexId], to: &[VertexId], payload: P) -> Self
-    where
-        P: Fn(EdgeId) -> (EdgeWeights, RoadType) + Sync,
-    {
-        let m = id.len();
-        let mut columns = EdgeColumns {
-            from: vec![VertexId(0); m],
-            to: vec![VertexId(0); m],
-            cost: [(); CostType::COUNT].map(|_| vec![0.0; m]),
-            road_type: vec![RoadType::ALL[0]; m],
-        };
-        let chunk = chunk_len(m);
-        let EdgeColumns {
-            from: tails,
-            to: heads,
-            cost: [distance, travel_time, fuel],
-            road_type,
-        } = &mut columns;
-        let mut parts: Vec<_> = tails
-            .chunks_mut(chunk)
-            .zip(heads.chunks_mut(chunk))
-            .zip(distance.chunks_mut(chunk))
-            .zip(travel_time.chunks_mut(chunk))
-            .zip(fuel.chunks_mut(chunk))
-            .zip(road_type.chunks_mut(chunk))
-            .collect();
-        l2r_par::par_map_mut(&mut parts, |k, part| {
-            let (((((tails, heads), distance), travel_time), fuel), road_type) = part;
-            let ids = &id[k * chunk..][..tails.len()];
-            for (j, &e) in ids.iter().enumerate() {
-                let (weights, rt) = payload(e);
-                tails[j] = from[e.idx()];
-                heads[j] = to[e.idx()];
-                distance[j] = weights.distance_m;
-                travel_time[j] = weights.travel_time_s;
-                fuel[j] = weights.fuel_ml;
-                road_type[j] = rt;
-            }
-        });
-        columns
     }
 }
 

@@ -4,7 +4,15 @@
 //! every edge's id, endpoints, the bits of all three weights (travel time
 //! and fuel are not on the wire, so the decoder re-derives them) and road
 //! type, the out/in adjacency orders and the bounding box — and re-encodes
-//! to the same bytes.  The section is exactly `16 + 16·n + 17·m` bytes long.
+//! to the same bytes.  The section is exactly `16 + 20·n + 13·m` bytes long.
+//!
+//! The decoder accepts only sections `build` could produce.  Crafted
+//! sections — out-degrees summing below or above the edge count, a head out
+//! of range, a self-loop, a head below its predecessor in a tail group, an
+//! unknown road-type tag — each give their typed error; and with one to
+//! three bytes flipped, decode never panics, and a section it accepts
+//! re-encodes to exactly the mutated bytes (every network has one
+//! encoding).
 //!
 //! A walk over the same networks (parallel edges included) round-trips
 //! vertex for vertex; a rank equal to the out-degree is a typed error; and
@@ -14,8 +22,9 @@
 use proptest::prelude::*;
 
 use l2r_road_network::{
-    decode_walk, encode_walk, CodecError, CostType, Decode, Edge, Encode, Point, Reader,
-    RoadNetwork, RoadNetworkBuilder, RoadType, VertexId, Writer,
+    decode_walk, encode_walk, CodecError, CostType, Decode, Edge, EdgeId, Encode, Point, Reader,
+    RoadNetwork, RoadNetworkBuilder, RoadType, VertexId, Writer, EDGE_WIRE_BYTES,
+    VERTEX_WIRE_BYTES,
 };
 
 /// How one raw edge is added: one way, both ways, or twice the same way.
@@ -92,7 +101,7 @@ proptest! {
         let net = build(&points, &pool, &raw);
         let (n, m) = (net.num_vertices(), net.num_edges());
         let bytes = encode(&net);
-        prop_assert_eq!(bytes.len(), 16 + 16 * n + 17 * m);
+        prop_assert_eq!(bytes.len(), 16 + 20 * n + 13 * m);
 
         let mut r = Reader::new(&bytes);
         let decoded = RoadNetwork::decode(&mut r).expect("a built network decodes");
@@ -106,6 +115,93 @@ proptest! {
         }
         prop_assert_eq!(decoded.bounding_box(), net.bounding_box());
         prop_assert_eq!(encode(&decoded), bytes);
+    }
+
+    #[test]
+    fn crafted_sections_give_typed_errors(
+        points in proptest::collection::vec((-1e6f64..1e6, -1e6f64..1e6), 1..65),
+        raw in proptest::collection::vec((0u32..64, 0u32..64, 0usize..6, 0usize..8, 0usize..3), 1..200),
+        pick in 0usize..1 << 16,
+        bad_tag in RoadType::COUNT as u8..=u8::MAX,
+    ) {
+        let net = build(&points, &[100.0], &raw);
+        let bytes = encode(&net);
+        let (n, m) = (net.num_vertices(), net.num_edges());
+        let decode = |bytes: &[u8]| RoadNetwork::decode(&mut Reader::new(bytes)).map(|_| ());
+        let degree_at = |v: usize| 8 + v * VERTEX_WIRE_BYTES + 16;
+        let record_at = |pos: usize| 16 + n * VERTEX_WIRE_BYTES + pos * EDGE_WIRE_BYTES;
+        let with = |at: usize, field: &[u8]| {
+            let mut crafted = bytes.clone();
+            crafted[at..at + field.len()].copy_from_slice(field);
+            crafted
+        };
+
+        // Degrees summing above, then below, the edge count.
+        let v = pick % n;
+        let degree = net.out_degree(VertexId(v as u32)) as u32;
+        prop_assert_eq!(
+            decode(&with(degree_at(v), &(degree + 1).to_le_bytes())),
+            Err(CodecError::Invalid("out-degrees sum past the edge count"))
+        );
+        if let Some(v) = (0..n).map(|i| (v + i) % n).find(|&v| net.out_degree(VertexId(v as u32)) > 0) {
+            let degree = net.out_degree(VertexId(v as u32)) as u32;
+            prop_assert_eq!(
+                decode(&with(degree_at(v), &(degree - 1).to_le_bytes())),
+                Err(CodecError::Invalid("out-degrees sum short of the edge count"))
+            );
+        }
+        if m == 0 {
+            return Ok(());
+        }
+
+        // One record made invalid; every record before it is intact, so it
+        // is the one reported.
+        let pos = pick % m;
+        let e = net.edge(EdgeId(pos as u32));
+        prop_assert_eq!(
+            decode(&with(record_at(pos), &(n as u32 + (pick as u32 >> 8)).to_le_bytes())),
+            Err(CodecError::IndexOutOfRange { what: "edge head", index: (n + (pick >> 8)) as u64, limit: n as u64 })
+        );
+        prop_assert_eq!(
+            decode(&with(record_at(pos), &e.from.0.to_le_bytes())),
+            Err(CodecError::Invalid("self-loop edge"))
+        );
+        prop_assert_eq!(
+            decode(&with(record_at(pos) + 12, &[bad_tag])),
+            Err(CodecError::IndexOutOfRange { what: "road type", index: u64::from(bad_tag), limit: RoadType::COUNT as u64 })
+        );
+        // A head below its predecessor's in the same tail group.
+        let lowered = (1..m).map(|i| (pos + i) % m).filter(|&p| p > 0).find_map(|p| {
+            let (previous, e) = (net.edge(EdgeId(p as u32 - 1)), net.edge(EdgeId(p as u32)));
+            let lower = (0..previous.to.0).find(|&h| h != e.from.0)?;
+            (previous.from == e.from).then_some((p, lower))
+        });
+        if let Some((p, lower)) = lowered {
+            prop_assert_eq!(
+                decode(&with(record_at(p), &lower.to_le_bytes())),
+                Err(CodecError::Invalid("edge heads out of order within a tail group"))
+            );
+        }
+    }
+
+    #[test]
+    fn flipped_sections_never_panic_and_decode_canonically(
+        points in proptest::collection::vec((-1e6f64..1e6, -1e6f64..1e6), 1..65),
+        exponents in proptest::collection::vec(-3.0f64..7.0, 1..9),
+        raw in proptest::collection::vec((0u32..64, 0u32..64, 0usize..6, 0usize..8, 0usize..3), 0..200),
+        flips in proptest::collection::vec((0usize..1 << 16, 1u8..=255), 1..4),
+    ) {
+        let pool: Vec<f64> = exponents.iter().map(|&e| 10f64.powf(e)).collect();
+        let bytes = encode(&build(&points, &pool, &raw));
+        let mut flipped = bytes.clone();
+        for &(at, mask) in &flips {
+            flipped[at % bytes.len()] ^= mask;
+        }
+        let mut r = Reader::new(&flipped);
+        if let Ok(decoded) = RoadNetwork::decode(&mut r) {
+            let consumed = flipped.len() - r.remaining();
+            prop_assert_eq!(encode(&decoded), flipped[..consumed].to_vec());
+        }
     }
 
     #[test]

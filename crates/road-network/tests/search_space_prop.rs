@@ -158,7 +158,7 @@ const STEPS: [(i32, i32, f64); 8] = [
 /// vertex to its lattice neighbour (steps leaving the lattice are skipped).
 /// Lengths are 100 or 141 m and only two road types occur, so equal path
 /// costs are everywhere.  Returns the network and the builder's edge list in
-/// id order.
+/// insertion order, each edge's `id` its insertion index.
 fn build_lattice(raw: &[(u32, usize, usize, usize)]) -> (RoadNetwork, Vec<Edge>) {
     let mut b = RoadNetworkBuilder::new();
     for i in 0..SIDE * SIDE {
@@ -178,11 +178,10 @@ fn build_lattice(raw: &[(u32, usize, usize, usize)]) -> (RoadNetwork, Vec<Edge>)
         let (from, to) = (VertexId(v), VertexId(y as u32 * SIDE + x as u32));
         let road_type = [RoadType::Primary, RoadType::Residential][rt % 2];
         for _ in 0..copies {
-            let id = b
-                .add_edge_with_distance(from, to, distance_m, road_type)
+            b.add_edge_with_distance(from, to, distance_m, road_type)
                 .expect("in-range, non-loop edge");
             input.push(Edge {
-                id,
+                id: EdgeId(input.len() as u32),
                 from,
                 to,
                 weights: EdgeWeights::derive(distance_m, road_type),
@@ -194,7 +193,8 @@ fn build_lattice(raw: &[(u32, usize, usize, usize)]) -> (RoadNetwork, Vec<Edge>)
 }
 
 /// Reference one-to-all Dijkstra over an edge list: each vertex relaxes its
-/// out-edges in `(head, id)` order, the frontier pops the smallest `(cost,
+/// out-edges in `(head, id)` order (with insertion-index ids, the order the
+/// built network numbers them in), the frontier pops the smallest `(cost,
 /// vertex)` first, and a distance only improves on a strictly smaller cost.
 /// With a slave set, a vertex that has at least one out-edge of a slave road
 /// type relaxes only those (Algorithm 2).  Returns per-vertex cost bits and
@@ -286,35 +286,40 @@ proptest! {
         prop_assert!(got == expected, "slave-constrained: {got:?} != {expected:?}");
     }
 
-    /// The network returns exactly the builder's edges: `edge`/`try_edge`
-    /// by id, `edges()` in id order, `out_edges` grouped by tail and sorted
-    /// by `(head, id)`, `in_edges` in id order, and `edge_between` the
-    /// lowest id of a parallel group.
+    /// The network returns exactly the builder's edges, numbered in CSR
+    /// order: `edges()` is the input stable-sorted by `(from, to)` with ids
+    /// `0..m`, `edge`/`try_edge` index that list, `out_edges` is each tail's
+    /// run of it, `in_edges` each head's edges in id order, and
+    /// `edge_between` the lowest id of a parallel group.
     #[test]
     fn edges_come_back_exactly_as_built(
         raw in proptest::collection::vec((0u32..36, 0usize..8, 0usize..2, 1usize..3), 0..160),
     ) {
         let (net, input) = build_lattice(&raw);
-        prop_assert_eq!(net.num_edges(), input.len());
-        for e in &input {
+        let mut expected = input.clone();
+        expected.sort_by_key(|e| (e.from, e.to));
+        for (id, e) in expected.iter_mut().enumerate() {
+            e.id = EdgeId(id as u32);
+        }
+        prop_assert_eq!(net.num_edges(), expected.len());
+        prop_assert_eq!(net.edges().collect::<Vec<_>>(), expected.clone());
+        for e in &expected {
             prop_assert_eq!(net.edge(e.id), *e);
             prop_assert_eq!(net.try_edge(e.id), Ok(*e));
         }
-        prop_assert!(net.try_edge(EdgeId(input.len() as u32)).is_err());
-        prop_assert_eq!(net.edges().collect::<Vec<_>>(), input.clone());
+        prop_assert!(net.try_edge(EdgeId(expected.len() as u32)).is_err());
         let mut out_total = 0;
         for v in (0..net.num_vertices() as u32).map(VertexId) {
-            let mut expected_out: Vec<Edge> = input.iter().filter(|e| e.from == v).copied().collect();
-            expected_out.sort_by_key(|e| (e.to, e.id));
+            let expected_out: Vec<Edge> = expected.iter().filter(|e| e.from == v).copied().collect();
             let out: Vec<Edge> = net.out_edges(v).collect();
             prop_assert_eq!(net.out_degree(v), out.len());
             prop_assert_eq!(net.neighbors(v).collect::<Vec<_>>(), out.iter().map(|e| e.to).collect::<Vec<_>>());
             out_total += out.len();
             prop_assert_eq!(out, expected_out);
-            let expected_in: Vec<Edge> = input.iter().filter(|e| e.to == v).copied().collect();
+            let expected_in: Vec<Edge> = expected.iter().filter(|e| e.to == v).copied().collect();
             prop_assert_eq!(net.in_edges(v).collect::<Vec<_>>(), expected_in);
             for w in (0..net.num_vertices() as u32).map(VertexId) {
-                let lowest = input.iter().find(|e| e.from == v && e.to == w).map(|e| e.id);
+                let lowest = expected.iter().find(|e| e.from == v && e.to == w).map(|e| e.id);
                 prop_assert_eq!(net.edge_between(v, w), lowest);
             }
         }

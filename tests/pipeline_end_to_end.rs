@@ -170,3 +170,55 @@ fn transfer_convergence_is_reported_on_the_quick_dataset() {
     assert!(stats.unconverged_columns > 0);
     assert!(stats.max_relative_residual > ds.spec.l2r.transfer.tolerance);
 }
+
+/// A fit refuses trajectories it could not serve, with a typed error naming
+/// the first of them: here every other vertex of every trajectory dropped
+/// (hops that are not edges), and one trajectory ending past the network.
+#[test]
+fn fit_refuses_undrivable_trajectories() {
+    use l2r_suite::core::L2rError;
+    use l2r_suite::eval::{build_dataset, DatasetSpec, Scale};
+    use l2r_suite::road_network::NetworkError;
+    let ds = build_dataset(DatasetSpec::d1(Scale::Quick));
+    let net = &ds.synthetic.net;
+
+    let thinned: Vec<MatchedTrajectory> = ds
+        .train
+        .iter()
+        .map(|t| {
+            let vertices = t.path.vertices();
+            let mut kept: Vec<VertexId> = vertices.iter().step_by(2).copied().collect();
+            if vertices.len() % 2 == 0 {
+                kept.push(t.destination());
+            }
+            MatchedTrajectory {
+                path: Path::new(kept).expect("a non-empty path"),
+                ..t.clone()
+            }
+        })
+        .collect();
+    let first = thinned
+        .iter()
+        .position(|t| t.path.validate(net).is_err())
+        .expect("thinning breaks some trajectory");
+    match L2r::fit(net, &thinned, ds.spec.l2r.clone()) {
+        Err(L2rError::InvalidTrajectory { index, error }) => {
+            assert_eq!(index, first);
+            assert!(matches!(error, NetworkError::Disconnected(..)), "{error}");
+        }
+        other => panic!("thinned trajectories must be refused, got {other:?}"),
+    }
+
+    let mut past_the_end = ds.train.clone();
+    let past = VertexId(net.num_vertices() as u32);
+    let mut vertices = past_the_end[3].path.vertices().to_vec();
+    vertices.push(past);
+    past_the_end[3].path = Path::new(vertices).expect("a non-empty path");
+    assert_eq!(
+        L2r::fit(net, &past_the_end, ds.spec.l2r.clone()).err(),
+        Some(L2rError::InvalidTrajectory {
+            index: 3,
+            error: NetworkError::UnknownVertex(past),
+        })
+    );
+}
