@@ -29,8 +29,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use l2r_core::{
-    decode_model, encode_model, encode_model_structural, oracle, save_model, ConnectorTable,
-    Engine, L2r, QueryScratch,
+    decode_model, encode_model, encode_model_structural, load_model, oracle, save_model,
+    ConnectorTable, L2r, QueryScratch,
 };
 use l2r_eval::{build_dataset, build_test_queries, Dataset, DatasetSpec, Scale};
 use l2r_preference::{build_descriptors, build_similarity_rows, build_similarity_rows_naive};
@@ -235,16 +235,16 @@ fn fitted_model_matches_the_oracle_on_the_quick_dataset() {
     assert_router_matches_oracle(ds, &ds.model);
 }
 
-/// A served engine is built from a snapshot file, not from the fit: it must
-/// answer like the reference router on the never-serialized model.
+/// A served model is loaded from a snapshot file, not taken from the fit: it
+/// must answer like the reference router on the never-serialized model.
 #[test]
 fn snapshot_engine_matches_the_free_router_on_the_quick_dataset() {
     let ds = quick_dataset();
     let path = std::env::temp_dir().join(format!("l2r-xl-gates-{}.l2r", std::process::id()));
     save_model(&ds.model, &path).expect("the snapshot is written");
-    let engine = Engine::load(&path);
+    let loaded = load_model(&path);
     std::fs::remove_file(&path).ok();
-    assert_router_matches_oracle(ds, &engine.expect("the snapshot loads"));
+    assert_router_matches_oracle(ds, &loaded.expect("the snapshot loads"));
 }
 
 #[test]

@@ -425,3 +425,136 @@ impl ConnectorPlan {
         keys
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{HashMap, HashSet};
+
+    use l2r_datagen::{
+        generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig,
+    };
+    use l2r_region_graph::{bottom_up_clustering, TrajectoryGraph};
+    use l2r_road_network::fastest_path;
+
+    use super::*;
+    use crate::apply::apply_preferences_to_b_edges;
+    use crate::L2r;
+
+    /// The tiny fixture; without the apply step its B-edges carry no paths,
+    /// so both of their orientations fall back to a transfer center.
+    fn build_graphs(apply_b_edges: bool) -> (RoadNetwork, RegionGraph) {
+        let syn = generate_network(&SyntheticNetworkConfig::tiny());
+        let wl = generate_workload(&syn, &WorkloadConfig::tiny(250));
+        let tg = TrajectoryGraph::build(&syn.net, &wl.trajectories);
+        let clusters = bottom_up_clustering(&tg);
+        let mut rg = RegionGraph::build(&syn.net, &clusters, &wl.trajectories, 2);
+        if apply_b_edges {
+            apply_preferences_to_b_edges(&syn.net, &mut rg, &HashMap::new(), 2);
+        }
+        (syn.net, rg)
+    }
+
+    /// The connector keys enumerated straight from the region graph: per
+    /// orientation `from → to`, every vertex of `from` reaches the head target
+    /// (the attached path's entry, or `to`'s fallback transfer center), and
+    /// the anchor (the path's exit, or that same center) reaches every vertex
+    /// of `to`.  Also returns how many head targets lie outside `from`.
+    fn expected_connector_keys(
+        rg: &RegionGraph,
+        model: &L2r,
+    ) -> (HashSet<(VertexId, VertexId)>, usize) {
+        let mut expected = HashSet::new();
+        let mut heads_outside_from = 0usize;
+        for edge in rg.edges() {
+            let o = &model.oriented_paths()[edge.id.idx()];
+            for (from, to, seg) in [
+                (edge.a, edge.b, o.forward.as_ref()),
+                (edge.b, edge.a, o.backward.as_ref()),
+            ] {
+                let (head, anchor) = match seg {
+                    Some(p) => (p.source(), p.destination()),
+                    None => match rg.transfer_centers_or_default(to).first() {
+                        Some(&c) => (c, c),
+                        None => continue,
+                    },
+                };
+                if rg.region_of(head) != Some(from) {
+                    heads_outside_from += 1;
+                }
+                for &v in &rg.region(from).vertices {
+                    if v != head {
+                        expected.insert((v, head));
+                    }
+                }
+                for &t in &rg.region(to).vertices {
+                    if t != anchor {
+                        expected.insert((anchor, t));
+                    }
+                }
+            }
+        }
+        (expected, heads_outside_from)
+    }
+
+    /// The model serves from its table: the keys are exactly the stubs the
+    /// region graph implies, and every path is the live fastest path.
+    #[test]
+    fn connector_table_is_exactly_the_head_and_tail_stubs() {
+        let mut heads_outside_from = 0usize;
+        for apply_b_edges in [true, false] {
+            let (net, rg) = build_graphs(apply_b_edges);
+            let model = L2r::from_graphs(&net, &rg);
+            let (expected, outside) = expected_connector_keys(&rg, &model);
+            heads_outside_from += outside;
+            let table = model.connectors();
+            assert_eq!(model.num_connectors(), table.len());
+            let actual: HashSet<(VertexId, VertexId)> = table.iter().map(|(key, _)| key).collect();
+            assert!(!expected.is_empty());
+            assert_eq!(actual, expected, "connector keys (apply={apply_b_edges})");
+            for ((from, to), stored) in table.iter() {
+                let live = fastest_path(&net, from, to);
+                assert_eq!(
+                    stored,
+                    live.as_ref().map(Path::vertices),
+                    "connector {from:?} -> {to:?}"
+                );
+                // Every key is found by the lookup the router uses; a vertex
+                // is never its own key, and a source past the network has none.
+                assert_eq!(table.get(from, to), Some(stored));
+                assert_eq!(table.get(from, from), None);
+                assert_eq!(table.get(VertexId(net.num_vertices() as u32), to), None);
+            }
+        }
+        assert!(
+            heads_outside_from > 0,
+            "a fixture needs an orientation whose head target lies outside its region"
+        );
+    }
+
+    #[test]
+    fn oriented_paths_cover_both_directions_of_t_edges() {
+        let (net, rg) = build_graphs(true);
+        let model = L2r::from_graphs(&net, &rg);
+        // Every edge with attached paths resolves at least one orientation.
+        for e in rg.edges() {
+            if e.has_paths() {
+                let o = &model.oriented_paths()[e.id.idx()];
+                assert!(
+                    o.forward.is_some() || o.backward.is_some(),
+                    "edge {:?} has paths but no oriented resolution",
+                    e.id
+                );
+                if let Some(p) = &o.forward {
+                    assert_eq!(rg.region_of(p.source()), Some(e.a));
+                    assert_eq!(rg.region_of(p.destination()), Some(e.b));
+                    assert!(p.validate(&net).is_ok());
+                }
+                if let Some(p) = &o.backward {
+                    assert_eq!(rg.region_of(p.source()), Some(e.b));
+                    assert_eq!(rg.region_of(p.destination()), Some(e.a));
+                    assert!(p.validate(&net).is_ok());
+                }
+            }
+        }
+    }
+}

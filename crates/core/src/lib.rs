@@ -36,14 +36,14 @@
 //! fastest-path [`ConnectorTable`] — once, when it is fitted or decoded, and
 //! [`L2r::route`] answers from them through a reusable per-thread
 //! [`QueryScratch`] without per-query allocation; [`L2r::route_many`]
-//! batches across threads.  For serving, an [`engine::Engine`] is a shared
-//! `Send + Sync` handle to a model ([`L2r::into_engine`], or
-//! [`engine::Engine::load`] straight from a snapshot file) that
-//! dereferences to it.  A long-lived service manages named engines through
-//! a [`registry::ModelRegistry`], which hot-swaps freshly fitted snapshots
-//! in atomically while queries are in flight, and hands serving threads
-//! reusable scratches from a [`registry::ScratchPool`].  The reference
-//! router the tests compare [`L2r::route`] against lives in [`oracle`].
+//! batches across threads.  For serving, a model is shared across threads
+//! as an `Arc<L2r>` (`Arc::new(model)`, or
+//! `load_model(path).map(Arc::new)` straight from a snapshot file), each
+//! thread bringing its own [`QueryScratch`].  A long-lived service manages
+//! named models through a [`registry::ModelRegistry`], which hot-swaps
+//! freshly fitted snapshots in atomically while queries are in flight.  The
+//! reference router the tests compare [`L2r::route`] against lives in
+//! [`oracle`].
 //!
 //! To pay the offline cost once *per fleet* rather than once per process,
 //! persist the fitted model with [`snapshot::save_model`] and serve it from
@@ -72,7 +72,7 @@ pub use engine::Engine;
 pub use error::L2rError;
 pub use pipeline::{L2r, OfflineStats};
 pub use region_routing::{find_region_path, RegionPath, RegionSearchSpace};
-pub use registry::{ModelRegistry, PooledScratch, RegistryError, ScratchPool};
+pub use registry::{ModelRegistry, RegistryError};
 pub use router::{region_coverage, QueryScratch, RegionCoverage, RouteResult, RouteStrategy};
 pub use snapshot::{
     compute_canaries, decode_model, decode_snapshot, encode_model, encode_model_structural,

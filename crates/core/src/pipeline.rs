@@ -58,6 +58,9 @@ pub struct OfflineStats {
 /// A fitted learn-to-route model, and the router that serves it: besides
 /// the fitted parts it owns the two tables [`L2r::route`] reads, the
 /// oriented-path table and the connector table, built once per model.
+///
+/// A server shares one model across its threads as an `Arc<L2r>`, each
+/// thread bringing its own [`crate::QueryScratch`].
 #[derive(Debug, Clone)]
 pub struct L2r {
     net: RoadNetwork,
@@ -70,6 +73,12 @@ pub struct L2r {
     oriented: Vec<OrientedPaths>,
     connectors: ConnectorTable,
 }
+
+// Serving threads share one model behind an `Arc` with no further ceremony.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<L2r>();
+};
 
 impl L2r {
     /// Fits an L2R model on a road network and a set of map-matched training
@@ -195,6 +204,21 @@ impl L2r {
         model
     }
 
+    /// A degenerate model around clones of a road network and region graph
+    /// (no learned preferences, default config), with its routing tables
+    /// built.  Routing only consults the network, the region graph and
+    /// those tables, so it answers exactly like the full fitted model.
+    pub fn from_graphs(net: &RoadNetwork, rg: &RegionGraph) -> L2r {
+        L2r::from_parts(
+            net.clone(),
+            rg.clone(),
+            HashMap::new(),
+            HashMap::new(),
+            L2rConfig::default(),
+            OfflineStats::default(),
+        )
+    }
+
     /// The one constructor, reached by the fit, [`L2r::from_parts`] and the
     /// snapshot decoder: builds the oriented-path table, then obtains the
     /// connector table from `connectors`, which resolves it (fit) or decodes
@@ -253,6 +277,11 @@ impl L2r {
     /// snapshot), which [`L2r::route`] stitches with.
     pub fn connectors(&self) -> &ConnectorTable {
         &self.connectors
+    }
+
+    /// Number of entries in the connector table (diagnostics).
+    pub fn num_connectors(&self) -> usize {
+        self.connectors.len()
     }
 
     /// The preferences learned for T-edges.

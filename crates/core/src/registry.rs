@@ -1,17 +1,16 @@
-//! Serving-side model management: [`ModelRegistry`] (named datasets →
-//! shared [`Engine`]s with atomic hot-reload) and [`ScratchPool`] (reusable
-//! [`QueryScratch`]es for worker threads).
+//! Serving-side model management: [`ModelRegistry`], named datasets →
+//! shared `Arc<L2r>` models with validated atomic hot-reload.
 //!
 //! A long-lived route service holds one registry for its whole lifetime.
-//! Query threads call [`ModelRegistry::get`] and receive an `Arc<Engine>` —
-//! an immutable model+index unit they keep for the duration of the request,
-//! so a concurrent [`ModelRegistry::reload`] can never tear state out from
-//! under them: the swap replaces the registry's *pointer* under a brief
-//! write lock, in-flight queries finish on the engine they already hold, and
-//! the old engine is freed when the last holder drops it.  A failed reload
-//! (missing file, corrupt payload, stale format version) leaves the
-//! registered engine untouched and reports the [`SnapshotError`] — serving
-//! never degrades because an operator fat-fingered a path.
+//! Query threads call [`ModelRegistry::get`] and receive an `Arc<L2r>` —
+//! an immutable model (with its routing tables) they keep for the duration
+//! of the request, so a concurrent [`ModelRegistry::reload`] can never tear
+//! state out from under them: the swap replaces the registry's *pointer*
+//! under a brief write lock, in-flight queries finish on the model they
+//! already hold, and the old model is freed when the last holder drops it.
+//! A failed reload (missing file, corrupt payload, stale format version)
+//! leaves the registered model untouched and reports the [`SnapshotError`]
+//! — serving never degrades because an operator fat-fingered a path.
 //!
 //! The expensive part of a reload — reading, decoding and validating the
 //! snapshot — happens *outside* the lock; the critical section is a single
@@ -25,23 +24,22 @@
 //! and every canary probe recorded at save time
 //! ([`crate::snapshot::compute_canaries`]) is replayed against the freshly
 //! decoded model — a digest mismatch rejects the reload with the old
-//! engine still serving.  Each successful swap retains the **previous**
-//! engine so [`ModelRegistry::rollback`] can restore it instantly, and
+//! model still serving.  Each successful swap retains the **previous**
+//! model so [`ModelRegistry::rollback`] can restore it instantly, and
 //! generations stay monotonic per name even across remove + re-register
 //! (removed names leave a generation tombstone behind).
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
-use crate::engine::Engine;
+use crate::pipeline::L2r;
 use crate::router::QueryScratch;
 use crate::snapshot::{load_snapshot, route_digest, Snapshot, SnapshotError};
 use crate::store::{ModelStore, StoreError};
 
 /// An error raised by registry reload/rollback operations.  Every failure
-/// leaves the registry exactly as it was: the old engine keeps serving.
+/// leaves the registry exactly as it was: the old model keeps serving.
 #[derive(Debug)]
 pub enum RegistryError {
     /// The snapshot file could not be read or decoded.
@@ -70,7 +68,7 @@ pub enum RegistryError {
     },
     /// The named dataset is not registered.
     UnknownDataset(String),
-    /// The named dataset has no retained previous engine to roll back to.
+    /// The named dataset has no retained previous model to roll back to.
     NoPreviousEngine(String),
 }
 
@@ -122,16 +120,16 @@ impl From<StoreError> for RegistryError {
     }
 }
 
-/// One registered engine plus its swap count.
+/// One registered model plus its swap count.
 struct Entry {
-    engine: Arc<Engine>,
+    model: Arc<L2r>,
     /// Starts at 1 on first registration, +1 per successful swap (and per
     /// rollback — a rollback *is* a swap).  Lets operators (and tests)
     /// observe that a hot-reload actually happened.
     generation: u64,
-    /// The engine that was serving before the last swap, retained for
+    /// The model that was serving before the last swap, retained for
     /// [`ModelRegistry::rollback`].
-    previous: Option<Arc<Engine>>,
+    previous: Option<Arc<L2r>>,
 }
 
 /// The registry's locked state: the live entries plus generation
@@ -143,9 +141,9 @@ struct Inner {
     retired: HashMap<String, u64>,
 }
 
-/// A named, concurrently readable collection of serving [`Engine`]s with
-/// validated atomic hot-reload from `.l2r` snapshot files or a
-/// [`ModelStore`], previous-engine retention, and explicit rollback.
+/// A named, concurrently readable collection of served `Arc<L2r>` models
+/// with validated atomic hot-reload from `.l2r` snapshot files or a
+/// [`ModelStore`], previous-model retention, and explicit rollback.
 ///
 /// All methods take `&self`: share one registry across every serving thread
 /// (e.g. behind an `Arc`, or borrowed into scoped workers).
@@ -181,41 +179,36 @@ impl ModelRegistry {
         self.entries.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Registers (or replaces) `name` with an already-built engine,
-    /// returning the shared handle now being served.
-    pub fn insert(&self, name: &str, engine: Engine) -> Arc<Engine> {
-        self.insert_shared(name, Arc::new(engine))
-    }
-
-    /// Registers (or replaces) `name` with a shared engine handle.  When
-    /// replacing, the outgoing engine is retained as the rollback target.
-    pub fn insert_shared(&self, name: &str, engine: Arc<Engine>) -> Arc<Engine> {
+    /// Registers (or replaces) `name` with a shared model, returning the
+    /// handle now being served.  When replacing, the outgoing model is
+    /// retained as the rollback target.
+    pub fn insert(&self, name: &str, model: Arc<L2r>) -> Arc<L2r> {
         let mut inner = self.write();
         let resumed = inner.retired.remove(name).unwrap_or(0);
         match inner.live.get_mut(name) {
             Some(entry) => {
-                entry.previous = Some(std::mem::replace(&mut entry.engine, Arc::clone(&engine)));
+                entry.previous = Some(std::mem::replace(&mut entry.model, Arc::clone(&model)));
                 entry.generation += 1;
             }
             None => {
                 inner.live.insert(
                     name.to_string(),
                     Entry {
-                        engine: Arc::clone(&engine),
+                        model: Arc::clone(&model),
                         generation: resumed + 1,
                         previous: None,
                     },
                 );
             }
         }
-        engine
+        model
     }
 
-    /// The engine currently serving `name` (a cheap `Arc` clone).  Hold the
+    /// The model currently serving `name` (a cheap `Arc` clone).  Hold the
     /// returned handle for the duration of one request: it stays valid and
     /// immutable even if the entry is hot-swapped or removed concurrently.
-    pub fn get(&self, name: &str) -> Option<Arc<Engine>> {
-        self.read().live.get(name).map(|e| Arc::clone(&e.engine))
+    pub fn get(&self, name: &str) -> Option<Arc<L2r>> {
+        self.read().live.get(name).map(|e| Arc::clone(&e.model))
     }
 
     /// The swap count of `name` (1 after first registration; monotonic
@@ -236,7 +229,7 @@ impl ModelRegistry {
         out
     }
 
-    /// Whether `name` has a retained previous engine to roll back to.
+    /// Whether `name` has a retained previous model to roll back to.
     pub fn has_previous(&self, name: &str) -> bool {
         self.read()
             .live
@@ -248,13 +241,13 @@ impl ModelRegistry {
     /// Validation is two-stage: the snapshot's stamped dataset must match
     /// `name` (empty stamps — pre-provenance saves — match anything), and
     /// every canary probe recorded at save time must reproduce its digest on
-    /// the decoded model.  Any mismatch rejects the swap with the old engine
+    /// the decoded model.  Any mismatch rejects the swap with the old model
     /// still serving.
     pub fn install_validated(
         &self,
         name: &str,
         snapshot: Snapshot,
-    ) -> Result<Arc<Engine>, RegistryError> {
+    ) -> Result<Arc<L2r>, RegistryError> {
         if !snapshot.dataset.is_empty() && snapshot.dataset != name {
             return Err(RegistryError::DatasetMismatch {
                 snapshot: snapshot.dataset,
@@ -263,11 +256,9 @@ impl ModelRegistry {
         }
         // Replay canaries outside the lock: readers never wait on probe
         // routing.
-        let canaries = snapshot.canaries;
-        let engine = snapshot.model.into_engine();
         let mut scratch = QueryScratch::new();
-        for c in &canaries {
-            let actual = route_digest(&engine.route(&mut scratch, c.src, c.dst));
+        for c in &snapshot.canaries {
+            let actual = route_digest(&snapshot.model.route(&mut scratch, c.src, c.dst));
             if actual != c.digest {
                 return Err(RegistryError::CanaryMismatch {
                     src: c.src.0,
@@ -277,21 +268,21 @@ impl ModelRegistry {
                 });
             }
         }
-        Ok(self.insert(name, engine))
+        Ok(self.insert(name, Arc::new(snapshot.model)))
     }
 
     /// Loads a snapshot file, validates it against `name`
     /// ([`ModelRegistry::install_validated`]), and atomically swaps it in
     /// (registering it fresh when the name is new).  Queries in flight keep
-    /// the engine they already hold; queries arriving after the swap get
+    /// the model they already hold; queries arriving after the swap get
     /// the new one — there is no in-between state.
     ///
     /// On **any** failure — missing file, truncation, bad magic, stale
     /// format version, checksum mismatch, invalid payload, dataset
     /// mismatch, canary mismatch — the registry is left exactly as it was
-    /// (the old engine keeps serving) and the error is returned for the
+    /// (the old model keeps serving) and the error is returned for the
     /// operator.
-    pub fn reload(&self, name: &str, path: &Path) -> Result<Arc<Engine>, RegistryError> {
+    pub fn reload(&self, name: &str, path: &Path) -> Result<Arc<L2r>, RegistryError> {
         // Read + decode + validate outside the lock: readers never wait on
         // disk or on decoding.
         let snapshot = load_snapshot(path)?;
@@ -300,27 +291,27 @@ impl ModelRegistry {
 
     /// Reloads `name` from a [`ModelStore`]: the newest durable generation
     /// when `generation` is `None`, a pinned one otherwise.  Returns the
-    /// engine now serving and the *store* generation it came from.
+    /// model now serving and the *store* generation it came from.
     pub fn reload_from_store(
         &self,
         name: &str,
         store: &ModelStore,
         generation: Option<u64>,
-    ) -> Result<(Arc<Engine>, u64), RegistryError> {
+    ) -> Result<(Arc<L2r>, u64), RegistryError> {
         let (generation, snapshot) = match generation {
             Some(g) => (g, store.load(g)?),
             None => store.load_latest()?,
         };
-        let engine = self.install_validated(name, snapshot)?;
-        Ok((engine, generation))
+        let model = self.install_validated(name, snapshot)?;
+        Ok((model, generation))
     }
 
-    /// Restores the engine that was serving `name` before its last swap.
-    /// The retained engine is consumed (no flip-flop: a second rollback
+    /// Restores the model that was serving `name` before its last swap.
+    /// The retained model is consumed (no flip-flop: a second rollback
     /// without an intervening swap fails), the generation is bumped — a
     /// rollback *is* a swap — and the restored handle is returned with the
     /// new generation.
-    pub fn rollback(&self, name: &str) -> Result<(Arc<Engine>, u64), RegistryError> {
+    pub fn rollback(&self, name: &str) -> Result<(Arc<L2r>, u64), RegistryError> {
         let mut inner = self.write();
         let entry = inner
             .live
@@ -330,13 +321,13 @@ impl ModelRegistry {
             .previous
             .take()
             .ok_or_else(|| RegistryError::NoPreviousEngine(name.to_string()))?;
-        entry.engine = Arc::clone(&previous);
+        entry.model = Arc::clone(&previous);
         entry.generation += 1;
         Ok((previous, entry.generation))
     }
 
     /// Removes `name`, returning whether it was registered.  In-flight
-    /// queries holding the engine finish normally.  The generation is
+    /// queries holding the model finish normally.  The generation is
     /// tombstoned: re-registering the same name resumes counting.
     pub fn remove(&self, name: &str) -> bool {
         let mut inner = self.write();
@@ -368,87 +359,6 @@ impl ModelRegistry {
     }
 }
 
-/// A shared pool of [`QueryScratch`]es for serving threads.
-///
-/// Steady-state serving must not allocate per query *or per batch*: a worker
-/// [`acquire`](ScratchPool::acquire)s a scratch (popping a warmed one when
-/// available, creating one only when the pool has run dry), serves any
-/// number of queries through it, and returns it automatically on drop.  The
-/// total number of scratches ever created is bounded by the peak number of
-/// concurrent holders — observable via [`ScratchPool::created`], which tests
-/// use to prove batch N+1 reuses batch N's buffers.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    free: Mutex<Vec<QueryScratch>>,
-    created: AtomicUsize,
-}
-
-impl ScratchPool {
-    /// Creates an empty pool; scratches are created lazily on first acquire.
-    pub fn new() -> ScratchPool {
-        ScratchPool::default()
-    }
-
-    /// Checks a scratch out of the pool (creating one only when none is
-    /// idle).  The scratch returns to the pool when the guard drops.
-    pub fn acquire(&self) -> PooledScratch<'_> {
-        let reused = self.free.lock().unwrap_or_else(|e| e.into_inner()).pop();
-        let scratch = reused.unwrap_or_else(|| {
-            self.created.fetch_add(1, Ordering::Relaxed);
-            QueryScratch::new()
-        });
-        PooledScratch {
-            pool: self,
-            scratch: Some(scratch),
-        }
-    }
-
-    /// Total scratches this pool has ever created — equals the peak number
-    /// of concurrent holders, regardless of how many acquire/release cycles
-    /// have run.
-    pub fn created(&self) -> usize {
-        self.created.load(Ordering::Relaxed)
-    }
-
-    /// Scratches currently idle in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-}
-
-/// A [`QueryScratch`] checked out of a [`ScratchPool`]; derefs to the
-/// scratch and returns it to the pool on drop.
-#[derive(Debug)]
-pub struct PooledScratch<'a> {
-    pool: &'a ScratchPool,
-    scratch: Option<QueryScratch>,
-}
-
-impl std::ops::Deref for PooledScratch<'_> {
-    type Target = QueryScratch;
-    fn deref(&self) -> &QueryScratch {
-        self.scratch.as_ref().expect("scratch present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledScratch<'_> {
-    fn deref_mut(&mut self) -> &mut QueryScratch {
-        self.scratch.as_mut().expect("scratch present until drop")
-    }
-}
-
-impl Drop for PooledScratch<'_> {
-    fn drop(&mut self) {
-        if let Some(scratch) = self.scratch.take() {
-            self.pool
-                .free
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(scratch);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,7 +368,7 @@ mod tests {
     use l2r_region_graph::{bottom_up_clustering, RegionGraph, TrajectoryGraph};
     use l2r_road_network::VertexId;
 
-    fn engine() -> Engine {
+    fn model() -> Arc<L2r> {
         let syn = generate_network(&SyntheticNetworkConfig::tiny());
         let wl = generate_workload(&syn, &WorkloadConfig::tiny(250));
         let tg = TrajectoryGraph::build(&syn.net, &wl.trajectories);
@@ -470,7 +380,7 @@ mod tests {
             &std::collections::HashMap::new(),
             2,
         );
-        Engine::from_graphs(&syn.net, &rg)
+        Arc::new(L2r::from_graphs(&syn.net, &rg))
     }
 
     #[test]
@@ -480,7 +390,7 @@ mod tests {
         assert!(registry.get("D1").is_none());
         assert_eq!(registry.generation("D1"), None);
 
-        let served = registry.insert("D1", engine());
+        let served = registry.insert("D1", model());
         assert_eq!(registry.len(), 1);
         assert_eq!(registry.names(), vec!["D1".to_string()]);
         assert_eq!(registry.generation("D1"), Some(1));
@@ -498,8 +408,8 @@ mod tests {
     #[test]
     fn insert_replacing_bumps_generation_and_swaps_the_handle() {
         let registry = ModelRegistry::new();
-        let first = registry.insert("D1", engine());
-        let second = registry.insert("D1", engine());
+        let first = registry.insert("D1", model());
+        let second = registry.insert("D1", model());
         assert_eq!(registry.generation("D1"), Some(2));
         let got = registry.get("D1").unwrap();
         assert!(Arc::ptr_eq(&second, &got));
@@ -509,14 +419,14 @@ mod tests {
     #[test]
     fn rollback_restores_previous_engine_and_bumps_generation() {
         let registry = ModelRegistry::new();
-        let first = registry.insert("D1", engine());
+        let first = registry.insert("D1", model());
         assert!(!registry.has_previous("D1"));
         assert!(matches!(
             registry.rollback("D1"),
             Err(RegistryError::NoPreviousEngine(_))
         ));
 
-        let second = registry.insert("D1", engine());
+        let second = registry.insert("D1", model());
         assert!(registry.has_previous("D1"));
         let (restored, generation) = registry.rollback("D1").unwrap();
         assert!(Arc::ptr_eq(&restored, &first));
@@ -524,7 +434,7 @@ mod tests {
         assert_eq!(generation, 3); // insert, swap, rollback
         assert!(Arc::ptr_eq(&registry.get("D1").unwrap(), &first));
 
-        // The retained engine was consumed: no flip-flop.
+        // The retained model was consumed: no flip-flop.
         assert!(matches!(
             registry.rollback("D1"),
             Err(RegistryError::NoPreviousEngine(_))
@@ -538,46 +448,15 @@ mod tests {
     #[test]
     fn generations_stay_monotonic_across_remove_and_reregister() {
         let registry = ModelRegistry::new();
-        registry.insert("D1", engine());
-        registry.insert("D1", engine());
+        registry.insert("D1", model());
+        registry.insert("D1", model());
         assert_eq!(registry.generation("D1"), Some(2));
         assert!(registry.remove("D1"));
         assert_eq!(registry.generation("D1"), None);
-        registry.insert("D1", engine());
+        registry.insert("D1", model());
         // Never back to 1: a monitoring system watching the generation
         // counter must see it only ever grow.
         assert_eq!(registry.generation("D1"), Some(3));
         assert_eq!(registry.generations(), vec![("D1".to_string(), 3)]);
-    }
-
-    #[test]
-    fn scratch_pool_reuses_across_sequential_batches() {
-        let pool = ScratchPool::new();
-        assert_eq!(pool.created(), 0);
-        for _ in 0..10 {
-            let scratch = pool.acquire();
-            // Touch the scratch as a serving worker would.
-            let _ = scratch.search_generation();
-        }
-        // Ten sequential batches, one scratch ever created.
-        assert_eq!(pool.created(), 1);
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
-    fn scratch_pool_grows_to_peak_concurrency_only() {
-        let pool = ScratchPool::new();
-        {
-            let _a = pool.acquire();
-            let _b = pool.acquire();
-            let _c = pool.acquire();
-            assert_eq!(pool.created(), 3);
-            assert_eq!(pool.idle(), 0);
-        }
-        assert_eq!(pool.idle(), 3);
-        // Re-acquiring after release creates nothing new.
-        let _d = pool.acquire();
-        let _e = pool.acquire();
-        assert_eq!(pool.created(), 3);
     }
 }

@@ -116,9 +116,9 @@ pub fn region_coverage(
 
 /// Reusable per-query scratch state: one road-network search space, one
 /// region-graph search space, a region-path buffer and a path builder.  Keep
-/// one per serving thread ([`L2r::route_many`] does this for you, and
-/// [`crate::registry::ScratchPool`] lends them out to server workers); a
-/// `QueryScratch` is intentionally not shared between threads.
+/// one per serving thread ([`L2r::route_many`] does this for you, and each
+/// server event loop owns one for its lifetime); a `QueryScratch` is
+/// intentionally not shared between threads.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
     space: SearchSpace,
@@ -466,7 +466,6 @@ pub(crate) fn find_anchor_in(
 mod tests {
     use super::*;
     use crate::apply::apply_preferences_to_b_edges;
-    use crate::Engine;
     use l2r_datagen::{
         generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig,
     };
@@ -475,7 +474,7 @@ mod tests {
 
     /// The tiny fixture's network, region graph and the model routing on
     /// them.
-    fn build() -> (RoadNetwork, RegionGraph, Engine) {
+    fn build() -> (RoadNetwork, RegionGraph, L2r) {
         let syn = generate_network(&SyntheticNetworkConfig::tiny());
         let wl = generate_workload(&syn, &WorkloadConfig::tiny(250));
         let tg = TrajectoryGraph::build(&syn.net, &wl.trajectories);
@@ -483,7 +482,7 @@ mod tests {
         let mut rg = RegionGraph::build(&syn.net, &clusters, &wl.trajectories, 2);
         // Give B-edges fastest-path fallbacks so the router has full coverage.
         apply_preferences_to_b_edges(&syn.net, &mut rg, &HashMap::new(), 2);
-        let model = Engine::from_graphs(&syn.net, &rg);
+        let model = L2r::from_graphs(&syn.net, &rg);
         (syn.net, rg, model)
     }
 
@@ -541,6 +540,52 @@ mod tests {
             .route(&mut QueryScratch::new(), VertexId(0), VertexId(0))
             .unwrap();
         assert!(r.path.is_trivial());
+        assert_eq!(r.strategy, RouteStrategy::FastestFallback);
+    }
+
+    #[test]
+    fn engine_route_matches_free_route_on_a_vertex_grid() {
+        let (net, rg, model) = build();
+        let mut scratch = QueryScratch::new();
+        let n = net.num_vertices() as u32;
+        let mut compared = 0usize;
+        for i in (0..n).step_by(5) {
+            for j in (1..n).step_by(11) {
+                let (s, d) = (VertexId(i), VertexId(j));
+                let free = crate::oracle::route(&net, &rg, s, d);
+                let fast = model.route(&mut scratch, s, d);
+                assert_eq!(free, fast, "query {s:?} -> {d:?}");
+                compared += 1;
+            }
+        }
+        assert!(compared > 50, "the sweep should cover many pairs");
+    }
+
+    #[test]
+    fn route_many_matches_serial_routing() {
+        let (net, _, model) = build();
+        let n = net.num_vertices() as u32;
+        let queries: Vec<(VertexId, VertexId)> = (0..n)
+            .step_by(3)
+            .map(|i| (VertexId(i), VertexId((i * 7 + 13) % n)))
+            .collect();
+        let batch = model.route_many(&queries);
+        let mut scratch = QueryScratch::new();
+        for (q, b) in queries.iter().zip(&batch) {
+            assert_eq!(&model.route(&mut scratch, q.0, q.1), b);
+        }
+    }
+
+    #[test]
+    fn out_of_range_endpoints_are_rejected_like_the_free_router() {
+        let (net, rg, model) = build();
+        let mut scratch = QueryScratch::new();
+        let big = VertexId(net.num_vertices() as u32 + 17);
+        for (s, d) in [(VertexId(0), big), (big, VertexId(0)), (big, big)] {
+            let free = crate::oracle::route(&net, &rg, s, d);
+            assert_eq!(free, None, "query {s:?} -> {d:?}");
+            assert_eq!(model.route(&mut scratch, s, d), free);
+        }
     }
 
     #[test]
@@ -715,7 +760,7 @@ mod tests {
             .map(|sp| sp.support)
             .collect();
         assert_eq!(supports, [2, 2, 3], "P, Q and R in trajectory order");
-        let model = Engine::from_graphs(&net, &rg);
+        let model = L2r::from_graphs(&net, &rg);
         let mut scratch = QueryScratch::new();
 
         for &(s, d) in &inner_vertex_pairs(&rg) {

@@ -58,7 +58,7 @@
 //!
 //! Version 2 stamps two pieces of provenance into the (checksummed)
 //! payload: the **dataset name** the model was fitted on — so a `reload`
-//! can refuse to swap dataset A's engine in under name B — and a set of
+//! can refuse to swap dataset A's model in under name B — and a set of
 //! **canary probes**: deterministic route queries whose answer digests are
 //! recorded at save time ([`compute_canaries`]) and replayed against the
 //! decoded model before a hot-swap commits
@@ -332,7 +332,7 @@ pub(crate) fn unseal(bytes: &[u8], magic: [u8; 8], version: u8) -> Result<&[u8],
 /// One canary probe: a route query and the digest of its answer, recorded
 /// at save time and replayed before a hot-swap commits.  A digest mismatch
 /// means the snapshot's model does not answer like the model that was
-/// saved — the swap is rejected and the old engine keeps serving.
+/// saved — the swap is rejected and the old model keeps serving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Canary {
     /// Probe source vertex.
@@ -388,7 +388,7 @@ pub fn route_digest(result: &Option<RouteResult>) -> u64 {
 /// Computes `count` canary probes for `model`: a deterministic schedule of
 /// source/destination pairs (seeded only by the network's shape, so
 /// `encode → decode → encode` reproduces the exact probes) routed through
-/// [`L2r::route`], the router every [`crate::Engine`] serves with.
+/// [`L2r::route`], the router every served model answers with.
 pub fn compute_canaries(model: &L2r, count: usize) -> Vec<Canary> {
     let n = model.network().num_vertices() as u64;
     if n < 2 || count == 0 {

@@ -1,5 +1,5 @@
 //! Concurrent serving must be bit-identical to serial serving: N threads
-//! hammering one shared `Arc<Engine>` (each with its own `QueryScratch`)
+//! hammering one shared `Arc<L2r>` (each with its own `QueryScratch`)
 //! must produce exactly the answers a single-threaded pass produces, and —
 //! extending the generation-counting argument of `engine_scratch.rs` across
 //! threads — the process-wide Dijkstra search counter must advance by
@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use l2r_core::{apply_preferences_to_b_edges, Engine, QueryScratch};
+use l2r_core::{apply_preferences_to_b_edges, L2r, QueryScratch};
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
 use l2r_region_graph::{bottom_up_clustering, RegionGraph, TrajectoryGraph};
 use l2r_road_network::{searches_performed, VertexId};
@@ -28,7 +28,7 @@ fn threads_sharing_one_engine_serve_bit_identically_with_no_hidden_searches() {
     apply_preferences_to_b_edges(&syn.net, &mut rg, &HashMap::new(), 2);
 
     // The thin borrowed-graphs constructor: tests need no fitted model.
-    let engine = Arc::new(Engine::from_graphs(&syn.net, &rg));
+    let engine = Arc::new(L2r::from_graphs(&syn.net, &rg));
 
     // A mixed workload: Case-1, Case-2 and unanswerable queries alike.
     let n = syn.net.num_vertices() as u32;

@@ -1,4 +1,4 @@
-//! Proves the engine serving path reuses its scratch search state instead
+//! Proves the serving path reuses its scratch search state instead
 //! of allocating hidden search spaces: over a Case-1 query workload, the
 //! process-wide Dijkstra search counter advances by *exactly* the scratch
 //! space's generation delta — any thread-local fallback or freshly allocated
@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use l2r_core::{apply_preferences_to_b_edges, Engine, QueryScratch, RegionCoverage};
+use l2r_core::{apply_preferences_to_b_edges, L2r, QueryScratch, RegionCoverage};
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
 use l2r_region_graph::{bottom_up_clustering, RegionGraph, TrajectoryGraph};
 use l2r_road_network::{searches_performed, VertexId};
@@ -25,7 +25,7 @@ fn case1_queries_route_all_searches_through_the_reused_scratch() {
     let mut rg = RegionGraph::build(&syn.net, &clusters, &wl.trajectories, 2);
     apply_preferences_to_b_edges(&syn.net, &mut rg, &HashMap::new(), 2);
 
-    let engine = Engine::from_graphs(&syn.net, &rg);
+    let engine = L2r::from_graphs(&syn.net, &rg);
     // Collect Case-1 queries: both endpoints covered by regions.
     let n = syn.net.num_vertices() as u32;
     let queries: Vec<(VertexId, VertexId)> = (0..n)

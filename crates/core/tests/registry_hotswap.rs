@@ -10,8 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use l2r_core::{
-    save_model, Engine, L2r, L2rConfig, ModelRegistry, ModelStore, QueryScratch, RouteResult,
-    StoreOptions,
+    save_model, L2r, L2rConfig, ModelRegistry, ModelStore, QueryScratch, RouteResult, StoreOptions,
 };
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
 use l2r_road_network::VertexId;
@@ -41,8 +40,8 @@ struct Reference {
 }
 
 impl Reference {
-    fn new(engine_a: &Engine, engine_b: &Engine) -> Reference {
-        let n = engine_a.network().num_vertices() as u32;
+    fn new(model_a: &L2r, model_b: &L2r) -> Reference {
+        let n = model_a.network().num_vertices() as u32;
         let queries: Vec<(VertexId, VertexId)> = (0..n)
             .flat_map(|i| {
                 (1..n)
@@ -53,14 +52,14 @@ impl Reference {
             .take(120)
             .collect();
         let mut scratch = QueryScratch::new();
-        let mut answers = |engine: &Engine| -> Vec<Option<RouteResult>> {
+        let mut answers = |model: &L2r| -> Vec<Option<RouteResult>> {
             queries
                 .iter()
-                .map(|(s, d)| engine.route(&mut scratch, *s, *d))
+                .map(|(s, d)| model.route(&mut scratch, *s, *d))
                 .collect()
         };
-        let answers_a = answers(engine_a);
-        let answers_b = answers(engine_b);
+        let answers_a = answers(model_a);
+        let answers_b = answers(model_b);
         Reference {
             queries,
             answers_a,
@@ -156,12 +155,11 @@ fn queries_during_hot_swaps_always_see_exactly_one_model() {
     save_model(&model_a, &path_a).unwrap();
     save_model(&model_b, &path_b).unwrap();
 
-    let engine_a = Arc::new(model_a.into_engine());
-    let engine_b = model_b.into_engine();
-    let reference = Reference::new(&engine_a, &engine_b);
+    let model_a = Arc::new(model_a);
+    let reference = Reference::new(&model_a, &model_b);
 
     let registry = ModelRegistry::new();
-    registry.insert_shared("city", Arc::clone(&engine_a));
+    registry.insert("city", Arc::clone(&model_a));
 
     const SWAPS: usize = 12;
     reference.hammer(&registry, || {
@@ -183,7 +181,7 @@ fn queries_during_hot_swaps_always_see_exactly_one_model() {
 
 /// Store reloads and rollbacks applied while workers route: the same
 /// exactly-one-model invariant must hold for both kinds of swap, and every
-/// rollback must restore the very engine that served before the reload.
+/// rollback must restore the very model that served before the reload.
 #[test]
 fn queries_during_store_reloads_and_rollbacks_always_see_exactly_one_model() {
     let (model_a, model_b) = two_models();
@@ -192,12 +190,11 @@ fn queries_during_store_reloads_and_rollbacks_always_see_exactly_one_model() {
     let mut store = ModelStore::create(&dir, "city", StoreOptions::default()).unwrap();
     store.publish(&model_b).unwrap();
 
-    let engine_a = Arc::new(model_a.into_engine());
-    let engine_b = model_b.into_engine();
-    let reference = Reference::new(&engine_a, &engine_b);
+    let model_a = Arc::new(model_a);
+    let reference = Reference::new(&model_a, &model_b);
 
     let registry = ModelRegistry::new();
-    registry.insert_shared("city", Arc::clone(&engine_a));
+    registry.insert("city", Arc::clone(&model_a));
 
     const ROUNDS: usize = 6;
     reference.hammer(&registry, || {
@@ -210,7 +207,7 @@ fn queries_during_store_reloads_and_rollbacks_always_see_exactly_one_model() {
             let (restored, _) = registry
                 .rollback("city")
                 .expect("a reload leaves a rollback target");
-            assert!(Arc::ptr_eq(&restored, &engine_a));
+            assert!(Arc::ptr_eq(&restored, &model_a));
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
     });
@@ -218,7 +215,7 @@ fn queries_during_store_reloads_and_rollbacks_always_see_exactly_one_model() {
 
     // Every reload and every rollback is a swap.
     assert_eq!(registry.generation("city"), Some(1 + 2 * ROUNDS as u64));
-    assert!(Arc::ptr_eq(&registry.get("city").unwrap(), &engine_a));
+    assert!(Arc::ptr_eq(&registry.get("city").unwrap(), &model_a));
 }
 
 #[test]
@@ -228,7 +225,7 @@ fn handles_held_across_swaps_keep_serving_the_old_model() {
     save_model(&model_b, &path_b).unwrap();
 
     let registry = ModelRegistry::new();
-    let held = registry.insert("city", model_a.into_engine());
+    let held = registry.insert("city", Arc::new(model_a));
     let before: Vec<_> = {
         let mut scratch = QueryScratch::new();
         (0..20u32)

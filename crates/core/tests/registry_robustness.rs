@@ -1,15 +1,15 @@
 //! Failure paths of [`ModelRegistry::reload`]: a reload from a missing,
 //! truncated, corrupt or stale-format `.l2r` file — or one that decodes
 //! fine but fails semantic validation (wrong dataset stamp, canary digest
-//! mismatch) — must leave the registered engine serving untouched and
+//! mismatch) — must leave the registered model serving untouched and
 //! report the precise [`RegistryError`], mirroring the malformed-file
 //! corpus of `snapshot_robustness.rs` at the registry layer.
 
 use std::sync::Arc;
 
 use l2r_core::{
-    encode_model, encode_snapshot, encode_snapshot_with, save_model, save_snapshot, Canary, Engine,
-    L2r, L2rConfig, ModelRegistry, QueryScratch, RegistryError, SnapshotError,
+    encode_model, encode_snapshot, encode_snapshot_with, load_model, save_model, save_snapshot,
+    Canary, L2r, L2rConfig, ModelRegistry, QueryScratch, RegistryError, SnapshotError,
 };
 use l2r_datagen::{generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig};
 use l2r_road_network::VertexId;
@@ -25,23 +25,23 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("l2r-registry-test-{}-{name}", std::process::id()))
 }
 
-/// Registers a fitted engine and returns (registry, served handle, the good
+/// Registers a fitted model and returns (registry, served handle, the good
 /// snapshot bytes to corrupt).
-fn registry_with_model() -> (ModelRegistry, Arc<Engine>, Vec<u8>) {
+fn registry_with_model() -> (ModelRegistry, Arc<L2r>, Vec<u8>) {
     let model = fitted();
     let bytes = encode_model(&model);
     let registry = ModelRegistry::new();
-    let served = registry.insert("city", model.into_engine());
+    let served = registry.insert("city", Arc::new(model));
     (registry, served, bytes)
 }
 
-/// Asserts `registry` still serves exactly `served` (same engine object,
+/// Asserts `registry` still serves exactly `served` (same model object,
 /// same generation, still answering).
-fn assert_still_serving(registry: &ModelRegistry, served: &Arc<Engine>) {
+fn assert_still_serving(registry: &ModelRegistry, served: &Arc<L2r>) {
     let current = registry.get("city").expect("entry must survive");
     assert!(
         Arc::ptr_eq(served, &current),
-        "the old engine must keep serving after a failed reload"
+        "the old model must keep serving after a failed reload"
     );
     assert_eq!(registry.generation("city"), Some(1));
     let mut scratch = QueryScratch::new();
@@ -206,13 +206,14 @@ fn successful_reload_swaps_and_failed_reload_after_it_keeps_the_replacement() {
 
 #[test]
 fn engine_load_reports_the_same_errors_as_load_model() {
-    // `Engine::load` is the serving entry point; its error surface must be
-    // the snapshot layer's, not a panic.
-    let err = Engine::load(&temp_path("nope.l2r")).unwrap_err();
+    // `load_model` is the serving entry point (`l2r_serve` loads every
+    // snapshot-file model spec through it); its error surface must be the
+    // snapshot layer's, not a panic.
+    let err = load_model(&temp_path("nope.l2r")).unwrap_err();
     assert!(matches!(err, SnapshotError::Io { .. }));
     let path = temp_path("engine-bad.l2r");
     std::fs::write(&path, b"definitely not a snapshot").unwrap();
-    let err = Engine::load(&path).unwrap_err();
+    let err = load_model(&path).unwrap_err();
     std::fs::remove_file(&path).ok();
     assert!(matches!(err, SnapshotError::BadMagic));
 }

@@ -90,19 +90,19 @@ fn assert_recovers(dir: &std::path::Path, expect_gen: u64, expect_bytes: &[u8], 
         "{context}: served bytes not bit-identical"
     );
     let (_, snap) = store.load_latest().unwrap();
-    let engine = snap.model.into_engine();
+    let model = snap.model;
     let mut scratch = QueryScratch::new();
-    let n = engine.network().num_vertices() as u32;
+    let n = model.network().num_vertices() as u32;
     let mut answered = 0;
     for i in (0..n.min(40)).step_by(7) {
-        if engine
+        if model
             .route(&mut scratch, VertexId(i), VertexId((i * 3 + 1) % n))
             .is_some()
         {
             answered += 1;
         }
     }
-    assert!(answered > 0, "{context}: recovered engine must answer");
+    assert!(answered > 0, "{context}: recovered model must answer");
     // Recovery leaves no torn temp files behind (open sweeps them).
     let reopened = ModelStore::open(dir).unwrap();
     drop(reopened);

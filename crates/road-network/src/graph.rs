@@ -321,39 +321,12 @@ impl RoadNetwork {
     /// edge ids.
     pub fn edge_index(&self, cell_size_m: f64) -> GridIndex {
         let mut grid = GridIndex::new(self.bbox, cell_size_m);
-        self.insert_edge_segments(&mut grid);
-        grid
-    }
-
-    /// [`RoadNetwork::vertex_index`] with the cell size derived from vertex
-    /// density (see [`GridIndex::with_target_occupancy`]): expected
-    /// candidate-list lengths stay O(`target_per_cell`) whether the network
-    /// is a town or a country.
-    pub fn vertex_index_auto(&self, target_per_cell: f64) -> GridIndex {
-        let mut grid =
-            GridIndex::with_target_occupancy(self.bbox, self.num_vertices(), target_per_cell);
-        for v in &self.vertices {
-            grid.insert(v.id.0, &v.point);
-        }
-        grid
-    }
-
-    /// [`RoadNetwork::edge_index`] with the cell size derived from edge
-    /// density (see [`GridIndex::with_target_occupancy`]).
-    pub fn edge_index_auto(&self, target_per_cell: f64) -> GridIndex {
-        let mut grid =
-            GridIndex::with_target_occupancy(self.bbox, self.num_edges(), target_per_cell);
-        self.insert_edge_segments(&mut grid);
-        grid
-    }
-
-    /// Registers every edge's segment in `grid`, in id order.
-    fn insert_edge_segments(&self, grid: &mut GridIndex) {
         for e in self.edges() {
             let a = self.vertex(e.from).point;
             let b = self.vertex(e.to).point;
             grid.insert_segment(e.id.0, &a, &b);
         }
+        grid
     }
 
     /// Straight-line distance between two vertices, in metres.

@@ -198,12 +198,19 @@ pub fn centroid(points: &[Point]) -> Point {
     Point::new(x / points.len() as f64, y / points.len() as f64)
 }
 
-/// The cell size (metres) [`GridIndex::with_target_occupancy`] uses: sized so
-/// a cell holds about `target_per_cell` items when `num_items` are spread
-/// over `bbox` (`cell ≈ sqrt(area · target / n)`), clamped to [1 m, 50 km]
-/// and to at most ~4M cells as a memory guard.  Exposed separately so callers
-/// that also have a query-radius constraint (e.g. map matching) can combine
-/// both bounds before building the grid.
+/// A grid cell size (metres) derived from item density instead of a fixed
+/// constant: sized so a cell holds about `target_per_cell` items when
+/// `num_items` are spread over `bbox` (`cell ≈ sqrt(area · target / n)`),
+/// clamped to [1 m, 50 km] and to at most ~4M cells as a memory guard.
+///
+/// Fixed cell sizes stop working once networks span two orders of
+/// magnitude of |V|: a 50 m cell over a country-scale box allocates
+/// hundreds of millions of empty cells, while a 1 km cell over a town puts
+/// every vertex in one bucket and queries degrade to linear scans.  Deriving
+/// the size from density keeps expected candidate-list lengths
+/// O(`target_per_cell`) at any scale.  Callers that also have a
+/// query-radius constraint (e.g. map matching) combine both bounds before
+/// building the grid with [`GridIndex::new`].
 pub fn density_cell_size(bbox: BoundingBox, num_items: usize, target_per_cell: f64) -> f64 {
     const MAX_CELLS: f64 = 4_000_000.0;
     let area = bbox.width() * bbox.height();
@@ -244,26 +251,6 @@ impl GridIndex {
             rows,
             cells: vec![Vec::new(); cols * rows],
         }
-    }
-
-    /// Creates an empty grid covering `bbox` with a cell size derived from
-    /// item density instead of a fixed constant: the grid is sized so a cell
-    /// holds about `target_per_cell` items when `num_items` are spread over
-    /// the box, i.e. `cell ≈ sqrt(area · target / n)`.
-    ///
-    /// Fixed cell sizes stop working once networks span two orders of
-    /// magnitude of |V|: a 50 m cell over a country-scale box allocates
-    /// hundreds of millions of empty cells, while a 1 km cell over a town
-    /// puts every vertex in one bucket and queries degrade to linear scans.
-    /// Deriving the size from density keeps expected candidate-list lengths
-    /// O(`target_per_cell`) at any scale.  The cell size is clamped to
-    /// [1 m, 50 km] and the grid to at most ~4M cells as a memory guard.
-    pub fn with_target_occupancy(
-        bbox: BoundingBox,
-        num_items: usize,
-        target_per_cell: f64,
-    ) -> Self {
-        GridIndex::new(bbox, density_cell_size(bbox, num_items, target_per_cell))
     }
 
     /// Side length of a grid cell, in metres.
@@ -451,7 +438,7 @@ mod tests {
                 min: Point::new(0.0, 0.0),
                 max: Point::new(extent_m, extent_m),
             };
-            let grid = GridIndex::with_target_occupancy(bbox, n_items, 4.0);
+            let grid = GridIndex::new(bbox, density_cell_size(bbox, n_items, 4.0));
             let cells = grid.num_cells() as f64;
             // Expected occupancy within a small factor of the target.
             let occupancy = n_items as f64 / cells;
@@ -468,13 +455,13 @@ mod tests {
     #[test]
     fn density_derived_grid_handles_degenerate_inputs() {
         let empty_box = BoundingBox::empty();
-        let g = GridIndex::with_target_occupancy(empty_box, 100, 4.0);
+        let g = GridIndex::new(empty_box, density_cell_size(empty_box, 100, 4.0));
         assert!(g.num_cells() >= 1);
         let point_box = BoundingBox {
             min: Point::new(5.0, 5.0),
             max: Point::new(5.0, 5.0),
         };
-        let mut g = GridIndex::with_target_occupancy(point_box, 0, 4.0);
+        let mut g = GridIndex::new(point_box, density_cell_size(point_box, 0, 4.0));
         g.insert(1, &Point::new(5.0, 5.0));
         assert!(g.query(&Point::new(5.0, 5.0), 1.0).contains(&1));
     }

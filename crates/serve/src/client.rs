@@ -176,7 +176,7 @@ pub struct DatasetInfo {
     pub edges: u64,
     /// Regions in the served region graph.
     pub regions: u64,
-    /// Connector vertices of the served model.
+    /// Entries in the served model's connector table.
     pub connectors: u64,
     /// Model generation (bumps on every successful hot-reload).
     pub generation: u64,
@@ -317,27 +317,6 @@ impl BinClient {
         decode_route_reply(status, &payload).map_err(|e| bad_data(e.to_string()))
     }
 
-    /// One route query, retrying `BUSY` responses under `policy` with
-    /// jittered exponential backoff.  Returns the last `BUSY` reply if the
-    /// attempt budget runs out; every other reply returns immediately.
-    pub fn route_with_retry(
-        &mut self,
-        dataset: &str,
-        src: u32,
-        dst: u32,
-        policy: &mut RetryPolicy,
-    ) -> io::Result<RouteReply> {
-        let attempts = policy.attempts.max(1);
-        for retry in 0..attempts {
-            let reply = self.route(dataset, src, dst)?;
-            if !matches!(reply, RouteReply::Busy) || retry + 1 == attempts {
-                return Ok(reply);
-            }
-            std::thread::sleep(policy.backoff(retry));
-        }
-        unreachable!("retry loop always returns on its last attempt")
-    }
-
     /// Pipelines `route` queries with at most `window` in flight, returning
     /// the replies in request order.
     pub fn route_pipelined(
@@ -472,7 +451,7 @@ impl BinClient {
             .map_err(|e| bad_data(e.to_string()))
     }
 
-    /// Rolls a dataset back to its retained previous engine; returns the
+    /// Rolls a dataset back to its retained previous model; returns the
     /// new model generation.
     pub fn rollback(&mut self, dataset: &str) -> io::Result<u64> {
         let mut out = Vec::new();

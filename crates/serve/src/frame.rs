@@ -75,7 +75,7 @@ pub enum Opcode {
     Reload = 0x06,
     /// Drain and stop the server; empty payload.
     Shutdown = 0x07,
-    /// Roll a dataset back to its retained previous engine: `str dataset`.
+    /// Roll a dataset back to its retained previous model: `str dataset`.
     Rollback = 0x08,
 }
 

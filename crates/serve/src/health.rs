@@ -4,11 +4,11 @@
 //! replay, see `l2r_core::registry`), but canaries are a finite probe set:
 //! a model that passes them can still misbehave under real traffic.  This
 //! module adds the serving-side safety net — after every successful reload
-//! that retained a previous engine, the dataset enters a **probation
+//! that retained a previous model, the dataset enters a **probation
 //! window**: the next [`crate::ServerConfig::auto_rollback_window`] route
 //! outcomes are watched, and if the *internal-error* rate (handler panics)
 //! exceeds [`crate::ServerConfig::auto_rollback_per_mille`], the server
-//! rolls the dataset back to the retained engine on its own and counts the
+//! rolls the dataset back to the retained model on its own and counts the
 //! event in the `rollbacks` stat.
 //!
 //! Probation is **one-shot**: it disarms after the first window, whether it

@@ -1,7 +1,7 @@
 //! # l2r-serve
 //!
 //! A dependency-free TCP route service over the L2R serving stack: an
-//! [`l2r_core::ModelRegistry`] of named [`l2r_core::Engine`]s
+//! [`l2r_core::ModelRegistry`] of named `Arc<L2r>` models
 //! (hot-reloadable from `.l2r` snapshot files while queries are in
 //! flight), served by a fixed pool of **event-loop threads** — a
 //! `poll(2)`-based readiness reactor over non-blocking sockets that
@@ -35,9 +35,9 @@
 //! durable generation, and an explicit trailing `latest` or generation
 //! number pins the choice.  A failed `reload` — including a snapshot that
 //! fails validation (wrong dataset stamp, canary digest mismatch) —
-//! **keeps serving the old engine**; validation rejections additionally
+//! **keeps serving the old model**; validation rejections additionally
 //! count in the `validation_failures` stat.  A successful swap retains the
-//! outgoing engine, and `rollback` restores it (bumping the generation —
+//! outgoing model, and `rollback` restores it (bumping the generation —
 //! a rollback *is* a swap).  With
 //! [`ServerConfig::auto_rollback_window`] set, every swap also arms a
 //! post-swap probation window ([`health`]): an internal-error rate spike
@@ -87,12 +87,11 @@
 //! `workers` poll(2) event loops share the non-blocking listener;
 //! each owns its accepted connections outright.  Admitted `route` queries
 //! from all of a loop's connections coalesce into batches of whatever
-//! arrived during one poll round, executed through one reusable
-//! [`l2r_core::QueryScratch`] per loop (from the shared
-//! [`l2r_core::ScratchPool`]) — so steady-state serving does not allocate
-//! search state per query.  Engines are handed out as
-//! `Arc<Engine>` per request: a concurrent hot-swap can never expose a
-//! half-swapped model.
+//! arrived during one poll round, executed through the one
+//! [`l2r_core::QueryScratch`] each loop owns for its lifetime — so
+//! steady-state serving does not allocate search state per query.  Models
+//! are handed out as `Arc<L2r>` per request: a concurrent hot-swap can
+//! never expose a half-swapped model.
 //!
 //! The crate also ships a dual-protocol pipelining **load generator**
 //! ([`run_load`]) and a self-contained **smoke check** ([`run_smoke`])
@@ -119,7 +118,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use l2r_core::{ModelRegistry, ModelStore, RegistryError, ScratchPool};
+use l2r_core::{ModelRegistry, ModelStore, RegistryError};
 
 pub use client::{
     route_reply_to_line, BatchItemReply, BinClient, Client, DatasetInfo, RetryPolicy,
@@ -247,7 +246,7 @@ pub enum Counter {
     /// panic that escaped request-scoped isolation.
     WorkersRespawned,
     /// Reload attempts rejected by snapshot validation (wrong dataset
-    /// stamp or canary digest mismatch) — each one kept the old engine
+    /// stamp or canary digest mismatch) — each one kept the old model
     /// serving.
     ValidationFailures,
     /// Rollbacks performed — explicit `rollback` commands plus automatic
@@ -306,12 +305,11 @@ impl ServerStats {
     }
 }
 
-/// Everything the event loops share: the model registry, the scratch pool,
-/// per-dataset admission queues, counters and the shutdown flag.
+/// Everything the event loops share: the model registry, per-dataset
+/// admission queues, counters and the shutdown flag.
 #[derive(Debug)]
 pub struct ServerState {
     pub(crate) registry: ModelRegistry,
-    pub(crate) scratch: ScratchPool,
     pub(crate) stats: ServerStats,
     pub(crate) queues: queue::DatasetQueues,
     pub(crate) health: HealthMap,
@@ -332,7 +330,6 @@ impl ServerState {
     pub fn with_config(registry: ModelRegistry, cfg: &ServerConfig) -> ServerState {
         ServerState {
             registry,
-            scratch: ScratchPool::new(),
             stats: ServerStats::new(),
             queues: queue::DatasetQueues::new(cfg.queue_capacity),
             health: HealthMap::new(cfg.auto_rollback_window, cfg.auto_rollback_per_mille),
@@ -341,7 +338,7 @@ impl ServerState {
         }
     }
 
-    /// The model registry this server serves from (e.g. to hot-swap engines
+    /// The model registry this server serves from (e.g. to hot-swap models
     /// programmatically instead of via the `reload` command).
     pub fn registry(&self) -> &ModelRegistry {
         &self.registry
@@ -357,13 +354,6 @@ impl ServerState {
     /// observability).
     pub fn dataset_queue(&self, dataset: &str) -> Option<Arc<DatasetQueue>> {
         self.queues.peek(dataset)
-    }
-
-    /// Scratch-pool diagnostics: total scratches ever created (bounds peak
-    /// concurrency) — the serving loop must keep this at ≤ worker count no
-    /// matter how many connections and batches have been served.
-    pub fn scratches_created(&self) -> usize {
-        self.scratch.created()
     }
 
     /// Currently open connections across all event loops.  Returns to
@@ -428,7 +418,7 @@ impl ServerState {
         fields
     }
 
-    /// Rolls `dataset` back to its retained previous engine, counting the
+    /// Rolls `dataset` back to its retained previous model, counting the
     /// event and disarming any pending probation (a manual rollback
     /// supersedes the automatic one).  Returns the new registry generation.
     pub fn rollback(&self, dataset: &str) -> Result<u64, String> {
@@ -443,8 +433,8 @@ impl ServerState {
     }
 
     /// Fires a probation-triggered rollback.  Losing the race to a manual
-    /// `rollback` (the retained engine already consumed) is not an error —
-    /// the dataset is already back on the old engine.
+    /// `rollback` (the retained model already consumed) is not an error —
+    /// the dataset is already back on the old model.
     pub(crate) fn trigger_auto_rollback(&self, health: &DatasetHealth) {
         if self.registry.rollback(health.name()).is_ok() {
             self.stats.add(Counter::Rollbacks, 1);
@@ -681,28 +671,28 @@ fn wake_workers(addr: SocketAddr, n: usize) {
 mod tests {
     use super::*;
     use crate::request::{decode_request, parse_line, Request};
-    use l2r_core::{apply_preferences_to_b_edges, save_model, Engine, L2r, L2rConfig};
+    use l2r_core::{apply_preferences_to_b_edges, save_model, L2r, L2rConfig};
     use l2r_datagen::{
         generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig,
     };
     use l2r_region_graph::{bottom_up_clustering, RegionGraph, TrajectoryGraph};
     use l2r_road_network::VertexId;
 
-    fn tiny_engine() -> Engine {
+    fn tiny_model() -> Arc<L2r> {
         let syn = generate_network(&SyntheticNetworkConfig::tiny());
         let wl = generate_workload(&syn, &WorkloadConfig::tiny(250));
         let tg = TrajectoryGraph::build(&syn.net, &wl.trajectories);
         let clusters = bottom_up_clustering(&tg);
         let mut rg = RegionGraph::build(&syn.net, &clusters, &wl.trajectories, 2);
         apply_preferences_to_b_edges(&syn.net, &mut rg, &std::collections::HashMap::new(), 2);
-        Engine::from_graphs(&syn.net, &rg)
+        Arc::new(L2r::from_graphs(&syn.net, &rg))
     }
 
-    /// Serves the tiny engine as `D1` on an ephemeral loopback port, with
+    /// Serves the tiny model as `D1` on an ephemeral loopback port, with
     /// one line-protocol client connected.
     fn serve_d1() -> (ServerHandle, Arc<ServerState>, Client) {
         let registry = ModelRegistry::new();
-        registry.insert("D1", tiny_engine());
+        registry.insert("D1", tiny_model());
         let handle = Server::bind("127.0.0.1:0", 2, registry).unwrap().start();
         let state = handle.state();
         let client = Client::connect(handle.addr()).unwrap();
@@ -723,6 +713,40 @@ mod tests {
             info.contains("vertices=") && info.contains("generation=1"),
             "{info}"
         );
+        handle.shutdown().unwrap();
+    }
+
+    /// `info` reports exactly the served model's sizes and generation, on
+    /// both wires, after a swap as well.
+    #[test]
+    fn info_reports_the_served_model_on_both_wires() {
+        let (handle, state, mut client) = serve_d1();
+        let syn = generate_network(&SyntheticNetworkConfig::tiny());
+        let wl = generate_workload(&syn, &WorkloadConfig::tiny(250));
+        let (train, _) = wl.temporal_split(0.8);
+        let fitted = L2r::fit(&syn.net, &train, L2rConfig::fast()).unwrap();
+        let model = state.registry().insert("D1", Arc::new(fitted));
+        let expected = DatasetInfo {
+            name: "D1".to_string(),
+            vertices: model.network().num_vertices() as u64,
+            edges: model.network().num_edges() as u64,
+            regions: model.region_graph().num_regions() as u64,
+            connectors: model.num_connectors() as u64,
+            generation: 2,
+        };
+        assert!(
+            expected.regions > 0 && expected.connectors > 0,
+            "{expected:?}"
+        );
+        assert_eq!(
+            client.request("info D1").unwrap(),
+            format!(
+                "OK dataset=D1 vertices={} edges={} regions={} connectors={} generation=2",
+                expected.vertices, expected.edges, expected.regions, expected.connectors
+            )
+        );
+        let mut bin = BinClient::connect(handle.addr()).unwrap();
+        assert_eq!(bin.info("D1").unwrap(), expected);
         handle.shutdown().unwrap();
     }
 
@@ -882,7 +906,7 @@ mod tests {
         save_model(&model, &path).unwrap();
 
         let registry = ModelRegistry::new();
-        registry.insert("tiny", model.into_engine());
+        registry.insert("tiny", Arc::new(model));
         let server = Server::bind("127.0.0.1:0", 2, registry).unwrap();
         let addr = server.local_addr();
         let state = server.state();
@@ -923,11 +947,6 @@ mod tests {
         handle.shutdown().unwrap();
         std::fs::remove_file(&path).ok();
         assert!(state.stats().get(Counter::Queries) >= 101);
-        assert!(
-            state.scratches_created() <= 2,
-            "2 workers must never need more than 2 scratches, created {}",
-            state.scratches_created()
-        );
     }
 
     #[test]

@@ -140,16 +140,6 @@ impl DatasetQueues {
             .get(dataset)
             .cloned()
     }
-
-    /// Total queries shed across all datasets.
-    pub fn total_shed(&self) -> u64 {
-        self.map
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .map(|q| q.shed())
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -38,10 +38,9 @@
 //! iteration, whichever is first — the natural batch is therefore
 //! "whatever arrived while the previous batch was executing", which adapts
 //! to load without holding any request back.  Batches run serially on the
-//! loop's single pooled scratch, so a server never creates more scratches
-//! than workers.  Queries that cannot win a slot in their dataset's
-//! bounded admission queue are answered `BUSY` immediately (see
-//! [`crate::queue`]).
+//! one [`QueryScratch`] the loop owns for its lifetime.  Queries that
+//! cannot win a slot in their dataset's bounded admission queue are
+//! answered `BUSY` immediately (see [`crate::queue`]).
 
 // A request-path file: panics here are outages, not control flow (see the
 // `no-panic-hot-path` rule of l2r-analyze).  The clippy pair of that gate:
@@ -56,7 +55,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use l2r_core::{Engine, QueryScratch, RouteResult};
+use l2r_core::{L2r, QueryScratch, RouteResult};
 use l2r_road_network::VertexId;
 
 use crate::faults::FaultPlan;
@@ -342,7 +341,7 @@ struct BatchItem {
     conn_id: u64,
     seq: u64,
     wire: Wire,
-    engine: Arc<Engine>,
+    model: Arc<L2r>,
     queue: Arc<DatasetQueue>,
     src: VertexId,
     dst: VertexId,
@@ -392,7 +391,7 @@ fn record_health(state: &ServerState, health: &Option<Arc<DatasetHealth>>, inter
 fn isolated_route(
     state: &ServerState,
     faults: Option<&FaultPlan>,
-    engine: &Engine,
+    model: &L2r,
     scratch: &mut QueryScratch,
     src: VertexId,
     dst: VertexId,
@@ -408,14 +407,13 @@ fn isolated_route(
                 panic!("injected handler fault");
             }
         }
-        engine.route(scratch, src, dst)
+        model.route(scratch, src, dst)
     })
 }
 
 /// Runs `f` under `catch_unwind`.  A panic is counted in `panics_caught`,
-/// replaces the (possibly mid-search) scratch with a fresh one — a plain
-/// swap, so the pool's created count stays put — and becomes the
-/// request-scoped `internal` error message.
+/// replaces the (possibly mid-search) scratch with a fresh one, and becomes
+/// the request-scoped `internal` error message.
 fn isolated<T>(
     state: &ServerState,
     scratch: &mut QueryScratch,
@@ -457,7 +455,7 @@ fn flush_batch(
                 expired += 1;
                 Reply::DeadlineExceeded
             } else {
-                match isolated_route(state, faults, &item.engine, scratch, item.src, item.dst) {
+                match isolated_route(state, faults, &item.model, scratch, item.src, item.dst) {
                     Ok(result) => {
                         executed += 1;
                         record_health(state, &item.health, false);
@@ -509,7 +507,7 @@ fn enqueue_route(
     ci: usize,
     wire: Wire,
     dataset: &str,
-    engine: Arc<Engine>,
+    model: Arc<L2r>,
     src: VertexId,
     dst: VertexId,
     deadline: Instant,
@@ -528,7 +526,7 @@ fn enqueue_route(
         conn_id: conn.id,
         seq: conn.claim_slot(),
         wire,
-        engine,
+        model,
         queue,
         src,
         dst,
@@ -551,7 +549,7 @@ fn route_batch(
     pairs: &[(VertexId, VertexId)],
     deadline_ms: Option<u32>,
 ) -> Reply {
-    let Some(engine) = state.registry.get(dataset) else {
+    let Some(model) = state.registry.get(dataset) else {
         return unknown_dataset(state, dataset);
     };
     let n = pairs.len() as u64;
@@ -568,7 +566,7 @@ fn route_batch(
     let mut items = Vec::with_capacity(pairs.len());
     let mut internal = None;
     for &(src, dst) in pairs {
-        let outcome = isolated_route(state, faults, &engine, scratch, src, dst);
+        let outcome = isolated_route(state, faults, &model, scratch, src, dst);
         record_health(state, &health, outcome.is_err());
         match outcome {
             Ok(result) => {
@@ -623,10 +621,10 @@ fn run_request(
             dst,
             deadline_ms,
         } => match state.registry.get(dataset) {
-            Some(engine) => {
+            Some(model) => {
                 let deadline = request_deadline(cfg, deadline_ms);
                 enqueue_route(
-                    state, batch, conn, ci, wire, dataset, engine, src, dst, deadline,
+                    state, batch, conn, ci, wire, dataset, model, src, dst, deadline,
                 )
             }
             None => Some(unknown_dataset(state, dataset)),
@@ -646,12 +644,12 @@ fn run_request(
         )),
         Request::Ping => Some(Reply::Ack("pong")),
         Request::Info { dataset } => Some(match state.registry.get(dataset) {
-            Some(engine) => Reply::Info {
+            Some(model) => Reply::Info {
                 dataset: dataset.to_string(),
-                vertices: engine.network().num_vertices() as u64,
-                edges: engine.network().num_edges() as u64,
-                regions: engine.region_graph().num_regions() as u64,
-                connectors: engine.num_connectors() as u64,
+                vertices: model.network().num_vertices() as u64,
+                edges: model.network().num_edges() as u64,
+                regions: model.region_graph().num_regions() as u64,
+                connectors: model.num_connectors() as u64,
                 generation: state.registry.generation(dataset).unwrap_or(0),
             },
             None => unknown_dataset(state, dataset),
@@ -669,7 +667,7 @@ fn run_request(
                 dataset: dataset.to_string(),
                 generation,
             },
-            // The registry kept the previous engine; tell the operator
+            // The registry kept the previous model; tell the operator
             // why the swap did not happen.
             Err(message) => fail(state, message),
         }),
@@ -823,9 +821,8 @@ impl Drop for OpenConns<'_> {
 pub(crate) fn event_loop(listener: TcpListener, state: &ServerState, cfg: &ServerConfig) {
     let _ = listener.set_nonblocking(true);
     let faults = cfg.faults.as_deref();
-    // Exactly one pooled scratch per event loop, for the life of the loop:
-    // peak pool size can never exceed the worker count.
-    let mut scratch = state.scratch.acquire();
+    // One scratch per event loop, for the life of the loop.
+    let mut scratch = QueryScratch::new();
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut open = OpenConns::new(&state.open_conns);

@@ -2,14 +2,15 @@
 //!
 //! Starts a real server on an ephemeral loopback port, exercises **both**
 //! wire protocols through real TCP connections — verifying `route` answers
-//! are bit-identical to a locally loaded [`Engine`] and that pipelined
+//! are bit-identical to a locally loaded model and that pipelined
 //! binary responses come back in request order — performs hot-reloads over
 //! each protocol (plus the failure path), optionally runs a short
 //! many-connection load sweep, and shuts the server down cleanly.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use l2r_core::{Engine, ModelRegistry, ModelStore};
+use l2r_core::{load_model, ModelRegistry, ModelStore};
 use l2r_road_network::VertexId;
 
 use crate::client::{route_reply_to_line, BinClient, Client};
@@ -25,18 +26,18 @@ pub fn registry_from_specs(specs: &[(String, PathBuf)]) -> Result<ModelRegistry,
     }
     let registry = ModelRegistry::new();
     for (name, path) in specs {
-        let engine = if path.is_dir() {
+        let model = if path.is_dir() {
             let store = ModelStore::open(path)
                 .map_err(|e| format!("failed to open store `{name}` at {}: {e}", path.display()))?;
             let (_, snapshot) = store.load_latest().map_err(|e| {
                 format!("failed to load `{name}` from store {}: {e}", path.display())
             })?;
-            snapshot.model.into_engine()
+            snapshot.model
         } else {
-            Engine::load(path)
+            load_model(path)
                 .map_err(|e| format!("failed to load `{name}` from {}: {e}", path.display()))?
         };
-        registry.insert(name, engine);
+        registry.insert(name, Arc::new(model));
     }
     Ok(registry)
 }
@@ -49,9 +50,9 @@ pub fn run_smoke(specs: &[(String, PathBuf)]) -> Result<String, String> {
 /// End-to-end smoke check (used by CI): starts a server over the given
 /// `name=path` models, exercises every command of both the ASCII and the
 /// binary protocol — verifying `route` answers are **bit-identical** to a
-/// locally loaded [`Engine`] and that pipelined responses preserve
+/// locally loaded model and that pipelined responses preserve
 /// request order — performs hot-reloads (including the failure path,
-/// which must keep the old engine serving), optionally hammers the server
+/// which must keep the old model serving), optionally hammers the server
 /// with a short binary load sweep over `sweep_connections` connections,
 /// and shuts down cleanly.  Returns a human-readable transcript on
 /// success.
@@ -67,9 +68,9 @@ pub fn run_smoke_with(
 
     let registry = registry_from_specs(specs)?;
     let (name, path) = &specs[0];
-    // An independently loaded engine: the reference for bit-equivalence.
+    // An independently loaded model: the reference for bit-equivalence.
     let reference =
-        Engine::load(path).map_err(|e| format!("reference load of {}: {e}", path.display()))?;
+        load_model(path).map_err(|e| format!("reference load of {}: {e}", path.display()))?;
 
     let server =
         Server::bind("127.0.0.1:0", 2, registry).map_err(|e| format!("bind failed: {e}"))?;
@@ -109,7 +110,7 @@ pub fn run_smoke_with(
         }
 
         // Bit-equivalence: the TCP answer must be byte-for-byte the local
-        // engine's answer run through the shared formatter.
+        // model's answer run through the shared formatter.
         let mut scratch = l2r_core::QueryScratch::new();
         let mut compared = 0usize;
         for i in 0..25u32 {
@@ -124,7 +125,7 @@ pub fn run_smoke_with(
             compared += 1;
         }
         notes.push(format!(
-            "route: {compared} queries answered bit-identically to the local engine"
+            "route: {compared} queries answered bit-identically to the local model"
         ));
 
         let batch = expect(&format!("route_batch {name} 0,1 1,0 0,1"), &|r| {
@@ -147,7 +148,7 @@ pub fn run_smoke_with(
         })?;
         notes.push("reload: generation=2, post-reload answer identical".to_string());
 
-        // Failure paths: the old engine must keep serving.
+        // Failure paths: the old model must keep serving.
         expect(
             &format!("reload {name} {}.does-not-exist", path.display()),
             &|r| r.starts_with("ERR reload failed"),
@@ -159,7 +160,7 @@ pub fn run_smoke_with(
             r.starts_with("ERR unknown dataset")
         })?;
         expect("frobnicate", &|r| r.starts_with("ERR unknown command"))?;
-        notes.push("failure paths: bad reload kept the old engine serving".to_string());
+        notes.push("failure paths: bad reload kept the old model serving".to_string());
 
         // --- Binary protocol, over its own connection -------------------
         let mut bin =
@@ -173,7 +174,7 @@ pub fn run_smoke_with(
         }
 
         // Pipelined routes: answers must be bit-identical to the local
-        // engine AND come back in request order.
+        // model AND come back in request order.
         let mut pairs = Vec::new();
         for i in 0..16u32 {
             let s = (i * 53 + 2) % vertices;
@@ -281,16 +282,9 @@ pub fn run_smoke_with(
     handle
         .shutdown()
         .map_err(|e| format!("server did not shut down cleanly: {e}"))?;
-    if state.scratches_created() > 2 {
-        return Err(format!(
-            "scratch pool created {} scratches for 2 workers — serving allocates",
-            state.scratches_created()
-        ));
-    }
     note(format!(
-        "clean shutdown after {} queries ({} scratches for 2 workers)",
-        state.stats().get(Counter::Queries),
-        state.scratches_created()
+        "clean shutdown after {} queries",
+        state.stats().get(Counter::Queries)
     ));
     Ok(transcript)
 }

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{start_server, tiny_engine, DATASET};
+use common::{start_server, DATASET};
 use l2r_core::{
     compute_canaries, encode_snapshot_with, L2r, L2rConfig, ModelStore, QueryScratch, StoreOptions,
 };
@@ -368,11 +368,10 @@ fn clean_probation_window_passes_without_rollback() {
 #[test]
 fn registry_from_specs_accepts_a_store_directory() {
     let dir = temp_dir("specs-dir");
-    let model = seeded_store(&dir, 2);
+    let reference = seeded_store(&dir, 2);
     let registry = l2r_serve::registry_from_specs(&[(DATASET.to_string(), dir.clone())]).unwrap();
-    let engine = registry.get(DATASET).expect("store-backed dataset");
+    let served = registry.get(DATASET).expect("store-backed dataset");
 
-    let reference = model.into_engine();
     let (mut a, mut b) = (QueryScratch::new(), QueryScratch::new());
     let n = reference.network().num_vertices() as u32;
     for i in (0..n).step_by(7) {
@@ -380,7 +379,7 @@ fn registry_from_specs_accepts_a_store_directory() {
             l2r_road_network::VertexId(i),
             l2r_road_network::VertexId((i * 13 + 1) % n),
         );
-        assert_eq!(engine.route(&mut a, s, d), reference.route(&mut b, s, d));
+        assert_eq!(served.route(&mut a, s, d), reference.route(&mut b, s, d));
     }
 
     // A directory that is not a store is a clean error, not a panic.
@@ -394,8 +393,8 @@ fn registry_from_specs_accepts_a_store_directory() {
     let _ = std::fs::remove_dir_all(&empty);
 }
 
-/// The serving answers produced by a store-reloaded engine are
-/// bit-identical to a locally loaded engine from the same snapshot.
+/// The serving answers produced by a store-reloaded model are
+/// bit-identical to a locally loaded model from the same snapshot.
 #[test]
 fn store_reload_serves_bit_identically() {
     let dir = temp_dir("bit-identical");
@@ -412,7 +411,7 @@ fn store_reload_serves_bit_identically() {
     // The reference: load the same durable snapshot locally.
     let store = ModelStore::open(&dir).unwrap();
     let (_, snapshot) = store.load_latest().unwrap();
-    let reference = snapshot.model.into_engine();
+    let reference = snapshot.model;
     let mut scratch = QueryScratch::new();
     let n = reference.network().num_vertices() as u32;
     let mut compared = 0usize;
@@ -428,10 +427,6 @@ fn store_reload_serves_bit_identically() {
         compared += 1;
     }
     assert!(compared > 3);
-    // The common helper's engine and the fitted snapshot share a network,
-    // so this also proves the reload actually swapped engines: answers
-    // come from the *snapshot's* model graphs.
-    let _ = tiny_engine();
 
     ascii.request("shutdown").unwrap();
     handle.shutdown().unwrap();

@@ -10,7 +10,7 @@
 //! is then stitched into a connected road-network path with shortest-path
 //! segments between consecutive matched vertices.
 
-use l2r_road_network::{fastest_path, CostType, GridIndex, Path, RoadNetwork, VertexId};
+use l2r_road_network::{fastest_path, GridIndex, Path, RoadNetwork, VertexId};
 
 use crate::gps::Trajectory;
 use crate::matched::MatchedTrajectory;
@@ -266,12 +266,6 @@ impl<'a> MapMatcher<'a> {
             }
         }
         (out, dropped)
-    }
-
-    /// Free-flow travel time based route distance between two vertices; used
-    /// by tests to sanity check the matcher.
-    pub fn route_distance(&self, a: VertexId, b: VertexId) -> Option<f64> {
-        fastest_path(self.net, a, b).and_then(|p| p.cost(self.net, CostType::Distance).ok())
     }
 }
 

@@ -43,17 +43,18 @@ fn main() {
         t0.elapsed().as_secs_f64() * 1000.0
     );
 
-    // 3. Load it back — `Engine::load` is all a serving process does to go
-    //    from a `.l2r` file to an owned, shareable engine.
+    // 3. Load it back — `load_model` is all a serving process does to go
+    //    from a `.l2r` file to a model that routes (share it across threads
+    //    as an `Arc<L2r>`, each thread with its own `QueryScratch`).
     let t0 = Instant::now();
-    let engine = Engine::load(&path).expect("snapshot load");
+    let loaded = load_model(&path).expect("snapshot load");
     println!(
         "load: {:.1} ms ({} connectors)",
         t0.elapsed().as_secs_f64() * 1000.0,
-        engine.num_connectors()
+        loaded.num_connectors()
     );
 
-    // 4. Verify the engine built off disk routes bit-identically to the
+    // 4. Verify the model loaded off disk routes bit-identically to the
     //    never-serialized original across a sweep of vertex pairs.
     let mut scratch = QueryScratch::new();
     let n = ds.synthetic.net.num_vertices() as u32;
@@ -67,7 +68,7 @@ fn main() {
             }
             let (s, d) = (VertexId(i), VertexId(j));
             let original = ds.model.route(&mut scratch, s, d);
-            let from_snapshot = engine.route(&mut scratch, s, d);
+            let from_snapshot = loaded.route(&mut scratch, s, d);
             compared += 1;
             answered += original.is_some() as usize;
             if original != from_snapshot {

@@ -42,8 +42,8 @@ pub mod prelude {
         BaselineRouter, Dom, ExternalRouter, FastestRouter, ShortestRouter, Trip,
     };
     pub use l2r_core::{
-        load_model, save_model, Engine, L2r, L2rConfig, ModelRegistry, QueryScratch,
-        RegionCoverage, RouteResult, RouteStrategy, ScratchPool, SnapshotError,
+        load_model, save_model, L2r, L2rConfig, ModelRegistry, QueryScratch, RegionCoverage,
+        RouteResult, RouteStrategy, SnapshotError,
     };
     pub use l2r_datagen::{
         generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig,

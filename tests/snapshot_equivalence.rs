@@ -1,5 +1,5 @@
-//! The snapshot acceptance sweep: fit → save → load →
-//! [`l2r_core::Engine`] → route must be **bit-identical** to the reference
+//! The snapshot acceptance sweep: fit → save → load → route must be
+//! **bit-identical** to the reference
 //! router ([`l2r_core::oracle::route`]) on the never-serialized model's
 //! network and region graph, across the same swept grid of vertex pairs
 //! used by `engine_equivalence.rs`, on both quick-scale experiment datasets.
@@ -28,9 +28,6 @@ fn assert_loaded_model_serves_identically(spec: DatasetSpec) {
     // crates/core/tests/snapshot_robustness.rs).
     let bytes = encode_model(&ds.model);
     let loaded = decode_model(&bytes).expect("snapshot decodes");
-    // `into_engine` moves the loaded model into the owned engine — the
-    // serving process never needs a second copy.
-    let engine = loaded.into_engine();
     let mut scratch = QueryScratch::new();
 
     let net = &ds.synthetic.net;
@@ -40,7 +37,7 @@ fn assert_loaded_model_serves_identically(spec: DatasetSpec) {
     let mut answered = 0usize;
     for (s, d) in &pairs {
         let original = oracle::route(net, rg, *s, *d);
-        let from_snapshot = engine.route(&mut scratch, *s, *d);
+        let from_snapshot = loaded.route(&mut scratch, *s, *d);
         assert_eq!(original, from_snapshot, "{name}: query {s:?} -> {d:?}");
         if original.is_some() {
             answered += 1;
