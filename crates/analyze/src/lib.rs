@@ -136,7 +136,7 @@ impl SourceFile {
     }
 
     /// Is `rule` allowed on 0-based line `i`?
-    pub fn is_allowed(&self, i: usize, rule: &str) -> bool {
+    fn is_allowed(&self, i: usize, rule: &str) -> bool {
         self.allows[i].iter().any(|r| r == rule)
     }
 

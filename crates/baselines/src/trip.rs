@@ -45,12 +45,13 @@ impl Default for TripProfile {
     }
 }
 
+/// How strongly usage differences bend the personalized weights.
+const SENSITIVITY: f64 = 0.6;
+
 /// The TRIP personalized router.
 #[derive(Debug, Clone)]
 pub struct Trip {
     profiles: HashMap<DriverId, TripProfile>,
-    /// How strongly usage differences translate into multipliers.
-    sensitivity: f64,
 }
 
 /// Travel-time share per road type of a path (sums to 1 for non-trivial
@@ -76,16 +77,6 @@ fn road_type_shares(net: &RoadNetwork, path: &Path) -> Option<[f64; RoadType::CO
 impl Trip {
     /// Learns per-driver road-type usage profiles from training trajectories.
     pub fn train(net: &RoadNetwork, trajectories: &[MatchedTrajectory]) -> Trip {
-        Self::train_with_sensitivity(net, trajectories, 0.6)
-    }
-
-    /// [`Trip::train`] with an explicit sensitivity (how strongly usage
-    /// differences bend the personalized weights).
-    pub fn train_with_sensitivity(
-        net: &RoadNetwork,
-        trajectories: &[MatchedTrajectory],
-        sensitivity: f64,
-    ) -> Trip {
         let mut diffs: HashMap<DriverId, ([f64; RoadType::COUNT], usize)> = HashMap::new();
         for t in trajectories {
             let (s, d) = (t.source(), t.destination());
@@ -112,7 +103,7 @@ impl Trip {
                     let mean_diff = sums[i] / count.max(1) as f64;
                     // Favoured road types (positive diff) become subjectively
                     // faster; avoided ones slower.  Clamped to stay positive.
-                    multipliers[i] = (1.0 - sensitivity * mean_diff).clamp(0.3, 3.0);
+                    multipliers[i] = (1.0 - SENSITIVITY * mean_diff).clamp(0.3, 3.0);
                 }
                 (
                     driver,
@@ -123,10 +114,7 @@ impl Trip {
                 )
             })
             .collect();
-        Trip {
-            profiles,
-            sensitivity,
-        }
+        Trip { profiles }
     }
 
     /// The learned profile of a driver (neutral for unseen drivers).
@@ -137,11 +125,6 @@ impl Trip {
     /// Number of drivers with learned profiles.
     pub fn num_drivers(&self) -> usize {
         self.profiles.len()
-    }
-
-    /// The sensitivity used during training.
-    pub fn sensitivity(&self) -> f64 {
-        self.sensitivity
     }
 }
 

@@ -611,16 +611,7 @@ impl ModelStore {
         dataset: &str,
         options: StoreOptions,
     ) -> Result<ModelStore, StoreError> {
-        ModelStore::create_with(Arc::new(RealFs), dir, dataset, options)
-    }
-
-    /// [`ModelStore::create`] over an injectable filesystem.
-    pub fn create_with(
-        fs: Arc<dyn StoreFs>,
-        dir: &Path,
-        dataset: &str,
-        options: StoreOptions,
-    ) -> Result<ModelStore, StoreError> {
+        let fs: Arc<dyn StoreFs> = Arc::new(RealFs);
         fs.create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
         let names = fs.list(dir).map_err(|e| StoreError::io(dir, e))?;
         if names
@@ -657,16 +648,12 @@ impl ModelStore {
     /// Opens (and, if the last writer crashed, recovers) the store at
     /// `dir` on the real filesystem.
     pub fn open(dir: &Path) -> Result<ModelStore, StoreError> {
-        ModelStore::open_with(Arc::new(RealFs), dir)
+        ModelStore::open_with_options(Arc::new(RealFs), dir, StoreOptions::default())
     }
 
-    /// [`ModelStore::open`] over an injectable filesystem.
-    pub fn open_with(fs: Arc<dyn StoreFs>, dir: &Path) -> Result<ModelStore, StoreError> {
-        ModelStore::open_with_options(fs, dir, StoreOptions::default())
-    }
-
-    /// [`ModelStore::open_with`] with explicit [`StoreOptions`] (retention
-    /// is a per-handle policy, not persisted in the manifest).
+    /// [`ModelStore::open`] over an injectable filesystem with explicit
+    /// [`StoreOptions`] (retention is a per-handle policy, not persisted in
+    /// the manifest).
     pub fn open_with_options(
         fs: Arc<dyn StoreFs>,
         dir: &Path,

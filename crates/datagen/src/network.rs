@@ -46,13 +46,6 @@ pub struct District {
     pub kind: DistrictKind,
 }
 
-impl District {
-    /// Geometric centre of the district.
-    pub fn center_point(&self, net: &RoadNetwork) -> Point {
-        net.vertex(self.center).point
-    }
-}
-
 /// Configuration of the synthetic network generator.
 #[derive(Debug, Clone, Copy)]
 pub struct SyntheticNetworkConfig {

@@ -94,7 +94,7 @@ impl Preference {
 
     /// The set of active feature indices (used by the Jaccard accuracy
     /// measure of Figure 9).
-    pub fn active_features(&self) -> Vec<usize> {
+    fn active_features(&self) -> Vec<usize> {
         let mut f = vec![self.master.index()];
         if let Some(slave) = self.slave {
             for rt in slave.iter() {

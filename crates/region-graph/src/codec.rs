@@ -104,7 +104,7 @@ impl Encode for Region {
 
 /// Decodes a region (descriptors are stored, not recomputed, so the
 /// round-trip is bit-exact); `id` is the region's table index.
-pub fn decode_region(
+fn decode_region(
     r: &mut Reader<'_>,
     id: RegionId,
     num_vertices: usize,
@@ -160,7 +160,7 @@ fn encode_region_edge(w: &mut Writer, edge: &RegionEdge, net: &RoadNetwork) {
 
 /// Decodes a region edge; `id` is the edge's table index, endpoints are
 /// validated against `num_regions` and attached paths against `net`.
-pub fn decode_region_edge(
+fn decode_region_edge(
     r: &mut Reader<'_>,
     id: RegionEdgeId,
     num_regions: usize,

@@ -18,59 +18,9 @@ use crate::frame::{
 };
 
 /// Default socket read timeout of both clients: a dead server fails the
-/// call instead of hanging it forever.  Override per-client with
-/// [`Client::connect_with`] / [`BinClient::connect_with`].
+/// call instead of hanging it forever.  Override per binary client with
+/// [`BinClient::connect_with`].
 pub const DEFAULT_CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(30);
-
-// ---------------------------------------------------------------------------
-// Retry policy
-// ---------------------------------------------------------------------------
-
-/// Bounded retry with jittered exponential backoff, for `BUSY` responses.
-///
-/// A shedding server answers `BUSY` when its admission queue is full; the
-/// right client reaction is to back off and retry a bounded number of
-/// times rather than hammer the queue or give up on the first push-back.
-/// Jitter is drawn from a small seeded LCG so retry storms decorrelate
-/// across clients while each client stays reproducible.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included).  `1` disables retrying.
-    pub attempts: u32,
-    /// Backoff before the first retry; doubles each retry.
-    pub base: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub cap: Duration,
-    /// Jitter seed; each sleep is scaled by a factor in `[0.5, 1.5)`.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 4,
-            base: Duration::from_millis(2),
-            cap: Duration::from_millis(50),
-            seed: 0x5EED_CAFE,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The jittered backoff to sleep before retry number `retry` (0-based),
-    /// advancing the internal jitter stream.
-    pub(crate) fn backoff(&mut self, retry: u32) -> Duration {
-        self.seed = self
-            .seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        // Map the top bits onto [0.5, 1.5): half-to-one-and-a-half of the
-        // nominal exponential step, capped.
-        let jitter = 0.5 + (self.seed >> 33) as f64 / (1u64 << 31) as f64;
-        let nominal = self.base.saturating_mul(1u32 << retry.min(16));
-        nominal.min(self.cap).mul_f64(jitter).min(self.cap)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // ASCII client
@@ -90,25 +40,11 @@ impl Client {
         Client::from_stream(TcpStream::connect(addr)?)
     }
 
-    /// Connects with an explicit read timeout (`None` blocks forever).
-    pub fn connect_with<A: ToSocketAddrs>(
-        addr: A,
-        timeout: Option<Duration>,
-    ) -> io::Result<Client> {
-        Client::from_stream_with(TcpStream::connect(addr)?, timeout)
-    }
-
     /// Wraps an already-connected stream (e.g. one that sat idle for a
     /// while) into a client with the default read timeout.
     pub fn from_stream(stream: TcpStream) -> io::Result<Client> {
-        Client::from_stream_with(stream, Some(DEFAULT_CLIENT_READ_TIMEOUT))
-    }
-
-    /// Wraps an already-connected stream into a client with an explicit
-    /// read timeout (`None` blocks forever).
-    pub fn from_stream_with(stream: TcpStream, timeout: Option<Duration>) -> io::Result<Client> {
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(timeout)?;
+        stream.set_read_timeout(Some(DEFAULT_CLIENT_READ_TIMEOUT))?;
         let read_half = stream.try_clone()?;
         Ok(Client {
             writer: stream,
@@ -125,21 +61,8 @@ impl Client {
         self.read_line()
     }
 
-    /// Sends one request line without waiting for the response (pipelining;
-    /// pair with [`Client::read_line`]).
-    pub fn send(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        Ok(())
-    }
-
-    /// Flushes buffered requests (no-op today; kept for symmetry).
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-
     /// Sends pre-formatted request bytes (newline-terminated lines) without
-    /// reading anything back — the pipelined write path of the loadgen.
+    /// reading anything back (pipelining; pair with [`Client::read_line`]).
     pub fn send_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.writer.write_all(bytes)
     }

@@ -93,9 +93,9 @@
 //! are handed out as `Arc<L2r>` per request: a concurrent hot-swap can
 //! never expose a half-swapped model.
 //!
-//! The crate also ships a dual-protocol pipelining **load generator**
-//! ([`run_load`]) and a self-contained **smoke check** ([`run_smoke`])
-//! used by CI.
+//! The crate also ships blocking clients for both protocols ([`Client`],
+//! [`BinClient`]) and the self-contained **smoke check**
+//! ([`run_smoke_with`]) used by CI.
 
 #![warn(missing_docs)]
 
@@ -105,7 +105,6 @@ pub mod health;
 pub mod queue;
 
 mod client;
-mod load;
 mod reactor;
 mod request;
 mod smoke;
@@ -121,15 +120,14 @@ use std::time::{Duration, Instant};
 use l2r_core::{ModelRegistry, ModelStore, RegistryError};
 
 pub use client::{
-    route_reply_to_line, BatchItemReply, BinClient, Client, DatasetInfo, RetryPolicy,
+    route_reply_to_line, BatchItemReply, BinClient, Client, DatasetInfo,
     DEFAULT_CLIENT_READ_TIMEOUT,
 };
 pub use faults::{FaultConfig, FaultCounters, FaultPlan};
 pub use health::{DatasetHealth, HealthMap};
-pub use load::{run_load, LoadConfig, LoadReport, Protocol};
 pub use queue::{DatasetQueue, DEFAULT_QUEUE_CAPACITY};
 pub use request::format_route_response;
-pub use smoke::{registry_from_specs, run_smoke, run_smoke_with};
+pub use smoke::{registry_from_specs, run_smoke_with};
 
 /// Default event-loop thread count of a server.
 pub const DEFAULT_WORKERS: usize = 4;
@@ -321,13 +319,8 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// Wraps a registry into shared server state with default tunables.
-    pub fn new(registry: ModelRegistry) -> ServerState {
-        ServerState::with_config(registry, &ServerConfig::default())
-    }
-
     /// Wraps a registry into shared server state with explicit tunables.
-    pub fn with_config(registry: ModelRegistry, cfg: &ServerConfig) -> ServerState {
+    fn with_config(registry: ModelRegistry, cfg: &ServerConfig) -> ServerState {
         ServerState {
             registry,
             stats: ServerStats::new(),
@@ -897,7 +890,7 @@ mod tests {
     #[test]
     fn tcp_server_serves_reloads_and_shuts_down() {
         // One real end-to-end pass over TCP: fit a tiny model, snapshot it,
-        // serve it, reload it, load-generate against it, shut down.
+        // serve it, reload it, route over two more connections, shut down.
         let syn = generate_network(&SyntheticNetworkConfig::tiny());
         let wl = generate_workload(&syn, &WorkloadConfig::tiny(250));
         let (train, _) = wl.temporal_split(0.8);
@@ -921,27 +914,21 @@ mod tests {
             .unwrap();
         assert!(resp.contains("generation=2"), "{resp}");
         // The event loops multiplex: our idle keep-alive connection must
-        // not cost the load generator anything.
+        // not cost two further clients anything.
+        std::thread::scope(|scope| {
+            for seed in [3u32, 7] {
+                scope.spawn(move || {
+                    let mut c = Client::connect(addr).unwrap();
+                    for i in 0..50u32 {
+                        let (s, d) = ((i * seed) % 20, (i * 11 + seed) % 23);
+                        let resp = c.request(&format!("route tiny {s} {d}")).unwrap();
+                        assert!(resp.starts_with("OK ") || resp == "NOROUTE", "{resp}");
+                    }
+                });
+            }
+        });
 
-        let report = run_load(
-            addr,
-            &LoadConfig {
-                dataset: "tiny".to_string(),
-                protocol: Protocol::Ascii,
-                connections: 2,
-                pipeline: 1,
-                requests_per_conn: 50,
-                seed: 7,
-                ..LoadConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(report.requests, 100);
-        assert_eq!(report.errors, 0);
-        assert!(report.qps > 0.0);
-        assert!(report.p99_us >= report.p50_us);
-
-        // The original connection is still serving after the load run.
+        // The original connection is still serving after those clients.
         assert_eq!(client.request("ping").unwrap(), "OK pong");
         assert_eq!(client.request("shutdown").unwrap(), "OK bye");
         handle.shutdown().unwrap();
@@ -957,9 +944,10 @@ mod tests {
         let model = L2r::fit(&syn.net, &train, L2rConfig::fast()).unwrap();
         let path = std::env::temp_dir().join(format!("l2r-serve-smoke-{}.l2r", std::process::id()));
         save_model(&model, &path).unwrap();
-        let transcript = run_smoke(&[("tiny".to_string(), path.clone())]).unwrap();
+        let transcript = run_smoke_with(&[("tiny".to_string(), path.clone())], Some(64)).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(transcript.contains("clean shutdown"), "{transcript}");
+        assert!(transcript.contains("over 64 connections"), "{transcript}");
         assert!(transcript.contains("bit-identically"), "{transcript}");
         assert!(transcript.contains("binary:"), "{transcript}");
     }

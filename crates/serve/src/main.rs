@@ -5,19 +5,16 @@
 //! l2r-serve serve --listen 127.0.0.1:7878 --workers 4 \
 //!     --model D1=target/model.D1.l2r --model D2=target/model.D2.l2r
 //!
-//! # hammer a running server and print latency/throughput:
-//! l2r-serve load --addr 127.0.0.1:7878 --dataset D1 \
-//!     --protocol binary --connections 512 --pipeline 32 --requests 1000
-//!
 //! # self-contained end-to-end smoke (CI): start, exercise both protocols,
-//! # hot-reload, clean shutdown — exits non-zero on any protocol deviation:
+//! # hot-reload, sweep 512 binary connections, clean shutdown — exits
+//! # non-zero on any protocol deviation or any answer unlike the model's:
 //! l2r-serve smoke --model D1=target/model.D1.l2r --sweep 512
 //! ```
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use l2r_serve::{registry_from_specs, run_load, run_smoke_with, LoadConfig, Server, ServerConfig};
+use l2r_serve::{registry_from_specs, run_smoke_with, Server, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -25,9 +22,6 @@ fn usage() -> ! {
   l2r-serve serve --listen <addr> [--workers N] --model NAME=PATH [--model NAME=PATH ...]
                   [--deadline-ms D] [--idle-timeout-ms I] [--max-connections C] [--drain-ms G]
                   [--auto-rollback-window W] [--auto-rollback-per-mille P]
-  l2r-serve load  --addr <addr> --dataset NAME [--protocol ascii|binary]
-                  [--connections N] [--pipeline W] [--requests M-per-conn] [--seed S]
-                  [--slow-every K] [--timeout-ms T]
   l2r-serve smoke --model NAME=PATH [--model NAME=PATH ...] [--sweep N-connections]
 
 Model snapshots are the versioned `.l2r` files written by
@@ -69,7 +63,6 @@ fn main() {
     };
     match command.as_str() {
         "serve" => cmd_serve(args),
-        "load" => cmd_load(args),
         "smoke" => cmd_smoke(args),
         "--help" | "-h" | "help" => usage(),
         other => {
@@ -146,80 +139,6 @@ fn cmd_serve(mut args: impl Iterator<Item = String>) {
         std::process::exit(1);
     }
     println!("l2r-serve: clean shutdown");
-}
-
-fn cmd_load(mut args: impl Iterator<Item = String>) {
-    let mut addr: Option<String> = None;
-    let mut cfg = LoadConfig::default();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => addr = Some(parse_or_usage(args.next(), "--addr")),
-            "--dataset" => cfg.dataset = parse_or_usage(args.next(), "--dataset"),
-            "--protocol" => cfg.protocol = parse_or_usage(args.next(), "--protocol"),
-            // `--threads` predates the event loop; it now just sets the
-            // connection count.
-            "--connections" | "--threads" => {
-                cfg.connections = parse_or_usage(args.next(), "--connections")
-            }
-            "--pipeline" => cfg.pipeline = parse_or_usage(args.next(), "--pipeline"),
-            "--requests" => cfg.requests_per_conn = parse_or_usage(args.next(), "--requests"),
-            "--seed" => cfg.seed = parse_or_usage(args.next(), "--seed"),
-            "--slow-every" => cfg.slow_every = parse_or_usage(args.next(), "--slow-every"),
-            "--timeout-ms" => {
-                cfg.read_timeout = Some(Duration::from_millis(parse_or_usage(
-                    args.next(),
-                    "--timeout-ms",
-                )))
-            }
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
-        }
-    }
-    let Some(addr) = addr else {
-        eprintln!("load needs --addr <addr>");
-        usage();
-    };
-    let resolved: std::net::SocketAddr = match addr.parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bad --addr `{addr}`: {e}");
-            std::process::exit(2);
-        }
-    };
-    match run_load(resolved, &cfg) {
-        Ok(report) => {
-            println!(
-                "load: {} {} requests over {} connections (pipeline {}) in {:.1} ms",
-                report.requests,
-                cfg.protocol.label(),
-                cfg.connections,
-                cfg.pipeline,
-                report.wall.as_secs_f64() * 1000.0
-            );
-            println!(
-                "  {:.0} qps aggregate, latency mean {:.1} µs  p50 {:.1}  p99 {:.1}",
-                report.qps, report.mean_us, report.p50_us, report.p99_us
-            );
-            println!(
-                "  answered {}, noroute {}, errors {}, deadline {}, internal {}, busy retries {}",
-                report.answered,
-                report.noroutes,
-                report.errors,
-                report.deadline_exceeded,
-                report.internal_errors,
-                report.busy_retries
-            );
-            if report.errors > 0 || report.internal_errors > 0 {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("load failed: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 fn cmd_smoke(mut args: impl Iterator<Item = String>) {

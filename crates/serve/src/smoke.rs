@@ -4,18 +4,31 @@
 //! wire protocols through real TCP connections — verifying `route` answers
 //! are bit-identical to a locally loaded model and that pipelined
 //! binary responses come back in request order — performs hot-reloads over
-//! each protocol (plus the failure path), optionally runs a short
-//! many-connection load sweep, and shuts the server down cleanly.
+//! each protocol (plus the failure path), optionally runs a
+//! many-connection binary sweep checked against the same local model, and
+//! shuts the server down cleanly.
 
+use std::collections::VecDeque;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
-use l2r_core::{load_model, ModelRegistry, ModelStore};
+use l2r_core::{load_model, splitmix64, L2r, ModelRegistry, ModelStore, QueryScratch};
 use l2r_road_network::VertexId;
 
 use crate::client::{route_reply_to_line, BinClient, Client};
-use crate::load::{run_load, LoadConfig, Protocol};
+use crate::frame::{self, RouteReply};
 use crate::{format_route_response, Counter, Server};
+
+/// Routes a sweep spreads over its connections (at least 4 per connection).
+const SWEEP_ROUTES: usize = 8192;
+
+/// Requests a sweep keeps in flight per connection.
+const SWEEP_WINDOW: usize = 16;
+
+/// Seed of the sweep's `(source, destination)` draws.
+const SWEEP_SEED: u64 = 0x5E17_1E55;
 
 /// Builds a registry by loading each `name=path` model spec.  A path that
 /// is a directory is opened as a model store and its newest durable
@@ -42,20 +55,15 @@ pub fn registry_from_specs(specs: &[(String, PathBuf)]) -> Result<ModelRegistry,
     Ok(registry)
 }
 
-/// [`run_smoke_with`] without the load sweep.
-pub fn run_smoke(specs: &[(String, PathBuf)]) -> Result<String, String> {
-    run_smoke_with(specs, None)
-}
-
 /// End-to-end smoke check (used by CI): starts a server over the given
 /// `name=path` models, exercises every command of both the ASCII and the
 /// binary protocol — verifying `route` answers are **bit-identical** to a
 /// locally loaded model and that pipelined responses preserve
 /// request order — performs hot-reloads (including the failure path,
-/// which must keep the old model serving), optionally hammers the server
-/// with a short binary load sweep over `sweep_connections` connections,
-/// and shuts down cleanly.  Returns a human-readable transcript on
-/// success.
+/// which must keep the old model serving), optionally sweeps the server
+/// over `sweep_connections` binary connections (every reply again checked
+/// against the local model), and shuts down cleanly.  Returns a
+/// human-readable transcript on success.
 pub fn run_smoke_with(
     specs: &[(String, PathBuf)],
     sweep_connections: Option<usize>,
@@ -111,7 +119,7 @@ pub fn run_smoke_with(
 
         // Bit-equivalence: the TCP answer must be byte-for-byte the local
         // model's answer run through the shared formatter.
-        let mut scratch = l2r_core::QueryScratch::new();
+        let mut scratch = QueryScratch::new();
         let mut compared = 0usize;
         for i in 0..25u32 {
             let s = (i * 37) % vertices;
@@ -229,32 +237,15 @@ pub fn run_smoke_with(
         notes.push("binary: route_batch, stats, reload + failure path OK".to_string());
         drop(bin);
 
-        // --- Optional short concurrency sweep ---------------------------
+        // --- Optional many-connection sweep -----------------------------
         if let Some(connections) = sweep_connections {
             let connections = connections.max(1);
-            let report = run_load(
-                addr,
-                &LoadConfig {
-                    dataset: name.clone(),
-                    protocol: Protocol::Binary,
-                    connections,
-                    pipeline: 16,
-                    requests_per_conn: (8192 / connections).max(4),
-                    seed: 0x5E17_1E55,
-                    ..LoadConfig::default()
-                },
-            )
-            .map_err(|e| format!("{connections}-connection sweep failed: {e}"))?;
-            if report.errors > 0 {
-                return Err(format!(
-                    "{connections}-connection sweep saw {} errors",
-                    report.errors
-                ));
-            }
+            let t0 = Instant::now();
+            let (routes, busy) = sweep(addr, name, &reference, vertices, connections)?;
             notes.push(format!(
-                "sweep: {} binary requests over {connections} connections, \
-                 {:.0} qps, p99 {:.0} µs, {} busy retries, 0 errors",
-                report.requests, report.qps, report.p99_us, report.busy_retries
+                "sweep: {routes} binary routes over {connections} connections answered \
+                 bit-identically to the local model in {:.0} ms, {busy} busy retries",
+                t0.elapsed().as_secs_f64() * 1e3
             ));
         }
 
@@ -287,4 +278,81 @@ pub fn run_smoke_with(
         state.stats().get(Counter::Queries)
     ));
     Ok(transcript)
+}
+
+/// Opens `connections` binary clients from the calling thread and drives
+/// them in bulk-synchronous rounds: each round writes up to
+/// [`SWEEP_WINDOW`] `route` frames on every connection, then reads every
+/// reply, so all connections have requests outstanding at once.  A `BUSY`
+/// reply is resent in the next round; every other reply must be the local
+/// model's answer, bit for bit.  Returns the routes answered and the `BUSY`
+/// replies seen.
+fn sweep(
+    addr: SocketAddr,
+    name: &str,
+    reference: &L2r,
+    vertices: u32,
+    connections: usize,
+) -> Result<(usize, usize), String> {
+    let per_conn = (SWEEP_ROUTES / connections).max(4);
+    let v = u64::from(vertices);
+    let mut conns = Vec::with_capacity(connections);
+    for c in 0..connections {
+        let client =
+            BinClient::connect(addr).map_err(|e| format!("sweep connection {c} failed: {e}"))?;
+        let todo: VecDeque<(u32, u32)> = (0..per_conn as u64)
+            .map(|i| {
+                let h = splitmix64(SWEEP_SEED ^ ((c as u64) << 32) ^ i);
+                let s = h % v;
+                // A destination distinct from the source.
+                let d = (s + 1 + (h >> 32) % (v - 1)) % v;
+                (s as u32, d as u32)
+            })
+            .collect();
+        conns.push((client, todo, Vec::with_capacity(SWEEP_WINDOW)));
+    }
+
+    let mut scratch = QueryScratch::new();
+    let mut out = Vec::new();
+    let (mut routes, mut busy) = (0usize, 0usize);
+    while conns.iter().any(|(_, todo, _)| !todo.is_empty()) {
+        for (client, todo, sent) in conns.iter_mut() {
+            out.clear();
+            sent.clear();
+            while sent.len() < SWEEP_WINDOW {
+                let Some((s, d)) = todo.pop_front() else {
+                    break;
+                };
+                frame::encode_route(&mut out, name, s, d);
+                sent.push((s, d));
+            }
+            client
+                .send_raw(&out)
+                .map_err(|e| format!("sweep send failed: {e}"))?;
+        }
+        for (client, todo, sent) in conns.iter_mut() {
+            for &(s, d) in sent.iter() {
+                let (status, payload) = client
+                    .read_frame()
+                    .map_err(|e| format!("sweep read failed: {e}"))?;
+                let reply = frame::decode_route_reply(status, &payload)
+                    .map_err(|e| format!("sweep reply {s}->{d} undecodable: {e}"))?;
+                if reply == RouteReply::Busy {
+                    busy += 1;
+                    todo.push_front((s, d));
+                    continue;
+                }
+                let got = route_reply_to_line(&reply);
+                let expected =
+                    format_route_response(&reference.route(&mut scratch, VertexId(s), VertexId(d)));
+                if got != expected {
+                    return Err(format!(
+                        "sweep route {s}->{d} answered `{got}`, expected `{expected}`"
+                    ));
+                }
+                routes += 1;
+            }
+        }
+    }
+    Ok((routes, busy))
 }
