@@ -4,8 +4,12 @@
 //! and reviewer memory: NaN-safe `total_cmp` ordering, SAFETY-commented
 //! `unsafe`, FFI contained to one audited region, justified atomic
 //! orderings, panic-free serving hot paths, and deterministic iteration in
-//! the offline fit.  This crate turns each into a structural check that
-//! runs two ways, so it cannot be skipped:
+//! the offline fit.  This crate turns each into a structural check, plus a
+//! seventh, cross-file one: `unused-pub`, which fails a library crate's
+//! `pub fn`/`const`/`static` that no other file names.  Per-file rules see
+//! one lexed file at a time; `unused-pub` sees the whole lexed workspace
+//! in one extra pass ([`rules::Rule::check_workspace`]).  The checks run
+//! two ways, so they cannot be skipped:
 //!
 //! * `cargo run -p l2r-analyze -- check` — the CI job (`--json` for the
 //!   machine-readable report it uploads);
@@ -182,16 +186,29 @@ fn parse_allows(comment: &str) -> Vec<String> {
 /// Runs every rule over one in-memory file (the test seam: fixtures call
 /// this directly).  Findings come back resolved against inline allows.
 pub fn analyze_source(rel: &str, src: &str) -> Vec<Finding> {
-    let file = SourceFile::new(rel, src);
+    analyze_sources(&[(rel, src)])
+}
+
+/// Runs every rule over an in-memory workspace of `(rel, src)` files, so
+/// fixtures can exercise the cross-file `unused-pub` pass.  Findings come
+/// back resolved against inline allows.
+pub fn analyze_sources(sources: &[(&str, &str)]) -> Vec<Finding> {
+    let files: Vec<SourceFile> = sources
+        .iter()
+        .map(|(rel, src)| SourceFile::new(*rel, src))
+        .collect();
+    check_all(&files, &rules::all_rules())
+}
+
+/// Runs `rule_set` over the lexed `files` and resolves inline allows.
+fn check_all(files: &[SourceFile], rule_set: &[Box<dyn rules::Rule>]) -> Vec<Finding> {
+    let by_rel: BTreeMap<&str, &SourceFile> = files.iter().map(|f| (f.rel.as_str(), f)).collect();
     let mut out = Vec::new();
-    for rule in rules::all_rules() {
-        if !rule.applies_to(rel) {
-            continue;
-        }
+    for rule in rule_set {
         let mut raw = Vec::new();
-        rule.check(&file, &mut raw);
+        rule.check_workspace(files, &mut raw);
         for mut f in raw {
-            f.allowed = file.is_allowed(f.line - 1, &f.rule);
+            f.allowed = by_rel[f.path.as_str()].is_allowed(f.line - 1, &f.rule);
             out.push(f);
         }
     }
@@ -200,33 +217,22 @@ pub fn analyze_source(rel: &str, src: &str) -> Vec<Finding> {
 
 /// Walks the workspace under `config.root` and runs every rule.
 pub fn run(config: &Config) -> io::Result<Report> {
-    let mut files = Vec::new();
-    collect_rs_files(&config.root, &config.skip, &mut files)?;
-    files.sort(); // deterministic report order, any filesystem
+    let mut paths = Vec::new();
+    collect_rs_files(&config.root, &config.skip, &mut paths)?;
+    paths.sort(); // deterministic report order, any filesystem
+    let files = paths
+        .iter()
+        .map(|path| {
+            Ok(SourceFile::new(
+                rel_path(&config.root, path),
+                &std::fs::read_to_string(path)?,
+            ))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
     let rule_set = rules::all_rules();
-
-    let mut findings = Vec::new();
-    let mut waived = Vec::new();
-    for path in &files {
-        let rel = rel_path(&config.root, path);
-        let src = std::fs::read_to_string(path)?;
-        let file = SourceFile::new(rel, &src);
-        for rule in &rule_set {
-            if !rule.applies_to(&file.rel) {
-                continue;
-            }
-            let mut raw = Vec::new();
-            rule.check(&file, &mut raw);
-            for mut f in raw {
-                f.allowed = file.is_allowed(f.line - 1, &f.rule);
-                if f.allowed {
-                    waived.push(f);
-                } else {
-                    findings.push(f);
-                }
-            }
-        }
-    }
+    let (waived, findings) = check_all(&files, &rule_set)
+        .into_iter()
+        .partition(|f| f.allowed);
     Ok(Report {
         findings,
         waived,

@@ -1,9 +1,13 @@
-//! The rule set: each rule turns one PR 2–8 invariant into a structural
-//! check.
+//! The rule set: six rules turn one PR 2–8 invariant each into a
+//! structural check, and [`UnusedPub`] keeps the public API down to what
+//! some other file uses.
 //!
 //! Rules ask line-shaped questions of a lexed [`SourceFile`] (comment- and
 //! string-aware, see [`crate::lexer`]) and emit [`Finding`]s with a
-//! `path:line:col` span.  Every rule can be waived per line with
+//! `path:line:col` span.  The per-file rules implement [`Rule::check`];
+//! `unused-pub` overrides [`Rule::check_workspace`] to count, across every
+//! scanned file, which files name each identifier.  Every rule can be
+//! waived per line with
 //!
 //! ```text
 //! // l2r: allow(<rule-name>) — reason
@@ -12,6 +16,8 @@
 //! on the offending line or in the comment block directly above it; the
 //! engine (not the rule) resolves allows, so every waiver is still counted
 //! and reported.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::{Finding, SourceFile};
 
@@ -25,6 +31,13 @@ pub trait Rule {
     fn applies_to(&self, rel: &str) -> bool;
     /// Scans one file, pushing raw findings (the engine resolves allows).
     fn check(&self, file: &SourceFile, out: &mut Vec<Finding>);
+    /// Scans the whole lexed workspace.  Per-file rules keep this default;
+    /// a cross-file rule overrides it.
+    fn check_workspace(&self, files: &[SourceFile], out: &mut Vec<Finding>) {
+        for file in files.iter().filter(|f| self.applies_to(&f.rel)) {
+            self.check(file, out);
+        }
+    }
 }
 
 /// Every shipped rule, in reporting order.
@@ -36,6 +49,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(AtomicOrderingJustified),
         Box::new(NoPanicHotPath),
         Box::new(NondeterministicIteration),
+        Box::new(UnusedPub),
     ]
 }
 
@@ -578,4 +592,112 @@ impl Rule for NondeterministicIteration {
 fn leading_ident(s: &str) -> Option<String> {
     let end = s.bytes().position(|b| !is_ident_byte(b)).unwrap_or(s.len());
     (end > 0 && !s.as_bytes()[0].is_ascii_digit()).then(|| s[..end].to_string())
+}
+
+// ---------------------------------------------------------------------------
+// unused-pub
+// ---------------------------------------------------------------------------
+
+/// Declaration prefixes the rule checks, longest first (`pub const fn`
+/// before `pub const`).
+const PUB_ITEMS: &[&str] = &["pub const fn ", "pub fn ", "pub const ", "pub static "];
+
+/// Public API that nothing else names is dead weight: a `pub fn`,
+/// `pub const fn`, `pub const` or `pub static` of a library crate's
+/// `src/` (outside test modules, `main.rs` and `src/bin/`) must
+/// be named as a code token by some other scanned file.  Tests, benches,
+/// examples and `benchmark/src` count as users; mentions in `use`
+/// declarations, comments, strings and doc examples do not.  Items used
+/// only inside their own file should lose `pub`; items only their own
+/// tests call belong in the test module.
+///
+/// Matching is by name, not by path: a dead item called `new` or `len`
+/// passes because some other file names a `new`.  Types, traits and
+/// fields are out of scope (a type in a public signature must stay
+/// public).
+pub struct UnusedPub;
+
+impl UnusedPub {
+    /// The item name declared on this line of code, if it is a checked
+    /// `pub` item.
+    fn declared(code: &str) -> Option<(usize, String)> {
+        let trimmed = code.trim_start();
+        let rest = PUB_ITEMS.iter().find_map(|p| trimmed.strip_prefix(p))?;
+        let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+        let name = leading_ident(rest)?;
+        Some((code.len() - rest.len(), name))
+    }
+
+    /// Every identifier a file names in code outside `use` declarations.
+    fn named_idents(file: &SourceFile) -> BTreeSet<&str> {
+        let mut names = BTreeSet::new();
+        let mut in_use = false;
+        for line in &file.lines {
+            let code = line.code.trim_start();
+            let code = code
+                .strip_prefix("pub(crate) ")
+                .or_else(|| code.strip_prefix("pub "))
+                .unwrap_or(code);
+            in_use |= code.starts_with("use ");
+            if in_use {
+                in_use = !line.code.contains(';');
+                continue;
+            }
+            names.extend(
+                line.code
+                    .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .filter(|t| t.bytes().next().is_some_and(|b| !b.is_ascii_digit())),
+            );
+        }
+        names
+    }
+}
+
+impl Rule for UnusedPub {
+    fn name(&self) -> &'static str {
+        "unused-pub"
+    }
+    fn description(&self) -> &'static str {
+        "a library crate's pub fn/const/static must be named in code by some other file (tests, benches, examples and benchmark/src count)"
+    }
+    fn applies_to(&self, rel: &str) -> bool {
+        (rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/")))
+            && !rel.ends_with("/main.rs")
+            && !rel.contains("/src/bin/")
+    }
+    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
+        self.check_workspace(std::slice::from_ref(file), out);
+    }
+    fn check_workspace(&self, files: &[SourceFile], out: &mut Vec<Finding>) {
+        // How many files name each identifier; a declaring file always
+        // names its own item, so a count of 1 means nobody else does.
+        let mut naming_files: BTreeMap<&str, usize> = BTreeMap::new();
+        for file in files {
+            for name in Self::named_idents(file) {
+                *naming_files.entry(name).or_default() += 1;
+            }
+        }
+        for file in files.iter().filter(|f| self.applies_to(&f.rel)) {
+            for (i, line) in file.lines.iter().enumerate() {
+                if line.in_test {
+                    continue;
+                }
+                let Some((col, name)) = Self::declared(&line.code) else {
+                    continue;
+                };
+                if naming_files.get(name.as_str()).copied().unwrap_or(0) <= 1 {
+                    out.push(finding(
+                        self,
+                        file,
+                        i,
+                        col,
+                        format!(
+                            "`{name}` is public but no other file names it; drop `pub`, move it \
+                             into the test module, or delete it"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
 }

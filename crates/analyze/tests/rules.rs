@@ -2,7 +2,7 @@
 //! respect `l2r: allow(...)`, and stay silent on the look-alikes (strings,
 //! comments, test modules).
 
-use l2r_analyze::{analyze_source, Finding};
+use l2r_analyze::{analyze_source, analyze_sources, Finding};
 
 /// `(unallowed, inline-waived)` finding counts for one rule.
 fn counts(findings: &[Finding], rule: &str) -> (usize, usize) {
@@ -134,4 +134,79 @@ unsafe { x.partial_cmp(&y) }
     let findings = analyze_source("crates/x/src/lib.rs", src);
     assert!(findings.len() >= 2);
     assert!(findings.iter().all(|f| f.allowed));
+}
+
+/// The other files of the `unused-pub` fixture's workspace: a test that
+/// calls `used_elsewhere` and names `only_mentioned` only in a `use` line,
+/// a comment and a string, and a benchmark that reads `BENCH_ONLY`.
+const UNUSED_PUB_USER: &str = "\
+use x::{
+    only_mentioned,
+};
+// only_mentioned() would be the call.
+#[test]
+fn calls() {
+    x::used_elsewhere();
+    let _ = \"only_mentioned\";
+}
+";
+const UNUSED_PUB_BENCH: &str = "fn main() {\n    let _ = x::BENCH_ONLY;\n}\n";
+
+/// Names of the unallowed `unused-pub` findings, in report order.
+fn unused_pub_names(findings: &[Finding]) -> Vec<&str> {
+    findings
+        .iter()
+        .filter(|f| f.rule == "unused-pub" && !f.allowed)
+        .map(|f| f.message.split('`').nth(1).unwrap_or(""))
+        .collect()
+}
+
+#[test]
+fn unused_pub_fires_and_respects_allow() {
+    let findings = analyze_sources(&[
+        (
+            "crates/x/src/lib.rs",
+            include_str!("fixtures/unused_pub.rs"),
+        ),
+        ("crates/x/tests/user.rs", UNUSED_PUB_USER),
+        ("benchmark/src/main.rs", UNUSED_PUB_BENCH),
+    ]);
+    // `used_elsewhere` is named in code, `BENCH_ONLY` by the benchmark,
+    // `test_helper` sits in a test module: only `only_mentioned` fires,
+    // and `WAIVED` is waived.
+    assert_eq!(counts(&findings, "unused-pub"), (1, 1));
+    assert_eq!(unused_pub_names(&findings), ["only_mentioned"]);
+}
+
+#[test]
+fn unused_pub_counts_benchmark_src_as_a_user() {
+    let findings = analyze_sources(&[
+        (
+            "crates/x/src/lib.rs",
+            include_str!("fixtures/unused_pub.rs"),
+        ),
+        ("crates/x/tests/user.rs", UNUSED_PUB_USER),
+    ]);
+    assert_eq!(
+        unused_pub_names(&findings),
+        ["only_mentioned", "BENCH_ONLY"]
+    );
+}
+
+#[test]
+fn unused_pub_checks_only_library_sources() {
+    // Alone, the fixture's three unwaived items fire; as a binary's
+    // `main.rs`, a `src/bin/` file or a test, nothing does.
+    let fixture = include_str!("fixtures/unused_pub.rs");
+    assert_eq!(
+        unused_pub_names(&analyze_source("crates/x/src/lib.rs", fixture)),
+        ["used_elsewhere", "only_mentioned", "BENCH_ONLY"]
+    );
+    for rel in [
+        "crates/x/src/main.rs",
+        "crates/x/src/bin/tool.rs",
+        "crates/x/tests/it.rs",
+    ] {
+        assert_eq!(counts(&analyze_source(rel, fixture), "unused-pub"), (0, 0));
+    }
 }

@@ -139,7 +139,7 @@ impl Dom {
     }
 
     /// The learned weights of a driver (uniform for unseen drivers).
-    pub fn driver_weights(&self, driver: DriverId) -> DriverWeights {
+    fn driver_weights(&self, driver: DriverId) -> DriverWeights {
         self.drivers.get(&driver).copied().unwrap_or_default()
     }
 

@@ -93,7 +93,7 @@ impl ExternalRouter {
     }
 
     /// The road-network path the service would drive (its internal result).
-    pub fn route_path(
+    fn route_path(
         &self,
         net: &RoadNetwork,
         source: VertexId,

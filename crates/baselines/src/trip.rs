@@ -118,7 +118,7 @@ impl Trip {
     }
 
     /// The learned profile of a driver (neutral for unseen drivers).
-    pub fn profile(&self, driver: DriverId) -> TripProfile {
+    fn profile(&self, driver: DriverId) -> TripProfile {
         self.profiles.get(&driver).copied().unwrap_or_default()
     }
 

@@ -19,23 +19,7 @@ use std::collections::HashMap;
 
 use l2r_preference::Preference;
 use l2r_region_graph::{RegionEdgeId, RegionGraph, SupportedPath};
-use l2r_road_network::{
-    fastest_path, preference_constrained_path, CostType, Path, RoadNetwork, SearchSpace, VertexId,
-};
-
-/// Computes a path between two concrete vertices under an optional
-/// preference (`None` = fastest path).
-pub fn path_under_preference(
-    net: &RoadNetwork,
-    source: VertexId,
-    destination: VertexId,
-    preference: Option<&Preference>,
-) -> Option<Path> {
-    match preference {
-        Some(p) => preference_constrained_path(net, source, destination, p.master, p.slave),
-        None => fastest_path(net, source, destination),
-    }
-}
+use l2r_road_network::{CostType, RoadNetwork, SearchSpace, VertexId};
 
 /// Statistics of the apply step.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -160,7 +144,9 @@ mod tests {
         generate_network, generate_workload, SyntheticNetworkConfig, WorkloadConfig,
     };
     use l2r_region_graph::{bottom_up_clustering, TrajectoryGraph};
-    use l2r_road_network::{CostType, RoadType, RoadTypeSet};
+    use l2r_road_network::{
+        fastest_path, preference_constrained_path, CostType, RoadType, RoadTypeSet,
+    };
 
     fn build() -> (l2r_road_network::RoadNetwork, RegionGraph) {
         let syn = generate_network(&SyntheticNetworkConfig::tiny());
@@ -219,9 +205,9 @@ mod tests {
         let (net, _) = build();
         let a = l2r_road_network::VertexId(0);
         let b = l2r_road_network::VertexId((net.num_vertices() - 1) as u32);
-        let fastest = path_under_preference(&net, a, b, None).unwrap();
-        let shortest_pref = Preference::cost_only(CostType::Distance);
-        let shortest = path_under_preference(&net, a, b, Some(&shortest_pref)).unwrap();
+        let fastest = fastest_path(&net, a, b).unwrap();
+        let p = Preference::cost_only(CostType::Distance);
+        let shortest = preference_constrained_path(&net, a, b, p.master, p.slave).unwrap();
         assert!(
             shortest.length_m(&net).unwrap() <= fastest.length_m(&net).unwrap() + 1e-6,
             "the distance-preferring path is never longer than the fastest path"

@@ -65,7 +65,7 @@ pub mod router;
 pub mod snapshot;
 pub mod store;
 
-pub use apply::{apply_preferences_to_b_edges, path_under_preference, ApplyStats};
+pub use apply::{apply_preferences_to_b_edges, ApplyStats};
 pub use config::L2rConfig;
 pub use connectors::{ConnectorTable, OrientedPaths};
 pub use engine::Engine;
@@ -77,8 +77,8 @@ pub use router::{region_coverage, QueryScratch, RegionCoverage, RouteResult, Rou
 pub use snapshot::{
     compute_canaries, decode_model, decode_snapshot, encode_model, encode_model_structural,
     encode_snapshot, encode_snapshot_with, load_model, load_snapshot, route_digest, save_model,
-    save_snapshot, splitmix64, verify_frame, Canary, Snapshot, SnapshotError, DEFAULT_CANARY_COUNT,
-    SNAPSHOT_CRC_FIELD, SNAPSHOT_HEADER_LEN, SNAPSHOT_LEN_FIELD, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    save_snapshot, splitmix64, verify_frame, Canary, Snapshot, SnapshotError, SNAPSHOT_CRC_FIELD,
+    SNAPSHOT_HEADER_LEN, SNAPSHOT_LEN_FIELD, SNAPSHOT_VERSION,
 };
 pub use store::{
     decode_manifest, encode_manifest, FaultFs, FsFaultConfig, FsFaultKind, Manifest, ManifestEntry,

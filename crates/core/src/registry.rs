@@ -243,11 +243,7 @@ impl ModelRegistry {
     /// every canary probe recorded at save time must reproduce its digest on
     /// the decoded model.  Any mismatch rejects the swap with the old model
     /// still serving.
-    pub fn install_validated(
-        &self,
-        name: &str,
-        snapshot: Snapshot,
-    ) -> Result<Arc<L2r>, RegistryError> {
+    fn install_validated(&self, name: &str, snapshot: Snapshot) -> Result<Arc<L2r>, RegistryError> {
         if !snapshot.dataset.is_empty() && snapshot.dataset != name {
             return Err(RegistryError::DatasetMismatch {
                 snapshot: snapshot.dataset,
@@ -271,8 +267,8 @@ impl ModelRegistry {
         Ok(self.insert(name, Arc::new(snapshot.model)))
     }
 
-    /// Loads a snapshot file, validates it against `name`
-    /// ([`ModelRegistry::install_validated`]), and atomically swaps it in
+    /// Loads a snapshot file, validates it against `name` (dataset stamp,
+    /// then canary replay), and atomically swaps it in
     /// (registering it fresh when the name is new).  Queries in flight keep
     /// the model they already hold; queries arriving after the swap get
     /// the new one — there is no in-between state.

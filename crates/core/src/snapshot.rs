@@ -122,7 +122,7 @@ use crate::router::{QueryScratch, RouteResult};
 use crate::store::MANIFEST_VERSION;
 
 /// Magic bytes identifying an L2R snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"L2RSNAP\0";
+const SNAPSHOT_MAGIC: [u8; 8] = *b"L2RSNAP\0";
 
 /// Current snapshot format version.  Bumped on any wire-format change;
 /// loaders reject every other version.  Version 2 added the dataset name
@@ -150,10 +150,10 @@ pub const SNAPSHOT_CRC_FIELD: Range<usize> = 17..SNAPSHOT_HEADER_LEN;
 pub const MAX_DATASET_NAME: usize = 256;
 
 /// Most canary probes a snapshot may carry.
-pub const MAX_CANARIES: usize = 4096;
+const MAX_CANARIES: usize = 4096;
 
 /// Canary probes recorded by default at save time.
-pub const DEFAULT_CANARY_COUNT: usize = 16;
+const DEFAULT_CANARY_COUNT: usize = 16;
 
 /// An error raised while saving or loading a snapshot, or while decoding a
 /// model store's `MANIFEST`, which is sealed with the same header (see
@@ -170,8 +170,8 @@ pub enum SnapshotError {
         /// The underlying I/O error.
         source: std::io::Error,
     },
-    /// The file does not start with the expected magic ([`SNAPSHOT_MAGIC`],
-    /// or [`crate::store::MANIFEST_MAGIC`] for a manifest).
+    /// The file does not start with the expected magic (`L2RSNAP\0`, or
+    /// `L2RMANI\0` for a manifest).
     BadMagic,
     /// The file was written by any format version other than the one this
     /// build reads ([`SNAPSHOT_VERSION`], or
@@ -609,7 +609,7 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
 
 /// Serialises a fitted model into the framed snapshot byte stream
 /// (header + checksummed payload), stamping `dataset` and recording
-/// [`DEFAULT_CANARY_COUNT`] canary probes.  Deterministic: the same model
+/// 16 canary probes.  Deterministic: the same model
 /// and name always produce the same bytes.
 pub fn encode_snapshot(model: &L2r, dataset: &str) -> Vec<u8> {
     encode_snapshot_with(

@@ -10,7 +10,7 @@
 //! **durable** generation — never a torn file.
 //!
 //! The manifest is sealed with the snapshot's header (magic
-//! [`MANIFEST_MAGIC`], version [`MANIFEST_VERSION`], payload length, payload
+//! `L2RMANI\0`, version [`MANIFEST_VERSION`], payload length, payload
 //! CRC-32; see [`crate::snapshot`]), written and checked by the same code,
 //! and [`decode_manifest`] reports [`SnapshotError`]s.  A store never
 //! surfaces them: a manifest that fails to decode counts as missing, and
@@ -89,7 +89,7 @@ use crate::snapshot::{
 };
 
 /// Magic bytes identifying a store `MANIFEST` file.
-pub const MANIFEST_MAGIC: [u8; 8] = *b"L2RMANI\0";
+const MANIFEST_MAGIC: [u8; 8] = *b"L2RMANI\0";
 
 /// Current manifest format version.
 pub const MANIFEST_VERSION: u8 = 1;
@@ -99,7 +99,7 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 
 /// Most generations a manifest may list (a plausibility bound, far above
 /// any real retention setting).
-pub const MAX_MANIFEST_ENTRIES: usize = 65_536;
+const MAX_MANIFEST_ENTRIES: usize = 65_536;
 
 /// Operation index of the snapshot-file write within a publish.
 pub const PUBLISH_OP_WRITE_SNAPSHOT: u64 = 0;
@@ -231,7 +231,7 @@ pub struct Manifest {
 }
 
 /// Serialises a manifest into its sealed byte stream: the snapshot header
-/// (magic [`MANIFEST_MAGIC`], version [`MANIFEST_VERSION`], payload length,
+/// (magic `L2RMANI\0`, version [`MANIFEST_VERSION`], payload length,
 /// CRC-32) followed by the payload.
 pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     let mut w = seal_begin(MANIFEST_MAGIC, MANIFEST_VERSION);

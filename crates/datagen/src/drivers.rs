@@ -48,7 +48,7 @@ pub enum TripLength {
 
 impl TripLength {
     /// Classifies a trip by straight-line distance in metres.
-    pub fn classify(distance_m: f64) -> Self {
+    fn classify(distance_m: f64) -> Self {
         if distance_m <= 5_000.0 {
             TripLength::Short
         } else if distance_m <= 15_000.0 {

@@ -148,15 +148,6 @@ impl SyntheticNetworkConfig {
         }
     }
 
-    /// Number of vertices [`generate_network`] will produce for this
-    /// configuration: `districts × (1 + blocks²)`.
-    pub fn expected_vertices(&self) -> usize {
-        let nx = self.districts_x.max(2);
-        let ny = self.districts_y.max(2);
-        let blocks = self.blocks_per_district.max(2);
-        nx * ny * (1 + blocks * blocks)
-    }
-
     /// A Chengdu-like (N2) network: a compact, dense urban grid.
     pub fn chengdu_like() -> Self {
         SyntheticNetworkConfig {
@@ -184,11 +175,6 @@ pub struct SyntheticNetwork {
 }
 
 impl SyntheticNetwork {
-    /// The district that contains `v`, if any.
-    pub fn district_of(&self, v: VertexId) -> Option<usize> {
-        self.districts.iter().position(|d| d.vertices.contains(&v))
-    }
-
     /// Straight-line distance between two district centres, in metres.
     pub fn district_distance_m(&self, a: usize, b: usize) -> f64 {
         self.net
@@ -398,6 +384,15 @@ mod tests {
     use super::*;
     use l2r_road_network::{fastest_path, shortest_path, CostType};
 
+    /// Number of vertices [`generate_network`] produces for `c`:
+    /// `districts × (1 + blocks²)`.
+    fn expected_vertices(c: &SyntheticNetworkConfig) -> usize {
+        let nx = c.districts_x.max(2);
+        let ny = c.districts_y.max(2);
+        let blocks = c.blocks_per_district.max(2);
+        nx * ny * (1 + blocks * blocks)
+    }
+
     #[test]
     fn tiny_network_has_expected_shape() {
         let syn = generate_network(&SyntheticNetworkConfig::tiny());
@@ -478,8 +473,9 @@ mod tests {
     fn district_lookup() {
         let syn = generate_network(&SyntheticNetworkConfig::tiny());
         let d0 = &syn.districts[0];
-        assert_eq!(syn.district_of(d0.center), Some(0));
-        assert_eq!(syn.district_of(d0.vertices[1]), Some(0));
+        let district_of = |v| syn.districts.iter().position(|d| d.vertices.contains(&v));
+        assert_eq!(district_of(d0.center), Some(0));
+        assert_eq!(district_of(d0.vertices[1]), Some(0));
         assert!(syn.district_distance_m(0, syn.districts.len() - 1) > 0.0);
     }
 
@@ -496,11 +492,11 @@ mod tests {
         // Targets from the ISSUE: N1-XL ≈ 100k, N1-XXL ≈ 500k, smoke ≈ 30k.
         // Checked arithmetically — generating the XXL network in a unit test
         // would dominate the suite's runtime.
-        let xl = SyntheticNetworkConfig::denmark_xl().expected_vertices();
+        let xl = expected_vertices(&SyntheticNetworkConfig::denmark_xl());
         assert!((90_000..=110_000).contains(&xl), "XL vertices: {xl}");
-        let xxl = SyntheticNetworkConfig::denmark_xxl().expected_vertices();
+        let xxl = expected_vertices(&SyntheticNetworkConfig::denmark_xxl());
         assert!((450_000..=550_000).contains(&xxl), "XXL vertices: {xxl}");
-        let smoke = SyntheticNetworkConfig::xl_smoke().expected_vertices();
+        let smoke = expected_vertices(&SyntheticNetworkConfig::xl_smoke());
         assert!(
             (20_000..=35_000).contains(&smoke),
             "smoke vertices: {smoke}"
@@ -521,7 +517,7 @@ mod tests {
         let syn = generate_network(&SyntheticNetworkConfig::xl_smoke());
         assert_eq!(
             syn.net.num_vertices(),
-            SyntheticNetworkConfig::xl_smoke().expected_vertices()
+            expected_vertices(&SyntheticNetworkConfig::xl_smoke())
         );
         // Opposite corners of the country are mutually reachable.
         let a = syn.districts.first().unwrap().center;

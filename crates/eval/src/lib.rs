@@ -35,6 +35,6 @@ pub use queries::{
     COVERAGE_CATEGORIES,
 };
 pub use report::{
-    render_table, report_accuracy, report_fig13, report_fig6a, report_fig6b, report_fig9a,
-    report_fig9b, report_offline, report_runtime, report_table2, report_table4,
+    report_accuracy, report_fig13, report_fig6a, report_fig6b, report_fig9a, report_fig9b,
+    report_offline, report_runtime, report_table2, report_table4,
 };

@@ -9,7 +9,7 @@ use crate::compare::{ExternalComparison, MethodResult};
 use crate::experiments::{Fig6aResult, Fig6bBucket, Fig9aPoint, Fig9bPoint, OfflineRow};
 
 /// Renders a simple aligned table.
-pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {

@@ -70,10 +70,8 @@ pub fn max_threads() -> usize {
 /// The policy behind [`max_threads`], with the environment lookup injected:
 /// tests exercise every override variant through this function instead of
 /// mutating the real environment (`set_var` racing `getenv` from the
-/// parallel fits other tests run is undefined behaviour on glibc).  Public
-/// so CLI front-ends can resolve a user-supplied thread count through the
-/// exact same policy before pinning it with [`set_thread_override`].
-pub fn threads_from_override(value: Option<&str>) -> usize {
+/// parallel fits other tests run is undefined behaviour on glibc).
+fn threads_from_override(value: Option<&str>) -> usize {
     if let Some(v) = value {
         if let Ok(t) = v.trim().parse::<usize>() {
             if t >= 1 {
@@ -111,13 +109,13 @@ where
     par_map_with(max_threads(), items, init, f)
 }
 
-/// [`par_map_init`] with an explicit thread count (mainly for tests; normal
-/// callers should respect the `L2R_THREADS` override via [`par_map_init`]).
+/// [`par_map_init`] with an explicit thread count ([`par_map`] and
+/// [`par_map_init`] pass [`max_threads`]; tests pass their own).
 ///
 /// `threads <= 1` (or a single-item input) runs serially on the calling
 /// thread with no thread spawned at all.  A panic in `f` propagates to the
 /// caller.
-pub fn par_map_with<T, R, S, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<R>
+fn par_map_with<T, R, S, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

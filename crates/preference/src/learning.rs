@@ -42,7 +42,7 @@ impl Default for LearnConfig {
 /// The default slave candidates: each single road type plus the combined
 /// "highways" feature (motorway + trunk), mirroring the paper's example
 /// features ("highways", "residential roads", "highways and residential").
-pub fn default_candidate_slaves() -> Vec<RoadTypeSet> {
+fn default_candidate_slaves() -> Vec<RoadTypeSet> {
     let mut v: Vec<RoadTypeSet> = RoadType::ALL
         .iter()
         .map(|rt| RoadTypeSet::single(*rt))

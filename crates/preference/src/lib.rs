@@ -24,8 +24,8 @@ mod solver;
 pub mod transfer;
 
 pub use learning::{
-    default_candidate_slaves, learn_edge_preference, learn_edge_preference_in,
-    learn_per_path_preferences, LearnConfig, LearnedPreference,
+    learn_edge_preference, learn_edge_preference_in, learn_per_path_preferences, LearnConfig,
+    LearnedPreference,
 };
 pub use model::{Preference, NUM_FEATURES};
 pub use re_sim::{build_descriptors, RegionEdgeDescriptor};

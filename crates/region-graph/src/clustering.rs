@@ -18,7 +18,7 @@ use crate::trajectory_graph::TrajectoryGraph;
 
 /// Modularity gain `∆Q_{ij} = s_ij / S − S_i · S_j / S²` of merging two
 /// clusters connected by an edge of popularity `s_ij` (Section IV-A).
-pub fn modularity_gain(s_ij: f64, s_i: f64, s_j: f64, total: f64) -> f64 {
+fn modularity_gain(s_ij: f64, s_i: f64, s_j: f64, total: f64) -> f64 {
     if total <= 0.0 {
         return 0.0;
     }

@@ -43,7 +43,7 @@ fn encode_supported_paths(w: &mut Writer, paths: &[SupportedPath], net: &RoadNet
 /// and the walk decodes to a drivable path by construction (the router
 /// debug-asserts drivability at query time, so a checksum-valid but crafted
 /// snapshot must be rejected here, not panic there).
-pub fn decode_supported_path(
+fn decode_supported_path(
     r: &mut Reader<'_>,
     net: &RoadNetwork,
 ) -> Result<SupportedPath, CodecError> {

@@ -99,7 +99,7 @@ impl Region {
 /// The functionality descriptor of a vertex set: the `top_k` road types (by
 /// total incident edge length-weighted count) of the edges incident to the
 /// vertices.
-pub fn region_function(net: &RoadNetwork, vertices: &[VertexId], top_k: usize) -> RoadTypeSet {
+fn region_function(net: &RoadNetwork, vertices: &[VertexId], top_k: usize) -> RoadTypeSet {
     let mut counts = [0usize; RoadType::COUNT];
     for v in vertices {
         if v.idx() >= net.num_vertices() {

@@ -83,7 +83,7 @@ impl RegionEdge {
     }
 
     /// Whether the edge is trajectory-backed.
-    pub fn is_t_edge(&self) -> bool {
+    fn is_t_edge(&self) -> bool {
         self.kind == RegionEdgeKind::TEdge
     }
 

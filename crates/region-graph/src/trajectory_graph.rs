@@ -19,7 +19,7 @@ use l2r_trajectory::MatchedTrajectory;
 pub type UndirectedEdge = (VertexId, VertexId);
 
 /// Normalises an undirected vertex pair.
-pub fn undirected(a: VertexId, b: VertexId) -> UndirectedEdge {
+fn undirected(a: VertexId, b: VertexId) -> UndirectedEdge {
     if a <= b {
         (a, b)
     } else {
@@ -109,19 +109,6 @@ impl TrajectoryGraph {
         self.vertex_popularity.get(&v).copied().unwrap_or(0.0)
     }
 
-    /// Popularity `s_ij` of an undirected edge (0 when not traversed).
-    pub fn edge_popularity(&self, a: VertexId, b: VertexId) -> f64 {
-        self.edges
-            .get(&undirected(a, b))
-            .map(|(s, _)| *s)
-            .unwrap_or(0.0)
-    }
-
-    /// Road type of a traversed undirected edge.
-    pub fn edge_road_type(&self, a: VertexId, b: VertexId) -> Option<RoadType> {
-        self.edges.get(&undirected(a, b)).map(|(_, rt)| *rt)
-    }
-
     /// Total popularity `S`.
     pub fn total_popularity(&self) -> f64 {
         self.total_popularity
@@ -139,11 +126,6 @@ impl TrajectoryGraph {
         // l2r: allow(nondeterministic-iteration) — unordered by contract; see doc
         self.edges.iter().map(|(e, (s, rt))| (*e, *s, *rt))
     }
-
-    /// Whether a vertex was traversed by any trajectory.
-    pub fn contains_vertex(&self, v: VertexId) -> bool {
-        self.vertex_popularity.contains_key(&v)
-    }
 }
 
 #[cfg(test)]
@@ -151,6 +133,11 @@ mod tests {
     use super::*;
     use l2r_road_network::{Path, Point, RoadNetworkBuilder, RoadType};
     use l2r_trajectory::{DriverId, TrajectoryId};
+
+    /// Popularity `s_ij` of an undirected edge (0 when not traversed).
+    fn edge_popularity(tg: &TrajectoryGraph, a: VertexId, b: VertexId) -> f64 {
+        tg.edges.get(&undirected(a, b)).map_or(0.0, |(s, _)| *s)
+    }
 
     fn line(n: usize) -> RoadNetwork {
         let mut b = RoadNetworkBuilder::new();
@@ -183,15 +170,17 @@ mod tests {
         let tg = TrajectoryGraph::build(&net, &ts);
         assert_eq!(tg.num_vertices(), 4);
         assert_eq!(tg.num_edges(), 3);
-        assert_eq!(tg.edge_popularity(VertexId(0), VertexId(1)), 2.0);
-        assert_eq!(tg.edge_popularity(VertexId(1), VertexId(2)), 2.0);
-        assert_eq!(tg.edge_popularity(VertexId(2), VertexId(3)), 2.0);
+        assert_eq!(edge_popularity(&tg, VertexId(0), VertexId(1)), 2.0);
+        assert_eq!(edge_popularity(&tg, VertexId(1), VertexId(2)), 2.0);
+        assert_eq!(edge_popularity(&tg, VertexId(2), VertexId(3)), 2.0);
         // Vertex popularity = sum of incident edge popularities.
         assert_eq!(tg.vertex_popularity(VertexId(1)), 4.0);
         assert_eq!(tg.vertex_popularity(VertexId(0)), 2.0);
         assert_eq!(tg.total_popularity(), 6.0);
         assert_eq!(
-            tg.edge_road_type(VertexId(0), VertexId(1)),
+            tg.edges
+                .get(&undirected(VertexId(0), VertexId(1)))
+                .map(|(_, rt)| *rt),
             Some(RoadType::Primary)
         );
     }
@@ -201,10 +190,10 @@ mod tests {
         let net = line(5);
         let ts = vec![traj(0, vec![0, 1, 2])];
         let tg = TrajectoryGraph::build(&net, &ts);
-        assert!(tg.contains_vertex(VertexId(0)));
-        assert!(!tg.contains_vertex(VertexId(4)));
+        assert!(tg.vertex_popularity.contains_key(&VertexId(0)));
+        assert!(!tg.vertex_popularity.contains_key(&VertexId(4)));
         assert_eq!(tg.vertex_popularity(VertexId(4)), 0.0);
-        assert_eq!(tg.edge_popularity(VertexId(3), VertexId(4)), 0.0);
+        assert_eq!(edge_popularity(&tg, VertexId(3), VertexId(4)), 0.0);
         assert!(tg.neighbors(VertexId(4)).is_empty());
     }
 

@@ -32,11 +32,6 @@ pub fn fastest_path(net: &RoadNetwork, source: VertexId, target: VertexId) -> Op
     lowest_cost_path(net, source, target, CostType::TravelTime)
 }
 
-/// Fuel-optimal path.
-pub fn most_economic_path(net: &RoadNetwork, source: VertexId, target: VertexId) -> Option<Path> {
-    lowest_cost_path(net, source, target, CostType::Fuel)
-}
-
 /// Lowest-cost path under an arbitrary linear combination of the three cost
 /// types, used by the personalized baselines (Dom/TRIP) to route with learned
 /// per-driver weights.
@@ -169,7 +164,7 @@ mod tests {
     #[test]
     fn fuel_optimal_path_exists() {
         let net = two_route_network();
-        let p = most_economic_path(&net, VertexId(0), VertexId(3)).unwrap();
+        let p = lowest_cost_path(&net, VertexId(0), VertexId(3), CostType::Fuel).unwrap();
         assert_eq!(p.source(), VertexId(0));
         assert_eq!(p.destination(), VertexId(3));
     }

@@ -297,34 +297,12 @@ impl RoadNetwork {
         self.bbox
     }
 
-    /// The vertex closest to `p` (linear scan; use [`RoadNetwork::vertex_index`]
-    /// for repeated queries).  `None` for an empty network.
-    pub fn nearest_vertex(&self, p: &Point) -> Option<VertexId> {
-        self.vertices
-            .iter()
-            .min_by(|a, b| a.point.distance_sq(p).total_cmp(&b.point.distance_sq(p)))
-            .map(|v| v.id)
-    }
-
     /// Builds a grid index over vertex positions for fast nearest-neighbour
     /// style queries.  The returned ids are vertex ids.
     pub fn vertex_index(&self, cell_size_m: f64) -> GridIndex {
         let mut grid = GridIndex::new(self.bbox, cell_size_m);
         for v in &self.vertices {
             grid.insert(v.id.0, &v.point);
-        }
-        grid
-    }
-
-    /// Builds a grid index over edges (each edge registered along its
-    /// segment) for map-matching candidate lookups.  The returned ids are
-    /// edge ids.
-    pub fn edge_index(&self, cell_size_m: f64) -> GridIndex {
-        let mut grid = GridIndex::new(self.bbox, cell_size_m);
-        for e in self.edges() {
-            let a = self.vertex(e.from).point;
-            let b = self.vertex(e.to).point;
-            grid.insert_segment(e.id.0, &a, &b);
         }
         grid
     }
@@ -723,20 +701,9 @@ mod tests {
     #[test]
     fn nearest_vertex_and_indexes() {
         let net = diamond();
-        assert_eq!(
-            net.nearest_vertex(&Point::new(10.0, 10.0)),
-            Some(VertexId(0))
-        );
-        assert_eq!(
-            net.nearest_vertex(&Point::new(1990.0, 10.0)),
-            Some(VertexId(3))
-        );
         let vgrid = net.vertex_index(500.0);
         let hits = vgrid.query(&Point::new(0.0, 0.0), 100.0);
         assert!(hits.contains(&0));
-        let egrid = net.edge_index(500.0);
-        let ehits = egrid.query(&Point::new(500.0, 500.0), 300.0);
-        assert!(!ehits.is_empty());
     }
 
     #[test]
@@ -753,7 +720,6 @@ mod tests {
         let net = RoadNetworkBuilder::new().build();
         assert_eq!(net.num_vertices(), 0);
         assert_eq!(net.num_edges(), 0);
-        assert!(net.nearest_vertex(&Point::new(0.0, 0.0)).is_none());
         assert!(net.bounding_box().is_empty());
     }
 }

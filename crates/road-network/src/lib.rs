@@ -44,9 +44,7 @@ pub use codec::{
     Reader, Writer, EDGE_WIRE_BYTES, VERTEX_WIRE_BYTES,
 };
 pub use constrained::preference_constrained_path;
-pub use dijkstra::{
-    fastest_path, lowest_cost_path, most_economic_path, shortest_path, weighted_path,
-};
+pub use dijkstra::{fastest_path, lowest_cost_path, shortest_path, weighted_path};
 pub use error::NetworkError;
 pub use graph::{Edge, EdgeId, RoadNetwork, RoadNetworkBuilder, Vertex, VertexId};
 pub use path::Path;
@@ -54,8 +52,8 @@ pub use path_builder::PathBuilder;
 pub use road_type::{RoadType, RoadTypeSet};
 pub use search_space::{searches_performed, SearchSpace};
 pub use similarity::{
-    band_match_similarity, band_match_similarity_10m, path_similarity, path_similarity_jaccard,
-    path_to_waypoints, OverlapIndex, SimilarityKind,
+    band_match_similarity_10m, path_similarity, path_similarity_jaccard, path_to_waypoints,
+    OverlapIndex,
 };
 pub use skyline::{skyline_paths, CostVector, SkylinePath};
 pub use spatial::{

@@ -75,12 +75,6 @@ impl RoadType {
             RoadType::Residential => "residential",
         }
     }
-
-    /// Whether the type counts as a "highway" in the informal sense used by
-    /// the paper's examples (motorway or trunk).
-    pub fn is_highway(self) -> bool {
-        matches!(self, RoadType::Motorway | RoadType::Trunk)
-    }
 }
 
 impl std::fmt::Display for RoadType {
@@ -202,13 +196,6 @@ mod tests {
         for w in speeds.windows(2) {
             assert!(w[0] > w[1], "speed limits must strictly decrease by class");
         }
-    }
-
-    #[test]
-    fn highway_classification() {
-        assert!(RoadType::Motorway.is_highway());
-        assert!(RoadType::Trunk.is_highway());
-        assert!(!RoadType::Residential.is_highway());
     }
 
     #[test]

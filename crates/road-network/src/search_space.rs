@@ -98,7 +98,7 @@ impl PartialOrd for QueueEntry {
 /// `SearchSpace` perform no per-query allocation (beyond growing the arrays
 /// the first time a larger network is seen); results are read back through
 /// [`SearchSpace::cost_to`], [`SearchSpace::path_to`] and
-/// [`SearchSpace::is_settled`] until the next search overwrites them.
+/// [`SearchSpace::parent_of`] until the next search overwrites them.
 ///
 /// A `SearchSpace` is intentionally `!Sync`: use one instance per thread
 /// (e.g. one per worker of `l2r_par::par_map_init`).
@@ -450,13 +450,6 @@ impl SearchSpace {
         }
     }
 
-    /// Whether `v` was settled (popped with final distance) by the most
-    /// recent search.
-    pub fn is_settled(&self, v: VertexId) -> bool {
-        let i = v.idx();
-        i < self.settled.len() && self.settled[i] == self.generation
-    }
-
     /// Reconstructs the path from the source of the most recent search to
     /// `v`, or `None` when unreachable.
     pub fn path_to(&self, v: VertexId) -> Option<Path> {
@@ -546,7 +539,7 @@ mod tests {
         }
         // All targets were settled by the single search.
         for t in targets {
-            assert!(space.is_settled(t));
+            assert!(is_settled(&space, t));
         }
     }
 
@@ -591,10 +584,17 @@ mod tests {
         assert!(searches_performed() > before);
     }
 
+    /// Whether the most recent search on `space` settled `v` (popped it
+    /// with its final distance).
+    fn is_settled(space: &SearchSpace, v: VertexId) -> bool {
+        let i = v.idx();
+        i < space.settled.len() && space.settled[i] == space.generation
+    }
+
     /// Vertices of `net` the most recent search on `space` settled.
     fn settled_count(space: &SearchSpace, net: &RoadNetwork) -> usize {
         (0..net.num_vertices() as u32)
-            .filter(|&v| space.is_settled(VertexId(v)))
+            .filter(|&v| is_settled(space, VertexId(v)))
             .count()
     }
 

@@ -157,7 +157,7 @@ pub fn path_similarity_jaccard(net: &RoadNetwork, ground_truth: &Path, candidate
 /// ground-truth edges lying between their projection points are counted as
 /// matched.  The similarity is the matched ground-truth length divided by the
 /// total ground-truth length (the Equation 1 form).
-pub fn band_match_similarity(
+fn band_match_similarity(
     net: &RoadNetwork,
     ground_truth: &Path,
     waypoints: &[Point],
@@ -251,27 +251,6 @@ pub fn path_to_waypoints(net: &RoadNetwork, path: &Path, stride: usize) -> Vec<P
         }
     }
     out
-}
-
-/// Which of the two evaluation similarity functions to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimilarityKind {
-    /// Equation 1 (shared length over ground-truth length).
-    SharedOverGroundTruth,
-    /// Equation 4 (shared length over union length).
-    WeightedJaccard,
-}
-
-impl SimilarityKind {
-    /// Evaluates the chosen similarity.
-    pub fn eval(self, net: &RoadNetwork, ground_truth: &Path, candidate: &Path) -> f64 {
-        match self {
-            SimilarityKind::SharedOverGroundTruth => path_similarity(net, ground_truth, candidate),
-            SimilarityKind::WeightedJaccard => {
-                path_similarity_jaccard(net, ground_truth, candidate)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -432,15 +411,5 @@ mod tests {
                 path_similarity(&net, &trivial, cand)
             );
         }
-    }
-
-    #[test]
-    fn similarity_kind_dispatch() {
-        let net = grid3x3();
-        let gt = Path::new(vec![VertexId(0), VertexId(1), VertexId(2), VertexId(5)]).unwrap();
-        let cand = Path::new(vec![VertexId(0), VertexId(1), VertexId(4), VertexId(5)]).unwrap();
-        let eq1 = SimilarityKind::SharedOverGroundTruth.eval(&net, &gt, &cand);
-        let eq4 = SimilarityKind::WeightedJaccard.eval(&net, &gt, &cand);
-        assert!(eq1 > eq4);
     }
 }

@@ -51,7 +51,7 @@ impl CostVector {
 
     /// `self` dominates `other` when it is no worse in every component and
     /// strictly better in at least one.
-    pub fn dominates(&self, other: &CostVector) -> bool {
+    fn dominates(&self, other: &CostVector) -> bool {
         let le = self.distance_m <= other.distance_m + 1e-9
             && self.travel_time_s <= other.travel_time_s + 1e-9
             && self.fuel_ml <= other.fuel_ml + 1e-9;

@@ -28,24 +28,12 @@ impl Point {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// Squared Euclidean distance (cheaper when only comparing).
-    pub fn distance_sq(&self, other: &Point) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
-
     /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
     pub fn lerp(&self, other: &Point, t: f64) -> Point {
         Point {
             x: self.x + (other.x - self.x) * t,
             y: self.y + (other.y - self.y) * t,
         }
-    }
-
-    /// Midpoint of the segment `self`–`other`.
-    pub fn midpoint(&self, other: &Point) -> Point {
-        self.lerp(other, 0.5)
     }
 }
 
@@ -78,7 +66,7 @@ impl BoundingBox {
     }
 
     /// Grows the box to include `p`.
-    pub fn expand(&mut self, p: &Point) {
+    fn expand(&mut self, p: &Point) {
         self.min.x = self.min.x.min(p.x);
         self.min.y = self.min.y.min(p.y);
         self.max.x = self.max.x.max(p.x);
@@ -253,16 +241,6 @@ impl GridIndex {
         }
     }
 
-    /// Side length of a grid cell, in metres.
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-
-    /// Total number of cells allocated (`cols × rows`).
-    pub fn num_cells(&self) -> usize {
-        self.cols * self.rows
-    }
-
     fn cell_of(&self, p: &Point) -> (usize, usize) {
         let cx = ((p.x - self.bbox.min.x) / self.cell_size).floor();
         let cy = ((p.y - self.bbox.min.y) / self.cell_size).floor();
@@ -275,23 +253,6 @@ impl GridIndex {
     pub fn insert(&mut self, id: u32, p: &Point) {
         let (cx, cy) = self.cell_of(p);
         self.cells[cy * self.cols + cx].push(id);
-    }
-
-    /// Inserts item `id` for every cell overlapped by the segment `a`–`b`
-    /// (conservatively, using the segment's bounding box).
-    pub fn insert_segment(&mut self, id: u32, a: &Point, b: &Point) {
-        let (ax, ay) = self.cell_of(a);
-        let (bx, by) = self.cell_of(b);
-        let (x0, x1) = (ax.min(bx), ax.max(bx));
-        let (y0, y1) = (ay.min(by), ay.max(by));
-        for cy in y0..=y1 {
-            for cx in x0..=x1 {
-                let cell = &mut self.cells[cy * self.cols + cx];
-                if cell.last() != Some(&id) {
-                    cell.push(id);
-                }
-            }
-        }
     }
 
     /// Returns candidate item ids whose cell is within `radius` metres of `p`.
@@ -319,12 +280,16 @@ impl GridIndex {
 mod tests {
     use super::*;
 
+    /// Total number of cells allocated (`cols × rows`).
+    fn num_cells(grid: &GridIndex) -> usize {
+        grid.cols * grid.rows
+    }
+
     #[test]
     fn point_distance_is_euclidean() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(3.0, 4.0);
         assert!((a.distance(&b) - 5.0).abs() < 1e-12);
-        assert!((a.distance_sq(&b) - 25.0).abs() < 1e-12);
     }
 
     #[test]
@@ -333,7 +298,7 @@ mod tests {
         let b = Point::new(10.0, 20.0);
         assert_eq!(a.lerp(&b, 0.0), a);
         assert_eq!(a.lerp(&b, 1.0), b);
-        let m = a.midpoint(&b);
+        let m = a.lerp(&b, 0.5);
         assert!((m.x - 5.0).abs() < 1e-12 && (m.y - 10.0).abs() < 1e-12);
     }
 
@@ -439,16 +404,16 @@ mod tests {
                 max: Point::new(extent_m, extent_m),
             };
             let grid = GridIndex::new(bbox, density_cell_size(bbox, n_items, 4.0));
-            let cells = grid.num_cells() as f64;
+            let cells = num_cells(&grid) as f64;
             // Expected occupancy within a small factor of the target.
             let occupancy = n_items as f64 / cells;
             assert!(
                 (1.0..=16.0).contains(&occupancy),
                 "extent={extent_m} items={n_items}: occupancy {occupancy} out of range \
                  ({cells} cells, cell {} m)",
-                grid.cell_size()
+                grid.cell_size
             );
-            assert!(grid.num_cells() <= 4_100_000, "memory guard violated");
+            assert!(num_cells(&grid) <= 4_100_000, "memory guard violated");
         }
     }
 
@@ -456,7 +421,7 @@ mod tests {
     fn density_derived_grid_handles_degenerate_inputs() {
         let empty_box = BoundingBox::empty();
         let g = GridIndex::new(empty_box, density_cell_size(empty_box, 100, 4.0));
-        assert!(g.num_cells() >= 1);
+        assert!(num_cells(&g) >= 1);
         let point_box = BoundingBox {
             min: Point::new(5.0, 5.0),
             max: Point::new(5.0, 5.0),
@@ -464,17 +429,5 @@ mod tests {
         let mut g = GridIndex::new(point_box, density_cell_size(point_box, 0, 4.0));
         g.insert(1, &Point::new(5.0, 5.0));
         assert!(g.query(&Point::new(5.0, 5.0), 1.0).contains(&1));
-    }
-
-    #[test]
-    fn grid_index_segment_insertion_covers_cells() {
-        let bbox = BoundingBox {
-            min: Point::new(0.0, 0.0),
-            max: Point::new(1000.0, 1000.0),
-        };
-        let mut grid = GridIndex::new(bbox, 100.0);
-        grid.insert_segment(7, &Point::new(10.0, 10.0), &Point::new(400.0, 10.0));
-        let hits = grid.query(&Point::new(250.0, 20.0), 10.0);
-        assert!(hits.contains(&7));
     }
 }

@@ -20,7 +20,7 @@ use crate::frame::{
 /// Default socket read timeout of both clients: a dead server fails the
 /// call instead of hanging it forever.  Override per binary client with
 /// [`BinClient::connect_with`].
-pub const DEFAULT_CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(30);
+const DEFAULT_CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 // ---------------------------------------------------------------------------
 // ASCII client
@@ -148,7 +148,7 @@ impl BinClient {
 
     /// Wraps an already-connected stream into a binary client with an
     /// explicit read timeout (`None` blocks forever).
-    pub fn from_stream_with(stream: TcpStream, timeout: Option<Duration>) -> io::Result<BinClient> {
+    fn from_stream_with(stream: TcpStream, timeout: Option<Duration>) -> io::Result<BinClient> {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(timeout)?;
         Ok(BinClient {

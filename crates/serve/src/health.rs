@@ -71,7 +71,7 @@ impl DatasetHealth {
     }
 
     /// Whether a probation window is currently being judged.
-    pub fn armed(&self) -> bool {
+    fn armed(&self) -> bool {
         // ordering: Acquire — pairs with arm's Release so a `true` here
         // guarantees the reset counters are also visible.
         self.armed.load(Ordering::Acquire)

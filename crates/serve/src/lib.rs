@@ -119,10 +119,7 @@ use std::time::{Duration, Instant};
 
 use l2r_core::{ModelRegistry, ModelStore, RegistryError};
 
-pub use client::{
-    route_reply_to_line, BatchItemReply, BinClient, Client, DatasetInfo,
-    DEFAULT_CLIENT_READ_TIMEOUT,
-};
+pub use client::{route_reply_to_line, BatchItemReply, BinClient, Client, DatasetInfo};
 pub use faults::{FaultConfig, FaultCounters, FaultPlan};
 pub use health::{DatasetHealth, HealthMap};
 pub use queue::{DatasetQueue, DEFAULT_QUEUE_CAPACITY};
@@ -130,16 +127,16 @@ pub use request::format_route_response;
 pub use smoke::{registry_from_specs, run_smoke_with};
 
 /// Default event-loop thread count of a server.
-pub const DEFAULT_WORKERS: usize = 4;
+const DEFAULT_WORKERS: usize = 4;
 
 /// Default per-request deadline granted to routes that carry none.
-pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(5);
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Default idle-connection reaping timeout.
-pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
+const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Default cap on concurrently open connections per server.
-pub const DEFAULT_MAX_CONNECTIONS: usize = 65_536;
+const DEFAULT_MAX_CONNECTIONS: usize = 65_536;
 
 /// How often the watchdog thread checks its event loops for panics.
 const WATCHDOG_TICK: Duration = Duration::from_millis(10);
@@ -451,36 +448,48 @@ fn or_dash(items: Vec<String>) -> String {
 /// probation; a validation rejection (dataset stamp or canary mismatch)
 /// counts `validation_failures`.  Returns the registry generation now
 /// serving, or the operator-facing error message.
+/// Installs the model at `path` as `dataset` through the registry's
+/// validating reload, so every install (startup and `reload` alike) checks
+/// the dataset stamp and replays the canaries.  A directory, or any `path`
+/// when `from_store` is set, is opened as a [`ModelStore`] and serves
+/// `generation` (`None` = the newest durable one); anything else is loaded
+/// as a snapshot file.
+fn install_model(
+    registry: &ModelRegistry,
+    dataset: &str,
+    path: &Path,
+    from_store: bool,
+    generation: Option<u64>,
+) -> Result<(), RegistryError> {
+    if from_store || path.is_dir() {
+        let store = ModelStore::open(path)?;
+        registry.reload_from_store(dataset, &store, generation)?;
+    } else {
+        registry.reload(dataset, path)?;
+    }
+    Ok(())
+}
+
 pub(crate) fn do_reload(
     state: &ServerState,
     dataset: &str,
     path: &str,
     spec: Option<&str>,
 ) -> Result<u64, String> {
-    let target = Path::new(path);
-    let outcome = if spec.is_some() || target.is_dir() {
-        let generation = match spec {
+    let generation =
+        match spec {
             None | Some("latest") => None,
-            Some(raw) => match raw.parse::<u64>() {
-                Ok(g) => Some(g),
-                Err(_) => {
-                    return Err(format!(
-                        "reload generation `{raw}` is neither `latest` nor a number"
-                    ))
-                }
-            },
+            Some(raw) => Some(raw.parse::<u64>().map_err(|_| {
+                format!("reload generation `{raw}` is neither `latest` nor a number")
+            })?),
         };
-        ModelStore::open(target)
-            .map_err(RegistryError::from)
-            .and_then(|store| {
-                state
-                    .registry
-                    .reload_from_store(dataset, &store, generation)
-            })
-            .map(|_| ())
-    } else {
-        state.registry.reload(dataset, target).map(|_| ())
-    };
+    let outcome = install_model(
+        &state.registry,
+        dataset,
+        Path::new(path),
+        spec.is_some(),
+        generation,
+    );
     match outcome {
         Ok(()) => {
             state.stats.add(Counter::Reloads, 1);

@@ -11,15 +11,14 @@
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
-use l2r_core::{load_model, splitmix64, L2r, ModelRegistry, ModelStore, QueryScratch};
+use l2r_core::{load_model, splitmix64, L2r, ModelRegistry, QueryScratch, RegistryError};
 use l2r_road_network::VertexId;
 
 use crate::client::{route_reply_to_line, BinClient, Client};
 use crate::frame::{self, RouteReply};
-use crate::{format_route_response, Counter, Server};
+use crate::{format_route_response, install_model, Counter, Server};
 
 /// Routes a sweep spreads over its connections (at least 4 per connection).
 const SWEEP_ROUTES: usize = 8192;
@@ -30,27 +29,23 @@ const SWEEP_WINDOW: usize = 16;
 /// Seed of the sweep's `(source, destination)` draws.
 const SWEEP_SEED: u64 = 0x5E17_1E55;
 
-/// Builds a registry by loading each `name=path` model spec.  A path that
-/// is a directory is opened as a model store and its newest durable
-/// generation is served; a file is loaded as a plain snapshot.
+/// Builds a registry by loading each `name=path` model spec with the same
+/// checks as a `reload` (dataset stamp, canary replay).  A path that is a
+/// directory is opened as a model store and its newest durable generation
+/// is served; a file is loaded as a plain snapshot.
 pub fn registry_from_specs(specs: &[(String, PathBuf)]) -> Result<ModelRegistry, String> {
     if specs.is_empty() {
         return Err("no --model NAME=PATH specs given".to_string());
     }
     let registry = ModelRegistry::new();
     for (name, path) in specs {
-        let model = if path.is_dir() {
-            let store = ModelStore::open(path)
-                .map_err(|e| format!("failed to open store `{name}` at {}: {e}", path.display()))?;
-            let (_, snapshot) = store.load_latest().map_err(|e| {
-                format!("failed to load `{name}` from store {}: {e}", path.display())
-            })?;
-            snapshot.model
-        } else {
-            load_model(path)
-                .map_err(|e| format!("failed to load `{name}` from {}: {e}", path.display()))?
-        };
-        registry.insert(name, Arc::new(model));
+        install_model(&registry, name, path, false, None).map_err(|e| {
+            let what = match e {
+                RegistryError::Store(_) => "open store",
+                _ => "load",
+            };
+            format!("failed to {what} `{name}` at {}: {e}", path.display())
+        })?;
     }
     Ok(registry)
 }

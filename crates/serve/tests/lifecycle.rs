@@ -393,6 +393,45 @@ fn registry_from_specs_accepts_a_store_directory() {
     let _ = std::fs::remove_dir_all(&empty);
 }
 
+/// Startup runs the reload checks: `registry_from_specs` refuses a
+/// snapshot whose canaries do not reproduce, a snapshot stamped for
+/// another dataset, and a store created under another dataset name.
+#[test]
+fn registry_from_specs_refuses_what_a_reload_refuses() {
+    let dir = temp_dir("specs-refused");
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = fitted();
+    let mut canaries = compute_canaries(&model, 4);
+    let foreign = dir.join("foreign.l2r");
+    std::fs::write(
+        &foreign,
+        encode_snapshot_with(&model, "somewhere-else", &canaries),
+    )
+    .unwrap();
+    for c in &mut canaries {
+        c.digest ^= 0xDEAD_BEEF;
+    }
+    let poisoned = dir.join("poisoned.l2r");
+    std::fs::write(&poisoned, encode_snapshot_with(&model, DATASET, &canaries)).unwrap();
+    let foreign_store = dir.join("foreign-store");
+    ModelStore::create(&foreign_store, "somewhere-else", StoreOptions::default())
+        .unwrap()
+        .publish(&model)
+        .unwrap();
+
+    for (path, expected) in [
+        (&poisoned, "canary"),
+        (&foreign, "somewhere-else"),
+        (&foreign_store, "somewhere-else"),
+    ] {
+        let err = l2r_serve::registry_from_specs(&[(DATASET.to_string(), path.clone())])
+            .expect_err("startup must refuse what a reload refuses");
+        assert!(err.contains(expected), "{}: {err}", path.display());
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The serving answers produced by a store-reloaded model are
 /// bit-identical to a locally loaded model from the same snapshot.
 #[test]

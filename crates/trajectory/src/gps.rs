@@ -64,21 +64,11 @@ impl Trajectory {
     }
 
     /// Total duration in seconds (0 for fewer than two records).
-    pub fn duration_s(&self) -> f64 {
+    fn duration_s(&self) -> f64 {
         match (self.records.first(), self.records.last()) {
             (Some(a), Some(b)) => (b.timestamp_s - a.timestamp_s).max(0.0),
             _ => 0.0,
         }
-    }
-
-    /// Sum of straight-line distances between consecutive records, in metres.
-    /// An approximation of travelled distance used for sanity checks and
-    /// sampling-rate statistics.
-    pub fn polyline_length_m(&self) -> f64 {
-        self.records
-            .windows(2)
-            .map(|w| w[0].point.distance(&w[1].point))
-            .sum()
     }
 
     /// Mean interval between consecutive records in seconds
@@ -121,7 +111,6 @@ mod tests {
         );
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
-        assert!((t.polyline_length_m() - 300.0).abs() < 1e-9);
         assert!((t.mean_sampling_interval_s().unwrap() - 15.0).abs() < 1e-9);
     }
 

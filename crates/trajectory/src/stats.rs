@@ -18,16 +18,6 @@ pub struct DistanceDistribution {
 }
 
 impl DistanceDistribution {
-    /// Bucket boundaries used for the D1 (Denmark-like) data set in Table II.
-    pub fn d1_bounds() -> Vec<f64> {
-        vec![10.0, 50.0, 100.0, 500.0]
-    }
-
-    /// Bucket boundaries used for the D2 (Chengdu-like) data set in Table II.
-    pub fn d2_bounds() -> Vec<f64> {
-        vec![2.0, 5.0, 10.0, 35.0]
-    }
-
     /// Builds the distribution of `trajectories` over the given bounds.
     pub fn compute(
         net: &RoadNetwork,
@@ -114,6 +104,10 @@ mod tests {
     use crate::gps::{DriverId, GpsRecord, Trajectory, TrajectoryId};
     use l2r_road_network::{Path, Point, RoadNetworkBuilder, RoadType, VertexId};
 
+    /// Table II's bucket bounds for D1 (Denmark-like) and D2 (Chengdu-like).
+    const D1_BOUNDS_KM: [f64; 4] = [10.0, 50.0, 100.0, 500.0];
+    const D2_BOUNDS_KM: [f64; 4] = [2.0, 5.0, 10.0, 35.0];
+
     fn line(n: usize, spacing: f64) -> RoadNetwork {
         let mut b = RoadNetworkBuilder::new();
         let vs: Vec<VertexId> = (0..n)
@@ -140,8 +134,7 @@ mod tests {
             matched(&net, 0, 3),  // 3 km
             matched(&net, 0, 10), // 10 km (right-inclusive in first bucket for d2 bounds? 10 <= 10)
         ];
-        let dist =
-            DistanceDistribution::compute(&net, &ts, DistanceDistribution::d2_bounds()).unwrap();
+        let dist = DistanceDistribution::compute(&net, &ts, D2_BOUNDS_KM.to_vec()).unwrap();
         assert_eq!(dist.total(), 3);
         // Buckets: (0,2], (2,5], (5,10], (10,35], >35
         assert_eq!(dist.counts, vec![1, 1, 1, 0, 0]);
@@ -157,8 +150,7 @@ mod tests {
     fn overflow_bucket_catches_long_trips() {
         let net = line(41, 1000.0);
         let ts = vec![matched(&net, 0, 40)]; // 40 km
-        let dist =
-            DistanceDistribution::compute(&net, &ts, DistanceDistribution::d2_bounds()).unwrap();
+        let dist = DistanceDistribution::compute(&net, &ts, D2_BOUNDS_KM.to_vec()).unwrap();
         assert_eq!(dist.counts.last().copied(), Some(1));
     }
 
@@ -190,8 +182,7 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let net = line(2, 100.0);
-        let dist =
-            DistanceDistribution::compute(&net, &[], DistanceDistribution::d1_bounds()).unwrap();
+        let dist = DistanceDistribution::compute(&net, &[], D1_BOUNDS_KM.to_vec()).unwrap();
         assert_eq!(dist.total(), 0);
         assert!(dist.percentages().iter().all(|p| *p == 0.0));
         let s = sampling_summary(&[]);

@@ -19,7 +19,7 @@ fn workspace_passes_static_analysis() {
     );
     assert_eq!(
         report_data.rules.len(),
-        6,
+        7,
         "rule set changed; update this gate and the README table"
     );
     assert!(
